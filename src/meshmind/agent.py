@@ -1,9 +1,12 @@
 """Autonomous per-node control loop: sense, detect, reason, act, learn.
 
 One agent owns one controllable node, its knowledge base, and its value
-table. The reasoning cycle is event driven: it runs only after the node's
-users were undersupplied in two successive sensing samples. A triggered
-cycle retrieves the nearest stored case and either reuses its action,
+table. The agents of a run are sensed and detected together: a Population
+gathers every agent's percept from the step's flat reading vector in one
+pass and keeps the two-sample detector as two boolean arrays. The
+reasoning cycle is event driven: it runs only for an agent whose node's
+users were undersupplied in two successive samples. A triggered cycle
+retrieves the nearest stored case and either reuses its action,
 recomputes it, retains the percept as a new case, or rejects it.
 """
 
@@ -13,14 +16,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .env import EnvView
+from .env import Environment, EnvView, satisfied
 from .kb import Case, KnowledgeBase
 from .learning import (QParams, QTable, StateCodec, Transition, encode_state,
                        learning_coefficient, q_update)
 from .optimize import (Action, ControlContext, Controlled, EpsilonGreedy,
                        ExplorationPolicy, MoveTo, SetChannel, action_to_dict,
                        location_search, one_step_cells, select_action)
-from .reasoning import FeatureSpec, Outcome, PerceptVector, classify, normalize
+# normalize is the scalar form of Population.sense; perfbench times it here.
+from .reasoning import (FeatureSpec, MissingFeature, Outcome, PerceptVector,
+                        classify, normalize)
 
 CHANNEL_KIND = "channel-assignment"
 LOCATION_KIND = "location-optimization"
@@ -45,7 +50,7 @@ class Sample:
 
     @property
     def satisfied(self) -> bool:
-        return self.achieved + 1e-9 >= self.demanded
+        return satisfied(self.achieved, self.demanded)
 
 
 def detect_unsatisfactory(prev: Sample, curr: Sample) -> bool:
@@ -66,13 +71,10 @@ class AgentConfig:
     coefficient_threshold: float = 0.7
     kb_capacity: int = 256
     kb_eviction: str = "lru"
-    reuse_driver: str = "coefficient"  # or "qvalue"
 
     def __post_init__(self):
         if self.kind not in (CHANNEL_KIND, LOCATION_KIND):
             raise ValueError(f"unknown scenario kind {self.kind!r}")
-        if self.reuse_driver not in ("coefficient", "qvalue"):
-            raise ValueError(f"unknown reuse driver {self.reuse_driver!r}")
 
 
 @dataclass(slots=True)
@@ -118,22 +120,6 @@ class _Pending:
     case: Case | None
 
 
-def channel_measurements(view: EnvView, node: int) -> dict[str, float]:
-    return {
-        "conflicts": view.env.local_conflicts(view.state, node),
-        "demand": view.env.node_demand(view.state, node),
-        "achieved": view.env.node_achieved(view.report, node),
-    }
-
-
-def location_measurements(view: EnvView, node: int) -> dict[str, float]:
-    x, y = view.state.position_of[node]
-    raw = {"x": float(x), "y": float(y)}
-    for uid in sorted(view.env.users_of(view.state, node)):
-        raw[f"demand_u{uid}"] = view.state.demand[uid]
-    return raw
-
-
 # Stable direction indexing keeps MoveTo actions addressable in the value
 # table regardless of the node's current cell.
 _DIRECTIONS = [(dx, dy) for dy in (-1, 0, 1) for dx in (-1, 0, 1)]
@@ -147,46 +133,21 @@ class Agent:
         self.config = config
         self.kb = KnowledgeBase(capacity=config.kb_capacity,
                                 eviction=config.kb_eviction)
-        n_actions = (len(_DIRECTIONS) if config.kind == LOCATION_KIND else None)
-        self._n_actions = n_actions
-        self.table: QTable | None = None  # sized lazily from the env view
+        self._n_actions = len(_DIRECTIONS) if config.kind == LOCATION_KIND else None
+        self.table: QTable | None = None  # sized from the environment
         self.rng = np.random.default_rng([run_seed, 1, node])
-        self._prev_sample: Sample | None = None
         self._pending: _Pending | None = None
+        self._alone: Population | None = None
         self.optimizer_invocations = 0
         self._switch_history: list[int] = []
-        self._sense_refs = None
-        self._sense_values: tuple[float, ...] = ()
 
     # -- sensing -----------------------------------------------------------
 
     def sense(self, view: EnvView) -> PerceptVector:
-        # measurements depend only on these objects, which the env shares
-        # across unchanged steps, so their identity keys a value cache
-        if self.config.kind == CHANNEL_KIND:
-            refs = (view.state.channel_of, view.state.demand, view.report)
-        else:
-            refs = (view.state.position_of, view.state.demand, view.report)
-        cached = self._sense_refs
-        if cached is not None and refs[0] is cached[0] \
-                and refs[1] is cached[1] and refs[2] is cached[2]:
-            return PerceptVector(values=self._sense_values,
-                                 t=view.state.t, node=self.node)
-        if self.config.kind == CHANNEL_KIND:
-            raw = channel_measurements(view, self.node)
-        else:
-            raw = location_measurements(view, self.node)
-        percept = normalize(raw, self.config.feature_spec,
-                            t=view.state.t, node=self.node)
-        self._sense_refs = refs
-        self._sense_values = percept.values
-        return percept
-
-    def _sample(self, view: EnvView, percept: PerceptVector) -> Sample:
-        return Sample(percept=percept,
-                      achieved=view.env.node_achieved(view.report, self.node),
-                      demanded=view.env.node_demand(view.state, self.node),
-                      t=view.state.t)
+        """This agent's percept of the view, sensed as a population of one."""
+        population = Population([self], view.env)
+        population.sense(view.report)
+        return population.percept(0, view.state.t)
 
     def candidates(self, view: EnvView) -> list[Action]:
         if self.config.kind == CHANNEL_KIND:
@@ -202,34 +163,40 @@ class Agent:
         dx, dy = action.cell[0] - cx, action.cell[1] - cy
         return _DIRECTIONS.index((dx, dy))
 
-    def _ensure_table(self, view: EnvView):
+    def _ensure_table(self, env: Environment):
         if self.table is None:
-            n_actions = self._n_actions or len(view.env.topology.channels)
+            n_actions = self._n_actions or len(env.topology.channels)
             self.table = QTable(self.config.codec.state_count, n_actions)
 
     # -- the control cycle ---------------------------------------------------
 
-    def tick(self, view: EnvView) -> tuple[Action | None, TraceEvent]:
-        """Run one sensing step; returns the chosen action (if any) plus the
-        trace event. Emitting an action resets the two-sample detector, so a
-        fresh pair of samples must confirm dissatisfaction before the next
-        reasoning cycle."""
-        self._ensure_table(view)
-        percept = self.sense(view)
-        sample = self._sample(view, percept)
-        triggered = (self._prev_sample is not None
-                     and detect_unsatisfactory(self._prev_sample, sample))
-        event = TraceEvent(t=sample.t, node=self.node, percept=percept.values,
-                           detected=triggered, outcome="idle")
-        if not triggered:
-            self._prev_sample = sample
-            return None, event
+    def tick(self, view: EnvView, population: "Population | None" = None,
+             i: int = 0) -> tuple[Action | None, TraceEvent | None]:
+        """Run one control step on row `i` of the population's pass; returns
+        the chosen action (if any) plus the trace event, which idle steps
+        omit when the population keeps no trace. Without a population the
+        agent senses as a population of one of its own. Emitting an action
+        resets the two-sample detector, so a fresh pair of samples must
+        confirm dissatisfaction before the next reasoning cycle."""
+        if population is None:
+            if self._alone is None:
+                self._alone = Population([self], view.env)
+            population = self._alone
+            population.sense(view.report)
+        t = view.state.t
+        if not population.fired[i]:
+            if not population.trace:
+                return None, None
+            return None, TraceEvent(t=t, node=self.node, detected=False, outcome="idle",
+                                    percept=population.percept(i, t).values)
 
+        percept = population.percept(i, t)
+        sample = Sample(percept=percept, achieved=population.achieved[i],
+                        demanded=population.demanded[i], t=t)
         action, outcome, case = self._reason(view, percept, sample)
-        event.outcome = outcome.value
-        event.action = action
+        event = TraceEvent(t=t, node=self.node, percept=percept.values,
+                           detected=True, outcome=outcome.value, action=action)
         if action is None:
-            self._prev_sample = sample
             return None, event
 
         state_index = encode_state(percept, self.config.codec)
@@ -237,7 +204,7 @@ class Agent:
         event.q_before = self.table.entry(state_index, action_index)
         self._pending = _Pending(event=event, state_index=state_index,
                                  action_index=action_index, case=case)
-        self._prev_sample = None
+        population.acted(i)
         return action, event
 
     def _reason(self, view: EnvView, percept: PerceptVector, sample: Sample):
@@ -246,7 +213,7 @@ class Agent:
             score, coefficient, case = 0.0, 0.0, None
         else:
             case, score = hit
-            coefficient = self._reuse_coefficient(case, percept, view, sample)
+            coefficient = case.coefficient
         outcome = classify(score, coefficient,
                            self.config.similarity_threshold,
                            self.config.coefficient_threshold,
@@ -263,21 +230,6 @@ class Agent:
             self.kb.retain(new_case)
             return action, outcome, new_case
         return action, outcome, None  # REJECT: act without writing to the KB
-
-    def _reuse_coefficient(self, case: Case, percept: PerceptVector,
-                           view: EnvView, sample: Sample) -> float:
-        if self.config.reuse_driver == "coefficient":
-            return case.coefficient
-        # value-driven reuse: score the stored action by its current estimate
-        state_index = encode_state(percept, self.config.codec)
-        try:
-            action_index = self._action_index(case.action, view)
-        except ValueError:
-            return 0.0
-        entry = self.table.entry(state_index, action_index)
-        if entry is None:
-            return 0.0
-        return learning_coefficient(max(entry, 0.0), sample.demanded)
 
     def _optimize(self, view: EnvView, percept: PerceptVector, sample: Sample) -> Action | None:
         self.optimizer_invocations += 1
@@ -297,7 +249,7 @@ class Agent:
             recent = sum(1 for t in self._switch_history
                          if window and t > sample.t - window)
             context = ControlContext(
-                serving_load=view.env.node_demand(view.state, self.node),
+                serving_load=sample.demanded,
                 current_channel=view.state.channel_of[self.node],
                 recent_switches=recent)
         return select_action(self.table, state_index, policy, cands, self.rng,
@@ -323,3 +275,62 @@ class Agent:
 
     def note_switch(self, t: int) -> None:
         self._switch_history.append(t)
+
+
+class Population:
+    """Agents sensed and detected together, in one batched pass per step.
+
+    Every agent feature indexes ThroughputReport.readings; the ragged lists
+    share one gather with per-agent offsets, and a percept is
+    clip((reading - lo) / (hi - lo), 0, 1) as in `normalize`. The detector
+    is two boolean arrays: has a previous sample, and it was unsatisfied.
+    After `sense`, `fired`, `achieved` and `demanded` hold one entry per agent.
+    """
+
+    def __init__(self, agents: list[Agent], env: Environment, trace: bool = True):
+        self.agents = list(agents)
+        self.trace = trace
+        index, lo, hi, self._offsets = [], [], [], [0]
+        for ag in self.agents:
+            ag._ensure_table(env)
+            for name, f_lo, f_hi in ag.config.feature_spec.features:
+                try:
+                    index.append(env.reading_index(ag.node, name))
+                except KeyError:
+                    raise MissingFeature(name) from None
+                lo.append(f_lo)
+                hi.append(f_hi)
+            self._offsets.append(len(index))
+        self._index = np.array(index, dtype=np.intp)
+        self._lo = np.array(lo)
+        self._span = np.array(hi) - self._lo
+        self._achieved_at, self._demand_at = (
+            np.array([env.reading_index(ag.node, name) for ag in self.agents], dtype=np.intp)
+            for name in ("achieved", "demand"))
+        self._has_prev, self._prev_unsatisfied = np.zeros((2, len(self.agents)), dtype=bool)
+
+    def sense(self, report) -> None:
+        """Gather every percept and advance the detector by one sample."""
+        readings = report.readings
+        values = np.clip((readings[self._index] - self._lo) / self._span, 0.0, 1.0)
+        if self.trace:  # trace rows keep every percept: equal values share a float
+            distinct, at = np.unique(values, return_inverse=True)
+            self._values = list(map(distinct.tolist().__getitem__, at.tolist()))
+        else:
+            self._values = values.tolist()
+        achieved = readings[self._achieved_at]
+        demanded = readings[self._demand_at]
+        unsatisfied = ~satisfied(achieved, demanded)
+        self.fired = (self._has_prev & self._prev_unsatisfied & unsatisfied).tolist()
+        self._has_prev[:] = True
+        self._prev_unsatisfied = unsatisfied
+        self.achieved = achieved.tolist()
+        self.demanded = demanded.tolist()
+
+    def acted(self, i: int) -> None:
+        """Agent i emitted an action: its next trigger needs two fresh samples."""
+        self._has_prev[i] = False
+
+    def percept(self, i: int, t: int) -> PerceptVector:
+        values = tuple(self._values[self._offsets[i]:self._offsets[i + 1]])
+        return PerceptVector(values=values, t=t, node=self.agents[i].node)

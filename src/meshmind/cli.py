@@ -8,7 +8,7 @@ import sys
 
 from . import harness
 from .kb import KnowledgeBase
-from .optimize import brute_force_channels
+from .optimize import action_to_dict, brute_force_channels
 
 
 def _parse_seed_range(text: str) -> list[int]:
@@ -50,6 +50,7 @@ def _cmd_run(args) -> int:
     report, _ = harness.run_scenario(spec, seed=args.seed, out_dir=args.out)
     for key, value in report.rows():
         print(f"{key}={value}")
+    print(f"wall_time_s={report.wall_time_s}")
     return 0
 
 
@@ -87,16 +88,10 @@ def _cmd_dump_kb(args) -> int:
     print(f"capacity={kb.capacity} eviction={kb.eviction} cases={len(kb)}")
     for case in kb.cases:
         percept = ",".join(f"{v:.4f}" for v in case.percept.values)
-        print(f"percept=[{percept}] action={json.dumps(case.action and __action(case))} "
+        print(f"percept=[{percept}] action={json.dumps(case.action and action_to_dict(case.action))} "
               f"coefficient={case.coefficient:.4f} hits={case.hits} "
               f"last_used={case.last_used} created={case.created}")
     return 0
-
-
-def __action(case):
-    from .optimize import action_to_dict
-
-    return action_to_dict(case.action)
 
 
 def main(argv=None) -> int:

@@ -5,6 +5,11 @@ one channel each; users attach to a node and receive a share of its link
 capacity. Interference is counted only between nodes that share both an
 interference-graph edge and a channel. Everything is deterministic given
 the config and its seed, so runs can be replayed bit for bit.
+
+Each step's ThroughputReport holds one flat `readings` vector of every
+node's and user's measurements, so all agents sense with one gather. Node
+membership is fixed at construction; demand is resolved up front into one
+row per distinct demand vector plus the row in force at each step.
 """
 
 from __future__ import annotations
@@ -17,6 +22,15 @@ import numpy as np
 Cell = tuple[int, int]
 
 DEMAND_EPS = 1e-9  # slack when comparing achieved against demanded
+
+# Per-node blocks of ThroughputReport.readings, in this order and each in
+# node order; every user's demand follows, in config order.
+NODE_READINGS = ("conflicts", "demand", "achieved", "x", "y")
+
+
+def satisfied(achieved, demanded):
+    """Achieved meets demanded up to DEMAND_EPS; elementwise on arrays."""
+    return achieved + DEMAND_EPS >= demanded
 
 
 class InvalidAction(Exception):
@@ -164,7 +178,6 @@ class EnvConfig:
     rng_seed: int = 0
     horizon: int = 100
     initial_channels: dict[int, int] | None = None
-    reassociate: bool = False
 
     def __post_init__(self):
         if self.pathloss_exponent <= 0:
@@ -187,16 +200,14 @@ class EnvState:
     t: int
     channel_of: dict[int, int]
     position_of: dict[int, Cell]
-    association: dict[int, int]
     demand: dict[int, float]
-    last_actions: tuple = ()
 
 
 @dataclass(frozen=True)
 class ThroughputReport:
-    achieved: dict[int, float]      # user -> Mbps
-    per_node_load: dict[int, float]  # node -> summed achieved of its users
-    conflicts: int                  # co-channel interference edges
+    achieved: dict[int, float]  # user -> Mbps
+    conflicts: int              # co-channel interference edges
+    readings: np.ndarray        # flat per-node and per-user measurements
 
 
 @dataclass(frozen=True)
@@ -226,32 +237,36 @@ def _distance(a: Cell, b: Cell) -> float:
 
 
 class Environment:
-    """Steps EnvState values forward and scores them into throughput reports."""
+    """Steps EnvState values forward and scores them into throughput reports.
+
+    Users attach to their configured node, else the nearest one, for good.
+    """
 
     def __init__(self, config: EnvConfig):
         self.config = config
         self.topology = config.topology
-        rng = np.random.default_rng([config.rng_seed, 0])
-        self._demand_schedule = {
-            u.user: u.demand.resolve(config.horizon, rng) for u in config.users
-        }
+        self.nodes = config.topology.nodes
+        self._node_index = {nid: i for i, nid in enumerate(self.nodes)}
+        self._user_index = {u.user: k for k, u in enumerate(config.users)}
         self._user_pos = {u.user: u.position for u in config.users}
-        # one demand dict per step, shared across steps with equal levels so
-        # downstream caches can key on object identity
-        self._demand_dicts: list[dict[int, float]] = []
-        previous_levels = None
-        shared: dict[int, float] = {}
-        for t in range(config.horizon + 1):
-            levels = tuple(sched[t] for sched in self._demand_schedule.values())
-            if levels != previous_levels:
-                previous_levels = levels
-                shared = {uid: sched[t]
-                          for uid, sched in self._demand_schedule.items()}
-            self._demand_dicts.append(shared)
-        self._report_refs = None
-        self._report_cache: ThroughputReport | None = None
-        self._users_ref = None
-        self._users_cache: dict[int, list[int]] = {}
+        positions = config.topology.positions
+        self._association = {}
+        for u in config.users:
+            self._association[u.user] = u.node if u.node is not None else min(
+                positions, key=lambda n: (_distance(u.position, positions[n]), n))
+        self._members: dict[int, list[int]] = {nid: [] for nid in self.nodes}
+        for uid in sorted(self._association):
+            self._members[self._association[uid]].append(uid)
+        edges = sorted(config.topology.edges)
+        self._edge_a = np.array([self._node_index[a] for a, _ in edges], dtype=np.intp)
+        self._edge_b = np.array([self._node_index[b] for _, b in edges], dtype=np.intp)
+
+        rng = np.random.default_rng([config.rng_seed, 0])
+        schedules = [u.demand.resolve(config.horizon, rng) for u in config.users]
+        levels_at = zip(*schedules) if schedules else [()] * (config.horizon + 1)
+        rows: dict[tuple[float, ...], int] = {}
+        self._row_at = [rows.setdefault(levels, len(rows)) for levels in levels_at]
+        self._demand_rows = [dict(zip(self._user_index, levels)) for levels in rows]
 
     # -- construction ----------------------------------------------------
 
@@ -262,25 +277,24 @@ class Environment:
             channels.setdefault(nid, topo.channels[0])
             if channels[nid] not in topo.channels:
                 raise ValueError(f"initial channel of node {nid} not in palette")
-        positions = dict(topo.positions)
-        association = {}
-        for u in self.config.users:
-            association[u.user] = (u.node if u.node is not None
-                                   else self._nearest_node(u.position, positions))
-        return EnvState(t=0, channel_of=channels, position_of=positions,
-                        association=association, demand=self._demand_dicts[0])
+        return EnvState(t=0, channel_of=channels, position_of=dict(topo.positions),
+                        demand=self._demand_rows[self._row_at[0]])
 
-    def _nearest_node(self, pos: Cell, positions: dict[int, Cell]) -> int:
-        return min(positions, key=lambda n: (_distance(pos, positions[n]), n))
+    def _demand_row(self, t: int) -> int:
+        return self._row_at[min(t, len(self._row_at) - 1)]
 
     # -- stepping ----------------------------------------------------------
 
-    def apply_and_step(self, state: EnvState, actions) -> tuple[EnvState, ThroughputReport]:
+    def apply_and_step(self, state: EnvState, actions,
+                       report: ThroughputReport | None = None
+                       ) -> tuple[EnvState, ThroughputReport]:
         """Validate and apply a batch of actions, advancing time by one step.
 
         All actions are checked before any is applied; an InvalidAction
         leaves the state untouched. The report reflects the post-action
-        configuration at t+1.
+        configuration at t+1. Pass the report of `state` to have it reused
+        when the step changes no channel or position and the demand row in
+        force stays the same.
         """
         topo = self.topology
         touched = set()
@@ -301,54 +315,47 @@ class Environment:
             else:
                 raise InvalidAction(node, f"unsupported action {kind}")
 
+        channels, positions = state.channel_of, state.position_of
         if actions:
-            channels = dict(state.channel_of)
-            positions = dict(state.position_of)
+            channels, positions = dict(channels), dict(positions)
             for action in actions:
                 if type(action).__name__ == "SetChannel":
                     channels[action.node] = action.channel
                 else:
                     positions[action.node] = tuple(action.cell)
-        else:  # untouched dicts are shared so caches can hit on identity
-            channels = state.channel_of
-            positions = state.position_of
 
-        t_next = state.t + 1
-        demand = self._demand_dicts[min(t_next, len(self._demand_dicts) - 1)]
-        association = state.association
-        if self.config.reassociate:
-            association = {uid: self._nearest_node(self._user_pos[uid], positions)
-                           for uid in association}
-        new_state = EnvState(t=t_next, channel_of=channels, position_of=positions,
-                             association=association, demand=demand,
-                             last_actions=tuple(actions))
-        return new_state, self.report_for(new_state)
-
-    def demand_at(self, user: int, t: int) -> float:
-        sched = self._demand_schedule[user]
-        return sched[min(t, len(sched) - 1)]
+        row = self._demand_row(state.t + 1)
+        new_state = EnvState(t=state.t + 1, channel_of=channels, position_of=positions,
+                             demand=self._demand_rows[row])
+        if (report is None or row != self._demand_row(state.t) or actions and (
+                channels != state.channel_of or positions != state.position_of)):
+            report = self.report_for(new_state)
+        return new_state, report
 
     def evolve_demand(self, state: EnvState) -> EnvState:
         """Return the state with demands set to their scheduled level at state.t."""
-        demand = self._demand_dicts[min(state.t, len(self._demand_dicts) - 1)]
-        return replace(state, demand=demand)
+        return replace(state, demand=self._demand_rows[self._demand_row(state.t)])
 
     # -- measurement -------------------------------------------------------
 
-    def link_quality(self, state: EnvState, user: int) -> float:
+    def link_quality(self, state: EnvState, user: int,
+                     cell: Cell | None = None) -> float:
         """Signal-to-interference ratio for one user, dimensionless.
 
-        Received power follows tx * d^-eta from the serving node; interference
-        sums the same law over co-channel nodes adjacent (in the interference
-        graph) to the serving node. Distances are clamped to one cell.
+        Received power follows tx * d^-eta from the serving node, placed at
+        `cell` when given; interference sums the same law over co-channel
+        nodes adjacent (in the interference graph) to the serving node.
+        Distances are clamped to one cell.
         """
-        if user not in state.association:
+        if user not in self._association:
             raise UnknownUser(f"user {user}")
         cfg = self.config
-        serving = state.association[user]
+        serving = self._association[user]
         upos = self._user_pos[user]
         eta = cfg.pathloss_exponent
-        received = cfg.tx_power * _distance(state.position_of[serving], upos) ** -eta
+        if cell is None:
+            cell = state.position_of[serving]
+        received = cfg.tx_power * _distance(cell, upos) ** -eta
         ch = state.channel_of[serving]
         interference = 0.0
         for other in self.topology.neighbors(serving):
@@ -357,76 +364,63 @@ class Environment:
         return received / (cfg.noise_floor + interference)
 
     def report_for(self, state: EnvState) -> ThroughputReport:
-        # cache keyed on the identity of the state's component dicts, which
-        # step sharing keeps stable while nothing changes
-        refs = (state.channel_of, state.position_of, state.demand,
-                state.association)
-        cached = self._report_refs
-        if cached is not None and all(a is b for a, b in zip(refs, cached)):
-            return self._report_cache
-        report = self._compute_report(state)
-        self._report_refs = refs
-        self._report_cache = report
-        return report
-
-    def _compute_report(self, state: EnvState) -> ThroughputReport:
         cfg = self.config
-        members = self._node_users(state)
+        members, index = self._members, self._node_index
         achieved = {}
-        load = {nid: 0.0 for nid in self.topology.positions}
-        for uid, nid in state.association.items():
+        load = [0.0] * len(self.nodes)
+        for uid, nid in self._association.items():
             ratio = self.link_quality(state, uid)
             share = capacity(ratio, cfg.bandwidth_unit, len(members[nid]))
             got = min(share, state.demand[uid])
             achieved[uid] = got
-            load[nid] += got
-        conflicts = sum(1 for a, b in self.topology.edges
-                        if state.channel_of[a] == state.channel_of[b])
-        return ThroughputReport(achieved=achieved, per_node_load=load,
-                                conflicts=conflicts)
+            load[index[nid]] += got
+        channel = np.array([state.channel_of[nid] for nid in self.nodes])
+        same = channel[self._edge_a] == channel[self._edge_b]
+        node_conflicts = (np.bincount(self._edge_a[same], minlength=len(self.nodes))
+                          + np.bincount(self._edge_b[same], minlength=len(self.nodes)))
+        readings = np.concatenate((
+            node_conflicts,
+            [self.node_demand(state, nid) for nid in self.nodes],
+            load,
+            *zip(*(state.position_of[nid] for nid in self.nodes)),  # x, then y
+            [state.demand[uid] for uid in self._user_index],
+        ))
+        return ThroughputReport(achieved=achieved, conflicts=int(same.sum()),
+                                readings=readings)
+
+    def reading_index(self, node: int, name: str) -> int:
+        """Index in ThroughputReport.readings of a node's reading `name`: one
+        of NODE_READINGS or `demand_u<id>` for its user; else KeyError."""
+        n = len(self.nodes)
+        if name in NODE_READINGS:
+            return NODE_READINGS.index(name) * n + self._node_index[node]
+        for uid in self._members[node]:
+            if name == f"demand_u{uid}":
+                return len(NODE_READINGS) * n + self._user_index[uid]
+        raise KeyError(name)
 
     def predict_node_throughput(self, state: EnvState, node: int, cell: Cell) -> float:
         """Summed achieved throughput of the node's users were it at `cell`."""
-        cfg = self.config
-        users = self._node_users(state)[node]
-        if not users:
-            return 0.0
-        eta = cfg.pathloss_exponent
-        ch = state.channel_of[node]
+        users = self._members[node]
         total = 0.0
         for uid in users:
-            upos = self._user_pos[uid]
-            received = cfg.tx_power * _distance(cell, upos) ** -eta
-            interference = 0.0
-            for other in self.topology.neighbors(node):
-                if state.channel_of[other] == ch:
-                    interference += cfg.tx_power * _distance(state.position_of[other], upos) ** -eta
-            ratio = received / (cfg.noise_floor + interference)
-            total += min(capacity(ratio, cfg.bandwidth_unit, len(users)), state.demand[uid])
+            ratio = self.link_quality(state, uid, cell)
+            total += min(capacity(ratio, self.config.bandwidth_unit, len(users)),
+                         state.demand[uid])
         return total
 
-    # -- per-node helpers used by sensing ---------------------------------
+    # -- per-node queries ---------------------------------------------------
 
-    def _node_users(self, state: EnvState) -> dict[int, list[int]]:
-        if state.association is not self._users_ref:
-            mapping: dict[int, list[int]] = {nid: [] for nid in self.topology.positions}
-            for uid, nid in state.association.items():
-                mapping[nid].append(uid)
-            for uids in mapping.values():
-                uids.sort()
-            self._users_ref = state.association
-            self._users_cache = mapping
-        return self._users_cache
-
-    def users_of(self, state: EnvState, node: int) -> list[int]:
-        return self._node_users(state)[node]
+    def users_of(self, node: int) -> list[int]:
+        """The node's users in ascending id order."""
+        return self._members[node]
 
     def node_demand(self, state: EnvState, node: int) -> float:
         demand = state.demand
-        return sum(demand[uid] for uid in self._node_users(state)[node])
+        return sum(demand[uid] for uid in self._members[node])
 
     def node_achieved(self, report: ThroughputReport, node: int) -> float:
-        return report.per_node_load.get(node, 0.0)
+        return float(report.readings[self.reading_index(node, "achieved")])
 
     def local_conflicts(self, state: EnvState, node: int) -> int:
         ch = state.channel_of[node]
@@ -434,4 +428,4 @@ class Environment:
                    if state.channel_of[other] == ch)
 
     def node_satisfied(self, state: EnvState, report: ThroughputReport, node: int) -> bool:
-        return self.node_achieved(report, node) + DEMAND_EPS >= self.node_demand(state, node)
+        return satisfied(self.node_achieved(report, node), self.node_demand(state, node))

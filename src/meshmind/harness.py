@@ -1,29 +1,31 @@
 """Scenario definition, run orchestration, oracles, and trace emission.
 
-Scenario files are YAML documents with a schema_version field; see
-README.md for the grammar. A run steps all agents in ascending node order,
-applies their actions as one batch, feeds the resulting throughput back,
-and accumulates a report that can be recomputed from the trace alone.
+Scenario files are YAML documents with a schema_version field, read by
+`scenario_from_dict`. A run senses and detects all agents in one batched
+pass per step, ticks them in ascending node order, applies their actions
+as one batch, feeds the resulting throughput back, and accumulates a
+report that can be recomputed from the trace alone.
 """
 
 from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 import yaml
 
 from .agent import (CHANNEL_KIND, LOCATION_KIND, Agent, AgentConfig,
-                    TraceEvent)
+                    Population, TraceEvent)
 from .env import (DemandProfile, EnvConfig, Environment, EnvState, EnvView,
                   MeshTopology, UserSpec)
 from .learning import (QParams, QTable, StateCodec, Transition, encode_state,
                        format_q_table, q_update)
 from .optimize import (Boltzmann, Controlled, EpsilonGreedy,
                        ExplorationPolicy, SetChannel, select_action)
+from .reasoning import FeatureSpec
 
 SCHEMA_VERSION = 1
 
@@ -59,7 +61,6 @@ class AgentParams:
     kb_capacity: int = 256
     kb_eviction: str = "lru"
     bins: tuple[int, ...] | None = None
-    reuse_driver: str = "coefficient"
     feature_ranges: dict[str, tuple[float, float]] = field(default_factory=dict)
     nodes: list[int] | None = None  # controllable nodes; default all
 
@@ -103,6 +104,7 @@ class RunReport:
     wall_time_s: float = 0.0
 
     def rows(self) -> list[tuple[str, object]]:
+        """Fields for report.txt; wall time goes to timings.json instead."""
         return [
             ("steps", self.steps),
             ("mean_achieved_mbps", self.mean_achieved_mbps),
@@ -115,7 +117,6 @@ class RunReport:
             ("triggered_ticks", self.triggered_ticks),
             ("reuse_ticks", self.reuse_ticks),
             ("kb_hit_rate", self.kb_hit_rate),
-            ("wall_time_s", self.wall_time_s),
         ]
 
 
@@ -171,6 +172,12 @@ def scenario_from_dict(data: dict) -> ScenarioSpec:
     if problems:
         raise SpecValidation(problems)
 
+    removed = [f"{section}.{key} is no longer supported" for section, key in
+               (("env", "reassociate"), ("agents", "reuse_driver"))
+               if key in (data.get(section) or {})]
+    if removed:
+        raise SpecValidation(removed)
+
     horizon = int(data["horizon"])
     env_data = data["env"]
     channels = env_data.get("channels", 1)
@@ -205,8 +212,7 @@ def scenario_from_dict(data: dict) -> ScenarioSpec:
             rng_seed=int(data.get("seed", 0)),
             horizon=max(1, horizon),
             initial_channels={int(k): int(v) for k, v in
-                              (env_data.get("initial_channels") or {}).items()} or None,
-            reassociate=bool(env_data.get("reassociate", False)))
+                              (env_data.get("initial_channels") or {}).items()} or None)
     except (ValueError, KeyError) as exc:
         raise SpecValidation([str(exc)]) from exc
 
@@ -220,7 +226,6 @@ def scenario_from_dict(data: dict) -> ScenarioSpec:
         kb_capacity=int(agent_data.get("kb", {}).get("capacity", 256)),
         kb_eviction=agent_data.get("kb", {}).get("eviction", "lru"),
         bins=tuple(agent_data["bins"]) if "bins" in agent_data else None,
-        reuse_driver=agent_data.get("reuse_driver", "coefficient"),
         feature_ranges={k: (float(v[0]), float(v[1])) for k, v in
                         agent_data.get("feature_ranges", {}).items()},
         nodes=[int(n) for n in agent_data["nodes"]] if "nodes" in agent_data else None)
@@ -247,17 +252,17 @@ def _max_demand(spec: ScenarioSpec) -> float:
 def build_agents(spec: ScenarioSpec, env: Environment, state: EnvState,
                  seed: int) -> list[Agent]:
     """One agent per controllable node, with per-scenario feature specs."""
-    from .reasoning import FeatureSpec
-
     params = spec.agent_params
-    nodes = sorted(params.nodes if params.nodes is not None
-                   else spec.env_config.topology.nodes)
+    topology = spec.env_config.topology
+    nodes = sorted(params.nodes if params.nodes is not None else topology.nodes)
     demand_max = _max_demand(spec)
+    max_deg = max(1, topology.max_degree())
+    xs = [c[0] for cells in topology.allowed.values() for c in cells]
+    ys = [c[1] for cells in topology.allowed.values() for c in cells]
     agents = []
     for node in nodes:
         ranges = dict(params.feature_ranges)
         if spec.kind == CHANNEL_KIND:
-            max_deg = max(1, spec.env_config.topology.max_degree())
             features = (
                 ("conflicts", *ranges.get("conflicts", (0.0, float(max_deg)))),
                 ("demand", *ranges.get("demand", (0.0, demand_max))),
@@ -265,14 +270,12 @@ def build_agents(spec: ScenarioSpec, env: Environment, state: EnvState,
             )
             bins = params.bins or (min(max_deg + 1, 4), 2, 2)
         else:
-            xs = [c[0] for cells in spec.env_config.topology.allowed.values() for c in cells]
-            ys = [c[1] for cells in spec.env_config.topology.allowed.values() for c in cells]
             features = [
                 ("x", *ranges.get("x", (0.0, float(max(max(xs), 1))))),
                 ("y", *ranges.get("y", (0.0, float(max(max(ys), 1))))),
             ]
             bins = [int(max(xs)) + 1, int(max(ys)) + 1]
-            for uid in sorted(env.users_of(state, node)):
+            for uid in env.users_of(node):
                 name = f"demand_u{uid}"
                 features.append((name, *ranges.get(name, (0.0, demand_max))))
                 bins.append(3)
@@ -287,8 +290,7 @@ def build_agents(spec: ScenarioSpec, env: Environment, state: EnvState,
             similarity_threshold=params.similarity_threshold,
             coefficient_threshold=params.coefficient_threshold,
             kb_capacity=params.kb_capacity,
-            kb_eviction=params.kb_eviction,
-            reuse_driver=params.reuse_driver)
+            kb_eviction=params.kb_eviction)
         agents.append(Agent(node, config, run_seed=seed))
     return agents
 
@@ -306,13 +308,12 @@ def run_scenario(spec: ScenarioSpec, seed: int | None = None,
     """
     started = time.perf_counter()
     run_seed = spec.seed if seed is None else seed
-    env_config = spec.env_config
-    if run_seed != env_config.rng_seed:
-        env_config = _with_seed(env_config, run_seed)
-    env = Environment(env_config)
+    env = Environment(replace(spec.env_config, rng_seed=run_seed))
     state = env.reset()
     report = env.report_for(state)
     agents = build_agents(spec, env, state, run_seed)
+    population = Population(agents, env, trace=collect_trace)
+    population.sense(report)
 
     records: list[dict] = []
     total_achieved = 0.0
@@ -327,12 +328,14 @@ def run_scenario(spec: ScenarioSpec, seed: int | None = None,
     for _ in range(spec.horizon):
         view = EnvView(env=env, state=state, report=report)
         actions = []
-        acting: list[tuple[Agent, TraceEvent]] = []
+        acting: list[tuple[int, TraceEvent]] = []
         events: list[TraceEvent] = []
         step_switches = 0
         step_disruptions = 0
-        for ag in agents:
-            action, event = ag.tick(view)
+        for i, ag in enumerate(agents):
+            action, event = ag.tick(view, population, i)
+            if event is None:
+                continue
             events.append(event)
             if event.detected:
                 triggered += 1
@@ -343,26 +346,24 @@ def run_scenario(spec: ScenarioSpec, seed: int | None = None,
                         and action.channel != state.channel_of[ag.node]:
                     step_switches += 1
                     ag.note_switch(state.t)
-                    if env.node_demand(state, ag.node) > DISRUPTION_THRESHOLD:
+                    if population.demanded[i] > DISRUPTION_THRESHOLD:
                         event.disruption = True
                         step_disruptions += 1
                 actions.append(action)
-                acting.append((ag, event))
+                acting.append((i, event))
 
-        state_next, report_next = env.apply_and_step(state, actions)
-        next_view = EnvView(env=env, state=state_next, report=report_next)
-        for ag, event in acting:
-            achieved = env.node_achieved(report_next, ag.node)
-            demanded = env.node_demand(state_next, ag.node)
-            reward = achieved
-            if spec.disruption_penalty and event.disruption:
-                reward -= spec.disruption_penalty
-            next_percept = ag.sense(next_view)
+        state_next, report_next = env.apply_and_step(state, actions, report)
+        population.sense(report_next)  # serves this feedback and the next step
+        for i, event in acting:
+            ag = agents[i]
+            achieved = population.achieved[i]
+            reward = achieved - (spec.disruption_penalty if event.disruption else 0.0)
+            next_percept = population.percept(i, state_next.t)
             tr = Transition(state=ag._pending.state_index,
                             action=ag._pending.action_index,
                             reward=reward,
                             next_state=encode_state(next_percept, ag.config.codec))
-            ag.observe(tr, achieved, demanded)
+            ag.observe(tr, achieved, population.demanded[i])
 
         step_achieved = sum(report_next.achieved.values())
         step_demand = sum(state_next.demand.values())
@@ -406,12 +407,6 @@ def run_scenario(spec: ScenarioSpec, seed: int | None = None,
     return run_report, records
 
 
-def _with_seed(config: EnvConfig, seed: int) -> EnvConfig:
-    from dataclasses import replace
-
-    return replace(config, rng_seed=seed)
-
-
 def sweep(spec: ScenarioSpec, seeds, out_dir=None) -> dict[int, RunReport]:
     """Run the scenario once per seed; independent runs, shared spec."""
     reports = {}
@@ -427,7 +422,8 @@ def sweep(spec: ScenarioSpec, seeds, out_dir=None) -> dict[int, RunReport]:
 
 
 def emit(out_dir, records, report: RunReport, qtables: dict[int, QTable]) -> None:
-    """Write trace, report, per-step metrics, and value-table dumps."""
+    """Write trace, report, metrics and value tables, byte-stable per seed,
+    and the run's timings."""
     try:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
@@ -437,6 +433,9 @@ def emit(out_dir, records, report: RunReport, qtables: dict[int, QTable]) -> Non
         with open(out / "report.txt", "w") as fh:
             for key, value in report.rows():
                 fh.write(f"{key}={value}\n")
+        with open(out / "timings.json", "w") as fh:
+            json.dump({"wall_time_s": report.wall_time_s}, fh)
+            fh.write("\n")
         steps = [r for r in records if r.get("kind") == "step"]
         columns = ["t", "conflicts", "total_demand", "total_achieved",
                    "actions", "switches", "disruptions"]

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from meshmind import (Agent, AgentConfig, DemandProfile, EnvConfig,
@@ -5,11 +6,13 @@ from meshmind import (Agent, AgentConfig, DemandProfile, EnvConfig,
                       PerceptVector, QParams, Sample, SetChannel, StateCodec,
                       Transition, UserSpec, detect_unsatisfactory,
                       encode_state)
-from meshmind.agent import NonConsecutiveSamples, UnknownPendingAction
+from meshmind.agent import NonConsecutiveSamples, Population, UnknownPendingAction
+from meshmind.env import ThroughputReport
 from meshmind.harness import build_agents
 from meshmind.optimize import EpsilonGreedy
+from meshmind.reasoning import MissingFeature, normalize
 
-from helpers import make_location_spec
+from helpers import grid_positions, make_channel_spec, make_location_spec
 
 
 def channel_env(channels=(1, 2)):
@@ -92,6 +95,68 @@ class TestSense:
         state = env.reset()
         view = EnvView(env=env, state=state, report=env.report_for(state))
         assert agent.sense(view).values == agent.sense(view).values
+
+
+class TestPopulation:
+    @pytest.mark.parametrize("spec", [
+        make_channel_spec(9, {(i, i + 1) for i in range(8) if i % 3 < 2}
+                          | {(i, i + 3) for i in range(6)},
+                          positions=grid_positions(9, width=3)),
+        make_location_spec(),
+    ], ids=["channel", "location"])
+    def test_percepts_match_scalar_normalize(self, spec):
+        env = Environment(spec.env_config)
+        state = env.reset()
+        if spec.kind == "channel-assignment":
+            state, _ = env.apply_and_step(state, [SetChannel(0, 2), SetChannel(4, 3)])
+        report = env.report_for(state)
+        agents = build_agents(spec, env, state, seed=0)
+        population = Population(agents, env)
+        population.sense(report)
+        for i, ag in enumerate(agents):
+            x, y = state.position_of[ag.node]
+            raw = {"conflicts": env.local_conflicts(state, ag.node),
+                   "demand": env.node_demand(state, ag.node),
+                   "achieved": env.node_achieved(report, ag.node),
+                   "x": float(x), "y": float(y)}
+            raw.update({f"demand_u{u}": state.demand[u] for u in env.users_of(ag.node)})
+            expected = normalize(raw, ag.config.feature_spec)
+            assert population.percept(i, state.t).values == expected.values
+            assert population.achieved[i] == raw["achieved"]
+            assert population.demanded[i] == raw["demand"]
+
+    def test_detector_matches_the_pairwise_rule(self):
+        env = channel_env()
+        population = Population([channel_agent(0), channel_agent(1)], env)
+        demand_at = [env.reading_index(n, "demand") for n in (0, 1)]
+        achieved_at = [env.reading_index(n, "achieved") for n in (0, 1)]
+        rng = np.random.default_rng(0)
+        previous = [None, None]
+        for t in range(60):
+            readings = np.zeros(12)  # five per-node readings of two nodes, two users
+            readings[demand_at] = 5.0
+            readings[achieved_at] = rng.choice([1.0, 5.0 - 1e-10, 5.0], size=2)
+            population.sense(ThroughputReport(achieved={}, conflicts=0,
+                                              readings=readings))
+            for i in range(2):
+                sample = Sample(percept=PerceptVector((0.0,), t=t, node=i),
+                                achieved=readings[achieved_at[i]], demanded=5.0, t=t)
+                expected = (previous[i] is not None
+                            and detect_unsatisfactory(previous[i], sample))
+                assert population.fired[i] == expected
+                previous[i] = sample
+                if expected and rng.random() < 0.5:
+                    population.acted(i)
+                    previous[i] = None
+
+    def test_unknown_feature_is_missing(self):
+        env = channel_env()
+        agent = Agent(0, AgentConfig(
+            kind="channel-assignment",
+            feature_spec=FeatureSpec(features=(("demand_u1", 0.0, 5.0),)),
+            codec=StateCodec(bins=(2,))))
+        with pytest.raises(MissingFeature):
+            Population([agent], env)  # user 1 belongs to node 1
 
 
 class TestDetect:
@@ -202,8 +267,7 @@ class TestObserve:
     def test_starved_node_revises_coefficient_to_zero(self):
         env = channel_env()
         agent = channel_agent(node=0)
-        agent._ensure_table(EnvView(env=env, state=env.reset(),
-                                    report=env.report_for(env.reset())))
+        agent._ensure_table(env)
         state = env.reset()
         view = EnvView(env=env, state=state, report=env.report_for(state))
         percept = agent.sense(view)

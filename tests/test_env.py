@@ -48,6 +48,28 @@ class TestApplyAndStep:
         _, report = env.apply_and_step(state, [])
         assert report.conflicts == 3
 
+    def test_report_is_reused_only_while_nothing_changes(self):
+        users = [UserSpec(user=0, position=(0, 0), node=0,
+                          demand=DemandProfile.piecewise([(0, 5.0), (3, 9.0)])),
+                 UserSpec(user=1, position=(1, 0), node=1,
+                          demand=DemandProfile.constant(5.0))]
+        env = make_env({0: (0, 0), 1: (1, 0)}, {(0, 1)}, users,
+                       initial={0: 1, 1: 2})
+        state = env.reset()
+        report = env.report_for(state)
+        state, quiet = env.apply_and_step(state, [], report)
+        assert quiet is report
+        state, same_channel = env.apply_and_step(state, [SetChannel(1, 2)], quiet)
+        assert same_channel is report
+        state, new_demand = env.apply_and_step(state, [], same_channel)  # t=3
+        assert new_demand is not report
+        assert new_demand.readings[env.reading_index(0, "demand")] == 9.0
+        state, switched = env.apply_and_step(state, [SetChannel(1, 1)], new_demand)
+        assert switched.conflicts == 1
+        fresh = env.report_for(state)
+        assert (switched.readings == fresh.readings).all()
+        assert switched.achieved == fresh.achieved
+
     def test_invalid_channel_rejected_without_partial_application(self):
         users = [UserSpec(user=i, position=(i, 0),
                           demand=DemandProfile.constant(1.0), node=i)
@@ -190,11 +212,11 @@ class TestInvariants:
         state = env.reset()
         report = env.report_for(state)
         for node in (0, 1):
-            members = env.users_of(state, node)
+            members = env.users_of(node)
             pool = sum(capacity(env.link_quality(state, u),
                                 env.config.bandwidth_unit, len(members))
                        for u in members)
-            assert report.per_node_load[node] <= pool + 1e-12
+            assert env.node_achieved(report, node) <= pool + 1e-12
 
     def test_removing_cochannel_edge_never_hurts(self):
         users = [UserSpec(user=0, position=(1, 0), node=0,
@@ -249,3 +271,30 @@ def test_evolve_demand_is_idempotent_per_step():
     state, _ = env.apply_and_step(state, [])
     assert state.t == 3
     assert env.evolve_demand(state).demand[0] == 9.0
+
+
+def test_readings_match_the_per_node_queries():
+    # the flat reading vector against the scalar per-node definitions
+    positions = {i: (i % 3, i // 3) for i in range(9)}
+    edges = {(i, i + 1) for i in range(9) if i % 3 < 2} | {(i, i + 3) for i in range(6)}
+    users = [UserSpec(user=i, position=positions[i], node=i,
+                      demand=DemandProfile.constant(1.0 + i)) for i in range(9)]
+    users.append(UserSpec(user=9, position=(2, 2), node=4,
+                          demand=DemandProfile.constant(0.5)))
+    env = make_env(positions, edges, users, eta=1.0,
+                   initial={0: 1, 1: 1, 2: 2, 3: 3, 4: 1, 5: 2, 6: 3, 7: 3, 8: 2})
+    state = env.reset()
+    report = env.report_for(state)
+    readings = report.readings
+    for node in env.nodes:
+        def at(name, node=node):
+            return readings[env.reading_index(node, name)]
+        assert at("conflicts") == env.local_conflicts(state, node)
+        assert at("demand") == env.node_demand(state, node)
+        assert at("achieved") == sum(report.achieved[u] for u in env.users_of(node))
+        assert (at("x"), at("y")) == state.position_of[node]
+        for uid in env.users_of(node):
+            assert at(f"demand_u{uid}") == state.demand[uid]
+    assert report.conflicts == sum(env.local_conflicts(state, n) for n in env.nodes) // 2
+    with pytest.raises(KeyError):
+        env.reading_index(0, "demand_u9")  # user 9 belongs to node 4

@@ -1,3 +1,4 @@
+import json
 from pathlib import Path
 
 import numpy as np
@@ -88,7 +89,7 @@ class TestEmission:
         out_b = tmp_path / "b"
         run_scenario(spec, seed=9, out_dir=out_a)
         run_scenario(spec, seed=9, out_dir=out_b)
-        for name in ("trace.jsonl", "metrics.csv"):
+        for name in ("trace.jsonl", "metrics.csv", "report.txt"):
             assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
         dumps_a = sorted(p.name for p in out_a.glob("qtable_node_*.txt"))
         dumps_b = sorted(p.name for p in out_b.glob("qtable_node_*.txt"))
@@ -103,6 +104,12 @@ class TestEmission:
         keys = [line.split("=", 1)[0] for line in lines]
         assert "satisfaction_ratio" in keys
         assert "kb_hit_rate" in keys
+
+    def test_wall_time_goes_to_its_own_file(self, tmp_path):
+        report, _ = run_scenario(tiny_spec(horizon=5), out_dir=tmp_path)
+        assert "wall_time_s" not in (tmp_path / "report.txt").read_text()
+        timings = json.loads((tmp_path / "timings.json").read_text())
+        assert timings == {"wall_time_s": report.wall_time_s}
 
     def test_metrics_csv_has_one_row_per_step(self, tmp_path):
         spec = tiny_spec(horizon=7)
@@ -134,6 +141,19 @@ class TestScenarioLoading:
         with pytest.raises(SpecValidation):
             scenario_from_dict({"schema_version": 99, "kind": "channel-assignment",
                                 "horizon": 5, "env": {}})
+
+    @pytest.mark.parametrize("section,key,value", [
+        ("env", "reassociate", True), ("agents", "reuse_driver", "qvalue")])
+    def test_removed_options_rejected(self, section, key, value):
+        spec_dict = {
+            "schema_version": 1, "kind": "channel-assignment", "horizon": 5,
+            "env": {"channels": 2, "nodes": [{"id": 0, "x": 0, "y": 0}],
+                    "users": [{"id": 0, "x": 0, "y": 0, "node": 0, "demand": 1.0}]},
+        }
+        spec_dict.setdefault(section, {})[key] = value
+        with pytest.raises(SpecValidation) as err:
+            scenario_from_dict(spec_dict)
+        assert err.value.problems == [f"{section}.{key} is no longer supported"]
 
     def test_unknown_agent_node_rejected(self):
         spec_dict = {
