@@ -8,6 +8,12 @@ reasoning cycle is event driven: it runs only for an agent whose node's
 users were undersupplied in two successive samples. A triggered cycle
 retrieves the nearest stored case and either reuses its action,
 recomputes it, retains the percept as a new case, or rejects it.
+
+The agent keeps its own books. A channel switch it emits is recorded in
+its switch history and marked on its trace event, as a disruption when
+its users demand more than DISRUPTION_THRESHOLD. After the step, `observe`
+scores the action from the same batched pass: it revises the case,
+penalises a disruption and updates the value table.
 """
 
 from __future__ import annotations
@@ -16,19 +22,24 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .env import Environment, EnvView, satisfied
+from .env import Action, Environment, EnvView, MoveTo, SetChannel, satisfied
 from .kb import Case, KnowledgeBase
 from .learning import (QParams, QTable, StateCodec, Transition, encode_state,
                        learning_coefficient, q_update)
-from .optimize import (Action, ControlContext, Controlled, EpsilonGreedy,
-                       ExplorationPolicy, MoveTo, SetChannel, action_to_dict,
-                       location_search, one_step_cells, select_action)
+from .optimize import (ControlContext, Controlled, EpsilonGreedy,
+                       ExplorationPolicy, action_to_dict, location_search,
+                       one_step_cells, select_action)
 # normalize is the scalar form of Population.sense; perfbench times it here.
 from .reasoning import (FeatureSpec, MissingFeature, Outcome, PerceptVector,
                         classify, normalize)
 
 CHANNEL_KIND = "channel-assignment"
 LOCATION_KIND = "location-optimization"
+
+# A channel switch counts as a service disruption when the node's users
+# demand more than this many Mbps at the moment of the switch. It doubles
+# as the controlled policy's default serving threshold.
+DISRUPTION_THRESHOLD = 1.0
 
 
 class NonConsecutiveSamples(Exception):
@@ -91,8 +102,8 @@ class TraceEvent:
     coefficient: float | None = None
     q_before: float | None = None
     q_after: float | None = None
+    switched: bool = False
     disruption: bool = False
-    error: str | None = None
 
     def to_record(self) -> dict:
         return {
@@ -107,8 +118,8 @@ class TraceEvent:
             "coefficient": self.coefficient,
             "q_before": self.q_before,
             "q_after": self.q_after,
+            "switched": self.switched,
             "disruption": self.disruption,
-            "error": self.error,
         }
 
 
@@ -137,8 +148,6 @@ class Agent:
         self.table: QTable | None = None  # sized from the environment
         self.rng = np.random.default_rng([run_seed, 1, node])
         self._pending: _Pending | None = None
-        self._alone: Population | None = None
-        self.optimizer_invocations = 0
         self._switch_history: list[int] = []
 
     # -- sensing -----------------------------------------------------------
@@ -170,19 +179,13 @@ class Agent:
 
     # -- the control cycle ---------------------------------------------------
 
-    def tick(self, view: EnvView, population: "Population | None" = None,
-             i: int = 0) -> tuple[Action | None, TraceEvent | None]:
+    def tick(self, view: EnvView, population: "Population",
+             i: int) -> tuple[Action | None, TraceEvent | None]:
         """Run one control step on row `i` of the population's pass; returns
         the chosen action (if any) plus the trace event, which idle steps
-        omit when the population keeps no trace. Without a population the
-        agent senses as a population of one of its own. Emitting an action
-        resets the two-sample detector, so a fresh pair of samples must
-        confirm dissatisfaction before the next reasoning cycle."""
-        if population is None:
-            if self._alone is None:
-                self._alone = Population([self], view.env)
-            population = self._alone
-            population.sense(view.report)
+        omit when the population keeps no trace. Emitting an action resets
+        the two-sample detector, so a fresh pair of samples must confirm
+        dissatisfaction before the next reasoning cycle."""
         t = view.state.t
         if not population.fired[i]:
             if not population.trace:
@@ -202,6 +205,11 @@ class Agent:
         state_index = encode_state(percept, self.config.codec)
         action_index = self._action_index(action, view)
         event.q_before = self.table.entry(state_index, action_index)
+        if (isinstance(action, SetChannel)
+                and action.channel != view.state.channel_of[self.node]):
+            self._switch_history.append(t)
+            event.switched = True
+            event.disruption = population.demanded[i] > DISRUPTION_THRESHOLD
         self._pending = _Pending(event=event, state_index=state_index,
                                  action_index=action_index, case=case)
         population.acted(i)
@@ -232,7 +240,6 @@ class Agent:
         return action, outcome, None  # REJECT: act without writing to the KB
 
     def _optimize(self, view: EnvView, percept: PerceptVector, sample: Sample) -> Action | None:
-        self.optimizer_invocations += 1
         cands = self.candidates(view)
         state_index = encode_state(percept, self.config.codec)
         policy = self.config.policy
@@ -258,23 +265,28 @@ class Agent:
 
     # -- feedback -------------------------------------------------------------
 
-    def observe(self, tr: Transition, achieved: float, demanded: float) -> None:
-        """Score the pending action: revise its case and update the value table."""
+    def observe(self, population: "Population", i: int,
+                disruption_penalty: float) -> None:
+        """Score the pending action from row `i` of the population's pass
+        after the step: revise its case, charge `disruption_penalty` if the
+        action disrupted service, and update the value table."""
         if self._pending is None:
             raise UnknownPendingAction(f"node {self.node} has no action awaiting feedback")
         pending = self._pending
         self._pending = None
-        coefficient = learning_coefficient(achieved, demanded)
+        event = pending.event
+        achieved = population.achieved[i]
+        coefficient = learning_coefficient(achieved, population.demanded[i])
         if pending.case is not None:
-            self.kb.revise(pending.case, coefficient=coefficient,
-                           now=pending.event.t)
+            self.kb.revise(pending.case, coefficient=coefficient, now=event.t)
+        tr = Transition(
+            state=pending.state_index, action=pending.action_index,
+            reward=achieved - (disruption_penalty if event.disruption else 0.0),
+            next_state=encode_state(population.percept(i, event.t + 1), self.config.codec))
         self.table = q_update(self.table, self.config.qparams, tr)
-        pending.event.reward = tr.reward
-        pending.event.coefficient = coefficient
-        pending.event.q_after = self.table.entry(tr.state, tr.action)
-
-    def note_switch(self, t: int) -> None:
-        self._switch_history.append(t)
+        event.reward = tr.reward
+        event.coefficient = coefficient
+        event.q_after = self.table.entry(tr.state, tr.action)
 
 
 class Population:

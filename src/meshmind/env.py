@@ -3,8 +3,10 @@
 Models a small mesh of radio nodes on an integer grid. Nodes transmit on
 one channel each; users attach to a node and receive a share of its link
 capacity. Interference is counted only between nodes that share both an
-interference-graph edge and a channel. Everything is deterministic given
-the config and its seed, so runs can be replayed bit for bit.
+interference-graph edge and a channel. A node changes its channel through
+a SetChannel action and its cell through a MoveTo action. Everything is
+deterministic given the config and its seed, so runs can be replayed bit
+for bit.
 
 Each step's ThroughputReport holds one flat `readings` vector of every
 node's and user's measurements, so all agents sense with one gather. Node
@@ -15,7 +17,7 @@ row per distinct demand vector plus the row in force at each step.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -31,6 +33,21 @@ NODE_READINGS = ("conflicts", "demand", "achieved", "x", "y")
 def satisfied(achieved, demanded):
     """Achieved meets demanded up to DEMAND_EPS; elementwise on arrays."""
     return achieved + DEMAND_EPS >= demanded
+
+
+@dataclass(frozen=True, slots=True)
+class SetChannel:
+    node: int
+    channel: int
+
+
+@dataclass(frozen=True, slots=True)
+class MoveTo:
+    node: int
+    cell: Cell
+
+
+Action = SetChannel | MoveTo
 
 
 class InvalidAction(Exception):
@@ -108,6 +125,11 @@ class DemandProfile:
     steps: tuple[tuple[int, float], ...] = ((0, 0.0),)
     random_epoch_len: int = 0
     random_levels: tuple[float, ...] = ()
+
+    def __post_init__(self):
+        for level in (*(v for _, v in self.steps), *self.random_levels):
+            if not 0.0 <= level < math.inf:
+                raise ValueError(f"demand level {level} must be finite and >= 0")
 
     @classmethod
     def constant(cls, level: float) -> "DemandProfile":
@@ -191,6 +213,8 @@ class EnvConfig:
             if u.user in seen:
                 raise ValueError(f"duplicate user id {u.user}")
             seen.add(u.user)
+            if u.node is not None and u.node not in self.topology.positions:
+                raise ValueError(f"user {u.user} attached to unknown node {u.node}")
 
 
 @dataclass(frozen=True)
@@ -305,21 +329,20 @@ class Environment:
             if node in touched:
                 raise InvalidAction(node, "multiple actions in one step")
             touched.add(node)
-            kind = type(action).__name__
-            if kind == "SetChannel":
+            if isinstance(action, SetChannel):
                 if action.channel not in topo.channels:
                     raise InvalidAction(node, f"channel {action.channel} not in palette")
-            elif kind == "MoveTo":
+            elif isinstance(action, MoveTo):
                 if tuple(action.cell) not in topo.allowed[node]:
                     raise InvalidAction(node, f"cell {action.cell} not allowed")
             else:
-                raise InvalidAction(node, f"unsupported action {kind}")
+                raise InvalidAction(node, f"unsupported action {type(action).__name__}")
 
         channels, positions = state.channel_of, state.position_of
         if actions:
             channels, positions = dict(channels), dict(positions)
             for action in actions:
-                if type(action).__name__ == "SetChannel":
+                if isinstance(action, SetChannel):
                     channels[action.node] = action.channel
                 else:
                     positions[action.node] = tuple(action.cell)
@@ -331,10 +354,6 @@ class Environment:
                 channels != state.channel_of or positions != state.position_of)):
             report = self.report_for(new_state)
         return new_state, report
-
-    def evolve_demand(self, state: EnvState) -> EnvState:
-        """Return the state with demands set to their scheduled level at state.t."""
-        return replace(state, demand=self._demand_rows[self._demand_row(state.t)])
 
     # -- measurement -------------------------------------------------------
 
@@ -426,6 +445,3 @@ class Environment:
         ch = state.channel_of[node]
         return sum(1 for other in self.topology.neighbors(node)
                    if state.channel_of[other] == ch)
-
-    def node_satisfied(self, state: EnvState, report: ThroughputReport, node: int) -> bool:
-        return satisfied(self.node_achieved(report, node), self.node_demand(state, node))

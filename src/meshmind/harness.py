@@ -1,10 +1,12 @@
 """Scenario definition, run orchestration, oracles, and trace emission.
 
 Scenario files are YAML documents with a schema_version field, read by
-`scenario_from_dict`. A run senses and detects all agents in one batched
-pass per step, ticks them in ascending node order, applies their actions
-as one batch, feeds the resulting throughput back, and accumulates a
-report that can be recomputed from the trace alone.
+`scenario_from_dict`. Each step of a run ticks every agent in ascending
+node order, applies their actions as one batch, senses all agents in one
+batched pass, lets each agent that acted score its own action, and appends
+one step row. The run report is aggregated from those step rows by
+`report_from_trace`, the same function that recomputes it from an emitted
+trace.
 """
 
 from __future__ import annotations
@@ -17,22 +19,18 @@ from pathlib import Path
 import numpy as np
 import yaml
 
-from .agent import (CHANNEL_KIND, LOCATION_KIND, Agent, AgentConfig,
-                    Population, TraceEvent)
+from .agent import (CHANNEL_KIND, DISRUPTION_THRESHOLD, LOCATION_KIND, Agent,
+                    AgentConfig, Population)
 from .env import (DemandProfile, EnvConfig, Environment, EnvState, EnvView,
                   MeshTopology, UserSpec)
+# encode_state runs in Agent.observe; perfbench still times it at this name.
 from .learning import (QParams, QTable, StateCodec, Transition, encode_state,
                        format_q_table, q_update)
 from .optimize import (Boltzmann, Controlled, EpsilonGreedy,
-                       ExplorationPolicy, SetChannel, select_action)
+                       ExplorationPolicy, select_action)
 from .reasoning import FeatureSpec
 
 SCHEMA_VERSION = 1
-
-# A channel switch counts as a service disruption when the node's users
-# demand more than this many Mbps at the moment of the switch. It doubles
-# as the controlled policy's default serving threshold.
-DISRUPTION_THRESHOLD = 1.0
 
 
 class SpecValidation(Exception):
@@ -213,22 +211,21 @@ def scenario_from_dict(data: dict) -> ScenarioSpec:
             horizon=max(1, horizon),
             initial_channels={int(k): int(v) for k, v in
                               (env_data.get("initial_channels") or {}).items()} or None)
+        agent_data = data.get("agents", {})
+        params = AgentParams(
+            policy=_policy_from_config(agent_data.get("policy", {})),
+            qparams=QParams(alpha=float(agent_data.get("qparams", {}).get("alpha", 0.3)),
+                            gamma=float(agent_data.get("qparams", {}).get("gamma", 0.5))),
+            similarity_threshold=float(agent_data.get("thresholds", {}).get("similarity", 0.8)),
+            coefficient_threshold=float(agent_data.get("thresholds", {}).get("coefficient", 0.7)),
+            kb_capacity=int(agent_data.get("kb", {}).get("capacity", 256)),
+            kb_eviction=agent_data.get("kb", {}).get("eviction", "lru"),
+            bins=tuple(agent_data["bins"]) if "bins" in agent_data else None,
+            feature_ranges={k: (float(v[0]), float(v[1])) for k, v in
+                            agent_data.get("feature_ranges", {}).items()},
+            nodes=[int(n) for n in agent_data["nodes"]] if "nodes" in agent_data else None)
     except (ValueError, KeyError) as exc:
         raise SpecValidation([str(exc)]) from exc
-
-    agent_data = data.get("agents", {})
-    params = AgentParams(
-        policy=_policy_from_config(agent_data.get("policy", {})),
-        qparams=QParams(alpha=float(agent_data.get("qparams", {}).get("alpha", 0.3)),
-                        gamma=float(agent_data.get("qparams", {}).get("gamma", 0.5))),
-        similarity_threshold=float(agent_data.get("thresholds", {}).get("similarity", 0.8)),
-        coefficient_threshold=float(agent_data.get("thresholds", {}).get("coefficient", 0.7)),
-        kb_capacity=int(agent_data.get("kb", {}).get("capacity", 256)),
-        kb_eviction=agent_data.get("kb", {}).get("eviction", "lru"),
-        bins=tuple(agent_data["bins"]) if "bins" in agent_data else None,
-        feature_ranges={k: (float(v[0]), float(v[1])) for k, v in
-                        agent_data.get("feature_ranges", {}).items()},
-        nodes=[int(n) for n in agent_data["nodes"]] if "nodes" in agent_data else None)
 
     return ScenarioSpec(kind=data["kind"], env_config=env_config,
                         agent_params=params, horizon=horizon,
@@ -302,9 +299,13 @@ def run_scenario(spec: ScenarioSpec, seed: int | None = None,
                  out_dir=None, collect_trace: bool = True):
     """Execute the control loop for the scenario horizon.
 
-    Returns (RunReport, records) where records interleaves per-agent tick
-    rows with per-step summary rows. With collect_trace=False only the
-    report is accumulated, which keeps long sweeps cheap.
+    Returns (RunReport, records). records holds one step row per step
+    (kind "step": conflicts, demand and throughput totals, and the counts
+    of actions, triggered ticks, reuses, switches and disruptions), and the
+    report is aggregated from those rows by `report_from_trace`. With
+    collect_trace=True each step row is preceded by one tick row per agent;
+    with collect_trace=False the tick rows are omitted, which keeps long
+    sweeps cheap. A zero-horizon run returns no records.
     """
     started = time.perf_counter()
     run_seed = spec.seed if seed is None else seed
@@ -316,90 +317,38 @@ def run_scenario(spec: ScenarioSpec, seed: int | None = None,
     population.sense(report)
 
     records: list[dict] = []
-    total_achieved = 0.0
-    total_demand = 0.0
-    achieved_per_step = []
-    total_conflicts = 0
-    switches = 0
-    disruptions = 0
-    triggered = 0
-    reuse = 0
-
     for _ in range(spec.horizon):
         view = EnvView(env=env, state=state, report=report)
-        actions = []
-        acting: list[tuple[int, TraceEvent]] = []
-        events: list[TraceEvent] = []
-        step_switches = 0
-        step_disruptions = 0
+        actions, acting, events = [], [], []
         for i, ag in enumerate(agents):
             action, event = ag.tick(view, population, i)
-            if event is None:
-                continue
-            events.append(event)
-            if event.detected:
-                triggered += 1
-                if event.outcome == "reuse":
-                    reuse += 1
+            if event is not None:
+                events.append(event)
             if action is not None:
-                if isinstance(action, SetChannel) \
-                        and action.channel != state.channel_of[ag.node]:
-                    step_switches += 1
-                    ag.note_switch(state.t)
-                    if population.demanded[i] > DISRUPTION_THRESHOLD:
-                        event.disruption = True
-                        step_disruptions += 1
                 actions.append(action)
-                acting.append((i, event))
+                acting.append(i)
 
-        state_next, report_next = env.apply_and_step(state, actions, report)
-        population.sense(report_next)  # serves this feedback and the next step
-        for i, event in acting:
-            ag = agents[i]
-            achieved = population.achieved[i]
-            reward = achieved - (spec.disruption_penalty if event.disruption else 0.0)
-            next_percept = population.percept(i, state_next.t)
-            tr = Transition(state=ag._pending.state_index,
-                            action=ag._pending.action_index,
-                            reward=reward,
-                            next_state=encode_state(next_percept, ag.config.codec))
-            ag.observe(tr, achieved, population.demanded[i])
+        state, report = env.apply_and_step(state, actions, report)
+        population.sense(report)  # serves this feedback and the next step
+        for i in acting:
+            agents[i].observe(population, i, spec.disruption_penalty)
 
-        step_achieved = sum(report_next.achieved.values())
-        step_demand = sum(state_next.demand.values())
-        total_achieved += step_achieved
-        total_demand += step_demand
-        achieved_per_step.append(step_achieved)
-        total_conflicts += report_next.conflicts
-        switches += step_switches
-        disruptions += step_disruptions
         if collect_trace:
             records.extend(ev.to_record() for ev in events)
-            records.append({
-                "kind": "step", "t": state_next.t,
-                "conflicts": report_next.conflicts,
-                "total_demand": step_demand,
-                "total_achieved": step_achieved,
-                "actions": len(actions),
-                "switches": step_switches,
-                "disruptions": step_disruptions,
-            })
-        state, report = state_next, report_next
+        records.append({
+            "kind": "step", "t": state.t,
+            "conflicts": report.conflicts,
+            "total_demand": sum(state.demand.values()),
+            "total_achieved": sum(report.achieved.values()),
+            "actions": len(actions),
+            "triggered": sum(ev.detected for ev in events),
+            "reuse": sum(ev.outcome == "reuse" for ev in events),
+            "switches": sum(ev.switched for ev in events),
+            "disruptions": sum(ev.disruption for ev in events),
+        })
 
-    run_report = RunReport(
-        steps=spec.horizon,
-        mean_achieved_mbps=(sum(achieved_per_step) / len(achieved_per_step)
-                            if achieved_per_step else 0.0),
-        satisfaction_ratio=(total_achieved / total_demand if total_demand > 0 else 1.0),
-        total_conflicts=total_conflicts,
-        final_conflicts=report.conflicts if spec.horizon else 0,
-        switches=switches,
-        disruptions=disruptions,
-        optimizer_invocations=sum(ag.optimizer_invocations for ag in agents),
-        triggered_ticks=triggered,
-        reuse_ticks=reuse,
-        kb_hit_rate=(reuse / triggered if triggered else 0.0),
-        wall_time_s=time.perf_counter() - started)
+    run_report = RunReport(**report_from_trace(records),
+                           wall_time_s=time.perf_counter() - started)
 
     if out_dir is not None:
         emit(out_dir, records, run_report,
@@ -451,13 +400,11 @@ def emit(out_dir, records, report: RunReport, qtables: dict[int, QTable]) -> Non
 
 
 def report_from_trace(records) -> dict:
-    """Recompute the report aggregates from trace records alone."""
-    ticks = [r for r in records if r.get("kind") == "tick"]
+    """Aggregate the report fields, except wall time, from the step rows of
+    a run's records. A triggered tick runs the optimizer unless it reuses."""
     steps = [r for r in records if r.get("kind") == "step"]
-    triggered = sum(1 for r in ticks if r["detected"])
-    reuse = sum(1 for r in ticks if r["outcome"] == "reuse")
-    optimizer = sum(1 for r in ticks
-                    if r["outcome"] in ("recompute", "retain", "reject"))
+    triggered = sum(r["triggered"] for r in steps)
+    reuse = sum(r["reuse"] for r in steps)
     total_demand = sum(r["total_demand"] for r in steps)
     total_achieved = sum(r["total_achieved"] for r in steps)
     return {
@@ -469,7 +416,7 @@ def report_from_trace(records) -> dict:
         "final_conflicts": steps[-1]["conflicts"] if steps else 0,
         "switches": sum(r["switches"] for r in steps),
         "disruptions": sum(r["disruptions"] for r in steps),
-        "optimizer_invocations": optimizer,
+        "optimizer_invocations": triggered - reuse,
         "triggered_ticks": triggered,
         "reuse_ticks": reuse,
         "kb_hit_rate": (reuse / triggered if triggered else 0.0),

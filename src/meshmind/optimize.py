@@ -14,7 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .env import Cell, Environment, EnvState, MeshTopology
+from .env import (Action, Cell, Environment, EnvState, MeshTopology, MoveTo,
+                  SetChannel)
 from .learning import QTable
 
 
@@ -31,21 +32,6 @@ class NoAllowedCell(Exception):
 
 
 # -- actions ----------------------------------------------------------------
-
-
-@dataclass(frozen=True, slots=True)
-class SetChannel:
-    node: int
-    channel: int
-
-
-@dataclass(frozen=True, slots=True)
-class MoveTo:
-    node: int
-    cell: Cell
-
-
-Action = SetChannel | MoveTo
 
 
 def action_to_dict(action: Action) -> dict:
@@ -100,6 +86,10 @@ class Controlled:
     serving_threshold: float = 1.0
     max_switches: int | None = None
     window: int | None = None
+
+    def __post_init__(self):
+        if not 0.0 <= self.epsilon <= 1.0:
+            raise ValueError(f"epsilon {self.epsilon} outside [0,1]")
 
 
 ExplorationPolicy = EpsilonGreedy | Boltzmann | Controlled

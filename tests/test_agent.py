@@ -4,10 +4,10 @@ import pytest
 from meshmind import (Agent, AgentConfig, DemandProfile, EnvConfig,
                       Environment, EnvView, FeatureSpec, MeshTopology,
                       PerceptVector, QParams, Sample, SetChannel, StateCodec,
-                      Transition, UserSpec, detect_unsatisfactory,
-                      encode_state)
+                      UserSpec, detect_unsatisfactory)
 from meshmind.agent import NonConsecutiveSamples, Population, UnknownPendingAction
-from meshmind.env import ThroughputReport
+from meshmind.env import ThroughputReport, satisfied
+from meshmind.kb import Case
 from meshmind.harness import build_agents
 from meshmind.optimize import EpsilonGreedy
 from meshmind.reasoning import MissingFeature, normalize
@@ -40,31 +40,49 @@ def channel_agent(node=0, seed=0, epsilon=0.2):
     return Agent(node, config, run_seed=seed)
 
 
-def drive(env, agents, steps, force=None):
-    """Minimal copy of the harness loop: tick, batch-apply, feed back."""
-    state = env.reset()
-    report = env.report_for(state)
+def drive(env, agents, steps, force=None, start=None, penalty=0.0):
+    """Minimal copy of the harness loop: tick, batch-apply, sense, feed back
+    (charging `penalty` for a disruptive switch).
+
+    Returns ((state, report, population), events); pass that first value
+    as `start` to continue the run with the same detector state.
+    """
+    if start is None:
+        state = env.reset()
+        report = env.report_for(state)
+        population = Population(agents, env)
+        population.sense(report)
+    else:
+        state, report, population = start
     events = []
     for t in range(steps):
         view = EnvView(env=env, state=state, report=report)
         batch, acting = [], []
-        for ag in agents:
-            action, event = ag.tick(view)
+        for i, ag in enumerate(agents):
+            action, event = ag.tick(view, population, i)
             events.append(event)
             if action is not None:
                 batch.append(action)
-                acting.append(ag)
+                acting.append(i)
         if force is not None:
             batch.extend(force(t, state))
         state, report = env.apply_and_step(state, batch)
-        next_view = EnvView(env=env, state=state, report=report)
-        for ag in acting:
-            percept = ag.sense(next_view)
-            achieved = env.node_achieved(report, ag.node)
-            tr = Transition(ag._pending.state_index, ag._pending.action_index,
-                            achieved, encode_state(percept, ag.config.codec))
-            ag.observe(tr, achieved, env.node_demand(state, ag.node))
-    return state, report, events
+        population.sense(report)
+        for i in acting:
+            agents[i].observe(population, i, penalty)
+    return (state, report, population), events
+
+
+def optimizer_runs(events):
+    """Ticks that ran the optimizer: every reasoning outcome but reuse."""
+    return sum(ev.outcome in ("recompute", "retain", "reject") for ev in events)
+
+
+def starved_report(env):
+    """A report in which node 0's users demand 5 Mbps and receive nothing."""
+    readings = np.zeros(12)  # five per-node readings of two nodes, two users
+    readings[env.reading_index(0, "demand")] = 5.0
+    return ThroughputReport(achieved={}, conflicts=0, readings=readings)
 
 
 class TestSense:
@@ -190,28 +208,28 @@ class TestTick:
         agent = channel_agent(node=0)
         # separate channels from the start: nobody is starved
         env.config.initial_channels = {0: 1, 1: 2}
-        _, _, events = drive(env, [agent], 5)
+        _, events = drive(env, [agent], 5)
         assert all(ev.outcome == "idle" and ev.action is None for ev in events)
-        assert agent.optimizer_invocations == 0
+        assert optimizer_runs(events) == 0
 
     def test_first_trigger_retains_into_empty_kb(self):
         env = channel_env()
         agent = channel_agent(node=0)
-        _, _, events = drive(env, [agent], 2)
+        _, events = drive(env, [agent], 2)
         assert events[0].outcome == "idle"      # first sample only
         assert events[1].outcome == "retain"    # second unsatisfied sample
         assert events[1].detected
-        assert agent.optimizer_invocations == 1
+        assert optimizer_runs(events) == 1
         assert len(agent.kb) == 1
 
     def test_successful_case_is_reused_without_optimizer(self):
         env = channel_env()
         agent = channel_agent(node=0, seed=3)
         # give the agent time to find the conflict-free channel and settle
-        state, report, events = drive(env, [agent], 30)
-        assert env.node_satisfied(state, report, 0)
+        settled, _ = drive(env, [agent], 30)
+        state, report, _ = settled
+        assert satisfied(env.node_achieved(report, 0), env.node_demand(state, 0))
         assert agent.kb.cases[0].coefficient == 1.0
-        invocations_before = agent.optimizer_invocations
 
         # knock the node back onto the conflicting channel; the same percept
         # recurs and the stored successful action is replayed directly
@@ -219,39 +237,18 @@ class TestTick:
             return [SetChannel(0, 1)] if t == 0 and state.channel_of[0] != 1 else []
 
         # continue from the settled state with a forced perturbation
-        state2 = state
-        report2 = report
-        view_events = []
-        for t in range(6):
-            view = EnvView(env=env, state=state2, report=report2)
-            batch, acting = [], []
-            action, event = agent.tick(view)
-            view_events.append(event)
-            if action is not None:
-                batch.append(action)
-                acting.append(agent)
-            if t == 0:
-                batch.append(SetChannel(0, 1))
-            state2, report2 = env.apply_and_step(state2, batch)
-            next_view = EnvView(env=env, state=state2, report=report2)
-            for ag in acting:
-                percept = ag.sense(next_view)
-                achieved = env.node_achieved(report2, ag.node)
-                tr = Transition(ag._pending.state_index,
-                                ag._pending.action_index, achieved,
-                                encode_state(percept, ag.config.codec))
-                ag.observe(tr, achieved, env.node_demand(state2, ag.node))
-        outcomes = [ev.outcome for ev in view_events]
+        (state, report, _), events = drive(env, [agent], 6, force=knock, start=settled)
+        outcomes = [ev.outcome for ev in events]
         assert "reuse" in outcomes
-        reuse_event = view_events[outcomes.index("reuse")]
+        reuse_event = events[outcomes.index("reuse")]
         assert reuse_event.action == SetChannel(0, 2)
-        assert agent.optimizer_invocations == invocations_before
-        assert env.node_satisfied(state2, report2, 0)
+        assert optimizer_runs(events) == 0
+        assert satisfied(env.node_achieved(report, 0), env.node_demand(state, 0))
 
     def test_acting_resets_the_two_sample_detector(self):
         env = channel_env(channels=(1,))  # single channel: conflict is unfixable
         agent = channel_agent(node=0)
-        _, _, events = drive(env, [agent], 6)
+        _, events = drive(env, [agent], 6)
         detected = [ev.detected for ev in events]
         # trigger at t=1, act, then two fresh samples are needed before the next
         assert detected == [False, True, False, True, False, True]
@@ -267,40 +264,57 @@ class TestObserve:
     def test_starved_node_revises_coefficient_to_zero(self):
         env = channel_env()
         agent = channel_agent(node=0)
-        agent._ensure_table(env)
-        state = env.reset()
-        view = EnvView(env=env, state=state, report=env.report_for(state))
-        percept = agent.sense(view)
-        from meshmind.kb import Case
-        case = Case(percept=percept, action=SetChannel(0, 2), coefficient=0.5)
+        population = Population([agent], env)
+        report = starved_report(env)
+        population.sense(report)
+        case = Case(percept=population.percept(0, 0), action=SetChannel(0, 2),
+                    coefficient=0.5)
         agent.kb.retain(case)
-        from meshmind.agent import _Pending, TraceEvent
-        agent._pending = _Pending(
-            event=TraceEvent(t=0, node=0, percept=percept.values,
-                             detected=True, outcome="reuse"),
-            state_index=0, action_index=0, case=case)
-        agent.observe(Transition(0, 0, 0.0, 0), achieved=0.0, demanded=5.0)
+        population.sense(report)  # second starved sample fires the detector
+        view = EnvView(env=env, state=env.reset(), report=report)
+        action, event = agent.tick(view, population, 0)
+        assert event.outcome == "recompute" and action is not None
+        population.sense(report)  # the action left the node starved
+        agent.observe(population, 0, 0.0)
         assert case.coefficient == 0.0
 
     def test_observe_changes_exactly_one_table_entry(self):
         env = channel_env()
         agent = channel_agent(node=0)
+        population = Population([agent], env)
         state = env.reset()
-        view = EnvView(env=env, state=state, report=env.report_for(state))
-        agent.tick(view)                       # first sample
-        next_state, next_report = env.apply_and_step(state, [])
-        action, event = agent.tick(EnvView(env=env, state=next_state,
-                                           report=next_report))
+        report = env.report_for(state)
+        population.sense(report)
+        agent.tick(EnvView(env=env, state=state, report=report), population, 0)  # first sample
+        state, report = env.apply_and_step(state, [])
+        population.sense(report)
+        action, event = agent.tick(EnvView(env=env, state=state, report=report),
+                                   population, 0)
         assert action is not None
         before = agent.table.values.copy()
         before_explored = agent.table.explored.copy()
-        agent.observe(Transition(agent._pending.state_index,
-                                 agent._pending.action_index, 2.5, 0),
-                      achieved=2.5, demanded=5.0)
+        state, report = env.apply_and_step(state, [action])
+        population.sense(report)
+        agent.observe(population, 0, 0.0)
         assert (agent.table.values != before).sum() <= 1
         assert (agent.table.explored != before_explored).sum() == 1
 
+    def test_disruptive_switch_is_penalised(self):
+        first_disruption = []
+        for penalty in (0.0, 2.0):
+            env = channel_env()
+            agent = channel_agent(node=0, seed=3)
+            _, events = drive(env, [agent], 30, penalty=penalty)
+            first_disruption.append(next(ev for ev in events if ev.disruption))
+        plain, penalised = first_disruption
+        assert plain.switched
+        assert (penalised.t, penalised.action) == (plain.t, plain.action)
+        assert penalised.reward == plain.reward - 2.0
+
     def test_observe_without_pending_action_raises(self):
+        env = channel_env()
         agent = channel_agent()
+        population = Population([agent], env)
+        population.sense(starved_report(env))
         with pytest.raises(UnknownPendingAction):
-            agent.observe(Transition(0, 0, 1.0, 0), 1.0, 5.0)
+            agent.observe(population, 0, 0.0)

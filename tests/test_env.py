@@ -260,19 +260,6 @@ def test_distance_clamped_below_one_cell():
     assert env.link_quality(env.reset(), 0) == pytest.approx(3.0 / 0.5)
 
 
-def test_evolve_demand_is_idempotent_per_step():
-    users = [UserSpec(user=0, position=(0, 0), node=0,
-                      demand=DemandProfile.piecewise([(0, 5.0), (3, 9.0)]))]
-    env = make_env({0: (0, 0)}, set(), users, horizon=10)
-    state = env.reset()
-    assert env.evolve_demand(state).demand[0] == 5.0
-    state, _ = env.apply_and_step(state, [])
-    state, _ = env.apply_and_step(state, [])
-    state, _ = env.apply_and_step(state, [])
-    assert state.t == 3
-    assert env.evolve_demand(state).demand[0] == 9.0
-
-
 def test_readings_match_the_per_node_queries():
     # the flat reading vector against the scalar per-node definitions
     positions = {i: (i % 3, i // 3) for i in range(9)}

@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -63,6 +64,30 @@ class TestRunScenario:
         assert derived["kb_hit_rate"] == pytest.approx(report.kb_hit_rate)
         assert derived["satisfaction_ratio"] == pytest.approx(report.satisfaction_ratio)
         assert derived["mean_achieved_mbps"] == pytest.approx(report.mean_achieved_mbps)
+        # each step row's counts, recounted from that step's tick rows
+        ticks = []
+        for row in records:
+            if row["kind"] == "tick":
+                ticks.append(row)
+                continue
+            assert [r["t"] for r in ticks] == [row["t"] - 1] * 4
+            assert row["triggered"] == sum(r["detected"] for r in ticks)
+            assert row["reuse"] == sum(r["outcome"] == "reuse" for r in ticks)
+            assert row["switches"] == sum(r["switched"] for r in ticks)
+            assert row["disruptions"] == sum(r["disruption"] for r in ticks)
+            assert row["actions"] == sum(r["action"] is not None for r in ticks)
+            ticks = []
+        assert report.switches > 0 and report.triggered_ticks > 0
+
+    @pytest.mark.parametrize("spec", [
+        make_channel_spec(4, {(0, 1), (1, 2), (2, 3), (0, 3)}, horizon=120),
+        make_location_spec(),
+    ], ids=["channel", "location"])
+    def test_untraced_run_gives_the_traced_report(self, spec):
+        traced, records = run_scenario(spec, seed=2)
+        untraced, steps = run_scenario(spec, seed=2, collect_trace=False)
+        assert steps == [r for r in records if r["kind"] == "step"]
+        assert replace(untraced, wall_time_s=0.0) == replace(traced, wall_time_s=0.0)
 
     def test_one_trace_event_per_agent_per_step(self):
         spec = make_channel_spec(3, {(0, 1), (1, 2)}, horizon=40)
@@ -154,6 +179,28 @@ class TestScenarioLoading:
         with pytest.raises(SpecValidation) as err:
             scenario_from_dict(spec_dict)
         assert err.value.problems == [f"{section}.{key} is no longer supported"]
+
+    @pytest.mark.parametrize("edit,problem", [
+        (lambda d: d["env"]["users"][0].update(node=7), "unknown node 7"),
+        (lambda d: d["env"]["users"][0].update(demand=-1.0), "demand level -1.0"),
+        (lambda d: d["env"]["users"][0].update(demand=float("nan")), "demand level nan"),
+        (lambda d: d["env"]["users"][0].update(demand=[[0, 1.0], [3, -2.0]]),
+         "demand level -2.0"),
+        (lambda d: d.update(agents={"policy": {"type": "controlled", "epsilon": 5.0}}),
+         "epsilon 5.0"),
+        (lambda d: d.update(agents={"policy": {"epsilon": 5.0}}), "epsilon 5.0"),
+    ], ids=["user-node", "negative-demand", "nan-demand", "negative-step",
+            "controlled-epsilon", "greedy-epsilon"])
+    def test_malformed_values_rejected_at_load(self, edit, problem):
+        spec_dict = {
+            "schema_version": 1, "kind": "channel-assignment", "horizon": 5,
+            "env": {"channels": 2, "nodes": [{"id": 0, "x": 0, "y": 0}],
+                    "users": [{"id": 0, "x": 0, "y": 0, "node": 0, "demand": 1.0}]},
+        }
+        edit(spec_dict)
+        with pytest.raises(SpecValidation) as err:
+            scenario_from_dict(spec_dict)
+        assert problem in str(err.value)
 
     def test_unknown_agent_node_rejected(self):
         spec_dict = {
