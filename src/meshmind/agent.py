@@ -196,13 +196,13 @@ class Agent:
         percept = population.percept(i, t)
         sample = Sample(percept=percept, achieved=population.achieved[i],
                         demanded=population.demanded[i], t=t)
-        action, outcome, case = self._reason(view, percept, sample)
+        state_index = encode_state(percept, self.config.codec)
+        action, outcome, case = self._reason(view, percept, sample, state_index)
         event = TraceEvent(t=t, node=self.node, percept=percept.values,
                            detected=True, outcome=outcome.value, action=action)
         if action is None:
             return None, event
 
-        state_index = encode_state(percept, self.config.codec)
         action_index = self._action_index(action, view)
         event.q_before = self.table.entry(state_index, action_index)
         if (isinstance(action, SetChannel)
@@ -215,7 +215,8 @@ class Agent:
         population.acted(i)
         return action, event
 
-    def _reason(self, view: EnvView, percept: PerceptVector, sample: Sample):
+    def _reason(self, view: EnvView, percept: PerceptVector, sample: Sample,
+                state_index: int):
         hit = self.kb.retrieve(percept, now=sample.t)
         if hit is None:
             score, coefficient, case = 0.0, 0.0, None
@@ -228,7 +229,7 @@ class Agent:
                            self.kb.is_full())
         if outcome is Outcome.REUSE:
             return case.action, outcome, case
-        action = self._optimize(view, percept, sample)
+        action = self._optimize(view, sample, state_index)
         if outcome is Outcome.RECOMPUTE:
             self.kb.revise(case, action=action, now=sample.t)
             return action, outcome, case
@@ -239,9 +240,8 @@ class Agent:
             return action, outcome, new_case
         return action, outcome, None  # REJECT: act without writing to the KB
 
-    def _optimize(self, view: EnvView, percept: PerceptVector, sample: Sample) -> Action | None:
+    def _optimize(self, view: EnvView, sample: Sample, state_index: int) -> Action | None:
         cands = self.candidates(view)
-        state_index = encode_state(percept, self.config.codec)
         policy = self.config.policy
         if self.config.kind == LOCATION_KIND:
             # The one-step throughput climb is the exploitation arm here; a

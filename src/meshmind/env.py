@@ -8,16 +8,22 @@ a SetChannel action and its cell through a MoveTo action. Everything is
 deterministic given the config and its seed, so runs can be replayed bit
 for bit.
 
-Each step's ThroughputReport holds one flat `readings` vector of every
-node's and user's measurements, so all agents sense with one gather. Node
-membership is fixed at construction; demand is resolved up front into one
-row per distinct demand vector plus the row in force at each step.
+The radio model is one array pass over per-user and per-node vectors
+fixed at construction (serving node, share count, position, and one
+(user, neighbour) pair per interference term); reports, `link_quality`
+and `predict_node_throughput` all take their SINR from it. Demand is
+piecewise constant and is resolved only at its change points, into one
+dict per distinct level vector. Each step's ThroughputReport holds one
+flat `readings` vector of every node's and user's measurements, so all
+agents sense with one gather.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -161,24 +167,23 @@ class DemandProfile:
         return cls(random_epoch_len=int(epoch_len),
                    random_levels=tuple(float(v) for v in levels))
 
-    def resolve(self, horizon: int, rng: np.random.Generator) -> list[float]:
-        """Materialize the per-step level sequence for t = 0..horizon."""
-        out = []
+    def change_points(self, horizon: int):
+        """The steps in 0..horizon at which the level may change."""
         if self.random_epoch_len:
-            n_epochs = horizon // self.random_epoch_len + 1
-            draws = [float(self.random_levels[rng.integers(len(self.random_levels))])
-                     for _ in range(n_epochs)]
-            for t in range(horizon + 1):
-                out.append(draws[t // self.random_epoch_len])
-            return out
-        level = self.steps[0][1]
-        idx = 0
-        for t in range(horizon + 1):
-            while idx + 1 < len(self.steps) and self.steps[idx + 1][0] <= t:
-                idx += 1
-                level = self.steps[idx][1]
-            out.append(level)
-        return out
+            return range(0, horizon + 1, self.random_epoch_len)
+        return [t for t, _ in self.steps if t <= horizon]
+
+    def resolve(self, horizon: int, points: list[int],
+                rng: np.random.Generator) -> list[float]:
+        """The levels in force at the ascending steps `points`, which start at
+        0. A random profile draws one level per epoch up to the horizon."""
+        if self.random_epoch_len:
+            choices = len(self.random_levels)
+            draws = [self.random_levels[rng.integers(choices)]
+                     for _ in range(horizon // self.random_epoch_len + 1)]
+            return [draws[t // self.random_epoch_len] for t in points]
+        starts = [t for t, _ in self.steps]
+        return [self.steps[bisect_right(starts, t) - 1][1] for t in points]
 
 
 @dataclass(frozen=True)
@@ -216,6 +221,14 @@ class EnvConfig:
             if u.node is not None and u.node not in self.topology.positions:
                 raise ValueError(f"user {u.user} attached to unknown node {u.node}")
 
+    def serving_nodes(self) -> list[int]:
+        """Each user's node, in config order: the configured one, else the
+        nearest (ties to the lower id), with distances clamped to one cell."""
+        positions = self.topology.positions
+        return [u.node if u.node is not None else min(positions, key=lambda n: (
+            max(1, (u.position[0] - positions[n][0]) ** 2
+                + (u.position[1] - positions[n][1]) ** 2), n)) for u in self.users]
+
 
 @dataclass(frozen=True)
 class EnvState:
@@ -243,54 +256,59 @@ class EnvView:
     report: ThroughputReport
 
 
-def capacity(ratio: float, bandwidth_unit: float = 1.0, sharing: int = 1) -> float:
-    """Link capacity in Mbps for a signal-to-interference ratio.
+def capacity(ratio, bandwidth_unit: float = 1.0, sharing=1):
+    """Link capacity in Mbps for a signal-to-interference ratio, elementwise
+    on arrays.
 
     bandwidth_unit * log2(1 + ratio), split equally among `sharing` users.
     """
-    if ratio < 0:
+    if np.less(ratio, 0).any():
         raise ValueError(f"ratio must be >= 0, got {ratio}")
-    if sharing < 1:
+    if np.less(sharing, 1).any():
         raise ValueError("sharing must be >= 1")
-    return bandwidth_unit * math.log2(1.0 + ratio) / sharing
-
-
-def _distance(a: Cell, b: Cell) -> float:
-    # clamped to one cell to avoid the singularity at zero range
-    return max(1.0, math.hypot(a[0] - b[0], a[1] - b[1]))
+    return bandwidth_unit * np.log2(1.0 + ratio) / sharing
 
 
 class Environment:
     """Steps EnvState values forward and scores them into throughput reports.
 
     Users attach to their configured node, else the nearest one, for good.
+    Per-user arrays are in config order and per-node arrays in `nodes` order.
     """
 
     def __init__(self, config: EnvConfig):
         self.config = config
-        self.topology = config.topology
-        self.nodes = config.topology.nodes
-        self._node_index = {nid: i for i, nid in enumerate(self.nodes)}
+        self.topology = topo = config.topology
+        self.nodes = topo.nodes
+        self._node_index = index = {nid: i for i, nid in enumerate(self.nodes)}
         self._user_index = {u.user: k for k, u in enumerate(config.users)}
-        self._user_pos = {u.user: u.position for u in config.users}
-        positions = config.topology.positions
-        self._association = {}
-        for u in config.users:
-            self._association[u.user] = u.node if u.node is not None else min(
-                positions, key=lambda n: (_distance(u.position, positions[n]), n))
+        serving = config.serving_nodes()
         self._members: dict[int, list[int]] = {nid: [] for nid in self.nodes}
-        for uid in sorted(self._association):
-            self._members[self._association[uid]].append(uid)
-        edges = sorted(config.topology.edges)
-        self._edge_a = np.array([self._node_index[a] for a, _ in edges], dtype=np.intp)
-        self._edge_b = np.array([self._node_index[b] for _, b in edges], dtype=np.intp)
+        for uid, nid in sorted(zip(self._user_index, serving)):
+            self._members[nid].append(uid)
+        self._serving = np.array([index[nid] for nid in serving], dtype=np.intp)
+        # node demand adds each node's users in ascending id, as node_demand does
+        self._by_id = np.array([self._user_index[u] for u in sorted(self._user_index)],
+                               dtype=np.intp)
+        self._sharing = np.bincount(self._serving, minlength=len(self.nodes))[self._serving]
+        self._user_x, self._user_y = np.array(
+            [u.position for u in config.users], dtype=float).reshape(-1, 2).T
+        self._pairs = np.array([(k, index[n]) for k, nid in enumerate(serving)
+                                for n in topo.neighbors(nid)], dtype=np.intp).reshape(-1, 2).T
+        edges = sorted(topo.edges)
+        self._edge_a = np.array([index[a] for a, _ in edges], dtype=np.intp)
+        self._edge_b = np.array([index[b] for _, b in edges], dtype=np.intp)
 
+        # Demand rows: the level vector at every change point, deduplicated.
         rng = np.random.default_rng([config.rng_seed, 0])
-        schedules = [u.demand.resolve(config.horizon, rng) for u in config.users]
-        levels_at = zip(*schedules) if schedules else [()] * (config.horizon + 1)
+        profiles = [u.demand for u in config.users]
+        points = self._change_points = sorted(
+            {0, *chain.from_iterable(p.change_points(config.horizon) for p in profiles)})
+        levels = [p.resolve(config.horizon, points, rng) for p in profiles]
         rows: dict[tuple[float, ...], int] = {}
-        self._row_at = [rows.setdefault(levels, len(rows)) for levels in levels_at]
-        self._demand_rows = [dict(zip(self._user_index, levels)) for levels in rows]
+        self._row_at = [rows.setdefault(r, len(rows))
+                        for r in (zip(*levels) if levels else [()] * len(points))]
+        self._demand_rows = [dict(zip(self._user_index, r)) for r in rows]
 
     # -- construction ----------------------------------------------------
 
@@ -305,7 +323,7 @@ class Environment:
                         demand=self._demand_rows[self._row_at[0]])
 
     def _demand_row(self, t: int) -> int:
-        return self._row_at[min(t, len(self._row_at) - 1)]
+        return self._row_at[bisect_right(self._change_points, t) - 1]
 
     # -- stepping ----------------------------------------------------------
 
@@ -357,55 +375,57 @@ class Environment:
 
     # -- measurement -------------------------------------------------------
 
+    def _gain(self, dx, dy):
+        """tx * d^-eta, with d clamped to one cell. sqrt of the squared
+        distance and float_power round as math.hypot and ** do."""
+        d = np.maximum(1.0, np.sqrt(dx * dx + dy * dy))
+        return self.config.tx_power * np.float_power(d, -self.config.pathloss_exponent)
+
+    def _radio(self, state: EnvState, node: int | None = None, cell: Cell | None = None):
+        """Every node's channel, x and y (`node` placed at `cell` when given)
+        and every user's SINR: tx * d^-eta from its serving node over noise
+        plus the same law summed over the node's co-channel neighbours."""
+        nodes = self.nodes
+        channel = np.fromiter(map(state.channel_of.__getitem__, nodes),
+                              dtype=np.int64, count=len(nodes))
+        xy = np.fromiter(chain.from_iterable(map(state.position_of.__getitem__, nodes)),
+                         dtype=float, count=2 * len(nodes))
+        x, y = xy[0::2], xy[1::2]
+        if cell is not None:
+            x[self._node_index[node]], y[self._node_index[node]] = cell
+        serving, ux, uy = self._serving, self._user_x, self._user_y
+        at, other = self._pairs
+        co = channel[other] == channel[serving[at]]
+        at, other = at[co], other[co]
+        interference = np.bincount(at, weights=self._gain(x[other] - ux[at], y[other] - uy[at]),
+                                   minlength=len(serving))
+        received = self._gain(x[serving] - ux, y[serving] - uy)
+        return channel, x, y, received / (self.config.noise_floor + interference)
+
     def link_quality(self, state: EnvState, user: int,
                      cell: Cell | None = None) -> float:
-        """Signal-to-interference ratio for one user, dimensionless.
-
-        Received power follows tx * d^-eta from the serving node, placed at
-        `cell` when given; interference sums the same law over co-channel
-        nodes adjacent (in the interference graph) to the serving node.
-        Distances are clamped to one cell.
-        """
-        if user not in self._association:
+        """Signal-to-interference ratio for one user, dimensionless, with its
+        serving node at `cell` when given (see `_radio`)."""
+        if user not in self._user_index:
             raise UnknownUser(f"user {user}")
-        cfg = self.config
-        serving = self._association[user]
-        upos = self._user_pos[user]
-        eta = cfg.pathloss_exponent
-        if cell is None:
-            cell = state.position_of[serving]
-        received = cfg.tx_power * _distance(cell, upos) ** -eta
-        ch = state.channel_of[serving]
-        interference = 0.0
-        for other in self.topology.neighbors(serving):
-            if state.channel_of[other] == ch:
-                interference += cfg.tx_power * _distance(state.position_of[other], upos) ** -eta
-        return received / (cfg.noise_floor + interference)
+        k = self._user_index[user]
+        return float(self._radio(state, self.nodes[self._serving[k]], cell)[3][k])
 
     def report_for(self, state: EnvState) -> ThroughputReport:
-        cfg = self.config
-        members, index = self._members, self._node_index
-        achieved = {}
-        load = [0.0] * len(self.nodes)
-        for uid, nid in self._association.items():
-            ratio = self.link_quality(state, uid)
-            share = capacity(ratio, cfg.bandwidth_unit, len(members[nid]))
-            got = min(share, state.demand[uid])
-            achieved[uid] = got
-            load[index[nid]] += got
-        channel = np.array([state.channel_of[nid] for nid in self.nodes])
+        channel, x, y, ratio = self._radio(state)
+        levels = np.fromiter(map(state.demand.__getitem__, self._user_index),
+                             dtype=float, count=len(self._user_index))
+        got = np.minimum(capacity(ratio, self.config.bandwidth_unit, self._sharing), levels)
+        n, by_id = len(self.nodes), self._by_id
         same = channel[self._edge_a] == channel[self._edge_b]
-        node_conflicts = (np.bincount(self._edge_a[same], minlength=len(self.nodes))
-                          + np.bincount(self._edge_b[same], minlength=len(self.nodes)))
         readings = np.concatenate((
-            node_conflicts,
-            [self.node_demand(state, nid) for nid in self.nodes],
-            load,
-            *zip(*(state.position_of[nid] for nid in self.nodes)),  # x, then y
-            [state.demand[uid] for uid in self._user_index],
-        ))
-        return ThroughputReport(achieved=achieved, conflicts=int(same.sum()),
-                                readings=readings)
+            np.bincount(self._edge_a[same], minlength=n)
+            + np.bincount(self._edge_b[same], minlength=n),
+            np.bincount(self._serving[by_id], weights=levels[by_id], minlength=n),
+            np.bincount(self._serving, weights=got, minlength=n),
+            x, y, levels))
+        return ThroughputReport(achieved=dict(zip(self._user_index, got.tolist())),
+                                conflicts=int(same.sum()), readings=readings)
 
     def reading_index(self, node: int, name: str) -> int:
         """Index in ThroughputReport.readings of a node's reading `name`: one
@@ -420,13 +440,11 @@ class Environment:
 
     def predict_node_throughput(self, state: EnvState, node: int, cell: Cell) -> float:
         """Summed achieved throughput of the node's users were it at `cell`."""
-        users = self._members[node]
-        total = 0.0
-        for uid in users:
-            ratio = self.link_quality(state, uid, cell)
-            total += min(capacity(ratio, self.config.bandwidth_unit, len(users)),
-                         state.demand[uid])
-        return total
+        members = self._members[node]
+        users = [self._user_index[u] for u in members]
+        share = capacity(self._radio(state, node, cell)[3][users],
+                         self.config.bandwidth_unit, self._sharing[users])
+        return sum(np.minimum(share, [state.demand[u] for u in members]).tolist(), 0.0)
 
     # -- per-node queries ---------------------------------------------------
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import time
+from collections import Counter
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -23,6 +24,7 @@ from .agent import (CHANNEL_KIND, DISRUPTION_THRESHOLD, LOCATION_KIND, Agent,
                     AgentConfig, Population)
 from .env import (DemandProfile, EnvConfig, Environment, EnvState, EnvView,
                   MeshTopology, UserSpec)
+from .kb import KnowledgeBase
 # encode_state runs in Agent.observe; perfbench still times it at this name.
 from .learning import (QParams, QTable, StateCodec, Transition, encode_state,
                        format_q_table, q_update)
@@ -62,6 +64,13 @@ class AgentParams:
     feature_ranges: dict[str, tuple[float, float]] = field(default_factory=dict)
     nodes: list[int] | None = None  # controllable nodes; default all
 
+    def __post_init__(self):
+        # the checks the run's knowledge bases, feature specs and codecs make, at load
+        KnowledgeBase(self.kb_capacity, self.kb_eviction)
+        FeatureSpec(tuple((name, *bounds) for name, bounds in self.feature_ranges.items()))
+        if self.bins is not None:
+            StateCodec(self.bins)
+
 
 @dataclass
 class ScenarioSpec:
@@ -82,6 +91,14 @@ class ScenarioSpec:
         for nid in self.agent_params.nodes or []:
             if nid not in topo_nodes:
                 problems.append(f"agent node {nid} not in topology")
+        bins = self.agent_params.bins
+        if bins is not None:  # percept sizes as build_agents lays them out
+            served = Counter(self.env_config.serving_nodes())
+            sizes = {3 if self.kind == CHANNEL_KIND else 2 + served[nid]
+                     for nid in self.agent_params.nodes or topo_nodes}
+            if sizes - {len(bins)}:
+                problems.append(f"agents.bins has {len(bins)} entries for percepts "
+                                f"of {sorted(sizes)} features")
         if problems:
             raise SpecValidation(problems)
 
@@ -119,6 +136,39 @@ class RunReport:
 
 
 # -- scenario loading ----------------------------------------------------------
+
+# The keys scenario_from_dict reads, by section; any other key is rejected.
+KNOWN_KEYS = {
+    "": "schema_version kind horizon seed disruption_penalty env agents",
+    "env": "channels nodes edges users initial_channels pathloss_exponent tx_power "
+           "noise_floor bandwidth_unit",
+    "agents": "policy qparams thresholds kb bins feature_ranges nodes",
+    "agents.qparams": "alpha gamma",
+    "agents.thresholds": "similarity coefficient",
+    "agents.kb": "capacity eviction",
+}
+POLICY_KEYS = {"epsilon-greedy": "type epsilon", "boltzmann": "type tau",
+               "controlled": "type epsilon no_switch_while_serving serving_threshold "
+                             "max_switches window"}
+REMOVED_KEYS = ("env.reassociate", "agents.reuse_driver")
+
+
+def _unknown_keys(data: dict) -> list[str]:
+    """One problem per key that no section reads; an unknown policy type is
+    reported by _policy_from_config instead of its keys."""
+    policy = (data.get("agents") or {}).get("policy") or {}
+    kind = policy.get("type", "epsilon-greedy")
+    known = {**KNOWN_KEYS, "agents.policy": POLICY_KEYS.get(kind, " ".join(policy))}
+    problems = []
+    for path, keys in known.items():
+        section = data
+        for part in filter(None, path.split(".")):
+            section = section.get(part) or {}
+        for key in sorted(set(section) - set(keys.split())):
+            name = f"{path}.{key}".lstrip(".")
+            problems.append(f"{name} is no longer supported" if name in REMOVED_KEYS
+                            else f"unknown key {name}")
+    return problems
 
 
 def _demand_from_config(value, horizon: int) -> DemandProfile:
@@ -167,16 +217,10 @@ def scenario_from_dict(data: dict) -> ScenarioSpec:
     for key in ("kind", "horizon", "env"):
         if key not in data:
             problems.append(f"missing top-level key {key!r}")
+    problems += _unknown_keys(data)
     if problems:
         raise SpecValidation(problems)
 
-    removed = [f"{section}.{key} is no longer supported" for section, key in
-               (("env", "reassociate"), ("agents", "reuse_driver"))
-               if key in (data.get(section) or {})]
-    if removed:
-        raise SpecValidation(removed)
-
-    horizon = int(data["horizon"])
     env_data = data["env"]
     channels = env_data.get("channels", 1)
     if isinstance(channels, int):
@@ -190,6 +234,7 @@ def scenario_from_dict(data: dict) -> ScenarioSpec:
         if "allowed" in row:
             allowed[nid] = frozenset((int(x), int(y)) for x, y in row["allowed"])
     try:
+        horizon = int(data["horizon"])
         topology = MeshTopology(
             positions=positions,
             edges={(int(a), int(b)) for a, b in env_data.get("edges", [])},
@@ -224,13 +269,12 @@ def scenario_from_dict(data: dict) -> ScenarioSpec:
             feature_ranges={k: (float(v[0]), float(v[1])) for k, v in
                             agent_data.get("feature_ranges", {}).items()},
             nodes=[int(n) for n in agent_data["nodes"]] if "nodes" in agent_data else None)
+        return ScenarioSpec(kind=data["kind"], env_config=env_config,
+                            agent_params=params, horizon=horizon,
+                            seed=int(data.get("seed", 0)),
+                            disruption_penalty=float(data.get("disruption_penalty", 0.0)))
     except (ValueError, KeyError) as exc:
         raise SpecValidation([str(exc)]) from exc
-
-    return ScenarioSpec(kind=data["kind"], env_config=env_config,
-                        agent_params=params, horizon=horizon,
-                        seed=int(data.get("seed", 0)),
-                        disruption_penalty=float(data.get("disruption_penalty", 0.0)))
 
 
 # -- agent construction ----------------------------------------------------------

@@ -1,9 +1,11 @@
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from meshmind import (DemandProfile, EnvConfig, Environment, MeshTopology,
-                      SetChannel, UserSpec, capacity)
+                      MoveTo, SetChannel, UserSpec, capacity)
 from meshmind.env import InvalidAction, UnknownUser
 
 
@@ -163,6 +165,34 @@ class TestDemandEvolution:
         assert seen[0] == 5.0 and seen[99] == 5.0
         assert seen[100] == 20.0 and seen[150] == 20.0
 
+    def test_change_point_schedule_matches_a_per_step_loop(self):
+        horizon, seed = 45, 11
+        profiles = [DemandProfile.piecewise([(0, 1.0), (7, 4.0), (60, 9.0)]),  # 60 > horizon
+                    DemandProfile.random_epochs(6, [0.5, 2.0, 3.5]),
+                    DemandProfile.periodic(10, [(0, 2.0), (3, 0.25)], horizon),
+                    DemandProfile.random_epochs(4, [1.0, 8.0])]
+        users = [UserSpec(user=u, position=(0, 0), node=0, demand=p)
+                 for u, p in enumerate(profiles)]
+        env = make_env({0: (0, 0)}, set(), users, seed=seed, horizon=horizon)
+
+        # reference: random epochs drawn user by user in config order from
+        # the run's demand RNG; steps past the horizon hold its levels
+        rng = np.random.default_rng([seed, 0])
+        draws = [[p.random_levels[rng.integers(len(p.random_levels))]
+                  for _ in range(horizon // p.random_epoch_len + 1)]
+                 if p.random_epoch_len else None for p in profiles]
+
+        def level(u, t):
+            profile, t = profiles[u], min(t, horizon)
+            if profile.random_epoch_len:
+                return draws[u][t // profile.random_epoch_len]
+            return [v for start, v in profile.steps if start <= t][-1]
+
+        state = env.reset()
+        for t in range(horizon + 4):
+            assert [state.demand[u] for u in range(4)] == [level(u, t) for u in range(4)]
+            state, _ = env.apply_and_step(state, [])
+
     def test_random_profile_is_seed_deterministic(self):
         def demands(seed):
             users = [UserSpec(user=0, position=(0, 0), node=0,
@@ -252,6 +282,57 @@ class TestTopologyValidation:
         topo = MeshTopology(positions={0: (5, 5)}, edges=set(), channels=(1,),
                             allowed={0: frozenset({(1, 1)})})
         assert (5, 5) in topo.allowed[0]
+
+
+def reference_ratio(env, state, user, cell=None):
+    """SINR from the documented formula, in scalar arithmetic, with the
+    serving node at `cell` when given."""
+    cfg = env.config
+    spec = next(u for u in cfg.users if u.user == user)
+
+    def gain(at):
+        d = max(1.0, math.hypot(at[0] - spec.position[0], at[1] - spec.position[1]))
+        return cfg.tx_power * d ** -cfg.pathloss_exponent
+
+    serving = spec.node
+    interference = sum(gain(state.position_of[other])
+                       for other in env.topology.neighbors(serving)
+                       if state.channel_of[other] == state.channel_of[serving])
+    return gain(cell or state.position_of[serving]) / (cfg.noise_floor + interference)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_report_matches_the_scalar_radio_model(data):
+    # small random meshes: several users per node, co-channel neighbours,
+    # and one node moved before the report
+    n = data.draw(st.integers(2, 6), label="nodes")
+    cells = st.tuples(st.integers(0, 5), st.integers(0, 5))
+    positions = {i: data.draw(cells) for i in range(n)}
+    pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+    edges = set(data.draw(st.lists(st.sampled_from(pairs), unique=True)))
+    users = [UserSpec(user=u, position=data.draw(cells), node=data.draw(st.integers(0, n - 1)),
+                      demand=DemandProfile.constant(data.draw(st.floats(0.0, 12.0))))
+             for u in data.draw(st.permutations(range(data.draw(st.integers(1, 12)))))]
+    mover = data.draw(st.integers(0, n - 1))
+    target = data.draw(cells)
+    topo = MeshTopology(positions=positions, edges=edges, channels=(1, 2),
+                        allowed={mover: frozenset({target})})
+    env = Environment(EnvConfig(
+        topology=topo, users=users, tx_power=data.draw(st.floats(0.5, 3.0)),
+        pathloss_exponent=data.draw(st.sampled_from([0.5, 1.0, 2.0, 2.7])),
+        noise_floor=data.draw(st.floats(1e-4, 1e-1)), bandwidth_unit=0.7,
+        initial_channels={i: data.draw(st.sampled_from([1, 2])) for i in range(n)}))
+    state, report = env.apply_and_step(env.reset(), [MoveTo(mover, target)])
+    for spec in users:
+        sharing = sum(1 for u in users if u.node == spec.node)
+        ratio = reference_ratio(env, state, spec.user)
+        share = 0.7 * math.log2(1.0 + ratio) / sharing
+        assert report.achieved[spec.user] == pytest.approx(
+            min(share, state.demand[spec.user]), rel=1e-12, abs=0.0)
+        assert env.link_quality(state, spec.user) == pytest.approx(ratio, rel=1e-12)
+        assert env.link_quality(state, spec.user, target) == pytest.approx(
+            reference_ratio(env, state, spec.user, target), rel=1e-12)
 
 
 def test_distance_clamped_below_one_cell():

@@ -189,8 +189,16 @@ class TestScenarioLoading:
         (lambda d: d.update(agents={"policy": {"type": "controlled", "epsilon": 5.0}}),
          "epsilon 5.0"),
         (lambda d: d.update(agents={"policy": {"epsilon": 5.0}}), "epsilon 5.0"),
+        (lambda d: d.update(agents={"kb": {"eviction": "foo"}}), "eviction policy 'foo'"),
+        (lambda d: d.update(agents={"kb": {"capacity": 0}}), "capacity must be >= 1"),
+        (lambda d: d.update(agents={"feature_ranges": {"demand": [1, 1]}}),
+         "'demand': max must exceed min"),
+        (lambda d: d.update(horizon="abc"), "'abc'"),
+        (lambda d: d.update(agents={"bins": [2, 2]}), "agents.bins has 2 entries"),
+        (lambda d: d.update(agents={"bins": [0, 2, 2]}), "at least one bin"),
     ], ids=["user-node", "negative-demand", "nan-demand", "negative-step",
-            "controlled-epsilon", "greedy-epsilon"])
+            "controlled-epsilon", "greedy-epsilon", "kb-eviction", "kb-capacity",
+            "zero-width-range", "horizon-not-int", "bins-length", "bins-zero"])
     def test_malformed_values_rejected_at_load(self, edit, problem):
         spec_dict = {
             "schema_version": 1, "kind": "channel-assignment", "horizon": 5,
@@ -201,6 +209,22 @@ class TestScenarioLoading:
         with pytest.raises(SpecValidation) as err:
             scenario_from_dict(spec_dict)
         assert problem in str(err.value)
+
+    def test_unknown_keys_are_listed_together(self):
+        spec_dict = {
+            "schema_version": 1, "kind": "channel-assignment", "horizon": 5,
+            "env": {"channels": 2, "nodes": [{"id": 0, "x": 0, "y": 0}],
+                    "users": [{"id": 0, "x": 0, "y": 0, "node": 0, "demand": 1.0}],
+                    "pathlos_exponent": 2.0},
+            "agents": {"polcy": {"type": "boltzmann"},
+                       "policy": {"type": "boltzmann", "tau": 0.5, "epsilon": 0.1},
+                       "kb": {"capacity": 8, "evict": "lru"}},
+        }
+        with pytest.raises(SpecValidation) as err:
+            scenario_from_dict(spec_dict)
+        assert err.value.problems == [
+            "unknown key env.pathlos_exponent", "unknown key agents.polcy",
+            "unknown key agents.kb.evict", "unknown key agents.policy.epsilon"]
 
     def test_unknown_agent_node_rejected(self):
         spec_dict = {
