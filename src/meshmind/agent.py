@@ -22,12 +22,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .env import Action, Environment, EnvView, MoveTo, SetChannel, satisfied
+from .env import (Action, Environment, EnvView, MoveTo, SetChannel, action_to_dict,
+                  satisfied)
 from .kb import Case, KnowledgeBase
 from .learning import (QParams, QTable, StateCodec, Transition, encode_state,
                        learning_coefficient, q_update)
-from .optimize import (ControlContext, Controlled, EpsilonGreedy,
-                       ExplorationPolicy, action_to_dict, location_search,
+from .optimize import (DISRUPTION_THRESHOLD, ControlContext, Controlled,
+                       EpsilonGreedy, ExplorationPolicy, location_search,
                        one_step_cells, select_action)
 # normalize is the scalar form of Population.sense; perfbench times it here.
 from .reasoning import (FeatureSpec, MissingFeature, Outcome, PerceptVector,
@@ -35,11 +36,6 @@ from .reasoning import (FeatureSpec, MissingFeature, Outcome, PerceptVector,
 
 CHANNEL_KIND = "channel-assignment"
 LOCATION_KIND = "location-optimization"
-
-# A channel switch counts as a service disruption when the node's users
-# demand more than this many Mbps at the moment of the switch. It doubles
-# as the controlled policy's default serving threshold.
-DISRUPTION_THRESHOLD = 1.0
 
 
 class NonConsecutiveSamples(Exception):
@@ -71,17 +67,35 @@ def detect_unsatisfactory(prev: Sample, curr: Sample) -> bool:
     return not prev.satisfied and not curr.satisfied
 
 
-@dataclass
-class AgentConfig:
-    kind: str
-    feature_spec: FeatureSpec
-    codec: StateCodec
-    qparams: QParams = field(default_factory=lambda: QParams(alpha=0.3, gamma=0.5))
-    policy: ExplorationPolicy = field(default_factory=lambda: EpsilonGreedy(0.1))
+@dataclass(kw_only=True)
+class AgentParams:
+    """The agent settings a scenario sets for all its agents."""
+
+    policy: ExplorationPolicy = field(default_factory=EpsilonGreedy)
+    qparams: QParams = field(default_factory=QParams)
     similarity_threshold: float = 0.8
     coefficient_threshold: float = 0.7
     kb_capacity: int = 256
     kb_eviction: str = "lru"
+    bins: tuple[int, ...] | None = None
+    feature_ranges: dict[str, tuple[float, float]] = field(default_factory=dict)
+    nodes: tuple[int, ...] | None = None  # controllable nodes; default all
+
+    def __post_init__(self):
+        # the checks the run's knowledge bases, feature specs and codecs make, at load
+        KnowledgeBase(self.kb_capacity, self.kb_eviction)
+        FeatureSpec(tuple((name, *bounds) for name, bounds in self.feature_ranges.items()))
+        if self.bins is not None:
+            StateCodec(self.bins)
+
+
+@dataclass(kw_only=True)
+class AgentConfig(AgentParams):
+    """A scenario's agent settings plus one agent's kind, feature spec and codec."""
+
+    kind: str
+    feature_spec: FeatureSpec
+    codec: StateCodec
 
     def __post_init__(self):
         if self.kind not in (CHANNEL_KIND, LOCATION_KIND):

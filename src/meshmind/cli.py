@@ -8,7 +8,8 @@ import sys
 
 from . import harness
 from .kb import KnowledgeBase
-from .optimize import action_to_dict, brute_force_channels
+from .env import action_to_dict
+from .optimize import brute_force_channels
 
 
 def _parse_seed_range(text: str) -> list[int]:
@@ -26,22 +27,27 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("spec")
     run.add_argument("--seed", type=int, default=None)
     run.add_argument("--out", default=None)
+    run.set_defaults(handler=_cmd_run)
 
     swp = sub.add_parser("sweep", help="run a scenario across a seed range")
     swp.add_argument("spec")
     swp.add_argument("--seeds", required=True, help="e.g. 1..20 or 1,2,5")
     swp.add_argument("--out", default=None)
+    swp.set_defaults(handler=_cmd_sweep)
 
     oracle = sub.add_parser("oracle", help="independent optima")
     oracle_sub = oracle.add_subparsers(dest="oracle_kind", required=True)
     och = oracle_sub.add_parser("channels", help="brute-force channel optimum")
     och.add_argument("spec")
+    och.set_defaults(handler=_cmd_oracle_channels)
     omdp = oracle_sub.add_parser("mdp", help="value iteration on an MDP file")
     omdp.add_argument("mdp_file")
     omdp.add_argument("--tol", type=float, default=1e-9)
+    omdp.set_defaults(handler=_cmd_oracle_mdp)
 
     dump = sub.add_parser("dump-kb", help="print a knowledge-base snapshot")
     dump.add_argument("snapshot")
+    dump.set_defaults(handler=_cmd_dump_kb)
     return parser
 
 
@@ -97,17 +103,7 @@ def _cmd_dump_kb(args) -> int:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.command == "run":
-            return _cmd_run(args)
-        if args.command == "sweep":
-            return _cmd_sweep(args)
-        if args.command == "oracle":
-            if args.oracle_kind == "channels":
-                return _cmd_oracle_channels(args)
-            return _cmd_oracle_mdp(args)
-        if args.command == "dump-kb":
-            return _cmd_dump_kb(args)
-        return 2
+        return args.handler(args)
     except Exception as exc:  # one-line machine-parseable failure
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1

@@ -56,6 +56,22 @@ class MoveTo:
 Action = SetChannel | MoveTo
 
 
+def action_to_dict(action: Action) -> dict:
+    if isinstance(action, SetChannel):
+        return {"kind": "set_channel", "node": action.node, "channel": action.channel}
+    if isinstance(action, MoveTo):
+        return {"kind": "move_to", "node": action.node, "cell": list(action.cell)}
+    raise TypeError(f"not an action: {action!r}")
+
+
+def action_from_dict(data: dict) -> Action:
+    if data["kind"] == "set_channel":
+        return SetChannel(node=data["node"], channel=data["channel"])
+    if data["kind"] == "move_to":
+        return MoveTo(node=data["node"], cell=tuple(data["cell"]))
+    raise ValueError(f"unknown action kind {data.get('kind')!r}")
+
+
 class InvalidAction(Exception):
     """An action failed validation; nothing was applied."""
 
@@ -142,8 +158,8 @@ class DemandProfile:
         return cls(steps=((0, float(level)),))
 
     @classmethod
-    def piecewise(cls, pairs) -> "DemandProfile":
-        steps = tuple(sorted((int(t), float(v)) for t, v in pairs))
+    def piecewise(cls, steps) -> "DemandProfile":
+        steps = tuple(sorted((int(t), float(v)) for t, v in steps))
         if not steps or steps[0][0] != 0:
             raise ValueError("profile must start at t=0")
         return cls(steps=steps)
@@ -151,6 +167,8 @@ class DemandProfile:
     @classmethod
     def periodic(cls, period: int, segments, horizon: int) -> "DemandProfile":
         """Repeat segments ((offset, level), ...) every `period` steps."""
+        if period < 1:
+            raise ValueError(f"period {period} must be >= 1")
         pairs = []
         t = 0
         while t <= horizon:
@@ -161,10 +179,10 @@ class DemandProfile:
         return cls.piecewise(pairs)
 
     @classmethod
-    def random_epochs(cls, epoch_len: int, levels) -> "DemandProfile":
-        if epoch_len < 1 or not levels:
-            raise ValueError("random profile needs epoch_len >= 1 and levels")
-        return cls(random_epoch_len=int(epoch_len),
+    def random_epochs(cls, epoch: int, levels) -> "DemandProfile":
+        if epoch < 1 or not levels:
+            raise ValueError("random profile needs epoch >= 1 and levels")
+        return cls(random_epoch_len=int(epoch),
                    random_levels=tuple(float(v) for v in levels))
 
     def change_points(self, horizon: int):
@@ -178,9 +196,9 @@ class DemandProfile:
         """The levels in force at the ascending steps `points`, which start at
         0. A random profile draws one level per epoch up to the horizon."""
         if self.random_epoch_len:
-            choices = len(self.random_levels)
-            draws = [self.random_levels[rng.integers(choices)]
-                     for _ in range(horizon // self.random_epoch_len + 1)]
+            levels = self.random_levels
+            draws = [levels[k] for k in rng.integers(
+                len(levels), size=horizon // self.random_epoch_len + 1).tolist()]
             return [draws[t // self.random_epoch_len] for t in points]
         starts = [t for t, _ in self.steps]
         return [self.steps[bisect_right(starts, t) - 1][1] for t in points]
@@ -207,19 +225,24 @@ class EnvConfig:
     initial_channels: dict[int, int] | None = None
 
     def __post_init__(self):
-        if self.pathloss_exponent <= 0:
-            raise ValueError("pathloss_exponent must be > 0")
-        if self.noise_floor <= 0:
-            raise ValueError("noise_floor must be > 0")
+        for name in ("pathloss_exponent", "tx_power", "noise_floor", "bandwidth_unit"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be > 0")
         if self.horizon < 1:
             raise ValueError("horizon must be >= 1")
+        topo = self.topology
         seen = set()
         for u in self.users:
             if u.user in seen:
                 raise ValueError(f"duplicate user id {u.user}")
             seen.add(u.user)
-            if u.node is not None and u.node not in self.topology.positions:
+            if u.node is not None and u.node not in topo.positions:
                 raise ValueError(f"user {u.user} attached to unknown node {u.node}")
+        for nid, channel in (self.initial_channels or {}).items():
+            if nid not in topo.positions:
+                raise ValueError(f"initial channel of unknown node {nid}")
+            if channel not in topo.channels:
+                raise ValueError(f"initial channel {channel} of node {nid} not in palette")
 
     def serving_nodes(self) -> list[int]:
         """Each user's node, in config order: the configured one, else the
@@ -314,11 +337,8 @@ class Environment:
 
     def reset(self) -> EnvState:
         topo = self.topology
-        channels = dict(self.config.initial_channels or {})
-        for nid in topo.nodes:
-            channels.setdefault(nid, topo.channels[0])
-            if channels[nid] not in topo.channels:
-                raise ValueError(f"initial channel of node {nid} not in palette")
+        channels = dict.fromkeys(topo.nodes, topo.channels[0])
+        channels.update(self.config.initial_channels or {})
         return EnvState(t=0, channel_of=channels, position_of=dict(topo.positions),
                         demand=self._demand_rows[self._row_at[0]])
 

@@ -1,12 +1,13 @@
 """Scenario definition, run orchestration, oracles, and trace emission.
 
-Scenario files are YAML documents with a schema_version field, read by
-`scenario_from_dict`. Each step of a run ticks every agent in ascending
-node order, applies their actions as one batch, senses all agents in one
-batched pass, lets each agent that acted score its own action, and appends
-one step row. The run report is aggregated from those step rows by
-`report_from_trace`, the same function that recomputes it from an emitted
-trace.
+Scenario files are YAML documents. `SCENARIO` is the table of every key
+they may hold, with its type; `scenario_from_dict` reads a file against it
+and reports every problem in one SpecValidation. Each step of a run ticks
+every agent in ascending node order, applies their actions as one batch,
+senses all agents in one batched pass, lets each agent that acted score its
+own action, and appends one step row. The run report is aggregated from
+those step rows by `report_from_trace`, the same function that recomputes
+it from an emitted trace.
 """
 
 from __future__ import annotations
@@ -14,17 +15,16 @@ from __future__ import annotations
 import json
 import time
 from collections import Counter
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
 import yaml
 
-from .agent import (CHANNEL_KIND, DISRUPTION_THRESHOLD, LOCATION_KIND, Agent,
-                    AgentConfig, Population)
+from .agent import (CHANNEL_KIND, LOCATION_KIND, Agent, AgentConfig, AgentParams,
+                    Population)
 from .env import (DemandProfile, EnvConfig, Environment, EnvState, EnvView,
                   MeshTopology, UserSpec)
-from .kb import KnowledgeBase
 # encode_state runs in Agent.observe; perfbench still times it at this name.
 from .learning import (QParams, QTable, StateCodec, Transition, encode_state,
                        format_q_table, q_update)
@@ -53,26 +53,6 @@ class IoFailure(Exception):
 
 
 @dataclass
-class AgentParams:
-    policy: ExplorationPolicy = field(default_factory=lambda: EpsilonGreedy(0.1))
-    qparams: QParams = field(default_factory=lambda: QParams(alpha=0.3, gamma=0.5))
-    similarity_threshold: float = 0.8
-    coefficient_threshold: float = 0.7
-    kb_capacity: int = 256
-    kb_eviction: str = "lru"
-    bins: tuple[int, ...] | None = None
-    feature_ranges: dict[str, tuple[float, float]] = field(default_factory=dict)
-    nodes: list[int] | None = None  # controllable nodes; default all
-
-    def __post_init__(self):
-        # the checks the run's knowledge bases, feature specs and codecs make, at load
-        KnowledgeBase(self.kb_capacity, self.kb_eviction)
-        FeatureSpec(tuple((name, *bounds) for name, bounds in self.feature_ranges.items()))
-        if self.bins is not None:
-            StateCodec(self.bins)
-
-
-@dataclass
 class ScenarioSpec:
     kind: str
     env_config: EnvConfig
@@ -87,6 +67,8 @@ class ScenarioSpec:
             problems.append(f"unknown kind {self.kind!r}")
         if self.horizon < 0:
             problems.append("horizon must be >= 0")
+        if self.seed < 0:
+            problems.append("seed must be >= 0")
         topo_nodes = set(self.env_config.topology.positions)
         for nid in self.agent_params.nodes or []:
             if nid not in topo_nodes:
@@ -120,160 +102,202 @@ class RunReport:
 
     def rows(self) -> list[tuple[str, object]]:
         """Fields for report.txt; wall time goes to timings.json instead."""
-        return [
-            ("steps", self.steps),
-            ("mean_achieved_mbps", self.mean_achieved_mbps),
-            ("satisfaction_ratio", self.satisfaction_ratio),
-            ("total_conflicts", self.total_conflicts),
-            ("final_conflicts", self.final_conflicts),
-            ("switches", self.switches),
-            ("disruptions", self.disruptions),
-            ("optimizer_invocations", self.optimizer_invocations),
-            ("triggered_ticks", self.triggered_ticks),
-            ("reuse_ticks", self.reuse_ticks),
-            ("kb_hit_rate", self.kb_hit_rate),
-        ]
+        return [(f.name, getattr(self, f.name)) for f in fields(self) if f.name != "wall_time_s"]
 
 
 # -- scenario loading ----------------------------------------------------------
 
-# The keys scenario_from_dict reads, by section; any other key is rejected.
-KNOWN_KEYS = {
-    "": "schema_version kind horizon seed disruption_penalty env agents",
-    "env": "channels nodes edges users initial_channels pathloss_exponent tx_power "
-           "noise_floor bandwidth_unit",
-    "agents": "policy qparams thresholds kb bins feature_ranges nodes",
-    "agents.qparams": "alpha gamma",
-    "agents.thresholds": "similarity coefficient",
-    "agents.kb": "capacity eviction",
-}
-POLICY_KEYS = {"epsilon-greedy": "type epsilon", "boltzmann": "type tau",
-               "controlled": "type epsilon no_switch_while_serving serving_threshold "
-                             "max_switches window"}
+# A scenario file is read against SCENARIO. A schema is a plain type (int,
+# float, bool or str: a value of exactly that type, an int also reading as a
+# float), (s, t) for a pair [a, b] of plain types, [s] for a list, {k: s} for
+# a mapping with keys of plain type k, a _Table, or a reader f(value, path,
+# problems) that may raise ValueError. Pairs and lists read as tuples.
+_ACCEPTS = {int: (int,), float: (float, int), bool: (bool,), str: (str,)}
+_ABSENT = object()
+
+
+class _Table(dict):
+    """A mapping's keys, each with the schema of its value: the `required`
+    ones, which must be present, then the optional ones. An absent key
+    reads its `defaults` entry if it has one, and is otherwise left out so
+    that the field it fills keeps its own default."""
+
+    def __init__(self, required: dict | None = None, defaults: dict | None = None, **optional):
+        super().__init__(required or {}, **optional)
+        self.required, self.defaults = list(required or ()), defaults or {}
+
+
+def _read(schema, value, path: tuple, problems: list):
+    """`value` checked against `schema` and converted. Each problem found is
+    appended to `problems` as (key path, message); its value reads as None."""
+    kind = type(schema)
+    if kind is _Table and type(value) is dict:
+        if not value.keys() <= schema.keys():
+            problems += [(path + (key,), "unknown key") for key in value if key not in schema]
+        read = {}
+        for key, sub in schema.items():
+            raw = value[key] if key in value else schema.defaults.get(key, _ABSENT)
+            if type(raw) is sub:  # the common case, inline: a value of exactly its type
+                read[key] = raw
+            elif raw is not _ABSENT:
+                read[key] = _read(sub, raw, path + (key,), problems)
+            elif key in schema.required:
+                problems.append((path + (key,), "missing key"))
+        return read
+    if kind is list and type(value) is list:
+        return tuple([_read(schema[0], raw, path + (i,), problems) for i, raw in enumerate(value)])
+    if kind is dict and type(value) is dict:  # {key type: schema}
+        (key_type, item), = schema.items()
+        return {_read(key_type, key, path, problems): _read(item, raw, path + (key,), problems)
+                for key, raw in value.items()}
+    if kind is tuple and type(value) is list and len(value) == 2:
+        (first, second), (a, b) = schema, value
+        if type(a) is first and type(b) is second:  # the common case, without a conversion
+            return a, b
+        if type(a) in _ACCEPTS[first] and type(b) in _ACCEPTS[second]:
+            return first(a), second(b)
+    elif kind is type:
+        if type(value) in _ACCEPTS[schema]:
+            return schema(value)
+    elif callable(schema):
+        try:
+            return schema(value, path, problems)
+        except ValueError as exc:
+            problems.append((path, str(exc)))
+            return None
+    what = {list: "a list", tuple: "a pair"}.get(kind, getattr(schema, "__name__", "a mapping"))
+    problems.append((path, f"expected {what}, got {value!r}"))
+    return None
+
+
+def _variant(tag: str, default: str, variants: dict, shorthand=None):
+    """Reader of a mapping whose `tag` (`default` when absent) names the
+    (builder, _Table) pair that reads its other keys, as (builder, fields);
+    `shorthand` reads any other value."""
+    def read(value, path, problems):
+        if type(value) is not dict and shorthand:
+            return shorthand(value, path, problems)
+        name = value.get(tag, default) if type(value) is dict else None
+        if not isinstance(name, str) or name not in variants:
+            raise ValueError(f"expected a mapping with {tag} one of {sorted(variants)}, "
+                             f"got {value if name is None else name!r}")
+        build, table = variants[name]
+        return build, _read(table, {k: v for k, v in value.items() if k != tag}, path, problems)
+    return read
+
+
+def _schema_version(value, *_) -> int:
+    if type(value) is not int or value != SCHEMA_VERSION:
+        raise ValueError(f"expected {SCHEMA_VERSION}, got {value!r}")
+    return value
+
+
+def _channels(value, *where) -> tuple[int, ...]:
+    """A channel count n, for channels 1..n, or a list of channel numbers."""
+    if type(value) is list:
+        return _read([int], value, *where)
+    return tuple(range(1, (_read(int, value, *where) or 0) + 1))
+
+
+def _level_or_steps(value, *where):
+    """A constant demand level or piecewise [[start, level], ...] steps."""
+    if type(value) is list:
+        return DemandProfile.piecewise, {"steps": _read([(int, float)], value, *where)}
+    return DemandProfile.constant, {"level": _read(float, value, *where)}
+
+
+_DEMAND = _variant("mode", "piecewise", shorthand=_level_or_steps, variants={
+    "piecewise": (DemandProfile.piecewise, _Table(dict(steps=[(int, float)]))),
+    "periodic": (DemandProfile.periodic, _Table(dict(period=int, segments=[(int, float)]))),
+    "random": (DemandProfile.random_epochs, _Table(dict(epoch=int, levels=[float])))})
+
+
+SCENARIO = _Table(dict(
+    schema_version=_schema_version, kind=str, horizon=int,
+    env=_Table(
+        dict(nodes=[_Table(dict(id=int, x=int, y=int), allowed=[(int, int)])]),
+        defaults={"channels": 1, "edges": [], "users": []},
+        channels=_channels,
+        edges=[(int, int)],
+        users=[_Table(dict(id=int, x=int, y=int, demand=_DEMAND), node=int)],
+        initial_channels={int: int},
+        pathloss_exponent=float, tx_power=float, noise_floor=float, bandwidth_unit=float)),
+    defaults={"agents": {}},
+    seed=int, disruption_penalty=float,
+    agents=_Table(
+        defaults={"qparams": {}, "thresholds": {}, "kb": {}, "policy": {}},
+        qparams=_Table(alpha=float, gamma=float),
+        thresholds=_Table(similarity=float, coefficient=float),
+        kb=_Table(capacity=int, eviction=str),
+        policy=_variant("type", "epsilon-greedy", {
+            "epsilon-greedy": (EpsilonGreedy, _Table(epsilon=float)),
+            "boltzmann": (Boltzmann, _Table(tau=float)),
+            "controlled": (Controlled, _Table(
+                epsilon=float, no_switch_while_serving=bool, serving_threshold=float,
+                max_switches=int, window=int))}),
+        bins=[int],
+        feature_ranges={str: (float, float)},
+        nodes=[int]))
 REMOVED_KEYS = ("env.reassociate", "agents.reuse_driver")
 
 
-def _unknown_keys(data: dict) -> list[str]:
-    """One problem per key that no section reads; an unknown policy type is
-    reported by _policy_from_config instead of its keys."""
-    policy = (data.get("agents") or {}).get("policy") or {}
-    kind = policy.get("type", "epsilon-greedy")
-    known = {**KNOWN_KEYS, "agents.policy": POLICY_KEYS.get(kind, " ".join(policy))}
-    problems = []
-    for path, keys in known.items():
-        section = data
-        for part in filter(None, path.split(".")):
-            section = section.get(part) or {}
-        for key in sorted(set(section) - set(keys.split())):
-            name = f"{path}.{key}".lstrip(".")
-            problems.append(f"{name} is no longer supported" if name in REMOVED_KEYS
-                            else f"unknown key {name}")
-    return problems
+def _message(path: tuple, message: str) -> str:
+    name = "".join(f"[{key}]" if type(key) is int else f".{key}" for key in path)[1:]
+    if message in ("unknown key", "missing key"):
+        return f"{name} is no longer supported" if name in REMOVED_KEYS else f"{message} {name}"
+    return f"{name or 'scenario'}: {message}"
 
 
-def _demand_from_config(value, horizon: int) -> DemandProfile:
-    if isinstance(value, (int, float)):
-        return DemandProfile.constant(value)
-    if isinstance(value, list):
-        return DemandProfile.piecewise(value)
-    if isinstance(value, dict):
-        mode = value.get("mode", "piecewise")
-        if mode == "random":
-            return DemandProfile.random_epochs(value["epoch"], value["levels"])
-        if mode == "periodic":
-            return DemandProfile.periodic(value["period"], value["segments"], horizon)
-        if mode == "piecewise":
-            return DemandProfile.piecewise(value["steps"])
-    raise SpecValidation([f"unsupported demand profile {value!r}"])
-
-
-def _policy_from_config(data: dict) -> ExplorationPolicy:
-    kind = data.get("type", "epsilon-greedy")
-    if kind == "epsilon-greedy":
-        return EpsilonGreedy(epsilon=float(data.get("epsilon", 0.1)))
-    if kind == "boltzmann":
-        return Boltzmann(tau=float(data.get("tau", 0.5)))
-    if kind == "controlled":
-        return Controlled(
-            epsilon=float(data.get("epsilon", 0.1)),
-            no_switch_while_serving=bool(data.get("no_switch_while_serving", True)),
-            serving_threshold=float(data.get("serving_threshold", DISRUPTION_THRESHOLD)),
-            max_switches=data.get("max_switches"),
-            window=data.get("window"))
-    raise SpecValidation([f"unknown policy type {kind!r}"])
+def _profile(read, horizon: int, profiles: dict) -> DemandProfile:
+    """A user's demand profile from its read (builder, fields), or the equal
+    one in `profiles`; periodic segments repeat up to the horizon."""
+    build, fields = read
+    if build == DemandProfile.periodic:
+        fields = {**fields, "horizon": horizon}
+    key = (build, *fields.items())
+    if key not in profiles:
+        profiles[key] = build(**fields)
+    return profiles[key]
 
 
 def load_scenario(path) -> ScenarioSpec:
     """Parse and validate a scenario YAML file."""
     with open(path) as fh:
-        data = yaml.safe_load(fh)
-    return scenario_from_dict(data)
+        return scenario_from_dict(yaml.safe_load(fh))
 
 
-def scenario_from_dict(data: dict) -> ScenarioSpec:
+def scenario_from_dict(data) -> ScenarioSpec:
+    """Build a scenario from its mapping as read against SCENARIO. All the
+    problems the table finds are listed in one SpecValidation; so is the
+    first value a constructor rejects."""
     problems = []
-    if data.get("schema_version") != SCHEMA_VERSION:
-        problems.append(f"schema_version must be {SCHEMA_VERSION}")
-    for key in ("kind", "horizon", "env"):
-        if key not in data:
-            problems.append(f"missing top-level key {key!r}")
-    problems += _unknown_keys(data)
+    top = _read(SCENARIO, data, (), problems)
     if problems:
-        raise SpecValidation(problems)
-
-    env_data = data["env"]
-    channels = env_data.get("channels", 1)
-    if isinstance(channels, int):
-        channels = tuple(range(1, channels + 1))
-    else:
-        channels = tuple(channels)
-    positions, allowed = {}, {}
-    for row in env_data.get("nodes", []):
-        nid = int(row["id"])
-        positions[nid] = (int(row["x"]), int(row["y"]))
-        if "allowed" in row:
-            allowed[nid] = frozenset((int(x), int(y)) for x, y in row["allowed"])
+        raise SpecValidation([_message(*problem) for problem in problems])
+    del top["schema_version"]
+    env, agents = top.pop("env"), top.pop("agents")
+    horizon = top["horizon"]
     try:
-        horizon = int(data["horizon"])
+        nodes = env.pop("nodes")
+        positions = {row["id"]: (row["x"], row["y"]) for row in nodes}
+        if len(positions) < len(nodes):
+            ids = Counter(row["id"] for row in nodes)
+            raise ValueError(f"duplicate node id {min(i for i in ids if ids[i] > 1)}")
         topology = MeshTopology(
-            positions=positions,
-            edges={(int(a), int(b)) for a, b in env_data.get("edges", [])},
-            channels=channels,
-            allowed=allowed)
-        users = [UserSpec(user=int(row["id"]),
-                          position=(int(row["x"]), int(row["y"])),
-                          demand=_demand_from_config(row["demand"], horizon),
-                          node=row.get("node"))
-                 for row in env_data.get("users", [])]
-        env_config = EnvConfig(
-            topology=topology,
-            users=users,
-            pathloss_exponent=float(env_data.get("pathloss_exponent", 2.0)),
-            tx_power=float(env_data.get("tx_power", 1.0)),
-            noise_floor=float(env_data.get("noise_floor", 1e-3)),
-            bandwidth_unit=float(env_data.get("bandwidth_unit", 1.0)),
-            rng_seed=int(data.get("seed", 0)),
-            horizon=max(1, horizon),
-            initial_channels={int(k): int(v) for k, v in
-                              (env_data.get("initial_channels") or {}).items()} or None)
-        agent_data = data.get("agents", {})
-        params = AgentParams(
-            policy=_policy_from_config(agent_data.get("policy", {})),
-            qparams=QParams(alpha=float(agent_data.get("qparams", {}).get("alpha", 0.3)),
-                            gamma=float(agent_data.get("qparams", {}).get("gamma", 0.5))),
-            similarity_threshold=float(agent_data.get("thresholds", {}).get("similarity", 0.8)),
-            coefficient_threshold=float(agent_data.get("thresholds", {}).get("coefficient", 0.7)),
-            kb_capacity=int(agent_data.get("kb", {}).get("capacity", 256)),
-            kb_eviction=agent_data.get("kb", {}).get("eviction", "lru"),
-            bins=tuple(agent_data["bins"]) if "bins" in agent_data else None,
-            feature_ranges={k: (float(v[0]), float(v[1])) for k, v in
-                            agent_data.get("feature_ranges", {}).items()},
-            nodes=[int(n) for n in agent_data["nodes"]] if "nodes" in agent_data else None)
-        return ScenarioSpec(kind=data["kind"], env_config=env_config,
-                            agent_params=params, horizon=horizon,
-                            seed=int(data.get("seed", 0)),
-                            disruption_penalty=float(data.get("disruption_penalty", 0.0)))
-    except (ValueError, KeyError) as exc:
+            positions=positions, channels=env.pop("channels"), edges=set(env.pop("edges")),
+            allowed={row["id"]: frozenset(row["allowed"]) for row in nodes if "allowed" in row})
+        profiles = {}
+        users = [UserSpec(user=row["id"], position=(row["x"], row["y"]),
+                          demand=_profile(row["demand"], horizon, profiles), node=row.get("node"))
+                 for row in env.pop("users")]
+        env_config = EnvConfig(topology=topology, users=users, horizon=max(1, horizon),
+                               rng_seed=top.get("seed", ScenarioSpec.seed), **env)
+        build, kwargs = agents["policy"]
+        agents.update(policy=build(**kwargs), qparams=QParams(**agents["qparams"]))
+        params = AgentParams(**{f"{k}_threshold": v for k, v in agents.pop("thresholds").items()},
+                             **{f"kb_{k}": v for k, v in agents.pop("kb").items()}, **agents)
+        return ScenarioSpec(env_config=env_config, agent_params=params, **top)
+    except ValueError as exc:
         raise SpecValidation([str(exc)]) from exc
 
 
@@ -300,7 +324,7 @@ def build_agents(spec: ScenarioSpec, env: Environment, state: EnvState,
     max_deg = max(1, topology.max_degree())
     xs = [c[0] for cells in topology.allowed.values() for c in cells]
     ys = [c[1] for cells in topology.allowed.values() for c in cells]
-    agents = []
+    agents, configs = [], {}
     for node in nodes:
         ranges = dict(params.feature_ranges)
         if spec.kind == CHANNEL_KIND:
@@ -322,17 +346,11 @@ def build_agents(spec: ScenarioSpec, env: Environment, state: EnvState,
                 bins.append(3)
             features = tuple(features)
             bins = params.bins or tuple(bins)
-        config = AgentConfig(
-            kind=spec.kind,
-            feature_spec=FeatureSpec(features=features),
-            codec=StateCodec(bins=tuple(bins)),
-            qparams=params.qparams,
-            policy=params.policy,
-            similarity_threshold=params.similarity_threshold,
-            coefficient_threshold=params.coefficient_threshold,
-            kb_capacity=params.kb_capacity,
-            kb_eviction=params.kb_eviction)
-        agents.append(Agent(node, config, run_seed=seed))
+        key = (features, tuple(bins))  # agents with equal features share one config
+        if key not in configs:
+            configs[key] = AgentConfig(kind=spec.kind, feature_spec=FeatureSpec(features),
+                                       codec=StateCodec(key[1]), **vars(params))
+        agents.append(Agent(node, configs[key], run_seed=seed))
     return agents
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
+from .env import action_from_dict, action_to_dict
 from .reasoning import PerceptVector, similarity
 
 SNAPSHOT_SCHEMA = "meshmind-kb/1"
@@ -43,7 +44,7 @@ class KnowledgeBase:
 
     EVICTION_POLICIES = ("lru", "lowest-coefficient")
 
-    def __init__(self, capacity: int = 256, eviction: str = "lru"):
+    def __init__(self, capacity: int, eviction: str = EVICTION_POLICIES[0]):
         if capacity < 1:
             raise ValueError("capacity must be >= 1")
         if eviction not in self.EVICTION_POLICIES:
@@ -114,8 +115,7 @@ class KnowledgeBase:
 
     # -- snapshots ---------------------------------------------------------
 
-    def snapshot(self, action_encoder=None) -> dict:
-        encode = action_encoder or _default_action_encoder
+    def snapshot(self) -> dict:
         return {
             "schema": SNAPSHOT_SCHEMA,
             "capacity": self.capacity,
@@ -125,7 +125,7 @@ class KnowledgeBase:
                     "percept": list(c.percept.values),
                     "t": c.percept.t,
                     "node": c.percept.node,
-                    "action": encode(c.action),
+                    "action": action_to_dict(c.action),
                     "coefficient": c.coefficient,
                     "hits": c.hits,
                     "last_used": c.last_used,
@@ -136,15 +136,14 @@ class KnowledgeBase:
         }
 
     @classmethod
-    def from_snapshot(cls, data: dict, action_decoder=None) -> "KnowledgeBase":
+    def from_snapshot(cls, data: dict) -> "KnowledgeBase":
         if data.get("schema") != SNAPSHOT_SCHEMA:
             raise ValueError(f"unsupported snapshot schema {data.get('schema')!r}")
-        decode = action_decoder or _default_action_decoder
         kb = cls(capacity=data["capacity"], eviction=data["eviction"])
         for row in data["cases"]:
             percept = PerceptVector(values=tuple(row["percept"]),
                                     t=row["t"], node=row["node"])
-            kb.cases.append(Case(percept=percept, action=decode(row["action"]),
+            kb.cases.append(Case(percept=percept, action=action_from_dict(row["action"]),
                                  coefficient=row["coefficient"], hits=row["hits"],
                                  last_used=row["last_used"], created=row["created"]))
         return kb
@@ -157,15 +156,3 @@ class KnowledgeBase:
     def load(cls, path) -> "KnowledgeBase":
         with open(path) as fh:
             return cls.from_snapshot(json.load(fh))
-
-
-def _default_action_encoder(action):
-    from .optimize import action_to_dict
-
-    return action_to_dict(action)
-
-
-def _default_action_decoder(data):
-    from .optimize import action_from_dict
-
-    return action_from_dict(data)

@@ -29,8 +29,8 @@ class NegativeInput(ValueError):
 
 @dataclass(frozen=True)
 class QParams:
-    alpha: float  # learning rate in (0, 1]
-    gamma: float  # discount in [0, 1)
+    alpha: float = 0.3  # learning rate in (0, 1]
+    gamma: float = 0.5  # discount in [0, 1)
 
     def __post_init__(self):
         if not 0.0 <= self.alpha <= 1.0:

@@ -18,6 +18,11 @@ from .env import (Action, Cell, Environment, EnvState, MeshTopology, MoveTo,
                   SetChannel)
 from .learning import QTable
 
+# A channel switch counts as a service disruption when the node's users
+# demand more than this many Mbps at the moment of the switch. It doubles
+# as the controlled policy's default serving threshold.
+DISRUPTION_THRESHOLD = 1.0
+
 
 class EmptyCandidates(Exception):
     pass
@@ -31,31 +36,12 @@ class NoAllowedCell(Exception):
     pass
 
 
-# -- actions ----------------------------------------------------------------
-
-
-def action_to_dict(action: Action) -> dict:
-    if isinstance(action, SetChannel):
-        return {"kind": "set_channel", "node": action.node, "channel": action.channel}
-    if isinstance(action, MoveTo):
-        return {"kind": "move_to", "node": action.node, "cell": list(action.cell)}
-    raise TypeError(f"not an action: {action!r}")
-
-
-def action_from_dict(data: dict) -> Action:
-    if data["kind"] == "set_channel":
-        return SetChannel(node=data["node"], channel=data["channel"])
-    if data["kind"] == "move_to":
-        return MoveTo(node=data["node"], cell=tuple(data["cell"]))
-    raise ValueError(f"unknown action kind {data.get('kind')!r}")
-
-
 # -- exploration policies -----------------------------------------------------
 
 
 @dataclass(frozen=True)
 class EpsilonGreedy:
-    epsilon: float
+    epsilon: float = 0.1
 
     def __post_init__(self):
         if not 0.0 <= self.epsilon <= 1.0:
@@ -64,7 +50,7 @@ class EpsilonGreedy:
 
 @dataclass(frozen=True)
 class Boltzmann:
-    tau: float
+    tau: float = 0.5
 
     def __post_init__(self):
         if self.tau <= 0:
@@ -72,8 +58,8 @@ class Boltzmann:
 
 
 @dataclass(frozen=True)
-class Controlled:
-    """Greedy selection with exploration gated by service constraints.
+class Controlled(EpsilonGreedy):
+    """Epsilon-greedy selection over candidates gated by service constraints.
 
     While the node serves aggregate demand above serving_threshold, channel
     switches are removed from the candidate set, so reconfiguration waits
@@ -81,15 +67,17 @@ class Controlled:
     caps how often the node may change channel, when set.
     """
 
-    epsilon: float = 0.1
     no_switch_while_serving: bool = True
-    serving_threshold: float = 1.0
+    serving_threshold: float = DISRUPTION_THRESHOLD
     max_switches: int | None = None
     window: int | None = None
 
     def __post_init__(self):
-        if not 0.0 <= self.epsilon <= 1.0:
-            raise ValueError(f"epsilon {self.epsilon} outside [0,1]")
+        super().__post_init__()
+        if self.max_switches is not None and self.max_switches < 0:
+            raise ValueError(f"max_switches {self.max_switches} must be >= 0")
+        if self.window is not None and self.window < 1:
+            raise ValueError(f"window {self.window} must be >= 1")
 
 
 ExplorationPolicy = EpsilonGreedy | Boltzmann | Controlled
@@ -114,18 +102,6 @@ def boltzmann_probabilities(values, tau: float) -> np.ndarray:
     return expd / expd.sum()
 
 
-def _greedy_pick(table: QTable, state: int, candidates, index_of):
-    """Highest-valued candidate among explored entries; unexplored rows
-    fall back to the first candidate so callers stay deterministic."""
-    best = None
-    best_value = -math.inf
-    for cand in candidates:
-        entry = table.entry(state, index_of(cand))
-        if entry is not None and entry > best_value:
-            best, best_value = cand, entry
-    return best if best is not None else candidates[0]
-
-
 def select_action(table: QTable, state: int, policy: ExplorationPolicy,
                   candidates, rng: np.random.Generator, index_of=None,
                   context: ControlContext | None = None) -> Action:
@@ -133,8 +109,10 @@ def select_action(table: QTable, state: int, policy: ExplorationPolicy,
 
     index_of maps a candidate to its action index in the table (identity by
     default, for plain integer action spaces). Unexplored entries count as
-    value 0 for Boltzmann; the greedy arm falls back to a uniform random
-    candidate when nothing in the state has been explored yet.
+    value 0 for Boltzmann. The controlled policy narrows the candidates
+    given its context, then draws as epsilon-greedy does: a uniform pick
+    with probability epsilon, else the highest-valued explored candidate,
+    or a uniform pick when nothing in the state has been explored yet.
     """
     if not candidates:
         raise EmptyCandidates("no candidate actions")
@@ -147,34 +125,22 @@ def select_action(table: QTable, state: int, policy: ExplorationPolicy,
         probs = boltzmann_probabilities(values, policy.tau)
         return candidates[int(rng.choice(len(candidates), p=probs))]
 
-    if isinstance(policy, Controlled):
-        allowed = candidates
-        if context is not None:
-            blocked = ((policy.no_switch_while_serving
-                        and context.serving_load > policy.serving_threshold)
-                       or (policy.max_switches is not None
-                           and context.recent_switches >= policy.max_switches))
-            if blocked:
-                allowed = [c for c in candidates
-                           if not (isinstance(c, SetChannel)
-                                   and c.channel != context.current_channel)]
-                if not allowed:
-                    allowed = candidates[:1]
-        if rng.random() < policy.epsilon:
-            return allowed[int(rng.integers(len(allowed)))]
-        return _select_greedy_or_uniform(table, state, allowed, index_of, rng)
+    if isinstance(policy, Controlled) and context is not None and (
+            (policy.no_switch_while_serving
+             and context.serving_load > policy.serving_threshold)
+            or (policy.max_switches is not None
+                and context.recent_switches >= policy.max_switches)):
+        candidates = [c for c in candidates
+                      if not (isinstance(c, SetChannel)
+                              and c.channel != context.current_channel)] or candidates[:1]
 
-    # EpsilonGreedy
     if rng.random() < policy.epsilon:
         return candidates[int(rng.integers(len(candidates)))]
-    return _select_greedy_or_uniform(table, state, candidates, index_of, rng)
-
-
-def _select_greedy_or_uniform(table, state, candidates, index_of, rng):
-    explored = [c for c in candidates if table.entry(state, index_of(c)) is not None]
+    explored = [(value, c) for c in candidates
+                if (value := table.entry(state, index_of(c))) is not None]
     if not explored:
         return candidates[int(rng.integers(len(candidates)))]
-    return _greedy_pick(table, state, explored, index_of)
+    return max(explored, key=lambda pair: pair[0])[1]  # first of equal values
 
 
 # -- channel assignment heuristics -------------------------------------------

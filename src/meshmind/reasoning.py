@@ -34,9 +34,6 @@ class FeatureSpec:
             if not hi > lo:
                 raise ValueError(f"feature {name!r}: max must exceed min")
 
-    def __len__(self) -> int:
-        return len(self.features)
-
     @property
     def names(self) -> tuple[str, ...]:
         return tuple(name for name, _, _ in self.features)

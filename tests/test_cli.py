@@ -1,0 +1,87 @@
+"""The command-line entry points, called in-process through `cli.main`."""
+
+import json
+from pathlib import Path
+
+from meshmind import KnowledgeBase, MoveTo, PerceptVector, SetChannel, cli
+from meshmind.harness import (MdpSpec, load_scenario, run_scenario, sweep,
+                              value_iteration)
+from meshmind.kb import Case
+from meshmind.optimize import count_conflicts
+
+SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
+
+
+def key_values(text):
+    return dict(line.split("=", 1) for line in text.splitlines())
+
+
+def test_run_prints_and_writes_the_seeded_report(tmp_path, capsys):
+    spec_path = SCENARIO_DIR / "ring6_channels.yaml"
+    out = tmp_path / "run"
+    assert cli.main(["run", str(spec_path), "--seed", "3", "--out", str(out)]) == 0
+    printed = key_values(capsys.readouterr().out)
+    timings = json.loads((out / "timings.json").read_text())
+    assert float(printed.pop("wall_time_s")) == timings["wall_time_s"]
+    assert printed == key_values((out / "report.txt").read_text())
+    expected, _ = run_scenario(load_scenario(spec_path), seed=3)
+    assert printed == {key: str(value) for key, value in expected.rows()}
+    assert (out / "trace.jsonl").stat().st_size > 0
+
+
+def test_sweep_prints_one_line_per_seed(capsys):
+    spec_path = SCENARIO_DIR / "ring6_channels.yaml"
+    assert cli.main(["sweep", str(spec_path), "--seeds", "1..2"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    reports = sweep(load_scenario(spec_path), [1, 2])
+    assert lines == [f"seed={seed} final_conflicts={r.final_conflicts} "
+                     f"satisfaction={r.satisfaction_ratio:.4f} "
+                     f"disruptions={r.disruptions} kb_hit_rate={r.kb_hit_rate:.4f}"
+                     for seed, r in sorted(reports.items())]
+
+
+def test_channel_oracle_finds_a_conflict_free_assignment(capsys):
+    spec_path = SCENARIO_DIR / "lowload_windows.yaml"
+    assert cli.main(["oracle", "channels", str(spec_path)]) == 0
+    printed = key_values(capsys.readouterr().out)
+    assert printed["optimal_conflicts"] == "0"
+    assignment = {int(node): ch for node, ch in json.loads(printed["assignment"]).items()}
+    assert count_conflicts(load_scenario(spec_path).env_config.topology, assignment) == 0
+
+
+def test_mdp_oracle_prints_value_iteration(capsys):
+    mdp_path = SCENARIO_DIR / "mdp_4s3a.yaml"
+    assert cli.main(["oracle", "mdp", str(mdp_path)]) == 0
+    q_star, policy = value_iteration(MdpSpec.from_yaml(mdp_path))
+    assert capsys.readouterr().out.splitlines() == [
+        f"state={s} q=[{' '.join(f'{v:.6f}' for v in q_star[s])}] "
+        f"greedy_action={int(policy[s])}" for s in range(len(q_star))]
+
+
+def test_dump_kb_prints_a_saved_snapshot(tmp_path, capsys):
+    kb = KnowledgeBase(capacity=8)
+    kb.retain(Case(percept=PerceptVector((0.25, 1.0), t=4, node=2),
+                   action=SetChannel(2, 3), coefficient=0.5, last_used=4, created=4))
+    kb.retain(Case(percept=PerceptVector((0.5, 0.0), t=6, node=2),
+                   action=MoveTo(2, (1, 0)), coefficient=1.0, hits=2, last_used=9, created=6))
+    path = tmp_path / "kb.json"
+    kb.save(path)
+    assert cli.main(["dump-kb", str(path)]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "capacity=8 eviction=lru cases=2",
+        'percept=[0.2500,1.0000] action={"kind": "set_channel", "node": 2, "channel": 3} '
+        "coefficient=0.5000 hits=0 last_used=4 created=4",
+        'percept=[0.5000,0.0000] action={"kind": "move_to", "node": 2, "cell": [1, 0]} '
+        "coefficient=1.0000 hits=2 last_used=9 created=6",
+    ]
+
+
+def test_malformed_scenario_exits_with_one_error_line(tmp_path, capsys):
+    text = (SCENARIO_DIR / "ring6_channels.yaml").read_text().replace(
+        "horizon: 400", "horizon: 2.7")
+    path = tmp_path / "bad.yaml"
+    path.write_text(text)
+    assert cli.main(["run", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: SpecValidation: horizon: expected int, got 2.7\n"

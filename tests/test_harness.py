@@ -196,9 +196,27 @@ class TestScenarioLoading:
         (lambda d: d.update(horizon="abc"), "'abc'"),
         (lambda d: d.update(agents={"bins": [2, 2]}), "agents.bins has 2 entries"),
         (lambda d: d.update(agents={"bins": [0, 2, 2]}), "at least one bin"),
+        (lambda d: d["env"]["users"][0].update(
+            demand={"mode": "periodic", "period": 0, "segments": [[0, 1.0]]}), "period 0"),
+        (lambda d: d["env"]["users"][0].update(
+            demand={"mode": "periodic", "period": -2, "segments": [[0, 1.0]]}), "period -2"),
+        (lambda d: d["env"].update(initial_channels={0: 9}),
+         "initial channel 9 of node 0 not in palette"),
+        (lambda d: d["env"].update(initial_channels={7: 1}), "initial channel of unknown node 7"),
+        (lambda d: d["env"]["nodes"].append({"id": 0, "x": 1, "y": 0}), "duplicate node id 0"),
+        (lambda d: d.update(seed=-1), "seed must be >= 0"),
+        (lambda d: d["env"].update(tx_power=0.0), "tx_power must be > 0"),
+        (lambda d: d["env"].update(bandwidth_unit=0), "bandwidth_unit must be > 0"),
+        (lambda d: d.update(agents={"policy": {"type": "controlled", "window": 0}}),
+         "window 0 must be >= 1"),
+        (lambda d: d.update(agents={"policy": {"type": "controlled", "max_switches": -1}}),
+         "max_switches -1 must be >= 0"),
     ], ids=["user-node", "negative-demand", "nan-demand", "negative-step",
             "controlled-epsilon", "greedy-epsilon", "kb-eviction", "kb-capacity",
-            "zero-width-range", "horizon-not-int", "bins-length", "bins-zero"])
+            "zero-width-range", "horizon-not-int", "bins-length", "bins-zero",
+            "period-zero", "period-negative", "initial-channel-palette",
+            "initial-channel-node", "duplicate-node", "negative-seed", "tx-power",
+            "bandwidth-unit", "controlled-window", "controlled-max-switches"])
     def test_malformed_values_rejected_at_load(self, edit, problem):
         spec_dict = {
             "schema_version": 1, "kind": "channel-assignment", "horizon": 5,
@@ -209,6 +227,47 @@ class TestScenarioLoading:
         with pytest.raises(SpecValidation) as err:
             scenario_from_dict(spec_dict)
         assert problem in str(err.value)
+
+    @pytest.mark.parametrize("edit,problem", [
+        (lambda d: [d], "scenario: expected a mapping, got [{"),
+        (lambda d: d | {"env": None}, "env: expected a mapping, got None"),
+        (lambda d: d | {"agents": None}, "agents: expected a mapping, got None"),
+        (lambda d: d | {"agents": {"qparams": None}}, "agents.qparams: expected a mapping, got None"),
+        (lambda d: d | {"agents": {"bins": 3}}, "agents.bins: expected a list, got 3"),
+        (lambda d: d | {"agents": {"feature_ranges": {"demand": 5}}},
+         "agents.feature_ranges.demand: expected a pair, got 5"),
+        (lambda d: d["env"].update(nodes=[{"id": 0, "y": 0}]), "missing key env.nodes[0].x"),
+        (lambda d: d["env"]["nodes"][0].update(allowed=[[1]]),
+         "env.nodes[0].allowed[0]: expected a pair, got [1]"),
+        (lambda d: d | {"agents": {"nodes": 0}}, "agents.nodes: expected a list, got 0"),
+        (lambda d: d["env"].update(channels="abc"), "env.channels: expected int, got 'abc'"),
+        (lambda d: d | {"agents": {"policy": {"type": "controlled", "max_switches": "x"}}},
+         "agents.policy.max_switches: expected int, got 'x'"),
+        (lambda d: d | {"agents": {"policy": {"type": "controlled",
+                                              "no_switch_while_serving": "no"}}},
+         "agents.policy.no_switch_while_serving: expected bool, got 'no'"),
+        (lambda d: d | {"horizon": 2.7}, "horizon: expected int, got 2.7"),
+        (lambda d: d | {"horizon": True}, "horizon: expected int, got True"),
+        (lambda d: d | {"agents": {"kb": {"capacity": 2.5}}},
+         "agents.kb.capacity: expected int, got 2.5"),
+        (lambda d: d["env"]["nodes"][0].update(z=1), "unknown key env.nodes[0].z"),
+        (lambda d: d["env"]["users"][0].update(z=1), "unknown key env.users[0].z"),
+        (lambda d: d["env"]["users"][0].update(demand={"steps": [[0, 1.0]], "z": 1}),
+         "unknown key env.users[0].demand.z"),
+    ], ids=["top-level", "env-null", "agents-null", "qparams-null", "bins-int",
+            "range-int", "node-without-x", "allowed-cell", "agent-nodes-int", "channels-str",
+            "max-switches-str", "no-switch-str", "horizon-float", "horizon-bool",
+            "kb-capacity-float", "node-row-key", "user-row-key", "demand-key"])
+    def test_malformed_structure_is_named_by_key(self, edit, problem):
+        spec_dict = {
+            "schema_version": 1, "kind": "channel-assignment", "horizon": 5,
+            "env": {"channels": 2, "nodes": [{"id": 0, "x": 0, "y": 0}],
+                    "users": [{"id": 0, "x": 0, "y": 0, "node": 0, "demand": 1.0}]},
+        }
+        edited = edit(spec_dict)  # a replacement, or None after an edit in place
+        with pytest.raises(SpecValidation) as err:
+            scenario_from_dict(spec_dict if edited is None else edited)
+        assert any(p.startswith(problem) for p in err.value.problems), err.value.problems
 
     def test_unknown_keys_are_listed_together(self):
         spec_dict = {
