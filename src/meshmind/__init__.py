@@ -2,9 +2,8 @@
 
 from .agent import (Agent, AgentConfig, Sample, TraceEvent,
                     detect_unsatisfactory)
-from .env import (DemandProfile, EnvConfig, Environment, EnvState, EnvView,
-                  MeshTopology, MoveTo, SetChannel, ThroughputReport, UserSpec,
-                  capacity)
+from .env import (DemandProfile, EnvConfig, Environment, EnvState, MeshTopology,
+                  MoveTo, SetChannel, ThroughputReport, UserSpec, capacity)
 from .harness import (MdpSpec, RunReport, ScenarioSpec, load_scenario,
                       q_learning_on_mdp, run_scenario, sweep, value_iteration)
 from .kb import Case, KnowledgeBase
@@ -21,8 +20,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Agent", "AgentConfig", "Sample", "TraceEvent", "detect_unsatisfactory",
-    "DemandProfile", "EnvConfig", "Environment", "EnvState", "EnvView",
-    "MeshTopology", "ThroughputReport", "UserSpec", "capacity",
+    "DemandProfile", "EnvConfig", "Environment", "EnvState", "MeshTopology",
+    "ThroughputReport", "UserSpec", "capacity",
     "MdpSpec", "RunReport", "ScenarioSpec", "load_scenario",
     "q_learning_on_mdp", "run_scenario", "sweep", "value_iteration",
     "Case", "KnowledgeBase",

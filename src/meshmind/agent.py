@@ -22,8 +22,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .env import (Action, Environment, EnvView, MoveTo, SetChannel, action_to_dict,
-                  satisfied)
+from .env import (Action, Environment, EnvState, MoveTo, SetChannel, ThroughputReport,
+                  action_to_dict, satisfied)
 from .kb import Case, KnowledgeBase
 from .learning import (QParams, QTable, StateCodec, Transition, encode_state,
                        learning_coefficient, q_update)
@@ -77,16 +77,10 @@ class AgentParams:
     coefficient_threshold: float = 0.7
     kb_capacity: int = 256
     kb_eviction: str = "lru"
-    bins: tuple[int, ...] | None = None
-    feature_ranges: dict[str, tuple[float, float]] = field(default_factory=dict)
     nodes: tuple[int, ...] | None = None  # controllable nodes; default all
 
     def __post_init__(self):
-        # the checks the run's knowledge bases, feature specs and codecs make, at load
-        KnowledgeBase(self.kb_capacity, self.kb_eviction)
-        FeatureSpec(tuple((name, *bounds) for name, bounds in self.feature_ranges.items()))
-        if self.bins is not None:
-            StateCodec(self.bins)
+        KnowledgeBase(self.kb_capacity, self.kb_eviction)  # its checks, at load
 
 
 @dataclass(kw_only=True)
@@ -166,23 +160,24 @@ class Agent:
 
     # -- sensing -----------------------------------------------------------
 
-    def sense(self, view: EnvView) -> PerceptVector:
-        """This agent's percept of the view, sensed as a population of one."""
-        population = Population([self], view.env)
-        population.sense(view.report)
-        return population.percept(0, view.state.t)
+    def sense(self, env: Environment, state: EnvState,
+              report: ThroughputReport) -> PerceptVector:
+        """This agent's percept of the report, sensed as a population of one."""
+        population = Population([self], env)
+        population.sense(report)
+        return population.percept(0, state.t)
 
-    def candidates(self, view: EnvView) -> list[Action]:
+    def candidates(self, env: Environment, state: EnvState) -> list[Action]:
         if self.config.kind == CHANNEL_KIND:
-            return [SetChannel(self.node, ch) for ch in view.env.topology.channels]
-        current = view.state.position_of[self.node]
+            return [SetChannel(self.node, ch) for ch in env.topology.channels]
+        current = state.position_of[self.node]
         return [MoveTo(self.node, cell)
-                for cell in one_step_cells(view.env.topology, self.node, current)]
+                for cell in one_step_cells(env.topology, self.node, current)]
 
-    def _action_index(self, action: Action, view: EnvView) -> int:
+    def _action_index(self, action: Action, env: Environment, state: EnvState) -> int:
         if self.config.kind == CHANNEL_KIND:
-            return view.env.topology.channels.index(action.channel)
-        cx, cy = view.state.position_of[self.node]
+            return env.topology.channels.index(action.channel)
+        cx, cy = state.position_of[self.node]
         dx, dy = action.cell[0] - cx, action.cell[1] - cy
         return _DIRECTIONS.index((dx, dy))
 
@@ -193,14 +188,14 @@ class Agent:
 
     # -- the control cycle ---------------------------------------------------
 
-    def tick(self, view: EnvView, population: "Population",
+    def tick(self, env: Environment, state: EnvState, population: "Population",
              i: int) -> tuple[Action | None, TraceEvent | None]:
         """Run one control step on row `i` of the population's pass; returns
         the chosen action (if any) plus the trace event, which idle steps
         omit when the population keeps no trace. Emitting an action resets
         the two-sample detector, so a fresh pair of samples must confirm
         dissatisfaction before the next reasoning cycle."""
-        t = view.state.t
+        t = state.t
         if not population.fired[i]:
             if not population.trace:
                 return None, None
@@ -211,16 +206,16 @@ class Agent:
         sample = Sample(percept=percept, achieved=population.achieved[i],
                         demanded=population.demanded[i], t=t)
         state_index = encode_state(percept, self.config.codec)
-        action, outcome, case = self._reason(view, percept, sample, state_index)
+        action, outcome, case = self._reason(env, state, percept, sample, state_index)
         event = TraceEvent(t=t, node=self.node, percept=percept.values,
                            detected=True, outcome=outcome.value, action=action)
         if action is None:
             return None, event
 
-        action_index = self._action_index(action, view)
+        action_index = self._action_index(action, env, state)
         event.q_before = self.table.entry(state_index, action_index)
         if (isinstance(action, SetChannel)
-                and action.channel != view.state.channel_of[self.node]):
+                and action.channel != state.channel_of[self.node]):
             self._switch_history.append(t)
             event.switched = True
             event.disruption = population.demanded[i] > DISRUPTION_THRESHOLD
@@ -229,8 +224,8 @@ class Agent:
         population.acted(i)
         return action, event
 
-    def _reason(self, view: EnvView, percept: PerceptVector, sample: Sample,
-                state_index: int):
+    def _reason(self, env: Environment, state: EnvState, percept: PerceptVector,
+                sample: Sample, state_index: int):
         hit = self.kb.retrieve(percept, now=sample.t)
         if hit is None:
             score, coefficient, case = 0.0, 0.0, None
@@ -243,7 +238,7 @@ class Agent:
                            self.kb.is_full())
         if outcome is Outcome.REUSE:
             return case.action, outcome, case
-        action = self._optimize(view, sample, state_index)
+        action = self._optimize(env, state, sample, state_index)
         if outcome is Outcome.RECOMPUTE:
             self.kb.revise(case, action=action, now=sample.t)
             return action, outcome, case
@@ -254,8 +249,9 @@ class Agent:
             return action, outcome, new_case
         return action, outcome, None  # REJECT: act without writing to the KB
 
-    def _optimize(self, view: EnvView, sample: Sample, state_index: int) -> Action | None:
-        cands = self.candidates(view)
+    def _optimize(self, env: Environment, state: EnvState, sample: Sample,
+                  state_index: int) -> Action | None:
+        cands = self.candidates(env, state)
         policy = self.config.policy
         if self.config.kind == LOCATION_KIND:
             # The one-step throughput climb is the exploitation arm here; a
@@ -263,7 +259,7 @@ class Agent:
             epsilon = getattr(policy, "epsilon", 0.0)
             if epsilon and self.rng.random() < epsilon:
                 return cands[int(self.rng.integers(len(cands)))]
-            return location_search(view.env, view.state, self.node)
+            return location_search(env, state, self.node)
         context = None
         if isinstance(policy, Controlled):
             window = policy.window or 0
@@ -271,10 +267,10 @@ class Agent:
                          if window and t > sample.t - window)
             context = ControlContext(
                 serving_load=sample.demanded,
-                current_channel=view.state.channel_of[self.node],
+                current_channel=state.channel_of[self.node],
                 recent_switches=recent)
         return select_action(self.table, state_index, policy, cands, self.rng,
-                             index_of=lambda a: self._action_index(a, view),
+                             index_of=lambda a: self._action_index(a, env, state),
                              context=context)
 
     # -- feedback -------------------------------------------------------------

@@ -185,6 +185,11 @@ class DemandProfile:
         return cls(random_epoch_len=int(epoch),
                    random_levels=tuple(float(v) for v in levels))
 
+    @property
+    def peak(self) -> float:
+        """The highest level the profile can take."""
+        return max((*(v for _, v in self.steps), *self.random_levels), default=0.0)
+
     def change_points(self, horizon: int):
         """The steps in 0..horizon at which the level may change."""
         if self.random_epoch_len:
@@ -268,15 +273,6 @@ class ThroughputReport:
     achieved: dict[int, float]  # user -> Mbps
     conflicts: int              # co-channel interference edges
     readings: np.ndarray        # flat per-node and per-user measurements
-
-
-@dataclass(frozen=True)
-class EnvView:
-    """Read-only bundle handed to agents: simulator plus current snapshot."""
-
-    env: "Environment"
-    state: EnvState
-    report: ThroughputReport
 
 
 def capacity(ratio, bandwidth_unit: float = 1.0, sharing=1):

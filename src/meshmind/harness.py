@@ -23,8 +23,8 @@ import yaml
 
 from .agent import (CHANNEL_KIND, LOCATION_KIND, Agent, AgentConfig, AgentParams,
                     Population)
-from .env import (DemandProfile, EnvConfig, Environment, EnvState, EnvView,
-                  MeshTopology, UserSpec)
+from .env import (DemandProfile, EnvConfig, Environment, EnvState, MeshTopology,
+                  UserSpec)
 # encode_state runs in Agent.observe; perfbench still times it at this name.
 from .learning import (QParams, QTable, StateCodec, Transition, encode_state,
                        format_q_table, q_update)
@@ -73,14 +73,6 @@ class ScenarioSpec:
         for nid in self.agent_params.nodes or []:
             if nid not in topo_nodes:
                 problems.append(f"agent node {nid} not in topology")
-        bins = self.agent_params.bins
-        if bins is not None:  # percept sizes as build_agents lays them out
-            served = Counter(self.env_config.serving_nodes())
-            sizes = {3 if self.kind == CHANNEL_KIND else 2 + served[nid]
-                     for nid in self.agent_params.nodes or topo_nodes}
-            if sizes - {len(bins)}:
-                problems.append(f"agents.bins has {len(bins)} entries for percepts "
-                                f"of {sorted(sizes)} features")
         if problems:
             raise SpecValidation(problems)
 
@@ -235,10 +227,8 @@ SCENARIO = _Table(dict(
             "controlled": (Controlled, _Table(
                 epsilon=float, no_switch_while_serving=bool, serving_threshold=float,
                 max_switches=int, window=int))}),
-        bins=[int],
-        feature_ranges={str: (float, float)},
         nodes=[int]))
-REMOVED_KEYS = ("env.reassociate", "agents.reuse_driver")
+REMOVED_KEYS = ("env.reassociate", "agents.reuse_driver", "agents.bins", "agents.feature_ranges")
 
 
 def _message(path: tuple, message: str) -> str:
@@ -304,52 +294,37 @@ def scenario_from_dict(data) -> ScenarioSpec:
 # -- agent construction ----------------------------------------------------------
 
 
-def _max_demand(spec: ScenarioSpec) -> float:
-    peak = 0.0
-    for user in spec.env_config.users:
-        profile = user.demand
-        if profile.random_levels:
-            peak = max(peak, max(profile.random_levels))
-        peak = max(peak, max((v for _, v in profile.steps), default=0.0))
-    return peak or 1.0
-
-
 def build_agents(spec: ScenarioSpec, env: Environment, state: EnvState,
                  seed: int) -> list[Agent]:
     """One agent per controllable node, with per-scenario feature specs."""
     params = spec.agent_params
     topology = spec.env_config.topology
     nodes = sorted(params.nodes if params.nodes is not None else topology.nodes)
-    demand_max = _max_demand(spec)
+    demand_max = max((user.demand.peak for user in spec.env_config.users), default=0.0) or 1.0
     max_deg = max(1, topology.max_degree())
     xs = [c[0] for cells in topology.allowed.values() for c in cells]
     ys = [c[1] for cells in topology.allowed.values() for c in cells]
     agents, configs = [], {}
     for node in nodes:
-        ranges = dict(params.feature_ranges)
         if spec.kind == CHANNEL_KIND:
             features = (
-                ("conflicts", *ranges.get("conflicts", (0.0, float(max_deg)))),
-                ("demand", *ranges.get("demand", (0.0, demand_max))),
-                ("achieved", *ranges.get("achieved", (0.0, demand_max))),
+                ("conflicts", 0.0, float(max_deg)),
+                ("demand", 0.0, demand_max),
+                ("achieved", 0.0, demand_max),
             )
-            bins = params.bins or (min(max_deg + 1, 4), 2, 2)
+            bins = (min(max_deg + 1, 4), 2, 2)
         else:
-            features = [
-                ("x", *ranges.get("x", (0.0, float(max(max(xs), 1))))),
-                ("y", *ranges.get("y", (0.0, float(max(max(ys), 1))))),
-            ]
-            bins = [int(max(xs)) + 1, int(max(ys)) + 1]
-            for uid in env.users_of(node):
-                name = f"demand_u{uid}"
-                features.append((name, *ranges.get(name, (0.0, demand_max))))
-                bins.append(3)
-            features = tuple(features)
-            bins = params.bins or tuple(bins)
-        key = (features, tuple(bins))  # agents with equal features share one config
+            users = env.users_of(node)
+            features = (
+                ("x", 0.0, float(max(max(xs), 1))),
+                ("y", 0.0, float(max(max(ys), 1))),
+                *((f"demand_u{uid}", 0.0, demand_max) for uid in users),
+            )
+            bins = (int(max(xs)) + 1, int(max(ys)) + 1, *(3,) * len(users))
+        key = (features, bins)  # agents with equal features share one config
         if key not in configs:
             configs[key] = AgentConfig(kind=spec.kind, feature_spec=FeatureSpec(features),
-                                       codec=StateCodec(key[1]), **vars(params))
+                                       codec=StateCodec(bins), **vars(params))
         agents.append(Agent(node, configs[key], run_seed=seed))
     return agents
 
@@ -380,10 +355,9 @@ def run_scenario(spec: ScenarioSpec, seed: int | None = None,
 
     records: list[dict] = []
     for _ in range(spec.horizon):
-        view = EnvView(env=env, state=state, report=report)
         actions, acting, events = [], [], []
         for i, ag in enumerate(agents):
-            action, event = ag.tick(view, population, i)
+            action, event = ag.tick(env, state, population, i)
             if event is not None:
                 events.append(event)
             if action is not None:

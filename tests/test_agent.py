@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from meshmind import (Agent, AgentConfig, DemandProfile, EnvConfig,
-                      Environment, EnvView, FeatureSpec, MeshTopology,
+                      Environment, FeatureSpec, MeshTopology,
                       PerceptVector, QParams, Sample, SetChannel, StateCodec,
                       UserSpec, detect_unsatisfactory)
 from meshmind.agent import NonConsecutiveSamples, Population, UnknownPendingAction
@@ -56,10 +56,9 @@ def drive(env, agents, steps, force=None, start=None, penalty=0.0):
         state, report, population = start
     events = []
     for t in range(steps):
-        view = EnvView(env=env, state=state, report=report)
         batch, acting = [], []
         for i, ag in enumerate(agents):
-            action, event = ag.tick(view, population, i)
+            action, event = ag.tick(env, state, population, i)
             events.append(event)
             if action is not None:
                 batch.append(action)
@@ -93,8 +92,7 @@ class TestSense:
         agents = build_agents(spec, env, state, seed=0)
         agent = agents[0]
         assert agent.config.feature_spec.names == ("x", "y", "demand_u0", "demand_u1")
-        view = EnvView(env=env, state=state, report=env.report_for(state))
-        percept = agent.sense(view)
+        percept = agent.sense(env, state, env.report_for(state))
         assert percept.values[0] == pytest.approx(2.0 / 3.0)  # node starts at x=2 of 0..3
         assert percept.values[2] == pytest.approx(1.0)        # user 0 demands the peak
 
@@ -103,16 +101,15 @@ class TestSense:
         env = channel_env()
         agent = channel_agent()
         state = replace(env.reset(), demand={0: 0.0, 1: 0.0})
-        view = EnvView(env=env, state=state, report=env.report_for(state))
-        percept = agent.sense(view)
+        percept = agent.sense(env, state, env.report_for(state))
         assert percept.values[1] == 0.0
 
     def test_identical_environment_gives_identical_percepts(self):
         env = channel_env()
         agent = channel_agent()
         state = env.reset()
-        view = EnvView(env=env, state=state, report=env.report_for(state))
-        assert agent.sense(view).values == agent.sense(view).values
+        report = env.report_for(state)
+        assert agent.sense(env, state, report).values == agent.sense(env, state, report).values
 
 
 class TestPopulation:
@@ -271,8 +268,7 @@ class TestObserve:
                     coefficient=0.5)
         agent.kb.retain(case)
         population.sense(report)  # second starved sample fires the detector
-        view = EnvView(env=env, state=env.reset(), report=report)
-        action, event = agent.tick(view, population, 0)
+        action, event = agent.tick(env, env.reset(), population, 0)
         assert event.outcome == "recompute" and action is not None
         population.sense(report)  # the action left the node starved
         agent.observe(population, 0, 0.0)
@@ -285,11 +281,10 @@ class TestObserve:
         state = env.reset()
         report = env.report_for(state)
         population.sense(report)
-        agent.tick(EnvView(env=env, state=state, report=report), population, 0)  # first sample
+        agent.tick(env, state, population, 0)  # first sample
         state, report = env.apply_and_step(state, [])
         population.sense(report)
-        action, event = agent.tick(EnvView(env=env, state=state, report=report),
-                                   population, 0)
+        action, event = agent.tick(env, state, population, 0)
         assert action is not None
         before = agent.table.values.copy()
         before_explored = agent.table.explored.copy()
