@@ -152,7 +152,6 @@ class Agent:
         self.config = config
         self.kb = KnowledgeBase(capacity=config.kb_capacity,
                                 eviction=config.kb_eviction)
-        self._n_actions = len(_DIRECTIONS) if config.kind == LOCATION_KIND else None
         self.table: QTable | None = None  # sized from the environment
         self.rng = np.random.default_rng([run_seed, 1, node])
         self._pending: _Pending | None = None
@@ -183,7 +182,8 @@ class Agent:
 
     def _ensure_table(self, env: Environment):
         if self.table is None:
-            n_actions = self._n_actions or len(env.topology.channels)
+            n_actions = len(_DIRECTIONS if self.config.kind == LOCATION_KIND
+                            else env.topology.channels)
             self.table = QTable(self.config.codec.state_count, n_actions)
 
     # -- the control cycle ---------------------------------------------------
@@ -256,15 +256,13 @@ class Agent:
         if self.config.kind == LOCATION_KIND:
             # The one-step throughput climb is the exploitation arm here; a
             # fresh value table has nothing to exploit for one-shot triggers.
-            epsilon = getattr(policy, "epsilon", 0.0)
-            if epsilon and self.rng.random() < epsilon:
+            if policy.epsilon and self.rng.random() < policy.epsilon:
                 return cands[int(self.rng.integers(len(cands)))]
             return location_search(env, state, self.node)
         context = None
         if isinstance(policy, Controlled):
-            window = policy.window or 0
             recent = sum(1 for t in self._switch_history
-                         if window and t > sample.t - window)
+                         if policy.window and t > sample.t - policy.window)
             context = ControlContext(
                 serving_load=sample.demanded,
                 current_channel=state.channel_of[self.node],

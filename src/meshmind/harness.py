@@ -73,6 +73,9 @@ class ScenarioSpec:
         for nid in self.agent_params.nodes or []:
             if nid not in topo_nodes:
                 problems.append(f"agent node {nid} not in topology")
+        policy = self.agent_params.policy
+        if self.kind == LOCATION_KIND and type(policy) is not EpsilonGreedy:
+            problems.append(f"location agents move epsilon-greedily, not {type(policy).__name__}")
         if problems:
             raise SpecValidation(problems)
 
@@ -228,6 +231,8 @@ SCENARIO = _Table(dict(
                 epsilon=float, no_switch_while_serving=bool, serving_threshold=float,
                 max_switches=int, window=int))}),
         nodes=[int]))
+MDP = _Table(dict(schema_version=_schema_version, transitions=[[[float]]], rewards=[[float]],
+                  gamma=float))
 REMOVED_KEYS = ("env.reassociate", "agents.reuse_driver", "agents.bins", "agents.feature_ranges")
 
 
@@ -493,13 +498,14 @@ class MdpSpec:
 
     @classmethod
     def from_yaml(cls, path) -> "MdpSpec":
+        """Read an MDP file; every problem the MDP table finds is one SpecValidation."""
         with open(path) as fh:
-            data = yaml.safe_load(fh)
-        if data.get("schema_version") != SCHEMA_VERSION:
-            raise SpecValidation([f"schema_version must be {SCHEMA_VERSION}"])
-        return cls(transitions=np.array(data["transitions"], dtype=float),
-                   rewards=np.array(data["rewards"], dtype=float),
-                   gamma=float(data["gamma"]))
+            problems = []
+            read = _read(MDP, yaml.safe_load(fh), (), problems)
+        if problems:
+            raise SpecValidation([_message(*problem) for problem in problems])
+        del read["schema_version"]
+        return cls(**read)
 
 
 def value_iteration(mdp: MdpSpec, tol: float = 1e-9):

@@ -63,8 +63,9 @@ class Controlled(EpsilonGreedy):
 
     While the node serves aggregate demand above serving_threshold, channel
     switches are removed from the candidate set, so reconfiguration waits
-    for a low-load window. max_switches per trailing window additionally
-    caps how often the node may change channel, when set.
+    for a low-load window. max_switches per trailing window of `window`
+    steps additionally caps how often the node may change channel; the two
+    are set together or not at all.
     """
 
     no_switch_while_serving: bool = True
@@ -78,6 +79,8 @@ class Controlled(EpsilonGreedy):
             raise ValueError(f"max_switches {self.max_switches} must be >= 0")
         if self.window is not None and self.window < 1:
             raise ValueError(f"window {self.window} must be >= 1")
+        if (self.max_switches is None) != (self.window is None):
+            raise ValueError("max_switches and window must be set together")
 
 
 ExplorationPolicy = EpsilonGreedy | Boltzmann | Controlled
@@ -210,11 +213,9 @@ def one_step_cells(topology: MeshTopology, node: int, current: Cell) -> list[Cel
     return sorted(cells)
 
 
-def location_search(env: Environment, state: EnvState, node: int,
-                    current: Cell | None = None) -> MoveTo:
+def location_search(env: Environment, state: EnvState, node: int) -> MoveTo:
     """Best one-step move by predicted served throughput; ties prefer staying."""
-    if current is None:
-        current = state.position_of[node]
+    current = state.position_of[node]
     candidates = one_step_cells(env.topology, node, current)
     best = current if current in candidates else candidates[0]
     best_value = env.predict_node_throughput(state, node, best)

@@ -8,11 +8,12 @@ from meshmind import (Agent, AgentConfig, DemandProfile, EnvConfig,
 from meshmind.agent import NonConsecutiveSamples, Population, UnknownPendingAction
 from meshmind.env import ThroughputReport, satisfied
 from meshmind.kb import Case
-from meshmind.harness import build_agents
-from meshmind.optimize import EpsilonGreedy
+from meshmind.harness import build_agents, run_scenario
+from meshmind.optimize import Controlled, EpsilonGreedy
 from meshmind.reasoning import MissingFeature, normalize
 
-from helpers import grid_positions, make_channel_spec, make_location_spec
+from helpers import (grid_positions, make_channel_spec, make_location_spec,
+                     make_lowload_window_spec)
 
 
 def channel_env(channels=(1, 2)):
@@ -313,3 +314,21 @@ class TestObserve:
         population.sense(starved_report(env))
         with pytest.raises(UnknownPendingAction):
             agent.observe(population, 0, 0.0)
+
+
+class TestControlledRun:
+    @pytest.mark.parametrize("max_switches,window", [(1, 30), (1, 100)])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_switch_budget_holds_in_every_window(self, max_switches, window, seed):
+        policy = Controlled(epsilon=0.1, serving_threshold=1.0,
+                            max_switches=max_switches, window=window)
+        _, records = run_scenario(make_lowload_window_spec(policy, seed=seed), seed=seed)
+        switches = {}
+        for r in records:
+            if r["kind"] == "tick" and r["switched"]:
+                switches.setdefault(r["node"], []).append(r["t"])
+        assert switches  # the budget is spent, not idle
+        for node, times in switches.items():
+            for t in times:
+                recent = [s for s in times if t - window < s <= t]
+                assert len(recent) <= max_switches, (node, times)

@@ -76,6 +76,16 @@ def test_dump_kb_prints_a_saved_snapshot(tmp_path, capsys):
     ]
 
 
+def test_malformed_mdp_exits_with_every_problem_named(tmp_path, capsys):
+    text = (SCENARIO_DIR / "mdp_4s3a.yaml").read_text().replace("gamma:", "gama:")
+    path = tmp_path / "bad_mdp.yaml"
+    path.write_text(text)
+    assert cli.main(["oracle", "mdp", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: SpecValidation: unknown key gama; missing key gamma\n"
+
+
 def test_malformed_scenario_exits_with_one_error_line(tmp_path, capsys):
     text = (SCENARIO_DIR / "ring6_channels.yaml").read_text().replace(
         "horizon: 400", "horizon: 2.7")

@@ -4,6 +4,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 
 from meshmind import (DemandProfile, EnvConfig, Environment, EpsilonGreedy,
                       MdpSpec, MeshTopology, QParams, UserSpec,
@@ -208,11 +209,16 @@ class TestScenarioLoading:
          "window 0 must be >= 1"),
         (lambda d: d.update(agents={"policy": {"type": "controlled", "max_switches": -1}}),
          "max_switches -1 must be >= 0"),
+        (lambda d: d.update(agents={"policy": {"type": "controlled", "max_switches": 1}}),
+         "max_switches and window must be set together"),
+        (lambda d: d.update(agents={"policy": {"type": "controlled", "window": 30}}),
+         "max_switches and window must be set together"),
     ], ids=["user-node", "negative-demand", "nan-demand", "negative-step",
             "controlled-epsilon", "greedy-epsilon", "kb-eviction", "kb-capacity",
             "horizon-not-int", "period-zero", "period-negative", "initial-channel-palette",
             "initial-channel-node", "duplicate-node", "negative-seed", "tx-power",
-            "bandwidth-unit", "controlled-window", "controlled-max-switches"])
+            "bandwidth-unit", "controlled-window", "controlled-max-switches",
+            "max-switches-without-window", "window-without-max-switches"])
     def test_malformed_values_rejected_at_load(self, edit, problem):
         spec_dict = {
             "schema_version": 1, "kind": "channel-assignment", "horizon": 5,
@@ -277,6 +283,16 @@ class TestScenarioLoading:
         assert err.value.problems == [
             "unknown key env.pathlos_exponent", "unknown key agents.polcy",
             "unknown key agents.kb.evict", "unknown key agents.policy.epsilon"]
+
+    @pytest.mark.parametrize("policy", [{"type": "boltzmann", "tau": 0.01},
+                                        {"type": "controlled", "epsilon": 0.1}],
+                             ids=["boltzmann", "controlled"])
+    def test_location_scenario_rejects_other_policies(self, policy):
+        spec_dict = yaml.safe_load((SCENARIO_DIR / "follow_demand_location.yaml").read_text())
+        spec_dict["agents"]["policy"] = policy
+        with pytest.raises(SpecValidation) as err:
+            scenario_from_dict(spec_dict)
+        assert "location agents move epsilon-greedily" in str(err.value)
 
     def test_unknown_agent_node_rejected(self):
         spec_dict = {
