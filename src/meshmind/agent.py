@@ -237,6 +237,10 @@ class Agent:
                            self.config.coefficient_threshold,
                            self.kb.is_full())
         if outcome is Outcome.REUSE:
+            context = self._control_context(state, sample)
+            if (context is not None and self.config.policy.blocks(context)
+                    and case.action.channel != context.current_channel):
+                return SetChannel(self.node, context.current_channel), outcome, None
             return case.action, outcome, case
         action = self._optimize(env, state, sample, state_index)
         if outcome is Outcome.RECOMPUTE:
@@ -259,17 +263,18 @@ class Agent:
             if policy.epsilon and self.rng.random() < policy.epsilon:
                 return cands[int(self.rng.integers(len(cands)))]
             return location_search(env, state, self.node)
-        context = None
-        if isinstance(policy, Controlled):
-            recent = sum(1 for t in self._switch_history
-                         if policy.window and t > sample.t - policy.window)
-            context = ControlContext(
-                serving_load=sample.demanded,
-                current_channel=state.channel_of[self.node],
-                recent_switches=recent)
         return select_action(self.table, state_index, policy, cands, self.rng,
                              index_of=lambda a: self._action_index(a, env, state),
-                             context=context)
+                             context=self._control_context(state, sample))
+
+    def _control_context(self, state: EnvState, sample: Sample) -> ControlContext | None:
+        """What a controlled policy gates this channel agent's switches on."""
+        policy = self.config.policy
+        if self.config.kind != CHANNEL_KIND or not isinstance(policy, Controlled):
+            return None
+        recent = sum(1 for t in self._switch_history
+                     if policy.window and t > sample.t - policy.window)
+        return ControlContext(sample.demanded, state.channel_of[self.node], recent)
 
     # -- feedback -------------------------------------------------------------
 

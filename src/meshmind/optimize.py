@@ -61,11 +61,10 @@ class Boltzmann:
 class Controlled(EpsilonGreedy):
     """Epsilon-greedy selection over candidates gated by service constraints.
 
-    While the node serves aggregate demand above serving_threshold, channel
-    switches are removed from the candidate set, so reconfiguration waits
-    for a low-load window. max_switches per trailing window of `window`
-    steps additionally caps how often the node may change channel; the two
-    are set together or not at all.
+    While the node serves aggregate demand above serving_threshold, `blocks`
+    holds it on its channel, for the optimizer and a reused case alike, so
+    reconfiguration waits for a low-load window. max_switches per trailing
+    `window` steps (both set, or neither) also caps its channel changes.
     """
 
     no_switch_while_serving: bool = True
@@ -81,6 +80,11 @@ class Controlled(EpsilonGreedy):
             raise ValueError(f"window {self.window} must be >= 1")
         if (self.max_switches is None) != (self.window is None):
             raise ValueError("max_switches and window must be set together")
+
+    def blocks(self, context: ControlContext) -> bool:
+        """Whether the gate holds the node on its channel in this context."""
+        return ((self.no_switch_while_serving and context.serving_load > self.serving_threshold)
+                or (self.max_switches is not None and context.recent_switches >= self.max_switches))
 
 
 ExplorationPolicy = EpsilonGreedy | Boltzmann | Controlled
@@ -128,11 +132,7 @@ def select_action(table: QTable, state: int, policy: ExplorationPolicy,
         probs = boltzmann_probabilities(values, policy.tau)
         return candidates[int(rng.choice(len(candidates), p=probs))]
 
-    if isinstance(policy, Controlled) and context is not None and (
-            (policy.no_switch_while_serving
-             and context.serving_load > policy.serving_threshold)
-            or (policy.max_switches is not None
-                and context.recent_switches >= policy.max_switches)):
+    if isinstance(policy, Controlled) and context is not None and policy.blocks(context):
         candidates = [c for c in candidates
                       if not (isinstance(c, SetChannel)
                               and c.channel != context.current_channel)] or candidates[:1]

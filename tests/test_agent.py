@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -98,7 +100,6 @@ class TestSense:
         assert percept.values[2] == pytest.approx(1.0)        # user 0 demands the peak
 
     def test_zero_demand_gives_zero_component(self):
-        from dataclasses import replace
         env = channel_env()
         agent = channel_agent()
         state = replace(env.reset(), demand={0: 0.0, 1: 0.0})
@@ -243,6 +244,24 @@ class TestTick:
         assert optimizer_runs(events) == 0
         assert satisfied(env.node_achieved(report, 0), env.node_demand(state, 0))
 
+    @pytest.mark.parametrize("gated", [True, False])
+    def test_reused_switch_waits_while_the_node_serves(self, gated):
+        env = channel_env()  # both nodes start on channel 1: node 0 is starved
+        policy = Controlled(epsilon=0.0, no_switch_while_serving=gated)
+        agent = Agent(0, replace(channel_agent().config, policy=policy))
+        population = Population([agent], env)
+        state = env.reset()
+        report = env.report_for(state)
+        population.sense(report)
+        agent.kb.retain(Case(percept=population.percept(0, 0), action=SetChannel(0, 2),
+                             coefficient=1.0))
+        population.sense(report)  # second starved sample fires the detector
+        action, event = agent.tick(env, state, population, 0)
+        assert event.outcome == "reuse"
+        # the node serves 5.0 Mbps, above the 1.0 threshold: the switch waits
+        assert action == SetChannel(0, 1 if gated else 2)
+        assert event.switched is not gated
+
     def test_acting_resets_the_two_sample_detector(self):
         env = channel_env(channels=(1,))  # single channel: conflict is unfixable
         agent = channel_agent(node=0)
@@ -317,7 +336,7 @@ class TestObserve:
 
 
 class TestControlledRun:
-    @pytest.mark.parametrize("max_switches,window", [(1, 30), (1, 100)])
+    @pytest.mark.parametrize("max_switches,window", [(1, 30), (1, 100), (2, 60)])
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_switch_budget_holds_in_every_window(self, max_switches, window, seed):
         policy = Controlled(epsilon=0.1, serving_threshold=1.0,
@@ -332,3 +351,16 @@ class TestControlledRun:
             for t in times:
                 recent = [s for s in times if t - window < s <= t]
                 assert len(recent) <= max_switches, (node, times)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_controlled_agents_never_switch_while_serving(self, seed):
+        side = 6
+        edges = ({(i, i + 1) for i in range(side * side) if i % side < side - 1}
+                 | {(i, i + side) for i in range(side * (side - 1))})
+        spec = make_channel_spec(
+            side * side, edges, positions=grid_positions(side * side, width=side),
+            demand=DemandProfile.random_epochs(8, [0.4, 0.8, 2.5, 5.0]), horizon=300,
+            seed=seed, policy=Controlled(epsilon=0.1, serving_threshold=1.0))
+        report, _ = run_scenario(spec, seed=seed)
+        assert report.reuse_ticks > 0 and report.switches > 0
+        assert report.disruptions == 0  # a switch above 1.0 Mbps is a disruption
