@@ -1,9 +1,11 @@
 """Tabular action-value learning and the case-scoring coefficient.
 
-The table stores one estimated value per (state, action) with explicit
-unexplored markers. Updates are pure: q_update returns a new table with
-exactly one entry changed. States come from uniform per-feature binning
-of percept vectors.
+The table holds one estimated value per (state, action), with None marking
+an unexplored entry, and stores rows only for the states it has visited.
+Updates are pure: q_update returns a new table with exactly one entry
+changed, which shares every other row with the table it came from. Dense
+arrays of the whole table are built only on request, for tests and
+oracles. States come from uniform per-feature binning of percept vectors.
 """
 
 from __future__ import annotations
@@ -48,41 +50,56 @@ class Transition:
 
 
 class QTable:
-    """state_count x action_count value table; unexplored entries are marked."""
+    """state_count x action_count value table; unexplored entries are marked.
 
-    __slots__ = ("values", "explored")
+    Only visited states hold a row: a tuple with one value per action, None
+    where the action is unexplored. A table is never changed in place:
+    `set` returns a new table that shares every row but the one it writes,
+    so each update copies one row. `values` and `explored` build dense
+    read-only arrays of the whole table on demand.
+    """
+
+    __slots__ = ("state_count", "action_count", "_rows")
 
     def __init__(self, state_count: int, action_count: int,
-                 values: np.ndarray | None = None,
-                 explored: np.ndarray | None = None):
+                 rows: dict[int, tuple[float | None, ...]] | None = None):
         if state_count < 1 or action_count < 1:
             raise ValueError("table needs at least one state and one action")
-        self.values = (np.zeros((state_count, action_count))
-                       if values is None else values)
-        self.explored = (np.zeros((state_count, action_count), dtype=bool)
-                         if explored is None else explored)
-
-    @property
-    def state_count(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def action_count(self) -> int:
-        return self.values.shape[1]
+        self.state_count = state_count
+        self.action_count = action_count
+        self._rows = {} if rows is None else rows
 
     def entry(self, state: int, action: int) -> float | None:
         """Value at (state, action), or None while unexplored."""
         self._check(state, action)
-        return float(self.values[state, action]) if self.explored[state, action] else None
+        row = self._rows.get(state)
+        return None if row is None else row[action]
 
     def set(self, state: int, action: int, value: float) -> "QTable":
         """New table with one entry written (and marked explored)."""
         self._check(state, action)
-        values = self.values.copy()
-        explored = self.explored.copy()
-        values[state, action] = value
-        explored[state, action] = True
-        return QTable(self.state_count, self.action_count, values, explored)
+        row = self._rows.get(state) or (None,) * self.action_count
+        rows = dict(self._rows)
+        rows[state] = row[:action] + (float(value),) + row[action + 1:]
+        return QTable(self.state_count, self.action_count, rows)
+
+    @property
+    def values(self) -> np.ndarray:
+        """Dense read-only copy of every value, 0 where unexplored."""
+        dense = np.zeros((self.state_count, self.action_count))
+        for state, row in self._rows.items():
+            dense[state] = [0.0 if v is None else v for v in row]
+        dense.flags.writeable = False
+        return dense
+
+    @property
+    def explored(self) -> np.ndarray:
+        """Dense read-only mask of the explored entries."""
+        dense = np.zeros((self.state_count, self.action_count), dtype=bool)
+        for state, row in self._rows.items():
+            dense[state] = [v is not None for v in row]
+        dense.flags.writeable = False
+        return dense
 
     def _check(self, state: int, action: int):
         if not (0 <= state < self.state_count and 0 <= action < self.action_count):
@@ -99,12 +116,10 @@ def q_update(table: QTable, params: QParams, tr: Transition) -> QTable:
     """
     table._check(tr.state, tr.action)
     table._check(tr.next_state, 0)
-    current = table.values[tr.state, tr.action] if table.explored[tr.state, tr.action] else 0.0
-    row_explored = table.explored[tr.next_state]
-    if row_explored.any():
-        best_next = float(table.values[tr.next_state][row_explored].max())
-    else:
-        best_next = 0.0
+    row = table._rows.get(tr.state)
+    current = 0.0 if row is None or row[tr.action] is None else row[tr.action]
+    next_values = [v for v in table._rows.get(tr.next_state) or () if v is not None]
+    best_next = max(next_values) if next_values else 0.0
     updated = current + params.alpha * (tr.reward + params.gamma * best_next - current)
     return table.set(tr.state, tr.action, updated)
 
@@ -113,11 +128,10 @@ def greedy(table: QTable, state: int) -> int:
     """Index of the best explored action in a state; ties go to the lowest index."""
     if not 0 <= state < table.state_count:
         raise IndexOutOfRange(f"state {state}")
-    row_explored = table.explored[state]
-    if not row_explored.any():
+    explored = [(v, a) for a, v in enumerate(table._rows.get(state) or ()) if v is not None]
+    if not explored:
         raise NoExploredAction(f"state {state} has no explored action")
-    row = np.where(row_explored, table.values[state], -np.inf)
-    return int(np.argmax(row))
+    return max(explored, key=lambda pair: pair[0])[1]  # first of equal values
 
 
 def learning_coefficient(achieved: float, demanded: float) -> float:
@@ -163,9 +177,10 @@ def format_q_table(table: QTable) -> str:
     """Rectangular text dump: one row per state, '-' for unexplored entries."""
     header = ["state"] + [f"a_{j + 1}" for j in range(table.action_count)]
     lines = ["\t".join(header)]
+    unvisited = "\t".join("-" * table.action_count)
     for s in range(table.state_count):
-        row = [f"s_{s + 1}"]
-        for a in range(table.action_count):
-            row.append("-" if not table.explored[s, a] else f"{table.values[s, a]:g}")
-        lines.append("\t".join(row))
+        row = table._rows.get(s)
+        cells = unvisited if row is None else "\t".join(
+            "-" if v is None else f"{v:g}" for v in row)
+        lines.append(f"s_{s + 1}\t{cells}")
     return "\n".join(lines) + "\n"

@@ -1,6 +1,8 @@
+import tracemalloc
+
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from meshmind import (PerceptVector, QParams, QTable, StateCodec, Transition,
                       encode_state, format_q_table, greedy,
@@ -75,6 +77,98 @@ class TestQUpdate:
             q_update(table, QParams(0.5, 0.5), Transition(5, 0, 1.0, 0))
         with pytest.raises(IndexOutOfRange):
             q_update(table, QParams(0.5, 0.5), Transition(0, 0, 1.0, 9))
+
+
+    def test_updates_copy_one_row_not_the_table(self):
+        # One dense copy of values and explored at this size is 554 KB.
+        table = QTable(6840, 9)
+        params = QParams(alpha=0.3, gamma=0.5)
+        tracemalloc.start()
+        try:
+            for k in range(100):
+                table = q_update(table, params, Transition(k % 3, k % 9, 1.0, (k + 1) % 3))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024
+
+
+class DenseTable:
+    """Reference model: the table as two dense arrays, updated in place."""
+
+    def __init__(self, state_count, action_count):
+        self.values = np.zeros((state_count, action_count))
+        self.explored = np.zeros((state_count, action_count), dtype=bool)
+
+    def set(self, state, action, value):
+        self.values[state, action] = value
+        self.explored[state, action] = True
+
+    def q_update(self, params, tr):
+        current = (self.values[tr.state, tr.action]
+                   if self.explored[tr.state, tr.action] else 0.0)
+        row = self.explored[tr.next_state]
+        best_next = float(self.values[tr.next_state][row].max()) if row.any() else 0.0
+        self.set(tr.state, tr.action,
+                 current + params.alpha * (tr.reward + params.gamma * best_next - current))
+
+    def greedy(self, state):
+        row = self.explored[state]
+        return int(np.argmax(np.where(row, self.values[state], -np.inf))) if row.any() else None
+
+    def dump(self):
+        lines = ["\t".join(["state"] + [f"a_{j + 1}" for j in range(self.values.shape[1])])]
+        for s, (values, explored) in enumerate(zip(self.values, self.explored)):
+            lines.append("\t".join([f"s_{s + 1}"] + [f"{v:g}" if e else "-"
+                                                     for v, e in zip(values, explored)]))
+        return "\n".join(lines) + "\n"
+
+
+def assert_matches(table, ref):
+    states, actions = ref.values.shape
+    assert np.array_equal(table.values, ref.values)
+    assert np.array_equal(table.explored, ref.explored)
+    for s in range(states):
+        for a in range(actions):
+            expected = float(ref.values[s, a]) if ref.explored[s, a] else None
+            assert table.entry(s, a) == expected
+        if ref.greedy(s) is None:
+            with pytest.raises(NoExploredAction):
+                greedy(table, s)
+        else:
+            assert greedy(table, s) == ref.greedy(s)
+    assert format_q_table(table) == ref.dump()
+
+
+values = st.floats(min_value=-100, max_value=100, allow_nan=False)
+
+
+class TestAgainstDenseModel:
+    @settings(max_examples=60, deadline=None)
+    @given(st.data(), st.integers(1, 4), st.integers(1, 4),
+           st.floats(0, 1), st.floats(0, 0.99))
+    def test_random_updates_match_the_dense_model(self, data, states, actions, alpha, gamma):
+        params = QParams(alpha=alpha, gamma=gamma)
+        table, ref = QTable(states, actions), DenseTable(states, actions)
+        history = [(table, ref.values.copy(), ref.explored.copy())]
+        for _ in range(data.draw(st.integers(0, 12))):
+            s = data.draw(st.integers(0, states - 1))
+            a = data.draw(st.integers(0, actions - 1))
+            if data.draw(st.booleans()):
+                v = data.draw(values)
+                table = table.set(s, a, v)
+                ref.set(s, a, v)
+            else:
+                tr = Transition(s, a, data.draw(values), data.draw(st.integers(0, states - 1)))
+                table = q_update(table, params, tr)
+                ref.q_update(params, tr)
+            assert_matches(table, ref)
+            history.append((table, ref.values.copy(), ref.explored.copy()))
+        for old, old_values, old_explored in history:  # earlier versions are untouched
+            for s in range(states):
+                for a in range(actions):
+                    expected = float(old_values[s, a]) if old_explored[s, a] else None
+                    assert old.entry(s, a) == expected
 
 
 class TestGreedy:
