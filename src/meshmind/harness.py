@@ -243,15 +243,27 @@ def _message(path: tuple, message: str) -> str:
     return f"{name or 'scenario'}: {message}"
 
 
-def _profile(read, horizon: int, profiles: dict) -> DemandProfile:
+def _built(build, path: tuple, problems: list, **kwargs):
+    """build(**kwargs), or None with the problems it raises noted at `path`."""
+    try:
+        return build(**kwargs)
+    except SpecValidation as exc:
+        problems += [(path, problem) for problem in exc.problems]
+    except ValueError as exc:
+        problems.append((path, str(exc)))
+    return None
+
+
+def _profile(read, horizon: int, profiles: dict, path: tuple, problems: list):
     """A user's demand profile from its read (builder, fields), or the equal
-    one in `profiles`; periodic segments repeat up to the horizon."""
+    one in `profiles`; periodic segments repeat up to the horizon. A rejected
+    profile is None, and its problem is noted at `path` for every user."""
     build, fields = read
     if build == DemandProfile.periodic:
         fields = {**fields, "horizon": horizon}
     key = (build, *fields.items())
-    if key not in profiles:
-        profiles[key] = build(**fields)
+    if profiles.get(key) is None:
+        profiles[key] = _built(build, path, problems, **fields)
     return profiles[key]
 
 
@@ -263,8 +275,8 @@ def load_scenario(path) -> ScenarioSpec:
 
 def scenario_from_dict(data) -> ScenarioSpec:
     """Build a scenario from its mapping as read against SCENARIO. All the
-    problems the table finds are listed in one SpecValidation; so is the
-    first value a constructor rejects."""
+    problems the table finds are listed in one SpecValidation; if there are
+    none, so is every value a constructor rejects, named by its key path."""
     problems = []
     top = _read(SCENARIO, data, (), problems)
     if problems:
@@ -272,28 +284,37 @@ def scenario_from_dict(data) -> ScenarioSpec:
     del top["schema_version"]
     env, agents = top.pop("env"), top.pop("agents")
     horizon = top["horizon"]
-    try:
-        nodes = env.pop("nodes")
-        positions = {row["id"]: (row["x"], row["y"]) for row in nodes}
-        if len(positions) < len(nodes):
-            ids = Counter(row["id"] for row in nodes)
-            raise ValueError(f"duplicate node id {min(i for i in ids if ids[i] > 1)}")
-        topology = MeshTopology(
-            positions=positions, channels=env.pop("channels"), edges=set(env.pop("edges")),
-            allowed={row["id"]: frozenset(row["allowed"]) for row in nodes if "allowed" in row})
-        profiles = {}
-        users = [UserSpec(user=row["id"], position=(row["x"], row["y"]),
-                          demand=_profile(row["demand"], horizon, profiles), node=row.get("node"))
-                 for row in env.pop("users")]
-        env_config = EnvConfig(topology=topology, users=users, horizon=max(1, horizon),
-                               rng_seed=top.get("seed", ScenarioSpec.seed), **env)
-        build, kwargs = agents["policy"]
-        agents.update(policy=build(**kwargs), qparams=QParams(**agents["qparams"]))
-        params = AgentParams(**{f"{k}_threshold": v for k, v in agents.pop("thresholds").items()},
-                             **{f"kb_{k}": v for k, v in agents.pop("kb").items()}, **agents)
-        return ScenarioSpec(env_config=env_config, agent_params=params, **top)
-    except ValueError as exc:
-        raise SpecValidation([str(exc)]) from exc
+    nodes = env.pop("nodes")
+    positions = {row["id"]: (row["x"], row["y"]) for row in nodes}
+    if len(positions) < len(nodes):
+        ids = Counter(row["id"] for row in nodes)
+        problems.append((("env", "nodes"),
+                         f"duplicate node id {min(i for i in ids if ids[i] > 1)}"))
+    topology = _built(
+        MeshTopology, ("env",), problems,
+        positions=positions, channels=env.pop("channels"), edges=set(env.pop("edges")),
+        allowed={row["id"]: frozenset(row["allowed"]) for row in nodes if "allowed" in row})
+    profiles = {}
+    users = [UserSpec(user=row["id"], position=(row["x"], row["y"]), node=row.get("node"),
+                      demand=_profile(row["demand"], horizon, profiles,
+                                      ("env", "users", i, "demand"), problems))
+             for i, row in enumerate(env.pop("users"))]
+    env_config = None if topology is None else _built(
+        EnvConfig, ("env",), problems, topology=topology, users=users,
+        horizon=max(1, horizon), rng_seed=top.get("seed", ScenarioSpec.seed), **env)
+    build, kwargs = agents["policy"]
+    agents.update(policy=_built(build, ("agents", "policy"), problems, **kwargs),
+                  qparams=_built(QParams, ("agents", "qparams"), problems, **agents["qparams"]))
+    params = _built(
+        AgentParams, ("agents",), problems,
+        **{f"{k}_threshold": v for k, v in agents.pop("thresholds").items()},
+        **{f"kb_{k}": v for k, v in agents.pop("kb").items()},
+        **{k: v for k, v in agents.items() if v is not None})  # a rejected one keeps its default
+    spec = None if env_config is None or params is None else _built(
+        ScenarioSpec, (), problems, env_config=env_config, agent_params=params, **top)
+    if problems:
+        raise SpecValidation([_message(*problem) for problem in problems])
+    return spec
 
 
 # -- agent construction ----------------------------------------------------------
@@ -392,8 +413,7 @@ def run_scenario(spec: ScenarioSpec, seed: int | None = None,
                            wall_time_s=time.perf_counter() - started)
 
     if out_dir is not None:
-        emit(out_dir, records, run_report,
-             {ag.node: ag.table for ag in agents if ag.table is not None})
+        emit(out_dir, records, run_report, {ag.node: ag.table for ag in agents})
     return run_report, records
 
 

@@ -268,6 +268,20 @@ class TestScenarioLoading:
             scenario_from_dict(spec_dict if edited is None else edited)
         assert any(p.startswith(problem) for p in err.value.problems), err.value.problems
 
+    def test_constructor_problems_are_listed_together_by_path(self):
+        spec_dict = {
+            "schema_version": 1, "kind": "channel-assignment", "horizon": 5,
+            "env": {"channels": 2, "nodes": [{"id": 0, "x": 0, "y": 0}],
+                    "users": [{"id": 0, "x": 0, "y": 0, "node": 0, "demand": {
+                        "mode": "periodic", "period": 0, "segments": [[0, 1.0]]}}]},
+            "agents": {"policy": {"epsilon": 5.0}},
+        }
+        with pytest.raises(SpecValidation) as err:
+            scenario_from_dict(spec_dict)
+        assert err.value.problems == [
+            "env.users[0].demand: period 0 must be >= 1",
+            "agents.policy: epsilon 5.0 outside [0,1]"]
+
     def test_unknown_keys_are_listed_together(self):
         spec_dict = {
             "schema_version": 1, "kind": "channel-assignment", "horizon": 5,
