@@ -98,7 +98,7 @@ class AgentConfig(AgentParams):
 
 @dataclass(slots=True)
 class TraceEvent:
-    """One row per agent per step; reward fields fill in after feedback."""
+    """The trace row of one triggered tick; reward fields fill in after feedback."""
 
     t: int
     node: int
@@ -191,17 +191,14 @@ class Agent:
     def tick(self, env: Environment, state: EnvState, population: "Population",
              i: int) -> tuple[Action | None, TraceEvent | None]:
         """Run one control step on row `i` of the population's pass; returns
-        the chosen action (if any) plus the trace event, which idle steps
-        omit when the population keeps no trace. Emitting an action resets
+        the chosen action (if any) plus the trace event of a triggered tick.
+        An idle tick returns (None, None): its trace row, if one is kept, is
+        written from the population's percepts. Emitting an action resets
         the two-sample detector, so a fresh pair of samples must confirm
         dissatisfaction before the next reasoning cycle."""
-        t = state.t
         if not population.fired[i]:
-            if not population.trace:
-                return None, None
-            return None, TraceEvent(t=t, node=self.node, detected=False, outcome="idle",
-                                    percept=population.percept(i, t).values)
-
+            return None, None
+        t = state.t
         percept = population.percept(i, t)
         sample = Sample(percept=percept, achieved=population.achieved[i],
                         demanded=population.demanded[i], t=t)
@@ -310,6 +307,8 @@ class Population:
     clip((reading - lo) / (hi - lo), 0, 1) as in `normalize`. The detector
     is two boolean arrays: has a previous sample, and it was unsatisfied.
     After `sense`, `fired`, `achieved` and `demanded` hold one entry per agent.
+    With `trace` on, `percepts` also holds every agent's percept values as a
+    list, for the trace rows of idle ticks, and equal values share one float.
     """
 
     def __init__(self, agents: list[Agent], env: Environment, trace: bool = True):
@@ -341,6 +340,7 @@ class Population:
         if self.trace:  # trace rows keep every percept: equal values share a float
             distinct, at = np.unique(values, return_inverse=True)
             self._values = list(map(distinct.tolist().__getitem__, at.tolist()))
+            self.percepts = [self._values[a:b] for a, b in zip(self._offsets, self._offsets[1:])]
         else:
             self._values = values.tolist()
         achieved = readings[self._achieved_at]

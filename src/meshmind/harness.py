@@ -15,6 +15,7 @@ from __future__ import annotations
 import json
 import time
 from collections import Counter
+from contextlib import suppress
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
@@ -22,7 +23,7 @@ import numpy as np
 import yaml
 
 from .agent import (CHANNEL_KIND, LOCATION_KIND, Agent, AgentConfig, AgentParams,
-                    Population)
+                    Population, TraceEvent)
 from .env import (DemandProfile, EnvConfig, Environment, EnvState, MeshTopology,
                   UserSpec)
 # encode_state runs in Agent.observe; perfbench still times it at this name.
@@ -30,7 +31,7 @@ from .learning import (QParams, QTable, StateCodec, Transition, encode_state,
                        format_q_table, q_update)
 from .optimize import (Boltzmann, Controlled, EpsilonGreedy,
                        ExplorationPolicy, select_action)
-from .reasoning import FeatureSpec
+from .reasoning import FeatureSpec, Outcome
 
 SCHEMA_VERSION = 1
 
@@ -357,6 +358,8 @@ def build_agents(spec: ScenarioSpec, env: Environment, state: EnvState,
 
 # -- run loop ----------------------------------------------------------------
 
+_IDLE_ROW = TraceEvent(t=0, node=0, percept=(), detected=False, outcome="idle").to_record()
+
 
 def run_scenario(spec: ScenarioSpec, seed: int | None = None,
                  out_dir=None, collect_trace: bool = True):
@@ -366,9 +369,10 @@ def run_scenario(spec: ScenarioSpec, seed: int | None = None,
     (kind "step": conflicts, demand and throughput totals, and the counts
     of actions, triggered ticks, reuses, switches and disruptions), and the
     report is aggregated from those rows by `report_from_trace`. With
-    collect_trace=True each step row is preceded by one tick row per agent;
-    with collect_trace=False the tick rows are omitted, which keeps long
-    sweeps cheap. A zero-horizon run returns no records.
+    collect_trace=True each step row is preceded by one tick row per agent
+    in node order: `TraceEvent.to_record()` if it triggered, else `_IDLE_ROW`
+    with its t, node and percept. With collect_trace=False the tick rows are
+    omitted, which keeps long sweeps cheap. A zero-horizon run returns no records.
     """
     started = time.perf_counter()
     run_seed = spec.seed if seed is None else seed
@@ -389,6 +393,9 @@ def run_scenario(spec: ScenarioSpec, seed: int | None = None,
             if action is not None:
                 actions.append(action)
                 acting.append(i)
+        if collect_trace:  # idle rows now, before the next sense replaces the percepts
+            rows = [None if fire else dict(_IDLE_ROW, t=state.t, node=ag.node, percept=percept)
+                    for ag, fire, percept in zip(agents, population.fired, population.percepts)]
 
         state, report = env.apply_and_step(state, actions, report)
         population.sense(report)  # serves this feedback and the next step
@@ -396,14 +403,13 @@ def run_scenario(spec: ScenarioSpec, seed: int | None = None,
             agents[i].observe(population, i, spec.disruption_penalty)
 
         if collect_trace:
-            records.extend(ev.to_record() for ev in events)
+            triggered = iter(events)
+            records.extend(row or next(triggered).to_record() for row in rows)
         records.append({
-            "kind": "step", "t": state.t,
-            "conflicts": report.conflicts,
+            "kind": "step", "t": state.t, "conflicts": report.conflicts,
             "total_demand": sum(state.demand.values()),
             "total_achieved": sum(report.achieved.values()),
-            "actions": len(actions),
-            "triggered": sum(ev.detected for ev in events),
+            "actions": len(actions), "triggered": len(events),
             "reuse": sum(ev.outcome == "reuse" for ev in events),
             "switches": sum(ev.switched for ev in events),
             "disruptions": sum(ev.disruption for ev in events),
@@ -438,26 +444,60 @@ def emit(out_dir, records, report: RunReport, qtables: dict[int, QTable]) -> Non
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
         with open(out / "trace.jsonl", "w") as fh:
-            for record in records:
-                fh.write(json.dumps(record, sort_keys=True) + "\n")
-        with open(out / "report.txt", "w") as fh:
-            for key, value in report.rows():
-                fh.write(f"{key}={value}\n")
-        with open(out / "timings.json", "w") as fh:
-            json.dump({"wall_time_s": report.wall_time_s}, fh)
-            fh.write("\n")
-        steps = [r for r in records if r.get("kind") == "step"]
+            fh.writelines(map(trace_line, records))
+        (out / "report.txt").write_text("".join(f"{k}={v}\n" for k, v in report.rows()))
+        (out / "timings.json").write_text(json.dumps({"wall_time_s": report.wall_time_s}) + "\n")
         columns = ["t", "conflicts", "total_demand", "total_achieved",
                    "actions", "switches", "disruptions"]
         with open(out / "metrics.csv", "w") as fh:
             fh.write(",".join(columns) + "\n")
-            for row in steps:
-                fh.write(",".join(str(row[c]) for c in columns) + "\n")
+            fh.writelines(",".join(str(row[c]) for c in columns) + "\n"
+                          for row in records if row.get("kind") == "step")
         for node, table in sorted(qtables.items()):
-            with open(out / f"qtable_node_{node}.txt", "w") as fh:
-                fh.write(format_q_table(table))
+            (out / f"qtable_node_{node}.txt").write_text(format_q_table(table))
     except OSError as exc:
         raise IoFailure(str(exc)) from exc
+
+
+_OUTCOMES = {name: f'"{name}"' for name in ("idle", *(o.value for o in Outcome))}
+_FLAG = {True: "true", False: "false"}  # only for values of type bool
+
+
+def _float(value) -> str:  # None or a float, as json.dumps writes a finite one
+    return "null" if value is None else float.__repr__(value)  # TypeError unless a float
+
+
+def _action(action: dict) -> str:  # an action row as json.dumps writes it, keys sorted
+    if type(action) is dict and len(action) == 3 and type(node := action["node"]) is int:
+        if action["kind"] == "set_channel" and type(channel := action["channel"]) is int:
+            return f'{{"channel": {channel}, "kind": "set_channel", "node": {node}}}'
+        if (action["kind"] == "move_to" and type(cell := action["cell"]) is list
+                and len(cell) == 2 and type(cell[0]) is type(cell[1]) is int):
+            return f'{{"cell": [{cell[0]}, {cell[1]}], "kind": "move_to", "node": {node}}}'
+    return json.dumps(action, sort_keys=True)
+
+
+def trace_line(record: dict) -> str:
+    """`json.dumps(record, sort_keys=True)` plus a newline: a tick row from a template
+    in sorted-key order, any other row or value the template lacks by json.dumps."""
+    with suppress(KeyError, TypeError):
+        t, node, action, percept = record["t"], record["node"], record["action"], record["percept"]
+        fired, switch, disrupt = record["detected"], record["switched"], record["disruption"]
+        if (record["kind"] == "tick" and len(record) == 13 and type(t) is type(node) is int
+                and type(fired) is type(switch) is type(disrupt) is bool and type(percept) is list):
+            line = (f'{{"action": {"null" if action is None else _action(action)}, '
+                    f'"coefficient": {_float(record["coefficient"])}, '
+                    f'"detected": {_FLAG[fired]}, "disruption": {_FLAG[disrupt]}, '
+                    f'"kind": "tick", "node": {node}, '
+                    f'"outcome": {_OUTCOMES[record["outcome"]]}, '
+                    f'"percept": [{", ".join(map(float.__repr__, percept))}], '
+                    f'"q_after": {_float(record["q_after"])}, '
+                    f'"q_before": {_float(record["q_before"])}, '
+                    f'"reward": {_float(record["reward"])}, '
+                    f'"switched": {_FLAG[switch]}, "t": {t}}}\n')
+            if "inf" not in line and "nan" not in line:  # json.dumps writes Infinity, NaN
+                return line
+    return json.dumps(record, sort_keys=True) + "\n"
 
 
 def report_from_trace(records) -> dict:

@@ -7,7 +7,8 @@ from meshmind import (Agent, AgentConfig, DemandProfile, EnvConfig,
                       Environment, FeatureSpec, MeshTopology,
                       PerceptVector, QParams, Sample, SetChannel, StateCodec,
                       UserSpec, detect_unsatisfactory)
-from meshmind.agent import NonConsecutiveSamples, Population, UnknownPendingAction
+from meshmind.agent import (NonConsecutiveSamples, Population, TraceEvent,
+                            UnknownPendingAction)
 from meshmind.env import ThroughputReport, satisfied
 from meshmind.kb import Case
 from meshmind.harness import build_agents, run_scenario
@@ -47,8 +48,10 @@ def drive(env, agents, steps, force=None, start=None, penalty=0.0):
     """Minimal copy of the harness loop: tick, batch-apply, sense, feed back
     (charging `penalty` for a disruptive switch).
 
-    Returns ((state, report, population), events); pass that first value
-    as `start` to continue the run with the same detector state.
+    Returns ((state, report, population), events), with one event per agent
+    per step: an idle tick, for which `tick` returns none, is recorded as an
+    idle TraceEvent. Pass that first value as `start` to continue the run
+    with the same detector state.
     """
     if start is None:
         state = env.reset()
@@ -62,7 +65,9 @@ def drive(env, agents, steps, force=None, start=None, penalty=0.0):
         batch, acting = [], []
         for i, ag in enumerate(agents):
             action, event = ag.tick(env, state, population, i)
-            events.append(event)
+            events.append(event or TraceEvent(t=state.t, node=ag.node, detected=False,
+                                              outcome="idle",
+                                              percept=population.percept(i, state.t).values))
             if action is not None:
                 batch.append(action)
                 acting.append(i)

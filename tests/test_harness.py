@@ -1,18 +1,22 @@
+import hashlib
 import json
 from dataclasses import replace
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 import yaml
+from hypothesis import given, settings, strategies as st
 
 from meshmind import (DemandProfile, EnvConfig, Environment, EpsilonGreedy,
-                      MdpSpec, MeshTopology, QParams, UserSpec,
+                      MdpSpec, MeshTopology, QParams, UserSpec, harness,
                       load_scenario, q_learning_on_mdp, run_scenario, sweep,
                       value_iteration)
 from meshmind.harness import (AgentParams, NonStochasticRow, ScenarioSpec,
                               SpecValidation, report_from_trace,
-                              scenario_from_dict)
+                              scenario_from_dict, trace_line)
+from meshmind.reasoning import Outcome
 
 from helpers import make_channel_spec, make_location_spec
 
@@ -108,7 +112,126 @@ class TestRunScenario:
         assert again[2].final_conflicts == reports[2].final_conflicts
 
 
+# sha256 of every file but timings.json that a run writes, recorded before
+# trace.jsonl was written by `trace_line`; (scenario, seed) -> file -> digest.
+PINNED_EMISSION = {
+    ("lowload_windows", 0): {
+        "metrics.csv": "e321eb50baf1875940079e4b5e6508f7294b3ed9697fa4fea92c07308d0d4ae4",
+        "qtable_node_0.txt": "c7bcf712b7b7c85ddca4a4d2cf1e7ee944676e2354ad8516aa22474cdea8de34",
+        "qtable_node_1.txt": "3e4a3ace588c3fa962b40aca21fbb635fb9aeaf0da55008859ee6c1bbd3c4693",
+        "qtable_node_2.txt": "b701c9c108fe817cb1225add5991906fca715d44f1634811a0269cac1f1fb770",
+        "qtable_node_3.txt": "f808d754c07565067399ea47a04d08e1801f3359d8ec7e2c791b74a578e7ecd4",
+        "qtable_node_4.txt": "c69f5127b56411cd00d33565721451d8ac6d4c55d20836274fb9dbc7c881d2c1",
+        "qtable_node_5.txt": "f57bfed557621c1a80563fbb7a44ef9f5eff92ce1d040ae84397f451f71479be",
+        "qtable_node_6.txt": "9f25627bc535a36683b907f195383e1a5c4cb4c68a6f635de37a0a4d77fac6af",
+        "qtable_node_7.txt": "e59fc1ce0b14f88ac63ce242a9f469c6d9902411ce41a00e205b917f72b65e9f",
+        "qtable_node_8.txt": "821486f55d2f6f488da4d51ca6eb329cec0ac1f79f909acf6a87208b372cd2f4",
+        "qtable_node_9.txt": "ea0449dae703d3b688010c7aee7a145cf1cedb42f29bd1ede64d0e2c6b4e3a35",
+        "report.txt": "dc45d9b4a3095d5ca7e878a5810b5642dc5dda9ec9a08be70d767313201936e6",
+        "trace.jsonl": "7f9cd8f88d0e066b6066a8b9689834414e87f850c69c994dbc673f3a955a709c",
+    },
+    ("follow_demand_location", 1): {
+        "metrics.csv": "e60c4222207d9317c009cf6c2543b1907882d03ace187e1c1fae073a39815ba5",
+        "qtable_node_0.txt": "9d80d93e475c697bdfb38e8bc41fa794e9b663182d1b2645214777103ca77078",
+        "report.txt": "c913e4a3d219a73f0658f4f2a0702a9e182267d9130a44c9ec75c8f123b545af",
+        "trace.jsonl": "791818ecc1cd8cfea1df1546ab775f95815c5c4900bd5d1d8ffadc44db4fb201",
+    },
+}
+
+# Trace rows for `trace_line`. FINITE includes -0.0, subnormals and huge values.
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+NUMBER = st.none() | FINITE
+COUNT = st.integers(0, 10**6)
+ACTION = st.none() | st.fixed_dictionaries(
+    {"kind": st.just("set_channel"), "node": st.integers(), "channel": st.integers()}
+) | st.fixed_dictionaries(
+    {"kind": st.just("move_to"), "node": st.integers(),
+     "cell": st.lists(st.integers(), min_size=2, max_size=2)})
+TICK_ROW = st.fixed_dictionaries({
+    "kind": st.just("tick"), "t": st.integers(), "node": st.integers(),
+    "percept": st.lists(FINITE, max_size=5), "detected": st.booleans(),
+    "outcome": st.sampled_from(["idle", *(o.value for o in Outcome)]), "action": ACTION,
+    "reward": NUMBER, "coefficient": NUMBER, "q_before": NUMBER, "q_after": NUMBER,
+    "switched": st.booleans(), "disruption": st.booleans()})
+STEP_ROW = st.fixed_dictionaries({
+    "kind": st.just("step"), "t": COUNT, "conflicts": COUNT, "total_demand": FINITE,
+    "total_achieved": FINITE, "actions": COUNT, "triggered": COUNT, "reuse": COUNT,
+    "switches": COUNT, "disruptions": COUNT})
+# Values outside the template: other JSON types, non-finite floats, and TWIN
+# values, equal to a template value but of another type (1 and 1.0 for True).
+TWIN = st.sampled_from([0, 1, 0.0, 1.0, -0.0, True, False, None, "1", [1]])
+ODD = (TWIN | st.integers() | st.floats() | st.text(max_size=6)
+       | st.lists(st.floats() | TWIN, max_size=3)
+       | st.dictionaries(st.text(max_size=4), st.integers(), max_size=2))
+ODD_PERCEPT = ODD | st.tuples(FINITE) | st.dictionaries(FINITE, st.integers(), min_size=1)
+
+
+def dumps_line(record) -> str:
+    return json.dumps(record, sort_keys=True) + "\n"
+
+
 class TestEmission:
+    @pytest.mark.parametrize("name,seed", list(PINNED_EMISSION))
+    def test_emitted_files_match_the_recorded_digests(self, tmp_path, name, seed):
+        run_scenario(load_scenario(SCENARIO_DIR / f"{name}.yaml"), seed=seed, out_dir=tmp_path)
+        digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+                   for p in tmp_path.iterdir() if p.name != "timings.json"}
+        assert digests == PINNED_EMISSION[(name, seed)]
+
+    @pytest.mark.parametrize("name,seed", list(PINNED_EMISSION))
+    def test_tick_rows_of_a_run_are_written_without_json(self, name, seed):
+        _, records = run_scenario(load_scenario(SCENARIO_DIR / f"{name}.yaml"), seed=seed)
+        ticks = [r for r in records if r["kind"] == "tick"]
+        assert {r["outcome"] for r in ticks} > {"idle"}
+        expected = list(map(dumps_line, ticks))
+        with mock.patch.object(harness, "json", None):  # any json.dumps call raises
+            assert list(map(trace_line, ticks)) == expected
+
+    @settings(max_examples=300, deadline=None)
+    @given(TICK_ROW)
+    def test_tick_rows_fill_the_template_exactly(self, row):
+        expected = dumps_line(row)
+        with mock.patch.object(harness, "json", None):
+            assert trace_line(row) == expected
+
+    @settings(max_examples=500, deadline=None)
+    @given(TICK_ROW, st.data())
+    def test_other_values_and_keys_fall_back_to_json(self, row, data):
+        key = data.draw(st.sampled_from(["percept", *sorted(row)]))
+        change = data.draw(st.sampled_from(["value", "value", "drop", "add"]))
+        if change == "value":
+            row[key] = data.draw(ODD_PERCEPT if key == "percept" else ODD)
+        elif change == "drop":
+            del row[key]
+        else:
+            row["extra"] = data.draw(ODD)
+        assert trace_line(row) == dumps_line(row)
+
+    @settings(max_examples=300, deadline=None)
+    @given(TICK_ROW, st.data())
+    def test_other_actions_fall_back_to_json(self, row, data):
+        action = row["action"] = data.draw(ACTION.filter(bool))
+        where = data.draw(st.sampled_from([*action, "extra", "cell item"]))
+        odd = data.draw(TWIN | ODD)
+        if where == "cell item":
+            action.get("cell", [0, 0])[data.draw(st.integers(0, 1))] = odd
+        else:
+            action[where] = odd
+        assert trace_line(row) == dumps_line(row)
+
+    @pytest.mark.parametrize("key", ["reward", "coefficient", "q_before", "q_after", "percept"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_floats_fall_back_to_json(self, key, value):
+        row = dict(harness._IDLE_ROW, t=3, node=1, percept=[0.5, 0.25])
+        row[key] = [0.5, value] if key == "percept" else value
+        assert trace_line(row) == dumps_line(row)
+        assert "NaN" in trace_line(row) or "Infinity" in trace_line(row)
+
+    @settings(max_examples=100, deadline=None)
+    @given(STEP_ROW)
+    def test_step_rows_are_written_by_json(self, row):
+        assert trace_line(row) == dumps_line(row)
+
     def test_emitted_files_are_byte_identical_across_runs(self, tmp_path):
         spec = make_channel_spec(4, {(0, 1), (1, 2), (2, 3)}, horizon=50)
         out_a = tmp_path / "a"
