@@ -25,8 +25,9 @@ import numpy as np
 from .env import (Action, Environment, EnvState, MoveTo, SetChannel, ThroughputReport,
                   action_to_dict, satisfied)
 from .kb import Case, KnowledgeBase
-from .learning import (QParams, QTable, StateCodec, Transition, encode_state,
-                       learning_coefficient, q_update)
+# encode_state is the scalar form of Population.states; perfbench times it here.
+from .learning import (IndexOutOfRange, QParams, QTable, StateCodec, Transition,
+                       encode_state, learning_coefficient, q_update)
 from .optimize import (DISRUPTION_THRESHOLD, ControlContext, Controlled,
                        EpsilonGreedy, ExplorationPolicy, location_search,
                        one_step_cells, select_action)
@@ -202,7 +203,7 @@ class Agent:
         percept = population.percept(i, t)
         sample = Sample(percept=percept, achieved=population.achieved[i],
                         demanded=population.demanded[i], t=t)
-        state_index = encode_state(percept, self.config.codec)
+        state_index = population.states[i]
         action, outcome, case = self._reason(env, state, percept, sample, state_index)
         event = TraceEvent(t=t, node=self.node, percept=percept.values,
                            detected=True, outcome=outcome.value, action=action)
@@ -292,7 +293,7 @@ class Agent:
         tr = Transition(
             state=pending.state_index, action=pending.action_index,
             reward=achieved - (disruption_penalty if event.disruption else 0.0),
-            next_state=encode_state(population.percept(i, event.t + 1), self.config.codec))
+            next_state=population.states[i])
         self.table = q_update(self.table, self.config.qparams, tr)
         event.reward = tr.reward
         event.coefficient = coefficient
@@ -304,43 +305,57 @@ class Population:
 
     Every agent feature indexes ThroughputReport.readings; the ragged lists
     share one gather with per-agent offsets, and a percept is
-    clip((reading - lo) / (hi - lo), 0, 1) as in `normalize`. The detector
+    clip((reading - lo) / (hi - lo), 0, 1) as in `normalize`; its state index
+    sums bins times row-major strides, as `encode_state` does. The detector
     is two boolean arrays: has a previous sample, and it was unsatisfied.
-    After `sense`, `fired`, `achieved` and `demanded` hold one entry per agent.
-    With `trace` on, `percepts` also holds every agent's percept values as a
-    list, for the trace rows of idle ticks, and equal values share one float.
+    After `sense`, `fired`, `achieved`, `demanded` and `states` hold one entry
+    per agent. With `trace` on, `percepts` also holds every agent's percept
+    values as a list, for the trace rows of idle ticks: equal bits (-0.0 is
+    not 0.0) share one float, which `percept_texts` formats once.
     """
 
     def __init__(self, agents: list[Agent], env: Environment, trace: bool = True):
         self.agents = list(agents)
         self.trace = trace
-        index, lo, hi, self._offsets = [], [], [], [0]
+        index, lo, hi, bins, strides, self._offsets = [], [], [], [], [], [0]
         for ag in self.agents:
             ag._ensure_table(env)
-            for name, f_lo, f_hi in ag.config.feature_spec.features:
+            features, codec = ag.config.feature_spec.features, ag.config.codec
+            if len(features) != len(codec.bins):
+                raise IndexOutOfRange(f"{len(features)} features, {len(codec.bins)} bins")
+            for name, f_lo, f_hi in features:
                 try:
                     index.append(env.reading_index(ag.node, name))
                 except KeyError:
                     raise MissingFeature(name) from None
                 lo.append(f_lo)
                 hi.append(f_hi)
+            bins += codec.bins
+            strides += [int(np.prod(codec.bins[k + 1:])) for k in range(len(codec.bins))]
             self._offsets.append(len(index))
+        self._ranges = list(zip(self._offsets, self._offsets[1:]))
         self._index = np.array(index, dtype=np.intp)
         self._lo = np.array(lo)
         self._span = np.array(hi) - self._lo
+        self._bins, self._strides, self._starts = (
+            np.array(a, dtype=np.intp) for a in (bins, strides, self._offsets[:-1]))
         self._achieved_at, self._demand_at = (
             np.array([env.reading_index(ag.node, name) for ag in self.agents], dtype=np.intp)
             for name in ("achieved", "demand"))
         self._has_prev, self._prev_unsatisfied = np.zeros((2, len(self.agents)), dtype=bool)
 
     def sense(self, report) -> None:
-        """Gather every percept and advance the detector by one sample."""
+        """Gather every percept, index its state and advance the detector by one sample."""
         readings = report.readings
         values = np.clip((readings[self._index] - self._lo) / self._span, 0.0, 1.0)
-        if self.trace:  # trace rows keep every percept: equal values share a float
-            distinct, at = np.unique(values, return_inverse=True)
-            self._values = list(map(distinct.tolist().__getitem__, at.tolist()))
-            self.percepts = [self._values[a:b] for a, b in zip(self._offsets, self._offsets[1:])]
+        cells = np.minimum((values * self._bins).astype(np.intp), self._bins - 1)
+        self.states = np.add.reduceat(cells * self._strides, self._starts).tolist()
+        if self.trace:  # trace rows keep every percept: equal bits share one float
+            _, first, at = np.unique(values.view(np.uint64), return_index=True,
+                                     return_inverse=True)
+            self._distinct, self._at = values[first].tolist(), at.tolist()
+            self._values = list(map(self._distinct.__getitem__, self._at))
+            self.percepts = [self._values[a:b] for a, b in self._ranges]
         else:
             self._values = values.tolist()
         achieved = readings[self._achieved_at]
@@ -351,6 +366,16 @@ class Population:
         self._prev_unsatisfied = unsatisfied
         self.achieved = achieved.tolist()
         self.demanded = demanded.tolist()
+
+    def percept_texts(self) -> list[str] | None:
+        """Each agent's percept of the last traced `sense` as json.dumps writes
+        a list's items; None if a value is not finite (JSON's NaN, Infinity)."""
+        if not np.isfinite(self._distinct).all():
+            return None
+        reprs = list(map(float.__repr__, self._distinct))
+        keys = [tuple(self._at[a:b]) for a, b in self._ranges]
+        text = {key: ", ".join(map(reprs.__getitem__, key)) for key in set(keys)}
+        return list(map(text.__getitem__, keys))
 
     def acted(self, i: int) -> None:
         """Agent i emitted an action: its next trigger needs two fresh samples."""

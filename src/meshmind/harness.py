@@ -7,7 +7,8 @@ every agent in ascending node order, applies their actions as one batch,
 senses all agents in one batched pass, lets each agent that acted score its
 own action, and appends one step row. The run report is aggregated from
 those step rows by `report_from_trace`, the same function that recomputes
-it from an emitted trace.
+it from an emitted trace. A run with an output directory writes each
+step's trace lines as the step ends; `emit` writes the other files after.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from __future__ import annotations
 import json
 import time
 from collections import Counter
-from contextlib import suppress
+from contextlib import contextmanager, nullcontext, suppress
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
@@ -26,7 +27,7 @@ from .agent import (CHANNEL_KIND, LOCATION_KIND, Agent, AgentConfig, AgentParams
                     Population, TraceEvent)
 from .env import (DemandProfile, EnvConfig, Environment, EnvState, MeshTopology,
                   UserSpec)
-# encode_state runs in Agent.observe; perfbench still times it at this name.
+# encode_state is not called here; perfbench still times it at this name.
 from .learning import (QParams, QTable, StateCodec, Transition, encode_state,
                        format_q_table, q_update)
 from .optimize import (Boltzmann, Controlled, EpsilonGreedy,
@@ -372,7 +373,9 @@ def run_scenario(spec: ScenarioSpec, seed: int | None = None,
     collect_trace=True each step row is preceded by one tick row per agent
     in node order: `TraceEvent.to_record()` if it triggered, else `_IDLE_ROW`
     with its t, node and percept. With collect_trace=False the tick rows are
-    omitted, which keeps long sweeps cheap. A zero-horizon run returns no records.
+    omitted, which keeps long sweeps cheap. A zero-horizon run returns no
+    records. With out_dir, each step's rows go to trace.jsonl as the step
+    ends, so wall_time_s includes writing it; `emit` writes the rest.
     """
     started = time.perf_counter()
     run_seed = spec.seed if seed is None else seed
@@ -384,36 +387,45 @@ def run_scenario(spec: ScenarioSpec, seed: int | None = None,
     population.sense(report)
 
     records: list[dict] = []
-    for _ in range(spec.horizon):
-        actions, acting, events = [], [], []
-        for i, ag in enumerate(agents):
-            action, event = ag.tick(env, state, population, i)
-            if event is not None:
-                events.append(event)
-            if action is not None:
-                actions.append(action)
-                acting.append(i)
-        if collect_trace:  # idle rows now, before the next sense replaces the percepts
-            rows = [None if fire else dict(_IDLE_ROW, t=state.t, node=ag.node, percept=percept)
-                    for ag, fire, percept in zip(agents, population.fired, population.percepts)]
+    with nullcontext() if out_dir is None else _trace_file(Path(out_dir)) as trace:
+        for _ in range(spec.horizon):
+            actions, acting, events = [], [], []
+            for i, ag in enumerate(agents):
+                action, event = ag.tick(env, state, population, i)
+                if event is not None:
+                    events.append(event)
+                if action is not None:
+                    actions.append(action)
+                    acting.append(i)
+            if collect_trace:  # idle rows now, before the next sense replaces the percepts
+                rows = [None if fire else dict(_IDLE_ROW, t=state.t, node=ag.node, percept=p)
+                        for ag, fire, p in zip(agents, population.fired, population.percepts)]
+                texts = (trace is not None and population.percept_texts()) or [None] * len(rows)
+                lines = [None if fire or text is None else _IDLE_LINE % (ag.node, text, state.t)
+                         for ag, fire, text in zip(agents, population.fired, texts)]
 
-        state, report = env.apply_and_step(state, actions, report)
-        population.sense(report)  # serves this feedback and the next step
-        for i in acting:
-            agents[i].observe(population, i, spec.disruption_penalty)
+            state, report = env.apply_and_step(state, actions, report)
+            population.sense(report)  # serves this feedback and the next step
+            for i in acting:
+                agents[i].observe(population, i, spec.disruption_penalty)
 
-        if collect_trace:
-            triggered = iter(events)
-            records.extend(row or next(triggered).to_record() for row in rows)
-        records.append({
-            "kind": "step", "t": state.t, "conflicts": report.conflicts,
-            "total_demand": sum(state.demand.values()),
-            "total_achieved": sum(report.achieved.values()),
-            "actions": len(actions), "triggered": len(events),
-            "reuse": sum(ev.outcome == "reuse" for ev in events),
-            "switches": sum(ev.switched for ev in events),
-            "disruptions": sum(ev.disruption for ev in events),
-        })
+            if collect_trace:
+                triggered = iter(events)
+                rows = [row or next(triggered).to_record() for row in rows]
+                records.extend(rows)
+            records.append({
+                "kind": "step", "t": state.t, "conflicts": report.conflicts,
+                "total_demand": sum(state.demand.values()),
+                "total_achieved": sum(report.achieved.values()),
+                "actions": len(actions), "triggered": len(events),
+                "reuse": sum(ev.outcome == "reuse" for ev in events),
+                "switches": sum(ev.switched for ev in events),
+                "disruptions": sum(ev.disruption for ev in events),
+            })
+            if trace is not None:
+                if collect_trace:
+                    trace.writelines([line or trace_line(row) for line, row in zip(lines, rows)])
+                trace.write(trace_line(records[-1]))
 
     run_report = RunReport(**report_from_trace(records),
                            wall_time_s=time.perf_counter() - started)
@@ -437,14 +449,23 @@ def sweep(spec: ScenarioSpec, seeds, out_dir=None) -> dict[int, RunReport]:
 # -- emission -----------------------------------------------------------------
 
 
+@contextmanager
+def _trace_file(out: Path):
+    """out/trace.jsonl, open for writing; an OSError while it is open is an IoFailure."""
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+        with open(out / "trace.jsonl", "w") as fh:
+            yield fh
+    except OSError as exc:
+        raise IoFailure(str(exc)) from exc
+
+
 def emit(out_dir, records, report: RunReport, qtables: dict[int, QTable]) -> None:
-    """Write trace, report, metrics and value tables, byte-stable per seed,
-    and the run's timings."""
+    """Write report, metrics and value tables, byte-stable per seed, and
+    the run's timings. `run_scenario` writes trace.jsonl during the run."""
     try:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
-        with open(out / "trace.jsonl", "w") as fh:
-            fh.writelines(map(trace_line, records))
         (out / "report.txt").write_text("".join(f"{k}={v}\n" for k, v in report.rows()))
         (out / "timings.json").write_text(json.dumps({"wall_time_s": report.wall_time_s}) + "\n")
         columns = ["t", "conflicts", "total_demand", "total_achieved",
@@ -498,6 +519,11 @@ def trace_line(record: dict) -> str:
             if "inf" not in line and "nan" not in line:  # json.dumps writes Infinity, NaN
                 return line
     return json.dumps(record, sort_keys=True) + "\n"
+
+
+# An idle tick's trace_line, with %-slots for its node, percept text and t.
+_IDLE_LINE = (trace_line(dict(_IDLE_ROW, node=0, percept=[], t=0)).replace("[]", "[%s]")
+              .replace('"node": 0', '"node": %d').replace('"t": 0', '"t": %d'))
 
 
 def report_from_trace(records) -> dict:

@@ -1,7 +1,9 @@
+import json
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from meshmind import (Agent, AgentConfig, DemandProfile, EnvConfig,
                       Environment, FeatureSpec, MeshTopology,
@@ -12,6 +14,7 @@ from meshmind.agent import (NonConsecutiveSamples, Population, TraceEvent,
 from meshmind.env import ThroughputReport, satisfied
 from meshmind.kb import Case
 from meshmind.harness import build_agents, run_scenario
+from meshmind.learning import IndexOutOfRange, encode_state
 from meshmind.optimize import Controlled, EpsilonGreedy
 from meshmind.reasoning import MissingFeature, normalize
 
@@ -42,6 +45,19 @@ def channel_agent(node=0, seed=0, epsilon=0.2):
         qparams=QParams(alpha=0.4, gamma=0.3),
         policy=EpsilonGreedy(epsilon))
     return Agent(node, config, run_seed=seed)
+
+
+def two_relay_spec(horizon=60):
+    """Two relays on a 4x2 field, one serving two users and one serving a
+    third: their percepts hold four and three features."""
+    spec = make_location_spec(horizon=horizon)
+    cells = frozenset((x, y) for x in range(4) for y in range(2))
+    topo = MeshTopology(positions={0: (1, 0), 1: (2, 1)}, edges=set(), channels=(1,),
+                        allowed={0: cells, 1: cells})
+    users = [*spec.env_config.users,
+             UserSpec(user=2, position=(3, 1), demand=DemandProfile.periodic(
+                 30, [(0, 2.0), (15, 0.2)], horizon), node=1)]
+    return replace(spec, env_config=replace(spec.env_config, topology=topo, users=users))
 
 
 def drive(env, agents, steps, force=None, start=None, penalty=0.0):
@@ -170,6 +186,68 @@ class TestPopulation:
                 if expected and rng.random() < 0.5:
                     population.acted(i)
                     previous[i] = None
+
+    @pytest.mark.parametrize("spec", [
+        make_channel_spec(9, {(i, i + 1) for i in range(8) if i % 3 < 2}
+                          | {(i, i + 3) for i in range(6)},
+                          positions=grid_positions(9, width=3), horizon=60),
+        make_location_spec(),
+        two_relay_spec(),
+    ], ids=["channel", "location", "two-relays"])
+    def test_states_match_scalar_encode_state(self, spec):
+        env = Environment(spec.env_config)
+        agents = build_agents(spec, env, env.reset(), seed=0)
+        run, checked = None, set()
+        for _ in range(spec.horizon):
+            run, _ = drive(env, agents, 1, start=run)
+            state, _, population = run
+            for i, ag in enumerate(agents):
+                expected = encode_state(population.percept(i, state.t), ag.config.codec)
+                assert population.states[i] == expected
+                checked.add(expected)
+        assert len(checked) > 1
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_states_on_bin_edges_match_scalar_encode_state(self, data):
+        env = channel_env()
+        names = ("conflicts", "demand", "achieved")
+        agents, readings = [], np.zeros(12)  # five per-node readings of two nodes, two users
+        for node in (0, 1):
+            bins = data.draw(st.lists(st.integers(1, 6), min_size=1, max_size=3))
+            agents.append(Agent(node, AgentConfig(
+                kind="channel-assignment", codec=StateCodec(tuple(bins)),
+                feature_spec=FeatureSpec(tuple((n, 0.0, 1.0) for n in names[:len(bins)])))))
+            for name in names[:len(bins)]:  # on the unit range a percept is its reading
+                edges = [k / b for b in bins for k in range(b + 1)]
+                readings[env.reading_index(node, name)] = data.draw(
+                    st.sampled_from([*edges, 0.0, -0.0, 1.0]) | st.floats(0.0, 1.0))
+        population = Population(agents, env)
+        population.sense(ThroughputReport(achieved={}, conflicts=0, readings=readings))
+        assert population.states == [encode_state(population.percept(i, 0), ag.config.codec)
+                                     for i, ag in enumerate(agents)]
+
+    def test_percept_texts_are_the_json_items_of_each_percept(self):
+        env = channel_env()
+        population = Population([channel_agent(0), channel_agent(1)], env)
+        readings = np.zeros(12)  # five per-node readings of two nodes, two users
+        demand_at = [env.reading_index(n, "demand") for n in (0, 1)]
+        for demands in ([5.0, 5.0], [-0.0, 0.0], [1.0, 2.5]):
+            readings[demand_at] = demands
+            population.sense(ThroughputReport(achieved={}, conflicts=0, readings=readings))
+            texts = population.percept_texts()
+            assert [f"[{text}]" for text in texts] == list(map(json.dumps, population.percepts))
+            assert (texts[0] is texts[1]) == (demands[0].hex() == demands[1].hex())
+        readings[env.reading_index(1, "achieved")] = np.nan  # JSON writes NaN, not a number
+        with np.errstate(invalid="ignore"):  # nor is it a state bin
+            population.sense(ThroughputReport(achieved={}, conflicts=0, readings=readings))
+        assert population.percept_texts() is None
+
+    def test_codec_must_match_the_feature_count(self):
+        agent = channel_agent()
+        agent.config = replace(agent.config, codec=StateCodec(bins=(2, 2)))
+        with pytest.raises(IndexOutOfRange):
+            Population([agent], channel_env())
 
     def test_unknown_feature_is_missing(self):
         env = channel_env()

@@ -13,8 +13,9 @@ from meshmind import (DemandProfile, EnvConfig, Environment, EpsilonGreedy,
                       MdpSpec, MeshTopology, QParams, UserSpec, harness,
                       load_scenario, q_learning_on_mdp, run_scenario, sweep,
                       value_iteration)
+from meshmind.agent import Population
 from meshmind.harness import (AgentParams, NonStochasticRow, ScenarioSpec,
-                              SpecValidation, report_from_trace,
+                              SpecValidation, build_agents, report_from_trace,
                               scenario_from_dict, trace_line)
 from meshmind.reasoning import Outcome
 
@@ -231,6 +232,45 @@ class TestEmission:
     @given(STEP_ROW)
     def test_step_rows_are_written_by_json(self, row):
         assert trace_line(row) == dumps_line(row)
+
+    def test_traced_percepts_keep_the_sign_of_zero(self, tmp_path):
+        data = yaml.safe_load((SCENARIO_DIR / "follow_demand_location.yaml").read_text())
+        data["horizon"] = 2
+        data["env"]["users"][0]["demand"] = [[0, -0.0], [5, 1.0]]
+        data["env"]["users"][1]["demand"] = 0.0
+        spec = scenario_from_dict(data)
+        _, records = run_scenario(spec, out_dir=tmp_path)
+        assert not any(r["actions"] for r in records if r["kind"] == "step")
+        # the untraced batched pass over the same steps, with no action taken
+        env = Environment(spec.env_config)
+        state = env.reset()
+        population = Population(build_agents(spec, env, state, spec.seed), env, trace=False)
+        population.sense(env.report_for(state))
+        expected = []
+        for _ in range(spec.horizon):
+            expected.append(list(map(float.hex, population.percept(0, state.t).values)))
+            state, report = env.apply_and_step(state, [])
+            population.sense(report)
+        lines = (tmp_path / "trace.jsonl").read_text().splitlines()
+        for rows in (records, map(json.loads, lines)):
+            ticks = [r for r in rows if r["kind"] == "tick"]
+            assert [list(map(float.hex, r["percept"])) for r in ticks] == expected
+        assert "-0x0.0p+0" in expected[0]
+        assert '"percept": [0.6666666666666666, 0.0, -0.0, 0.0]' in lines[0]
+
+    def test_steps_without_percept_texts_are_written_by_trace_line(self, tmp_path):
+        spec = make_channel_spec(4, {(0, 1), (1, 2), (2, 3)}, horizon=50)
+        run_scenario(spec, seed=9, out_dir=tmp_path / "texts")
+        with mock.patch.object(Population, "percept_texts", return_value=None):  # as if NaN
+            run_scenario(spec, seed=9, out_dir=tmp_path / "none")
+        assert ((tmp_path / "texts" / "trace.jsonl").read_bytes()
+                == (tmp_path / "none" / "trace.jsonl").read_bytes())
+
+    def test_unwritable_out_dir_is_an_io_failure(self, tmp_path):
+        occupied = tmp_path / "file"
+        occupied.write_text("")
+        with pytest.raises(harness.IoFailure):
+            run_scenario(tiny_spec(horizon=3), out_dir=occupied)
 
     def test_emitted_files_are_byte_identical_across_runs(self, tmp_path):
         spec = make_channel_spec(4, {(0, 1), (1, 2), (2, 3)}, horizon=50)

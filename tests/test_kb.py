@@ -1,5 +1,6 @@
 import math
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -117,6 +118,16 @@ class TestRevise:
         kb = KnowledgeBase(capacity=4)
         with pytest.raises(UnknownCase):
             kb.revise(case((0.5,)), coefficient=0.4)
+
+    def test_equal_copy_of_a_stored_case_is_unknown(self):
+        kb = KnowledgeBase(capacity=4)
+        stored = case((0.5,), coefficient=0.2)
+        kb.retain(stored)
+        copy = replace(stored)
+        assert copy == stored and copy is not stored
+        with pytest.raises(UnknownCase):
+            kb.revise(copy, coefficient=0.9)
+        assert stored.coefficient == 0.2 and len(kb) == 1 and kb.cases[0] is stored
 
     def test_invalid_coefficient(self):
         kb = KnowledgeBase(capacity=4)
