@@ -18,6 +18,7 @@ penalises a disruption and updates the value table.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -203,7 +204,7 @@ class Agent:
         percept = population.percept(i, t)
         sample = Sample(percept=percept, achieved=population.achieved[i],
                         demanded=population.demanded[i], t=t)
-        state_index = population.states[i]
+        state_index = int(population.states[i])  # ValueError on NaN, as in encode_state
         action, outcome, case = self._reason(env, state, percept, sample, state_index)
         event = TraceEvent(t=t, node=self.node, percept=percept.values,
                            detected=True, outcome=outcome.value, action=action)
@@ -293,7 +294,7 @@ class Agent:
         tr = Transition(
             state=pending.state_index, action=pending.action_index,
             reward=achieved - (disruption_penalty if event.disruption else 0.0),
-            next_state=population.states[i])
+            next_state=int(population.states[i]))
         self.table = q_update(self.table, self.config.qparams, tr)
         event.reward = tr.reward
         event.coefficient = coefficient
@@ -305,35 +306,34 @@ class Population:
 
     Every agent feature indexes ThroughputReport.readings; the ragged lists
     share one gather with per-agent offsets, and a percept is
-    clip((reading - lo) / (hi - lo), 0, 1) as in `normalize`; its state index
-    sums bins times row-major strides, as `encode_state` does. The detector
-    is two boolean arrays: has a previous sample, and it was unsatisfied.
-    After `sense`, `fired`, `achieved`, `demanded` and `states` hold one entry
-    per agent. With `trace` on, `percepts` also holds every agent's percept
-    values as a list, for the trace rows of idle ticks: equal bits (-0.0 is
-    not 0.0) share one float, which `percept_texts` formats once.
+    clip((reading - lo) / (hi - lo), 0, 1) as in `normalize`. Its state
+    index is `encode_state`'s sum as a float: NaN for a NaN percept, which
+    `int` rejects. The detector is two boolean arrays: has a previous sample,
+    and it was unsatisfied. After `sense`, `fired`, `achieved`, `demanded`
+    and `states` hold one entry per agent. With `trace` on, `percepts` also
+    holds every agent's percept values as a list, for the trace rows of idle
+    ticks; equal bits (-0.0 is not 0.0) share one float, formatted once.
     """
 
     def __init__(self, agents: list[Agent], env: Environment, trace: bool = True):
         self.agents = list(agents)
         self.trace = trace
-        index, lo, hi, bins, strides, self._offsets = [], [], [], [], [], [0]
+        index, lo, hi, bins, self._offsets = [], [], [], [], [0]
         for ag in self.agents:
             ag._ensure_table(env)
-            features, codec = ag.config.feature_spec.features, ag.config.codec
-            if len(features) != len(codec.bins):
-                raise IndexOutOfRange(f"{len(features)} features, {len(codec.bins)} bins")
-            for name, f_lo, f_hi in features:
+            for name, f_lo, f_hi in ag.config.feature_spec.features:
                 try:
                     index.append(env.reading_index(ag.node, name))
                 except KeyError:
                     raise MissingFeature(name) from None
                 lo.append(f_lo)
                 hi.append(f_hi)
-            bins += codec.bins
-            strides += [int(np.prod(codec.bins[k + 1:])) for k in range(len(codec.bins))]
+            bins += ag.config.codec.bins
             self._offsets.append(len(index))
+            if len(bins) != len(index):  # both counts matched up to this agent
+                raise IndexOutOfRange(f"node {ag.node}: codec bins do not match its features")
         self._ranges = list(zip(self._offsets, self._offsets[1:]))
+        strides = [int(np.prod(bins[k + 1:b])) for a, b in self._ranges for k in range(a, b)]
         self._index = np.array(index, dtype=np.intp)
         self._lo = np.array(lo)
         self._span = np.array(hi) - self._lo
@@ -348,11 +348,10 @@ class Population:
         """Gather every percept, index its state and advance the detector by one sample."""
         readings = report.readings
         values = np.clip((readings[self._index] - self._lo) / self._span, 0.0, 1.0)
-        cells = np.minimum((values * self._bins).astype(np.intp), self._bins - 1)
+        cells = np.minimum(np.floor(values * self._bins), self._bins - 1)
         self.states = np.add.reduceat(cells * self._strides, self._starts).tolist()
         if self.trace:  # trace rows keep every percept: equal bits share one float
-            _, first, at = np.unique(values.view(np.uint64), return_index=True,
-                                     return_inverse=True)
+            _, first, at = np.unique(values.view(np.uint64), return_index=True, return_inverse=True)
             self._distinct, self._at = values[first].tolist(), at.tolist()
             self._values = list(map(self._distinct.__getitem__, self._at))
             self.percepts = [self._values[a:b] for a, b in self._ranges]
@@ -367,12 +366,10 @@ class Population:
         self.achieved = achieved.tolist()
         self.demanded = demanded.tolist()
 
-    def percept_texts(self) -> list[str] | None:
-        """Each agent's percept of the last traced `sense` as json.dumps writes
-        a list's items; None if a value is not finite (JSON's NaN, Infinity)."""
-        if not np.isfinite(self._distinct).all():
-            return None
-        reprs = list(map(float.__repr__, self._distinct))
+    def percept_texts(self) -> list[str]:
+        """Each agent's last traced percept as json.dumps writes a list's
+        items; agents with the same value indices share one string."""
+        reprs = list(map(json.dumps, self._distinct))
         keys = [tuple(self._at[a:b]) for a, b in self._ranges]
         text = {key: ", ".join(map(reprs.__getitem__, key)) for key in set(keys)}
         return list(map(text.__getitem__, keys))

@@ -231,8 +231,8 @@ class EnvConfig:
 
     def __post_init__(self):
         for name in ("pathloss_exponent", "tx_power", "noise_floor", "bandwidth_unit"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be > 0")
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be > 0 and finite")
         if self.horizon < 1:
             raise ValueError("horizon must be >= 1")
         topo = self.topology

@@ -6,9 +6,8 @@ and reports every problem in one SpecValidation. Each step of a run ticks
 every agent in ascending node order, applies their actions as one batch,
 senses all agents in one batched pass, lets each agent that acted score its
 own action, and appends one step row. The run report is aggregated from
-those step rows by `report_from_trace`, the same function that recomputes
-it from an emitted trace. A run with an output directory writes each
-step's trace lines as the step ends; `emit` writes the other files after.
+those step rows by `report_from_trace`, which also recomputes it from the
+trace.jsonl that a run with an output directory writes as its steps end.
 """
 
 from __future__ import annotations
@@ -374,8 +373,8 @@ def run_scenario(spec: ScenarioSpec, seed: int | None = None,
     in node order: `TraceEvent.to_record()` if it triggered, else `_IDLE_ROW`
     with its t, node and percept. With collect_trace=False the tick rows are
     omitted, which keeps long sweeps cheap. A zero-horizon run returns no
-    records. With out_dir, each step's rows go to trace.jsonl as the step
-    ends, so wall_time_s includes writing it; `emit` writes the rest.
+    records. With out_dir, trace.jsonl is written as the run goes, counted in
+    wall_time_s; a run that raises leaves out_dir's files as they were.
     """
     started = time.perf_counter()
     run_seed = spec.seed if seed is None else seed
@@ -400,9 +399,10 @@ def run_scenario(spec: ScenarioSpec, seed: int | None = None,
             if collect_trace:  # idle rows now, before the next sense replaces the percepts
                 rows = [None if fire else dict(_IDLE_ROW, t=state.t, node=ag.node, percept=p)
                         for ag, fire, p in zip(agents, population.fired, population.percepts)]
-                texts = (trace is not None and population.percept_texts()) or [None] * len(rows)
-                lines = [None if fire or text is None else _IDLE_LINE % (ag.node, text, state.t)
-                         for ag, fire, text in zip(agents, population.fired, texts)]
+                if trace is not None:
+                    texts = population.percept_texts()
+                    lines = [None if fire else _IDLE_LINE % (ag.node, text, state.t)
+                             for ag, fire, text in zip(agents, population.fired, texts)]
 
             state, report = env.apply_and_step(state, actions, report)
             population.sense(report)  # serves this feedback and the next step
@@ -451,21 +451,25 @@ def sweep(spec: ScenarioSpec, seeds, out_dir=None) -> dict[int, RunReport]:
 
 @contextmanager
 def _trace_file(out: Path):
-    """out/trace.jsonl, open for writing; an OSError while it is open is an IoFailure."""
+    """A file that becomes out/trace.jsonl if the run completes; an OSError is an IoFailure."""
+    partial = out / "trace.jsonl.partial"
     try:
         out.mkdir(parents=True, exist_ok=True)
-        with open(out / "trace.jsonl", "w") as fh:
+        with open(partial, "w") as fh:
             yield fh
+        partial.replace(out / "trace.jsonl")
     except OSError as exc:
         raise IoFailure(str(exc)) from exc
+    finally:  # a failed run leaves out as it was
+        with suppress(OSError):
+            partial.unlink()
 
 
 def emit(out_dir, records, report: RunReport, qtables: dict[int, QTable]) -> None:
-    """Write report, metrics and value tables, byte-stable per seed, and
-    the run's timings. `run_scenario` writes trace.jsonl during the run."""
+    """Write report, metrics and value tables, byte-stable per seed, and the
+    run's timings, next to the trace.jsonl that `run_scenario` has written."""
     try:
         out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
         (out / "report.txt").write_text("".join(f"{k}={v}\n" for k, v in report.rows()))
         (out / "timings.json").write_text(json.dumps({"wall_time_s": report.wall_time_s}) + "\n")
         columns = ["t", "conflicts", "total_demand", "total_achieved",

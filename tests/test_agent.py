@@ -1,4 +1,5 @@
 import json
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -232,22 +233,42 @@ class TestPopulation:
         population = Population([channel_agent(0), channel_agent(1)], env)
         readings = np.zeros(12)  # five per-node readings of two nodes, two users
         demand_at = [env.reading_index(n, "demand") for n in (0, 1)]
-        for demands in ([5.0, 5.0], [-0.0, 0.0], [1.0, 2.5]):
+        for demands in ([5.0, 5.0], [-0.0, 0.0], [1.0, 2.5], [np.nan, 0.3]):
             readings[demand_at] = demands
             population.sense(ThroughputReport(achieved={}, conflicts=0, readings=readings))
             texts = population.percept_texts()
             assert [f"[{text}]" for text in texts] == list(map(json.dumps, population.percepts))
             assert (texts[0] is texts[1]) == (demands[0].hex() == demands[1].hex())
-        readings[env.reading_index(1, "achieved")] = np.nan  # JSON writes NaN, not a number
-        with np.errstate(invalid="ignore"):  # nor is it a state bin
-            population.sense(ThroughputReport(achieved={}, conflicts=0, readings=readings))
-        assert population.percept_texts() is None
+        assert texts[0] == "0.0, NaN, 0.0"  # as json.dumps writes a NaN
 
-    def test_codec_must_match_the_feature_count(self):
+    def test_nan_percept_fails_the_tick_and_the_feedback_that_index_it(self):
+        env = channel_env()
         agent = channel_agent()
-        agent.config = replace(agent.config, codec=StateCodec(bins=(2, 2)))
-        with pytest.raises(IndexOutOfRange):
-            Population([agent], channel_env())
+        population = Population([agent], env)
+        report = starved_report(env)
+        population.sense(report)
+        population.sense(report)
+        action, _ = agent.tick(env, env.reset(), population, 0)
+        assert action is not None
+        readings = report.readings.copy()
+        readings[env.reading_index(0, "conflicts")] = np.nan
+        nan_report = replace(report, readings=readings)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no invalid-cast warning while indexing
+            population.sense(nan_report)
+        with pytest.raises(ValueError, match="NaN"):  # as encode_state raised
+            agent.observe(population, 0, 0.0)
+        population.sense(nan_report)
+        assert population.fired == [True]
+        with pytest.raises(ValueError, match="NaN"):
+            agent.tick(env, env.reset(), population, 0)
+
+    @pytest.mark.parametrize("node", [0, 1])
+    def test_codec_must_match_the_feature_count(self, node):
+        agents = [channel_agent(0), channel_agent(1)]
+        agents[node].config = replace(agents[node].config, codec=StateCodec(bins=(2, 2)))
+        with pytest.raises(IndexOutOfRange, match=f"node {node}"):
+            Population(agents, channel_env())
 
     def test_unknown_feature_is_missing(self):
         env = channel_env()

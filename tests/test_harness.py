@@ -13,7 +13,7 @@ from meshmind import (DemandProfile, EnvConfig, Environment, EpsilonGreedy,
                       MdpSpec, MeshTopology, QParams, UserSpec, harness,
                       load_scenario, q_learning_on_mdp, run_scenario, sweep,
                       value_iteration)
-from meshmind.agent import Population
+from meshmind.agent import Agent, Population
 from meshmind.harness import (AgentParams, NonStochasticRow, ScenarioSpec,
                               SpecValidation, build_agents, report_from_trace,
                               scenario_from_dict, trace_line)
@@ -258,13 +258,25 @@ class TestEmission:
         assert "-0x0.0p+0" in expected[0]
         assert '"percept": [0.6666666666666666, 0.0, -0.0, 0.0]' in lines[0]
 
-    def test_steps_without_percept_texts_are_written_by_trace_line(self, tmp_path):
+    def test_records_only_run_formats_no_trace_text(self):
+        with mock.patch.object(Population, "percept_texts", side_effect=AssertionError):
+            _, records = run_scenario(tiny_spec(horizon=5))
+        assert any(r["kind"] == "tick" for r in records)
+
+    def test_failed_run_leaves_out_dir_as_it_was(self, tmp_path):
         spec = make_channel_spec(4, {(0, 1), (1, 2), (2, 3)}, horizon=50)
-        run_scenario(spec, seed=9, out_dir=tmp_path / "texts")
-        with mock.patch.object(Population, "percept_texts", return_value=None):  # as if NaN
-            run_scenario(spec, seed=9, out_dir=tmp_path / "none")
-        assert ((tmp_path / "texts" / "trace.jsonl").read_bytes()
-                == (tmp_path / "none" / "trace.jsonl").read_bytes())
+        run_scenario(spec, seed=9, out_dir=tmp_path)
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        with mock.patch.object(Agent, "observe", side_effect=RuntimeError("stop")):
+            with pytest.raises(RuntimeError, match="stop"):
+                run_scenario(spec, seed=3, out_dir=tmp_path)
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+    def test_infinite_radio_setting_is_rejected_at_load(self):
+        data = yaml.safe_load((SCENARIO_DIR / "ring6_channels.yaml").read_text())
+        data["env"]["tx_power"] = float("inf")  # every link's SINR would be inf / inf
+        with pytest.raises(SpecValidation, match="tx_power must be > 0 and finite"):
+            scenario_from_dict(data)
 
     def test_unwritable_out_dir_is_an_io_failure(self, tmp_path):
         occupied = tmp_path / "file"
