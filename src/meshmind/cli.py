@@ -53,7 +53,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cmd_run(args) -> int:
     spec = harness.load_scenario(args.spec)
-    report, _ = harness.run_scenario(spec, seed=args.seed, out_dir=args.out)
+    report, _ = harness.run_scenario(spec, seed=args.seed, out_dir=args.out,
+                                     collect_trace=args.out is not None)
     for key, value in report.rows():
         print(f"{key}={value}")
     print(f"wall_time_s={report.wall_time_s}")

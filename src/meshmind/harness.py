@@ -5,9 +5,9 @@ they may hold, with its type; `scenario_from_dict` reads a file against it
 and reports every problem in one SpecValidation. Each step of a run ticks
 every agent in ascending node order, applies their actions as one batch,
 senses all agents in one batched pass, lets each agent that acted score its
-own action, and appends one step row. The run report is aggregated from
-those step rows by `report_from_trace`, which also recomputes it from the
-trace.jsonl that a run with an output directory writes as its steps end.
+own action, and appends one step row. Tick rows go to the trace.jsonl that
+a run with an output directory writes as it goes, or else to its records;
+`report_from_trace` aggregates the run report from the step rows of either.
 """
 
 from __future__ import annotations
@@ -371,10 +371,11 @@ def run_scenario(spec: ScenarioSpec, seed: int | None = None,
     report is aggregated from those rows by `report_from_trace`. With
     collect_trace=True each step row is preceded by one tick row per agent
     in node order: `TraceEvent.to_record()` if it triggered, else `_IDLE_ROW`
-    with its t, node and percept. With collect_trace=False the tick rows are
-    omitted, which keeps long sweeps cheap. A zero-horizon run returns no
-    records. With out_dir, trace.jsonl is written as the run goes, counted in
-    wall_time_s; a run that raises leaves out_dir's files as they were.
+    with its t, node and percept. They go to records, or with out_dir to
+    trace.jsonl alone, which is written row by row as the run goes, counted
+    in wall_time_s, and records holds only the step rows; a run that raises
+    leaves out_dir's files as they were. collect_trace=False makes no tick
+    rows, which keeps long sweeps cheap. A zero-horizon run returns no records.
     """
     started = time.perf_counter()
     run_seed = spec.seed if seed is None else seed
@@ -387,6 +388,8 @@ def run_scenario(spec: ScenarioSpec, seed: int | None = None,
 
     records: list[dict] = []
     with nullcontext() if out_dir is None else _trace_file(Path(out_dir)) as trace:
+        finish, put = ((TraceEvent.to_record, records.extend) if trace is None else
+                       (lambda event: trace_line(event.to_record()), trace.writelines))
         for _ in range(spec.horizon):
             actions, acting, events = [], [], []
             for i, ag in enumerate(agents):
@@ -396,13 +399,12 @@ def run_scenario(spec: ScenarioSpec, seed: int | None = None,
                 if action is not None:
                     actions.append(action)
                     acting.append(i)
-            if collect_trace:  # idle rows now, before the next sense replaces the percepts
-                rows = [None if fire else dict(_IDLE_ROW, t=state.t, node=ag.node, percept=p)
-                        for ag, fire, p in zip(agents, population.fired, population.percepts)]
-                if trace is not None:
-                    texts = population.percept_texts()
-                    lines = [None if fire else _IDLE_LINE % (ag.node, text, state.t)
-                             for ag, fire, text in zip(agents, population.fired, texts)]
+            if collect_trace and trace is None:  # idle entries now, before sense replaces percepts
+                ticks = [None if fire else dict(_IDLE_ROW, t=state.t, node=ag.node, percept=p)
+                         for ag, fire, p in zip(agents, population.fired, population.percepts)]
+            elif collect_trace:
+                ticks = [None if fire else _IDLE_LINE % (ag.node, text, state.t) for ag, fire, text
+                         in zip(agents, population.fired, population.percept_texts())]
 
             state, report = env.apply_and_step(state, actions, report)
             population.sense(report)  # serves this feedback and the next step
@@ -411,8 +413,7 @@ def run_scenario(spec: ScenarioSpec, seed: int | None = None,
 
             if collect_trace:
                 triggered = iter(events)
-                rows = [row or next(triggered).to_record() for row in rows]
-                records.extend(rows)
+                put([tick or finish(next(triggered)) for tick in ticks])
             records.append({
                 "kind": "step", "t": state.t, "conflicts": report.conflicts,
                 "total_demand": sum(state.demand.values()),
@@ -423,8 +424,6 @@ def run_scenario(spec: ScenarioSpec, seed: int | None = None,
                 "disruptions": sum(ev.disruption for ev in events),
             })
             if trace is not None:
-                if collect_trace:
-                    trace.writelines([line or trace_line(row) for line, row in zip(lines, rows)])
                 trace.write(trace_line(records[-1]))
 
     run_report = RunReport(**report_from_trace(records),
@@ -465,9 +464,9 @@ def _trace_file(out: Path):
             partial.unlink()
 
 
-def emit(out_dir, records, report: RunReport, qtables: dict[int, QTable]) -> None:
-    """Write report, metrics and value tables, byte-stable per seed, and the
-    run's timings, next to the trace.jsonl that `run_scenario` has written."""
+def emit(out_dir, steps, report: RunReport, qtables: dict[int, QTable]) -> None:
+    """Write report, metrics (a row per step row) and value tables, byte-stable
+    per seed, and timings, next to the trace.jsonl `run_scenario` has written."""
     try:
         out = Path(out_dir)
         (out / "report.txt").write_text("".join(f"{k}={v}\n" for k, v in report.rows()))
@@ -476,8 +475,7 @@ def emit(out_dir, records, report: RunReport, qtables: dict[int, QTable]) -> Non
                    "actions", "switches", "disruptions"]
         with open(out / "metrics.csv", "w") as fh:
             fh.write(",".join(columns) + "\n")
-            fh.writelines(",".join(str(row[c]) for c in columns) + "\n"
-                          for row in records if row.get("kind") == "step")
+            fh.writelines(",".join(str(row[c]) for c in columns) + "\n" for row in steps)
         for node, table in sorted(qtables.items()):
             (out / f"qtable_node_{node}.txt").write_text(format_q_table(table))
     except OSError as exc:

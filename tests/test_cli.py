@@ -2,8 +2,10 @@
 
 import json
 from pathlib import Path
+from unittest import mock
 
 from meshmind import KnowledgeBase, MoveTo, PerceptVector, SetChannel, cli
+from meshmind.agent import TraceEvent
 from meshmind.harness import (MdpSpec, load_scenario, run_scenario, sweep,
                               value_iteration)
 from meshmind.kb import Case
@@ -27,6 +29,17 @@ def test_run_prints_and_writes_the_seeded_report(tmp_path, capsys):
     expected, _ = run_scenario(load_scenario(spec_path), seed=3)
     assert printed == {key: str(value) for key, value in expected.rows()}
     assert (out / "trace.jsonl").stat().st_size > 0
+
+
+def test_run_without_out_makes_no_tick_rows(capsys):
+    spec_path = SCENARIO_DIR / "ring6_channels.yaml"
+    expected, _ = run_scenario(load_scenario(spec_path))
+    assert expected.triggered_ticks > 0
+    with mock.patch.object(TraceEvent, "to_record", side_effect=AssertionError):
+        assert cli.main(["run", str(spec_path)]) == 0
+    printed = key_values(capsys.readouterr().out)
+    del printed["wall_time_s"]
+    assert printed == {key: str(value) for key, value in expected.rows()}
 
 
 def test_sweep_prints_one_line_per_seed(capsys):

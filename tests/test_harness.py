@@ -1,5 +1,6 @@
 import hashlib
 import json
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 from unittest import mock
@@ -20,6 +21,7 @@ from meshmind.harness import (AgentParams, NonStochasticRow, ScenarioSpec,
 from meshmind.reasoning import Outcome
 
 from helpers import make_channel_spec, make_location_spec
+from test_golden import make_spec as golden_spec
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -239,8 +241,10 @@ class TestEmission:
         data["env"]["users"][0]["demand"] = [[0, -0.0], [5, 1.0]]
         data["env"]["users"][1]["demand"] = 0.0
         spec = scenario_from_dict(data)
-        _, records = run_scenario(spec, out_dir=tmp_path)
-        assert not any(r["actions"] for r in records if r["kind"] == "step")
+        _, steps = run_scenario(spec, out_dir=tmp_path)  # tick rows go to the file alone
+        _, records = run_scenario(spec)
+        for rows in (steps, records):
+            assert not any(r["actions"] for r in rows if r["kind"] == "step")
         # the untraced batched pass over the same steps, with no action taken
         env = Environment(spec.env_config)
         state = env.reset()
@@ -257,6 +261,36 @@ class TestEmission:
             assert [list(map(float.hex, r["percept"])) for r in ticks] == expected
         assert "-0x0.0p+0" in expected[0]
         assert '"percept": [0.6666666666666666, 0.0, -0.0, 0.0]' in lines[0]
+
+    @pytest.mark.parametrize("spec", [
+        make_channel_spec(4, {(0, 1), (1, 2), (2, 3), (0, 3)}, horizon=120),
+        make_location_spec(),
+        load_scenario(SCENARIO_DIR / "lowload_windows.yaml"),
+    ], ids=["channel", "location", "lowload_windows"])
+    def test_tick_rows_go_to_the_file_or_to_records(self, tmp_path, spec):
+        _, steps = run_scenario(spec, seed=0, out_dir=tmp_path)
+        _, records = run_scenario(spec, seed=0)
+        _, untraced = run_scenario(spec, seed=0, collect_trace=False)
+        lines = (tmp_path / "trace.jsonl").read_text().splitlines(keepends=True)
+        assert [json.loads(line) for line in lines] == records
+        assert lines == list(map(dumps_line, records))  # also the sign of zero, 1 against 1.0
+        assert steps == untraced
+
+    def test_a_run_with_a_trace_file_keeps_no_tick_rows(self, tmp_path):
+        spec = golden_spec("grid8x8")  # 64 nodes, 300 steps
+        runs = ({"collect_trace": False}, {"out_dir": tmp_path})
+        for kwargs in runs:  # first-call allocations happen outside the measured runs
+            run_scenario(replace(spec, horizon=3), **kwargs)
+        peaks = []
+        for kwargs in runs:
+            tracemalloc.start()
+            try:
+                run_scenario(spec, **kwargs)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        untraced, traced = peaks
+        assert traced <= 2 * untraced
 
     def test_records_only_run_formats_no_trace_text(self):
         with mock.patch.object(Population, "percept_texts", side_effect=AssertionError):
