@@ -9,11 +9,13 @@ users were undersupplied in two successive samples. A triggered cycle
 retrieves the nearest stored case and either reuses its action,
 recomputes it, retains the percept as a new case, or rejects it.
 
-The agent keeps its own books. A channel switch it emits is recorded in
-its switch history and marked on its trace event, as a disruption when
-its users demand more than DISRUPTION_THRESHOLD. After the step, `observe`
-scores the action from the same batched pass: it revises the case,
-penalises a disruption and updates the value table.
+The agent keeps its own books, and a tick builds no object beyond its
+percept, trace event and action. A channel agent decides from one read of
+its value table's row, picking from its channel palette in action-index
+order. A switch it emits is marked on its trace event, as a disruption
+when its users demand more than DISRUPTION_THRESHOLD. After the step,
+`observe` scores the action from the same batched pass: it revises the
+case, penalises a disruption and updates the value table in place.
 """
 
 from __future__ import annotations
@@ -27,8 +29,9 @@ from .env import (Action, Environment, EnvState, MoveTo, SetChannel, ThroughputR
                   action_to_dict, satisfied)
 from .kb import Case, KnowledgeBase
 # encode_state is the scalar form of Population.states; perfbench times it here.
-from .learning import (IndexOutOfRange, QParams, QTable, StateCodec, Transition,
-                       encode_state, learning_coefficient, q_update)
+# q_update is not called here; perfbench still times it at this name.
+from .learning import (IndexOutOfRange, QParams, QTable, StateCodec, encode_state,
+                       learning_coefficient, q_update)
 from .optimize import (DISRUPTION_THRESHOLD, ControlContext, Controlled,
                        EpsilonGreedy, ExplorationPolicy, location_search,
                        one_step_cells, select_action)
@@ -87,15 +90,19 @@ class AgentParams:
 
 @dataclass(kw_only=True)
 class AgentConfig(AgentParams):
-    """A scenario's agent settings plus one agent's kind, feature spec and codec."""
+    """A scenario's agent settings plus one agent's kind, feature spec and
+    codec, and for a channel agent the channel palette, in action-index order."""
 
     kind: str
     feature_spec: FeatureSpec
     codec: StateCodec
+    channels: tuple[int, ...] = ()
 
     def __post_init__(self):
         if self.kind not in (CHANNEL_KIND, LOCATION_KIND):
             raise ValueError(f"unknown scenario kind {self.kind!r}")
+        if self.kind == CHANNEL_KIND and not self.channels:
+            raise ValueError("a channel agent needs a channel palette")
 
 
 @dataclass(slots=True)
@@ -105,7 +112,6 @@ class TraceEvent:
     t: int
     node: int
     percept: tuple[float, ...]
-    detected: bool
     outcome: str
     action: Action | None = None
     reward: float | None = None
@@ -114,6 +120,11 @@ class TraceEvent:
     q_after: float | None = None
     switched: bool = False
     disruption: bool = False
+
+    @property
+    def detected(self) -> bool:
+        """Whether the detector fired: every tick but an idle one."""
+        return self.outcome != "idle"
 
     def to_record(self) -> dict:
         return {
@@ -133,14 +144,6 @@ class TraceEvent:
         }
 
 
-@dataclass
-class _Pending:
-    event: TraceEvent
-    state_index: int
-    action_index: int
-    case: Case | None
-
-
 # Stable direction indexing keeps MoveTo actions addressable in the value
 # table regardless of the node's current cell.
 _DIRECTIONS = [(dx, dy) for dy in (-1, 0, 1) for dx in (-1, 0, 1)]
@@ -154,10 +157,12 @@ class Agent:
         self.config = config
         self.kb = KnowledgeBase(capacity=config.kb_capacity,
                                 eviction=config.kb_eviction)
-        self.table: QTable | None = None  # sized from the environment
+        self.table = QTable(config.codec.state_count, len(
+            _DIRECTIONS if config.kind == LOCATION_KIND else config.channels))
         self.rng = np.random.default_rng([run_seed, 1, node])
-        self._pending: _Pending | None = None
-        self._switch_history: list[int] = []
+        # (event, state index, action index, case) of the action awaiting feedback
+        self._pending: tuple[TraceEvent, int, int, Case | None] | None = None
+        self._switch_times: list[int] = []  # switches inside a controlled policy's window
 
     # -- sensing -----------------------------------------------------------
 
@@ -168,25 +173,12 @@ class Agent:
         population.sense(report)
         return population.percept(0, state.t)
 
-    def candidates(self, env: Environment, state: EnvState) -> list[Action]:
+    def _action_index(self, action: Action, state: EnvState) -> int:
         if self.config.kind == CHANNEL_KIND:
-            return [SetChannel(self.node, ch) for ch in env.topology.channels]
-        current = state.position_of[self.node]
-        return [MoveTo(self.node, cell)
-                for cell in one_step_cells(env.topology, self.node, current)]
-
-    def _action_index(self, action: Action, env: Environment, state: EnvState) -> int:
-        if self.config.kind == CHANNEL_KIND:
-            return env.topology.channels.index(action.channel)
+            return self.config.channels.index(action.channel)
         cx, cy = state.position_of[self.node]
         dx, dy = action.cell[0] - cx, action.cell[1] - cy
         return _DIRECTIONS.index((dx, dy))
-
-    def _ensure_table(self, env: Environment):
-        if self.table is None:
-            n_actions = len(_DIRECTIONS if self.config.kind == LOCATION_KIND
-                            else env.topology.channels)
-            self.table = QTable(self.config.codec.state_count, n_actions)
 
     # -- the control cycle ---------------------------------------------------
 
@@ -202,30 +194,30 @@ class Agent:
             return None, None
         t = state.t
         percept = population.percept(i, t)
-        sample = Sample(percept=percept, achieved=population.achieved[i],
-                        demanded=population.demanded[i], t=t)
+        demanded = population.demanded[i]
         state_index = int(population.states[i])  # ValueError on NaN, as in encode_state
-        action, outcome, case = self._reason(env, state, percept, sample, state_index)
+        action, outcome, case = self._reason(env, state, percept, demanded, state_index)
         event = TraceEvent(t=t, node=self.node, percept=percept.values,
-                           detected=True, outcome=outcome.value, action=action)
+                           outcome=outcome.value, action=action)
         if action is None:
             return None, event
 
-        action_index = self._action_index(action, env, state)
+        action_index = self._action_index(action, state)
         event.q_before = self.table.entry(state_index, action_index)
         if (isinstance(action, SetChannel)
                 and action.channel != state.channel_of[self.node]):
-            self._switch_history.append(t)
             event.switched = True
-            event.disruption = population.demanded[i] > DISRUPTION_THRESHOLD
-        self._pending = _Pending(event=event, state_index=state_index,
-                                 action_index=action_index, case=case)
+            event.disruption = demanded > DISRUPTION_THRESHOLD
+            if getattr(self.config.policy, "window", None):
+                self._switch_times.append(t)
+        self._pending = (event, state_index, action_index, case)
         population.acted(i)
         return action, event
 
     def _reason(self, env: Environment, state: EnvState, percept: PerceptVector,
-                sample: Sample, state_index: int):
-        hit = self.kb.retrieve(percept, now=sample.t)
+                demanded: float, state_index: int):
+        t = percept.t
+        hit = self.kb.retrieve(percept, now=t)
         if hit is None:
             score, coefficient, case = 0.0, 0.0, None
         else:
@@ -235,45 +227,47 @@ class Agent:
                            self.config.similarity_threshold,
                            self.config.coefficient_threshold,
                            self.kb.is_full())
+        context = self._control_context(state, t, demanded)
         if outcome is Outcome.REUSE:
-            context = self._control_context(state, sample)
             if (context is not None and self.config.policy.blocks(context)
                     and case.action.channel != context.current_channel):
                 return SetChannel(self.node, context.current_channel), outcome, None
             return case.action, outcome, case
-        action = self._optimize(env, state, sample, state_index)
+        action = self._optimize(env, state, state_index, context)
         if outcome is Outcome.RECOMPUTE:
-            self.kb.revise(case, action=action, now=sample.t)
+            self.kb.revise(case, action=action, now=t)
             return action, outcome, case
         if outcome is Outcome.RETAIN_NEW:
             new_case = Case(percept=percept, action=action, coefficient=0.0,
-                            last_used=sample.t, created=sample.t)
+                            last_used=t, created=t)
             self.kb.retain(new_case)
             return action, outcome, new_case
         return action, outcome, None  # REJECT: act without writing to the KB
 
-    def _optimize(self, env: Environment, state: EnvState, sample: Sample,
-                  state_index: int) -> Action | None:
-        cands = self.candidates(env, state)
+    def _optimize(self, env: Environment, state: EnvState, state_index: int,
+                  context: ControlContext | None) -> Action:
         policy = self.config.policy
         if self.config.kind == LOCATION_KIND:
             # The one-step throughput climb is the exploitation arm here; a
             # fresh value table has nothing to exploit for one-shot triggers.
             if policy.epsilon and self.rng.random() < policy.epsilon:
-                return cands[int(self.rng.integers(len(cands)))]
+                cells = one_step_cells(env.topology, self.node, state.position_of[self.node])
+                return MoveTo(self.node, cells[int(self.rng.integers(len(cells)))])
             return location_search(env, state, self.node)
-        return select_action(self.table, state_index, policy, cands, self.rng,
-                             index_of=lambda a: self._action_index(a, env, state),
-                             context=self._control_context(state, sample))
+        channel = select_action(self.table, state_index, policy, self.config.channels,
+                                self.rng, context=context)
+        return SetChannel(self.node, channel)
 
-    def _control_context(self, state: EnvState, sample: Sample) -> ControlContext | None:
-        """What a controlled policy gates this channel agent's switches on."""
+    def _control_context(self, state: EnvState, t: int,
+                         demanded: float) -> ControlContext | None:
+        """A controlled channel agent's serving load, channel and switches in the window."""
         policy = self.config.policy
         if self.config.kind != CHANNEL_KIND or not isinstance(policy, Controlled):
             return None
-        recent = sum(1 for t in self._switch_history
-                     if policy.window and t > sample.t - policy.window)
-        return ControlContext(sample.demanded, state.channel_of[self.node], recent)
+        times = self._switch_times  # empty unless the policy has a window
+        while times and times[0] <= t - policy.window:
+            del times[0]  # left the window for good: t only grows
+        return ControlContext(demanded, state.channel_of[self.node], len(times))
 
     # -- feedback -------------------------------------------------------------
 
@@ -281,24 +275,20 @@ class Agent:
                 disruption_penalty: float) -> None:
         """Score the pending action from row `i` of the population's pass
         after the step: revise its case, charge `disruption_penalty` if the
-        action disrupted service, and update the value table."""
+        action disrupted service, and update the value table in place."""
         if self._pending is None:
             raise UnknownPendingAction(f"node {self.node} has no action awaiting feedback")
-        pending = self._pending
+        event, state_index, action_index, case = self._pending
         self._pending = None
-        event = pending.event
         achieved = population.achieved[i]
         coefficient = learning_coefficient(achieved, population.demanded[i])
-        if pending.case is not None:
-            self.kb.revise(pending.case, coefficient=coefficient, now=event.t)
-        tr = Transition(
-            state=pending.state_index, action=pending.action_index,
-            reward=achieved - (disruption_penalty if event.disruption else 0.0),
-            next_state=int(population.states[i]))
-        self.table = q_update(self.table, self.config.qparams, tr)
-        event.reward = tr.reward
+        if case is not None:
+            self.kb.revise(case, coefficient=coefficient, now=event.t)
+        reward = achieved - (disruption_penalty if event.disruption else 0.0)
+        event.q_after = self.table.update(self.config.qparams, state_index, action_index,
+                                          reward, int(population.states[i]))
+        event.reward = reward
         event.coefficient = coefficient
-        event.q_after = self.table.entry(tr.state, tr.action)
 
 
 class Population:
@@ -320,7 +310,6 @@ class Population:
         self.trace = trace
         index, lo, hi, bins, self._offsets = [], [], [], [], [0]
         for ag in self.agents:
-            ag._ensure_table(env)
             for name, f_lo, f_hi in ag.config.feature_spec.features:
                 try:
                     index.append(env.reading_index(ag.node, name))

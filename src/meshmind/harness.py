@@ -27,8 +27,7 @@ from .agent import (CHANNEL_KIND, LOCATION_KIND, Agent, AgentConfig, AgentParams
 from .env import (DemandProfile, EnvConfig, Environment, EnvState, MeshTopology,
                   UserSpec)
 # encode_state is not called here; perfbench still times it at this name.
-from .learning import (QParams, QTable, StateCodec, Transition, encode_state,
-                       format_q_table, q_update)
+from .learning import QParams, QTable, StateCodec, encode_state, format_q_table
 from .optimize import (Boltzmann, Controlled, EpsilonGreedy,
                        ExplorationPolicy, select_action)
 from .reasoning import FeatureSpec, Outcome
@@ -351,14 +350,15 @@ def build_agents(spec: ScenarioSpec, env: Environment, state: EnvState,
         key = (features, bins)  # agents with equal features share one config
         if key not in configs:
             configs[key] = AgentConfig(kind=spec.kind, feature_spec=FeatureSpec(features),
-                                       codec=StateCodec(bins), **vars(params))
+                                       codec=StateCodec(bins), channels=topology.channels,
+                                       **vars(params))
         agents.append(Agent(node, configs[key], run_seed=seed))
     return agents
 
 
 # -- run loop ----------------------------------------------------------------
 
-_IDLE_ROW = TraceEvent(t=0, node=0, percept=(), detected=False, outcome="idle").to_record()
+_IDLE_ROW = TraceEvent(t=0, node=0, percept=(), outcome="idle").to_record()
 
 
 def run_scenario(spec: ScenarioSpec, seed: int | None = None,
@@ -612,7 +612,8 @@ def value_iteration(mdp: MdpSpec, tol: float = 1e-9):
 def q_learning_on_mdp(mdp: MdpSpec, params: QParams,
                       policy: ExplorationPolicy, iterations: int,
                       seed: int = 0, start_state: int = 0) -> QTable:
-    """Run tabular updates along an exploring walk through the MDP."""
+    """Run tabular updates along an exploring walk through the MDP, choosing
+    and learning through the same `select_action` and `QTable.update` as the agents."""
     rng = np.random.default_rng([seed, 2])
     table = QTable(mdp.state_count, mdp.action_count)
     candidates = list(range(mdp.action_count))
@@ -620,9 +621,6 @@ def q_learning_on_mdp(mdp: MdpSpec, params: QParams,
     for _ in range(iterations):
         action = select_action(table, state, policy, candidates, rng)
         next_state = int(rng.choice(mdp.state_count, p=mdp.transitions[state, action]))
-        tr = Transition(state=state, action=action,
-                        reward=float(mdp.rewards[state, action]),
-                        next_state=next_state)
-        table = q_update(table, params, tr)
+        table.update(params, state, action, float(mdp.rewards[state, action]), next_state)
         state = next_state
     return table

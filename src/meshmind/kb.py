@@ -101,7 +101,7 @@ class KnowledgeBase:
     def revise(self, case: Case, action=None, coefficient: float | None = None,
                now: int | None = None) -> "KnowledgeBase":
         """Replace a stored case's action and/or coefficient in place; not an equal copy's."""
-        if not any(c is case for c in self.cases):
+        if id(case) not in map(id, self.cases):  # identity, not equality
             raise UnknownCase("case is not stored in this knowledge base")
         if coefficient is not None:
             if not 0.0 <= coefficient <= 1.0:

@@ -2,10 +2,11 @@
 
 The table holds one estimated value per (state, action), with None marking
 an unexplored entry, and stores rows only for the states it has visited.
-Updates are pure: q_update returns a new table with exactly one entry
-changed, which shares every other row with the table it came from. Dense
-arrays of the whole table are built only on request, for tests and
-oracles. States come from uniform per-feature binning of percept vectors.
+Learning happens in place: `QTable.update` is the one temporal-difference
+step, which writes exactly one entry and returns its new value; the agents,
+`q_update` and the MDP oracle all learn through it. Dense arrays of the
+whole table are built only on request, for tests and oracles. States come
+from uniform per-feature binning of percept vectors.
 """
 
 from __future__ import annotations
@@ -52,22 +53,21 @@ class Transition:
 class QTable:
     """state_count x action_count value table; unexplored entries are marked.
 
-    Only visited states hold a row: a tuple with one value per action, None
-    where the action is unexplored. A table is never changed in place:
-    `set` returns a new table that shares every row but the one it writes,
-    so each update copies one row. `values` and `explored` build dense
+    Only visited states hold a row: a list with one value per action, None
+    where the action is unexplored. `set` and `update` write one entry in
+    place, creating the row on a state's first write. `row` hands out a
+    state's values for reading, and `values` and `explored` build dense
     read-only arrays of the whole table on demand.
     """
 
     __slots__ = ("state_count", "action_count", "_rows")
 
-    def __init__(self, state_count: int, action_count: int,
-                 rows: dict[int, tuple[float | None, ...]] | None = None):
+    def __init__(self, state_count: int, action_count: int):
         if state_count < 1 or action_count < 1:
             raise ValueError("table needs at least one state and one action")
         self.state_count = state_count
         self.action_count = action_count
-        self._rows = {} if rows is None else rows
+        self._rows: dict[int, list[float | None]] = {}
 
     def entry(self, state: int, action: int) -> float | None:
         """Value at (state, action), or None while unexplored."""
@@ -75,13 +75,33 @@ class QTable:
         row = self._rows.get(state)
         return None if row is None else row[action]
 
+    def row(self, state: int) -> list[float | None] | tuple[None, ...]:
+        """A state's values by action index, None where unexplored; an update may change it."""
+        self._check(state, 0)
+        row = self._rows.get(state)
+        return (None,) * self.action_count if row is None else row
+
     def set(self, state: int, action: int, value: float) -> "QTable":
-        """New table with one entry written (and marked explored)."""
+        """Write one entry (marking it explored); returns this table."""
         self._check(state, action)
-        row = self._rows.get(state) or (None,) * self.action_count
-        rows = dict(self._rows)
-        rows[state] = row[:action] + (float(value),) + row[action + 1:]
-        return QTable(self.state_count, self.action_count, rows)
+        self._row_for(state)[action] = float(value)
+        return self
+
+    def update(self, params: QParams, state: int, action: int, reward: float,
+               next_state: int) -> float:
+        """One temporal-difference update of entry (state, action); returns its new value.
+
+        An unexplored target entry initializes at 0 before the update. The max
+        over the next state's row covers explored entries only, falling back to
+        0 when the whole row is unexplored.
+        """
+        self._check(state, action)
+        self._check(next_state, 0)
+        best_next = max((v for v in self._rows.get(next_state, ()) if v is not None), default=0.0)
+        row = self._row_for(state)
+        current = 0.0 if row[action] is None else row[action]
+        row[action] = value = current + params.alpha * (reward + params.gamma * best_next - current)
+        return value
 
     @property
     def values(self) -> np.ndarray:
@@ -101,6 +121,12 @@ class QTable:
         dense.flags.writeable = False
         return dense
 
+    def _row_for(self, state: int) -> list[float | None]:
+        row = self._rows.get(state)
+        if row is None:
+            row = self._rows[state] = [None] * self.action_count
+        return row
+
     def _check(self, state: int, action: int):
         if not (0 <= state < self.state_count and 0 <= action < self.action_count):
             raise IndexOutOfRange(f"({state},{action}) outside "
@@ -108,27 +134,14 @@ class QTable:
 
 
 def q_update(table: QTable, params: QParams, tr: Transition) -> QTable:
-    """One temporal-difference update; only entry (tr.state, tr.action) changes.
-
-    An unexplored target entry initializes at 0 before the update. The max
-    over the next state's row covers explored entries only, falling back to
-    0 when the whole row is unexplored.
-    """
-    table._check(tr.state, tr.action)
-    table._check(tr.next_state, 0)
-    row = table._rows.get(tr.state)
-    current = 0.0 if row is None or row[tr.action] is None else row[tr.action]
-    next_values = [v for v in table._rows.get(tr.next_state) or () if v is not None]
-    best_next = max(next_values) if next_values else 0.0
-    updated = current + params.alpha * (tr.reward + params.gamma * best_next - current)
-    return table.set(tr.state, tr.action, updated)
+    """`table.update` for one transition, in place; returns the table."""
+    table.update(params, tr.state, tr.action, tr.reward, tr.next_state)
+    return table
 
 
 def greedy(table: QTable, state: int) -> int:
     """Index of the best explored action in a state; ties go to the lowest index."""
-    if not 0 <= state < table.state_count:
-        raise IndexOutOfRange(f"state {state}")
-    explored = [(v, a) for a, v in enumerate(table._rows.get(state) or ()) if v is not None]
+    explored = [(v, a) for a, v in enumerate(table.row(state)) if v is not None]
     if not explored:
         raise NoExploredAction(f"state {state} has no explored action")
     return max(explored, key=lambda pair: pair[0])[1]  # first of equal values

@@ -14,9 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .env import (Action, Cell, Environment, EnvState, MeshTopology, MoveTo,
-                  SetChannel)
-from .learning import QTable
+from .env import Cell, Environment, EnvState, MeshTopology, MoveTo
+from .learning import IndexOutOfRange, QTable
 
 # A channel switch counts as a service disruption when the node's users
 # demand more than this many Mbps at the moment of the switch. It doubles
@@ -110,40 +109,39 @@ def boltzmann_probabilities(values, tau: float) -> np.ndarray:
 
 
 def select_action(table: QTable, state: int, policy: ExplorationPolicy,
-                  candidates, rng: np.random.Generator, index_of=None,
-                  context: ControlContext | None = None) -> Action:
-    """Pick one candidate under the given policy.
+                  candidates, rng: np.random.Generator,
+                  context: ControlContext | None = None):
+    """Pick one candidate under the given policy, reading the state's row once.
 
-    index_of maps a candidate to its action index in the table (identity by
-    default, for plain integer action spaces). Unexplored entries count as
-    value 0 for Boltzmann. The controlled policy narrows the candidates
-    given its context, then draws as epsilon-greedy does: a uniform pick
-    with probability epsilon, else the highest-valued explored candidate,
-    or a uniform pick when nothing in the state has been explored yet.
+    The candidates are the table's actions in index order: action indices,
+    or a channel agent's palette. Boltzmann counts unexplored entries as 0.
+    A controlled policy whose context blocks a switch keeps only the current
+    channel (else the first candidate). Then the pick is uniform with
+    probability epsilon, else the highest-valued explored candidate, or
+    uniform when none is explored.
     """
     if not candidates:
         raise EmptyCandidates("no candidate actions")
-    if index_of is None:
-        index_of = lambda c: c
-    candidates = list(candidates)
+    row = table.row(state)
+    if len(candidates) != len(row):
+        raise IndexOutOfRange(f"{len(candidates)} candidates for {len(row)} actions")
 
     if isinstance(policy, Boltzmann):
-        values = [table.entry(state, index_of(c)) or 0.0 for c in candidates]
-        probs = boltzmann_probabilities(values, policy.tau)
+        probs = boltzmann_probabilities([v or 0.0 for v in row], policy.tau)
         return candidates[int(rng.choice(len(candidates), p=probs))]
 
+    actions = range(len(candidates))
     if isinstance(policy, Controlled) and context is not None and policy.blocks(context):
-        candidates = [c for c in candidates
-                      if not (isinstance(c, SetChannel)
-                              and c.channel != context.current_channel)] or candidates[:1]
+        actions = [a for a in actions if candidates[a] == context.current_channel] or [0]
 
-    if rng.random() < policy.epsilon:
-        return candidates[int(rng.integers(len(candidates)))]
-    explored = [(value, c) for c in candidates
-                if (value := table.entry(state, index_of(c))) is not None]
-    if not explored:
-        return candidates[int(rng.integers(len(candidates)))]
-    return max(explored, key=lambda pair: pair[0])[1]  # first of equal values
+    best = None  # unless exploring, the first highest-valued explored action
+    if rng.random() >= policy.epsilon:
+        for a in actions:
+            if row[a] is not None and (best is None or row[a] > row[best]):
+                best = a
+    if best is None:
+        best = actions[int(rng.integers(len(actions)))]
+    return candidates[best]
 
 
 # -- channel assignment heuristics -------------------------------------------

@@ -36,9 +36,9 @@ def channel_env(channels=(1, 2)):
     return Environment(cfg)
 
 
-def channel_agent(node=0, seed=0, epsilon=0.2):
+def channel_agent(node=0, seed=0, epsilon=0.2, channels=(1, 2)):
     config = AgentConfig(
-        kind="channel-assignment",
+        kind="channel-assignment", channels=channels,
         feature_spec=FeatureSpec(features=(("conflicts", 0.0, 1.0),
                                            ("demand", 0.0, 5.0),
                                            ("achieved", 0.0, 5.0))),
@@ -82,8 +82,7 @@ def drive(env, agents, steps, force=None, start=None, penalty=0.0):
         batch, acting = [], []
         for i, ag in enumerate(agents):
             action, event = ag.tick(env, state, population, i)
-            events.append(event or TraceEvent(t=state.t, node=ag.node, detected=False,
-                                              outcome="idle",
+            events.append(event or TraceEvent(t=state.t, node=ag.node, outcome="idle",
                                               percept=population.percept(i, state.t).values))
             if action is not None:
                 batch.append(action)
@@ -107,6 +106,22 @@ def starved_report(env):
     readings = np.zeros(12)  # five per-node readings of two nodes, two users
     readings[env.reading_index(0, "demand")] = 5.0
     return ThroughputReport(achieved={}, conflicts=0, readings=readings)
+
+
+class TestBuild:
+    @pytest.mark.parametrize("spec,actions", [
+        (make_channel_spec(3, {(0, 1), (1, 2)}, channels=4), 4),
+        (make_location_spec(), 9),  # one per direction, staying included
+    ], ids=["channel", "location"])
+    def test_each_agent_has_its_table_when_built(self, spec, actions):
+        env = Environment(spec.env_config)
+        for agent in build_agents(spec, env, env.reset(), seed=0):
+            assert (agent.table.state_count, agent.table.action_count) == (
+                agent.config.codec.state_count, actions)
+
+    def test_channel_agent_needs_a_palette(self):
+        with pytest.raises(ValueError, match="palette"):
+            replace(channel_agent().config, channels=())
 
 
 class TestSense:
@@ -217,7 +232,7 @@ class TestPopulation:
         for node in (0, 1):
             bins = data.draw(st.lists(st.integers(1, 6), min_size=1, max_size=3))
             agents.append(Agent(node, AgentConfig(
-                kind="channel-assignment", codec=StateCodec(tuple(bins)),
+                kind="channel-assignment", channels=(1, 2), codec=StateCodec(tuple(bins)),
                 feature_spec=FeatureSpec(tuple((n, 0.0, 1.0) for n in names[:len(bins)])))))
             for name in names[:len(bins)]:  # on the unit range a percept is its reading
                 edges = [k / b for b in bins for k in range(b + 1)]
@@ -273,7 +288,7 @@ class TestPopulation:
     def test_unknown_feature_is_missing(self):
         env = channel_env()
         agent = Agent(0, AgentConfig(
-            kind="channel-assignment",
+            kind="channel-assignment", channels=(1, 2),
             feature_spec=FeatureSpec(features=(("demand_u1", 0.0, 5.0),)),
             codec=StateCodec(bins=(2,))))
         with pytest.raises(MissingFeature):
@@ -368,7 +383,7 @@ class TestTick:
 
     def test_acting_resets_the_two_sample_detector(self):
         env = channel_env(channels=(1,))  # single channel: conflict is unfixable
-        agent = channel_agent(node=0)
+        agent = channel_agent(node=0, channels=(1,))
         _, events = drive(env, [agent], 6)
         detected = [ev.detected for ev in events]
         # trigger at t=1, act, then two fresh samples are needed before the next

@@ -10,13 +10,14 @@ tolerance, since a refactor may sum them in another order.
 
 import hashlib
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
-from meshmind import load_scenario, run_scenario
+from meshmind import Controlled, load_scenario, run_scenario
 
-from helpers import make_channel_spec, make_location_spec
+from helpers import make_channel_spec, make_location_spec, make_lowload_window_spec
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -44,6 +45,10 @@ def make_spec(name: str):
                                  positions=positions)
     if name == "location_helper":
         return make_location_spec()
+    if name == "lowload_budget_kb2":
+        # A switch budget and a two-case store: reaches every branch, REJECT included.
+        spec = make_lowload_window_spec(Controlled(epsilon=0.1, max_switches=1, window=20))
+        return replace(spec, agent_params=replace(spec.agent_params, kb_capacity=2))
     return load_scenario(SCENARIO_DIR / f"{name}.yaml")
 
 
@@ -106,6 +111,15 @@ GOLDEN = {
     ('location_helper', 2): (
         '8faea5ccbfdbcc1cd5d75b50d5b2b8a3a0a890ea97185a9d079fbb0acfceabe7',
         0.9790393502925985, 3.0350219859070515),
+    ('lowload_budget_kb2', 0): (
+        'b6b7609bd3612115705026db650a6992c329e78da5a91bde15a55190b99ae955',
+        0.8048281698463815, 8.906765079633288),
+    ('lowload_budget_kb2', 1): (
+        'a9d7ca6f875b1a7c5569503290cf4d4d3847abba8ef1441dad62928fa66f0fb8',
+        0.783173159609064, 8.66711629967364),
+    ('lowload_budget_kb2', 2): (
+        'c38e80912bdf0072ee7908f82eef9692d1c75d3dcf4ac9eba984d705e8e6ff51',
+        0.8674723620926826, 9.600027473825689),
 }
 
 

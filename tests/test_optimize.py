@@ -8,9 +8,10 @@ from hypothesis import given, settings, strategies as st
 
 from meshmind import (Boltzmann, Controlled, DemandProfile, EnvConfig,
                       Environment, EpsilonGreedy, MeshTopology, MoveTo,
-                      QTable, SetChannel, UserSpec, boltzmann_probabilities,
+                      QTable, UserSpec, boltzmann_probabilities,
                       brute_force_channels, count_conflicts, greedy_coloring,
                       location_search, select_action)
+from meshmind.learning import IndexOutOfRange
 from meshmind.optimize import (ControlContext, EmptyCandidates, NoAllowedCell,
                                TooLarge, one_step_cells)
 
@@ -58,6 +59,12 @@ class TestSelectAction:
             select_action(QTable(1, 1), 0, EpsilonGreedy(0.1), [],
                           np.random.default_rng(0))
 
+    def test_candidates_must_list_every_action(self):
+        for candidates in ([0, 1], [0, 1, 2, 3]):
+            with pytest.raises(IndexOutOfRange):
+                select_action(QTable(1, 3), 0, EpsilonGreedy(0.1), candidates,
+                              np.random.default_rng(0))
+
     def test_greedy_fallback_without_explored_entries_is_uniform(self):
         table = QTable(1, 3)
         rng = np.random.default_rng(3)
@@ -84,37 +91,34 @@ class TestControlledPolicy:
         table = QTable(1, 3).set(0, 2, 9.0)
         policy = Controlled(epsilon=0.5, serving_threshold=1.0)
         context = ControlContext(serving_load=4.0, current_channel=1)
-        candidates = [SetChannel(0, ch) for ch in (1, 2, 3)]
+        candidates = [1, 2, 3]  # channel palette, in action-index order
         rng = np.random.default_rng(5)
         for _ in range(300):
             action = select_action(table, 0, policy, candidates, rng,
-                                   index_of=lambda a: a.channel - 1,
                                    context=context)
-            assert action == SetChannel(0, 1)
+            assert action == 1
 
     def test_switches_allowed_below_threshold(self):
         table = QTable(1, 3).set(0, 2, 9.0)
         policy = Controlled(epsilon=0.0, serving_threshold=1.0)
         context = ControlContext(serving_load=0.5, current_channel=1)
-        candidates = [SetChannel(0, ch) for ch in (1, 2, 3)]
+        candidates = [1, 2, 3]  # channel palette, in action-index order
         action = select_action(table, 0, policy, candidates,
                                np.random.default_rng(6),
-                               index_of=lambda a: a.channel - 1,
                                context=context)
-        assert action == SetChannel(0, 3)
+        assert action == 3
 
     def test_switch_budget_blocks_when_spent(self):
         table = QTable(1, 3).set(0, 2, 9.0)
         policy = Controlled(epsilon=0.0, no_switch_while_serving=False,
                             max_switches=2, window=50)
-        candidates = [SetChannel(0, ch) for ch in (1, 2, 3)]
+        candidates = [1, 2, 3]  # channel palette, in action-index order
         context = ControlContext(serving_load=0.0, current_channel=1,
                                  recent_switches=2)
         action = select_action(table, 0, policy, candidates,
                                np.random.default_rng(7),
-                               index_of=lambda a: a.channel - 1,
                                context=context)
-        assert action == SetChannel(0, 1)
+        assert action == 1
 
 
 class TestGreedyColoring:
