@@ -9,8 +9,7 @@ from .harness import (MdpSpec, RunReport, ScenarioSpec, load_scenario,
 from .kb import Case, KnowledgeBase
 from .learning import (QParams, QTable, StateCodec, Transition, encode_state,
                        format_q_table, greedy, learning_coefficient, q_update)
-from .optimize import (Boltzmann, Controlled, EpsilonGreedy,
-                       boltzmann_probabilities, brute_force_channels,
+from .optimize import (Controlled, EpsilonGreedy, brute_force_channels,
                        count_conflicts, greedy_coloring, location_search,
                        select_action)
 from .reasoning import (FeatureSpec, Outcome, PerceptVector, classify,
@@ -27,8 +26,8 @@ __all__ = [
     "Case", "KnowledgeBase",
     "QParams", "QTable", "StateCodec", "Transition", "encode_state",
     "format_q_table", "greedy", "learning_coefficient", "q_update",
-    "Boltzmann", "Controlled", "EpsilonGreedy", "MoveTo", "SetChannel",
-    "boltzmann_probabilities", "brute_force_channels", "count_conflicts",
+    "Controlled", "EpsilonGreedy", "MoveTo", "SetChannel",
+    "brute_force_channels", "count_conflicts",
     "greedy_coloring", "location_search", "select_action",
     "FeatureSpec", "Outcome", "PerceptVector", "classify", "normalize",
     "similarity",

@@ -81,11 +81,10 @@ class AgentParams:
     similarity_threshold: float = 0.8
     coefficient_threshold: float = 0.7
     kb_capacity: int = 256
-    kb_eviction: str = "lru"
     nodes: tuple[int, ...] | None = None  # controllable nodes; default all
 
     def __post_init__(self):
-        KnowledgeBase(self.kb_capacity, self.kb_eviction)  # its checks, at load
+        KnowledgeBase(self.kb_capacity)  # its checks, at load
 
 
 @dataclass(kw_only=True)
@@ -143,6 +142,33 @@ class TraceEvent:
             "disruption": self.disruption,
         }
 
+    def line(self) -> str:
+        """`json.dumps(self.to_record(), sort_keys=True)` plus a newline, written
+        straight from the fields; a line with a non-finite float, which json.dumps
+        writes as NaN or Infinity, comes from json.dumps instead."""
+        action = self.action
+        if action is None:
+            action_text = "null"
+        elif type(action) is SetChannel:
+            action_text = (f'{{"channel": {action.channel}, "kind": "set_channel", '
+                           f'"node": {action.node}}}')
+        else:  # MoveTo
+            x, y = action.cell
+            action_text = f'{{"cell": [{x}, {y}], "kind": "move_to", "node": {action.node}}}'
+        coefficient, q_after, q_before, reward = (
+            "null" if v is None else repr(v)
+            for v in (self.coefficient, self.q_after, self.q_before, self.reward))
+        line = (f'{{"action": {action_text}, "coefficient": {coefficient}, '
+                f'"detected": {"true" if self.detected else "false"}, '
+                f'"disruption": {"true" if self.disruption else "false"}, '
+                f'"kind": "tick", "node": {self.node}, "outcome": "{self.outcome}", '
+                f'"percept": [{", ".join(map(repr, self.percept))}], '
+                f'"q_after": {q_after}, "q_before": {q_before}, "reward": {reward}, '
+                f'"switched": {"true" if self.switched else "false"}, "t": {self.t}}}\n')
+        if "inf" in line or "nan" in line:  # no key or outcome holds either
+            return json.dumps(self.to_record(), sort_keys=True) + "\n"
+        return line
+
 
 # Stable direction indexing keeps MoveTo actions addressable in the value
 # table regardless of the node's current cell.
@@ -155,8 +181,7 @@ class Agent:
     def __init__(self, node: int, config: AgentConfig, run_seed: int = 0):
         self.node = node
         self.config = config
-        self.kb = KnowledgeBase(capacity=config.kb_capacity,
-                                eviction=config.kb_eviction)
+        self.kb = KnowledgeBase(capacity=config.kb_capacity)
         self.table = QTable(config.codec.state_count, len(
             _DIRECTIONS if config.kind == LOCATION_KIND else config.channels))
         self.rng = np.random.default_rng([run_seed, 1, node])
@@ -186,8 +211,8 @@ class Agent:
              i: int) -> tuple[Action | None, TraceEvent | None]:
         """Run one control step on row `i` of the population's pass; returns
         the chosen action (if any) plus the trace event of a triggered tick.
-        An idle tick returns (None, None): its trace row, if one is kept, is
-        written from the population's percepts. Emitting an action resets
+        An idle tick returns (None, None): its trace line, if one is kept, is
+        written from the population's percept text. Emitting an action resets
         the two-sample detector, so a fresh pair of samples must confirm
         dissatisfaction before the next reasoning cycle."""
         if not population.fired[i]:
@@ -300,9 +325,9 @@ class Population:
     index is `encode_state`'s sum as a float: NaN for a NaN percept, which
     `int` rejects. The detector is two boolean arrays: has a previous sample,
     and it was unsatisfied. After `sense`, `fired`, `achieved`, `demanded`
-    and `states` hold one entry per agent. With `trace` on, `percepts` also
-    holds every agent's percept values as a list, for the trace rows of idle
-    ticks; equal bits (-0.0 is not 0.0) share one float, formatted once.
+    and `states` hold one entry per agent. With `trace` on, `sense` also
+    keeps the step's distinct percept values (by bits: -0.0 is not 0.0), so
+    that `percept_texts` formats each once for the trace lines of idle ticks.
     """
 
     def __init__(self, agents: list[Agent], env: Environment, trace: bool = True):
@@ -339,13 +364,10 @@ class Population:
         values = np.clip((readings[self._index] - self._lo) / self._span, 0.0, 1.0)
         cells = np.minimum(np.floor(values * self._bins), self._bins - 1)
         self.states = np.add.reduceat(cells * self._strides, self._starts).tolist()
-        if self.trace:  # trace rows keep every percept: equal bits share one float
+        self._values = values.tolist()
+        if self.trace:  # each distinct value, and where it occurs, for percept_texts
             _, first, at = np.unique(values.view(np.uint64), return_index=True, return_inverse=True)
             self._distinct, self._at = values[first].tolist(), at.tolist()
-            self._values = list(map(self._distinct.__getitem__, self._at))
-            self.percepts = [self._values[a:b] for a, b in self._ranges]
-        else:
-            self._values = values.tolist()
         achieved = readings[self._achieved_at]
         demanded = readings[self._demand_at]
         unsatisfied = ~satisfied(achieved, demanded)

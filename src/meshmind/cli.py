@@ -13,10 +13,17 @@ from .optimize import brute_force_channels
 
 
 def _parse_seed_range(text: str) -> list[int]:
+    """Seeds from "lo..hi", both included, or "a,b,c": at least one, none negative."""
     if ".." in text:
         lo, hi = text.split("..", 1)
-        return list(range(int(lo), int(hi) + 1))
-    return [int(part) for part in text.split(",")]
+        seeds = list(range(int(lo), int(hi) + 1))
+        if not seeds:
+            raise ValueError(f"seed range {text!r} is empty: its end is below its start")
+    else:
+        seeds = [int(part) for part in text.split(",")]
+    if min(seeds) < 0:
+        raise ValueError(f"seed {min(seeds)} in {text!r} is negative")
+    return seeds
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -5,9 +5,12 @@ they may hold, with its type; `scenario_from_dict` reads a file against it
 and reports every problem in one SpecValidation. Each step of a run ticks
 every agent in ascending node order, applies their actions as one batch,
 senses all agents in one batched pass, lets each agent that acted score its
-own action, and appends one step row. Tick rows go to the trace.jsonl that
-a run with an output directory writes as it goes, or else to its records;
-`report_from_trace` aggregates the run report from the step rows of either.
+own action, and appends one step row. A traced step first writes one line
+per agent: a triggered tick's from its TraceEvent, an idle one's from a
+template. The lines go to the trace.jsonl that a run with an output
+directory writes as it goes, or else are parsed into its records, which
+thus always read as the trace file would. `report_from_trace` aggregates
+the run report from the step rows of either.
 """
 
 from __future__ import annotations
@@ -26,11 +29,11 @@ from .agent import (CHANNEL_KIND, LOCATION_KIND, Agent, AgentConfig, AgentParams
                     Population, TraceEvent)
 from .env import (DemandProfile, EnvConfig, Environment, EnvState, MeshTopology,
                   UserSpec)
+from .kb import KnowledgeBase
 # encode_state is not called here; perfbench still times it at this name.
 from .learning import QParams, QTable, StateCodec, encode_state, format_q_table
-from .optimize import (Boltzmann, Controlled, EpsilonGreedy,
-                       ExplorationPolicy, select_action)
-from .reasoning import FeatureSpec, Outcome
+from .optimize import Controlled, EpsilonGreedy, ExplorationPolicy, select_action
+from .reasoning import FeatureSpec
 
 SCHEMA_VERSION = 1
 
@@ -187,6 +190,14 @@ def _schema_version(value, *_) -> int:
     return value
 
 
+def _eviction(value, *_) -> str:
+    """The knowledge base's one eviction, which a scenario may still name."""
+    if value != KnowledgeBase.eviction:
+        raise ValueError(f"unknown eviction policy {value!r}; "
+                         f"the only one is {KnowledgeBase.eviction!r}")
+    return value
+
+
 def _channels(value, *where) -> tuple[int, ...]:
     """A channel count n, for channels 1..n, or a list of channel numbers."""
     if type(value) is list:
@@ -223,10 +234,9 @@ SCENARIO = _Table(dict(
         defaults={"qparams": {}, "thresholds": {}, "kb": {}, "policy": {}},
         qparams=_Table(alpha=float, gamma=float),
         thresholds=_Table(similarity=float, coefficient=float),
-        kb=_Table(capacity=int, eviction=str),
+        kb=_Table(capacity=int, eviction=_eviction),
         policy=_variant("type", "epsilon-greedy", {
             "epsilon-greedy": (EpsilonGreedy, _Table(epsilon=float)),
-            "boltzmann": (Boltzmann, _Table(tau=float)),
             "controlled": (Controlled, _Table(
                 epsilon=float, no_switch_while_serving=bool, serving_threshold=float,
                 max_switches=int, window=int))}),
@@ -308,7 +318,7 @@ def scenario_from_dict(data) -> ScenarioSpec:
     params = _built(
         AgentParams, ("agents",), problems,
         **{f"{k}_threshold": v for k, v in agents.pop("thresholds").items()},
-        **{f"kb_{k}": v for k, v in agents.pop("kb").items()},
+        **{f"kb_{k}": v for k, v in agents.pop("kb").items() if k != "eviction"},
         **{k: v for k, v in agents.items() if v is not None})  # a rejected one keeps its default
     spec = None if env_config is None or params is None else _built(
         ScenarioSpec, (), problems, env_config=env_config, agent_params=params, **top)
@@ -358,7 +368,9 @@ def build_agents(spec: ScenarioSpec, env: Environment, state: EnvState,
 
 # -- run loop ----------------------------------------------------------------
 
-_IDLE_ROW = TraceEvent(t=0, node=0, percept=(), outcome="idle").to_record()
+# An idle tick's trace line, with %-slots for its node, percept text and t.
+_IDLE_LINE = (TraceEvent(t=0, node=0, percept=(), outcome="idle").line().replace("[]", "[%s]")
+              .replace('"node": 0', '"node": %d').replace('"t": 0', '"t": %d'))
 
 
 def run_scenario(spec: ScenarioSpec, seed: int | None = None,
@@ -369,12 +381,13 @@ def run_scenario(spec: ScenarioSpec, seed: int | None = None,
     (kind "step": conflicts, demand and throughput totals, and the counts
     of actions, triggered ticks, reuses, switches and disruptions), and the
     report is aggregated from those rows by `report_from_trace`. With
-    collect_trace=True each step row is preceded by one tick row per agent
-    in node order: `TraceEvent.to_record()` if it triggered, else `_IDLE_ROW`
-    with its t, node and percept. They go to records, or with out_dir to
-    trace.jsonl alone, which is written row by row as the run goes, counted
-    in wall_time_s, and records holds only the step rows; a run that raises
-    leaves out_dir's files as they were. collect_trace=False makes no tick
+    collect_trace=True each step row is preceded by one tick line per agent
+    in node order: `TraceEvent.line()` if it triggered, else `_IDLE_LINE`
+    filled with its node, percept text and t. With out_dir the lines go to
+    trace.jsonl alone, written as the run goes and counted in wall_time_s,
+    and records holds only the step rows; a run that raises leaves out_dir's
+    files as they were. Without out_dir each line is parsed into records,
+    so they equal the parsed trace file. collect_trace=False makes no tick
     rows, which keeps long sweeps cheap. A zero-horizon run returns no records.
     """
     started = time.perf_counter()
@@ -388,8 +401,6 @@ def run_scenario(spec: ScenarioSpec, seed: int | None = None,
 
     records: list[dict] = []
     with nullcontext() if out_dir is None else _trace_file(Path(out_dir)) as trace:
-        finish, put = ((TraceEvent.to_record, records.extend) if trace is None else
-                       (lambda event: trace_line(event.to_record()), trace.writelines))
         for _ in range(spec.horizon):
             actions, acting, events = [], [], []
             for i, ag in enumerate(agents):
@@ -399,11 +410,8 @@ def run_scenario(spec: ScenarioSpec, seed: int | None = None,
                 if action is not None:
                     actions.append(action)
                     acting.append(i)
-            if collect_trace and trace is None:  # idle entries now, before sense replaces percepts
-                ticks = [None if fire else dict(_IDLE_ROW, t=state.t, node=ag.node, percept=p)
-                         for ag, fire, p in zip(agents, population.fired, population.percepts)]
-            elif collect_trace:
-                ticks = [None if fire else _IDLE_LINE % (ag.node, text, state.t) for ag, fire, text
+            if collect_trace:  # idle lines now, before sense replaces the percepts
+                lines = [None if fire else _IDLE_LINE % (ag.node, text, state.t) for ag, fire, text
                          in zip(agents, population.fired, population.percept_texts())]
 
             state, report = env.apply_and_step(state, actions, report)
@@ -413,7 +421,11 @@ def run_scenario(spec: ScenarioSpec, seed: int | None = None,
 
             if collect_trace:
                 triggered = iter(events)
-                put([tick or finish(next(triggered)) for tick in ticks])
+                lines = [line or next(triggered).line() for line in lines]
+                if trace is None:
+                    records += map(json.loads, lines)
+                else:
+                    trace.writelines(lines)
             records.append({
                 "kind": "step", "t": state.t, "conflicts": report.conflicts,
                 "total_demand": sum(state.demand.values()),
@@ -424,7 +436,7 @@ def run_scenario(spec: ScenarioSpec, seed: int | None = None,
                 "disruptions": sum(ev.disruption for ev in events),
             })
             if trace is not None:
-                trace.write(trace_line(records[-1]))
+                trace.write(json.dumps(records[-1], sort_keys=True) + "\n")
 
     run_report = RunReport(**report_from_trace(records),
                            wall_time_s=time.perf_counter() - started)
@@ -480,52 +492,6 @@ def emit(out_dir, steps, report: RunReport, qtables: dict[int, QTable]) -> None:
             (out / f"qtable_node_{node}.txt").write_text(format_q_table(table))
     except OSError as exc:
         raise IoFailure(str(exc)) from exc
-
-
-_OUTCOMES = {name: f'"{name}"' for name in ("idle", *(o.value for o in Outcome))}
-_FLAG = {True: "true", False: "false"}  # only for values of type bool
-
-
-def _float(value) -> str:  # None or a float, as json.dumps writes a finite one
-    return "null" if value is None else float.__repr__(value)  # TypeError unless a float
-
-
-def _action(action: dict) -> str:  # an action row as json.dumps writes it, keys sorted
-    if type(action) is dict and len(action) == 3 and type(node := action["node"]) is int:
-        if action["kind"] == "set_channel" and type(channel := action["channel"]) is int:
-            return f'{{"channel": {channel}, "kind": "set_channel", "node": {node}}}'
-        if (action["kind"] == "move_to" and type(cell := action["cell"]) is list
-                and len(cell) == 2 and type(cell[0]) is type(cell[1]) is int):
-            return f'{{"cell": [{cell[0]}, {cell[1]}], "kind": "move_to", "node": {node}}}'
-    return json.dumps(action, sort_keys=True)
-
-
-def trace_line(record: dict) -> str:
-    """`json.dumps(record, sort_keys=True)` plus a newline: a tick row from a template
-    in sorted-key order, any other row or value the template lacks by json.dumps."""
-    with suppress(KeyError, TypeError):
-        t, node, action, percept = record["t"], record["node"], record["action"], record["percept"]
-        fired, switch, disrupt = record["detected"], record["switched"], record["disruption"]
-        if (record["kind"] == "tick" and len(record) == 13 and type(t) is type(node) is int
-                and type(fired) is type(switch) is type(disrupt) is bool and type(percept) is list):
-            line = (f'{{"action": {"null" if action is None else _action(action)}, '
-                    f'"coefficient": {_float(record["coefficient"])}, '
-                    f'"detected": {_FLAG[fired]}, "disruption": {_FLAG[disrupt]}, '
-                    f'"kind": "tick", "node": {node}, '
-                    f'"outcome": {_OUTCOMES[record["outcome"]]}, '
-                    f'"percept": [{", ".join(map(float.__repr__, percept))}], '
-                    f'"q_after": {_float(record["q_after"])}, '
-                    f'"q_before": {_float(record["q_before"])}, '
-                    f'"reward": {_float(record["reward"])}, '
-                    f'"switched": {_FLAG[switch]}, "t": {t}}}\n')
-            if "inf" not in line and "nan" not in line:  # json.dumps writes Infinity, NaN
-                return line
-    return json.dumps(record, sort_keys=True) + "\n"
-
-
-# An idle tick's trace_line, with %-slots for its node, percept text and t.
-_IDLE_LINE = (trace_line(dict(_IDLE_ROW, node=0, percept=[], t=0)).replace("[]", "[%s]")
-              .replace('"node": 0', '"node": %d').replace('"t": 0', '"t": %d'))
 
 
 def report_from_trace(records) -> dict:

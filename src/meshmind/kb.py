@@ -2,8 +2,9 @@
 
 Each case pairs a percept with the action taken for it and a coefficient
 in [0, 1] scoring how well that action worked. Retrieval is an exact
-argmax over similarity (linear scan; stores are small), retention evicts
-per policy at capacity, and exact-duplicate percepts merge into one slot.
+argmax over similarity (linear scan; stores are small), retention at
+capacity evicts the least recently used case, and exact-duplicate percepts
+merge into one slot.
 """
 
 from __future__ import annotations
@@ -42,15 +43,12 @@ class Case:
 class KnowledgeBase:
     """Ordered, capacity-bounded collection of cases owned by one agent."""
 
-    EVICTION_POLICIES = ("lru", "lowest-coefficient")
+    eviction = "lru"  # the one eviction, named in snapshots
 
-    def __init__(self, capacity: int, eviction: str = EVICTION_POLICIES[0]):
+    def __init__(self, capacity: int):
         if capacity < 1:
             raise ValueError("capacity must be >= 1")
-        if eviction not in self.EVICTION_POLICIES:
-            raise ValueError(f"unknown eviction policy {eviction!r}")
         self.capacity = capacity
-        self.eviction = eviction
         self.cases: list[Case] = []
 
     def __len__(self) -> int:
@@ -87,16 +85,9 @@ class KnowledgeBase:
                 self.cases[i] = case
                 return self
         if len(self.cases) >= self.capacity:
-            self._evict()
+            self.cases.remove(min(self.cases, key=lambda c: c.last_used))
         self.cases.append(case)
         return self
-
-    def _evict(self):
-        if self.eviction == "lru":
-            victim = min(self.cases, key=lambda c: c.last_used)
-        else:
-            victim = min(self.cases, key=lambda c: c.coefficient)
-        self.cases.remove(victim)
 
     def revise(self, case: Case, action=None, coefficient: float | None = None,
                now: int | None = None) -> "KnowledgeBase":
@@ -139,7 +130,9 @@ class KnowledgeBase:
     def from_snapshot(cls, data: dict) -> "KnowledgeBase":
         if data.get("schema") != SNAPSHOT_SCHEMA:
             raise ValueError(f"unsupported snapshot schema {data.get('schema')!r}")
-        kb = cls(capacity=data["capacity"], eviction=data["eviction"])
+        if data["eviction"] != cls.eviction:
+            raise ValueError(f"unknown eviction policy {data['eviction']!r}")
+        kb = cls(capacity=data["capacity"])
         for row in data["cases"]:
             percept = PerceptVector(values=tuple(row["percept"]),
                                     t=row["t"], node=row["node"])

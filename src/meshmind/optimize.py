@@ -48,15 +48,6 @@ class EpsilonGreedy:
 
 
 @dataclass(frozen=True)
-class Boltzmann:
-    tau: float = 0.5
-
-    def __post_init__(self):
-        if self.tau <= 0:
-            raise ValueError(f"tau must be > 0, got {self.tau}")
-
-
-@dataclass(frozen=True)
 class Controlled(EpsilonGreedy):
     """Epsilon-greedy selection over candidates gated by service constraints.
 
@@ -86,7 +77,7 @@ class Controlled(EpsilonGreedy):
                 or (self.max_switches is not None and context.recent_switches >= self.max_switches))
 
 
-ExplorationPolicy = EpsilonGreedy | Boltzmann | Controlled
+ExplorationPolicy = EpsilonGreedy | Controlled
 
 
 @dataclass(frozen=True)
@@ -98,37 +89,22 @@ class ControlContext:
     recent_switches: int = 0
 
 
-def boltzmann_probabilities(values, tau: float) -> np.ndarray:
-    """Softmax of values/tau, computed with max subtraction for stability."""
-    if tau <= 0:
-        raise ValueError("tau must be > 0")
-    v = np.asarray(values, dtype=float) / tau
-    v -= v.max()
-    expd = np.exp(v)
-    return expd / expd.sum()
-
-
 def select_action(table: QTable, state: int, policy: ExplorationPolicy,
                   candidates, rng: np.random.Generator,
                   context: ControlContext | None = None):
-    """Pick one candidate under the given policy, reading the state's row once.
+    """Pick one candidate epsilon-greedily, reading the state's row once.
 
     The candidates are the table's actions in index order: action indices,
-    or a channel agent's palette. Boltzmann counts unexplored entries as 0.
-    A controlled policy whose context blocks a switch keeps only the current
-    channel (else the first candidate). Then the pick is uniform with
-    probability epsilon, else the highest-valued explored candidate, or
-    uniform when none is explored.
+    or a channel agent's palette. A controlled policy whose context blocks a
+    switch keeps only the current channel (else the first candidate). Then
+    the pick is uniform with probability epsilon, else the highest-valued
+    explored candidate, or uniform when none is explored.
     """
     if not candidates:
         raise EmptyCandidates("no candidate actions")
     row = table.row(state)
     if len(candidates) != len(row):
         raise IndexOutOfRange(f"{len(candidates)} candidates for {len(row)} actions")
-
-    if isinstance(policy, Boltzmann):
-        probs = boltzmann_probabilities([v or 0.0 for v in row], policy.tau)
-        return candidates[int(rng.choice(len(candidates), p=probs))]
 
     actions = range(len(candidates))
     if isinstance(policy, Controlled) and context is not None and policy.blocks(context):

@@ -252,7 +252,8 @@ class TestPopulation:
             readings[demand_at] = demands
             population.sense(ThroughputReport(achieved={}, conflicts=0, readings=readings))
             texts = population.percept_texts()
-            assert [f"[{text}]" for text in texts] == list(map(json.dumps, population.percepts))
+            assert [f"[{text}]" for text in texts] == [
+                json.dumps(list(population.percept(i, 0).values)) for i in range(2)]
             assert (texts[0] is texts[1]) == (demands[0].hex() == demands[1].hex())
         assert texts[0] == "0.0, NaN, 0.0"  # as json.dumps writes a NaN
 

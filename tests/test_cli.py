@@ -4,6 +4,8 @@ import json
 from pathlib import Path
 from unittest import mock
 
+import pytest
+
 from meshmind import KnowledgeBase, MoveTo, PerceptVector, SetChannel, cli
 from meshmind.agent import TraceEvent
 from meshmind.harness import (MdpSpec, load_scenario, run_scenario, sweep,
@@ -51,6 +53,21 @@ def test_sweep_prints_one_line_per_seed(capsys):
                      f"satisfaction={r.satisfaction_ratio:.4f} "
                      f"disruptions={r.disruptions} kb_hit_rate={r.kb_hit_rate:.4f}"
                      for seed, r in sorted(reports.items())]
+
+
+@pytest.mark.parametrize("seeds,problem", [
+    ("5..3", "seed range '5..3' is empty: its end is below its start"),
+    ("-1", "seed -1 in '-1' is negative"),
+    ("1..-2", "seed range '1..-2' is empty: its end is below its start"),
+    ("0,-4,2", "seed -4 in '0,-4,2' is negative"),
+], ids=["reversed", "negative", "reversed-to-negative", "negative-in-list"])
+def test_sweep_rejects_a_seed_list_it_cannot_run(seeds, problem, capsys):
+    spec_path = SCENARIO_DIR / "ring6_channels.yaml"
+    with mock.patch.object(cli.harness, "sweep", side_effect=AssertionError):
+        assert cli.main(["sweep", str(spec_path), "--seeds", seeds]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: ValueError: {problem}\n"
 
 
 def test_channel_oracle_finds_a_conflict_free_assignment(capsys):

@@ -14,10 +14,12 @@ from meshmind import (DemandProfile, EnvConfig, Environment, EpsilonGreedy,
                       MdpSpec, MeshTopology, QParams, UserSpec, harness,
                       load_scenario, q_learning_on_mdp, run_scenario, sweep,
                       value_iteration)
-from meshmind.agent import Agent, Population
-from meshmind.harness import (AgentParams, NonStochasticRow, ScenarioSpec,
+from meshmind import agent as agent_module
+from meshmind.agent import Agent, Population, TraceEvent
+from meshmind.env import MoveTo, SetChannel
+from meshmind.harness import (_IDLE_LINE, AgentParams, NonStochasticRow, ScenarioSpec,
                               SpecValidation, build_agents, report_from_trace,
-                              scenario_from_dict, trace_line)
+                              scenario_from_dict)
 from meshmind.reasoning import Outcome
 
 from helpers import make_channel_spec, make_location_spec
@@ -116,7 +118,7 @@ class TestRunScenario:
 
 
 # sha256 of every file but timings.json that a run writes, recorded before
-# trace.jsonl was written by `trace_line`; (scenario, seed) -> file -> digest.
+# trace.jsonl was written from each TraceEvent; (scenario, seed) -> file -> digest.
 PINNED_EMISSION = {
     ("lowload_windows", 0): {
         "metrics.csv": "e321eb50baf1875940079e4b5e6508f7294b3ed9697fa4fea92c07308d0d4ae4",
@@ -141,32 +143,17 @@ PINNED_EMISSION = {
     },
 }
 
-# Trace rows for `trace_line`. FINITE includes -0.0, subnormals and huge values.
+# Trace events for `TraceEvent.line`. FINITE includes -0.0, subnormals and huge values.
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
 NUMBER = st.none() | FINITE
-COUNT = st.integers(0, 10**6)
-ACTION = st.none() | st.fixed_dictionaries(
-    {"kind": st.just("set_channel"), "node": st.integers(), "channel": st.integers()}
-) | st.fixed_dictionaries(
-    {"kind": st.just("move_to"), "node": st.integers(),
-     "cell": st.lists(st.integers(), min_size=2, max_size=2)})
-TICK_ROW = st.fixed_dictionaries({
-    "kind": st.just("tick"), "t": st.integers(), "node": st.integers(),
-    "percept": st.lists(FINITE, max_size=5), "detected": st.booleans(),
-    "outcome": st.sampled_from(["idle", *(o.value for o in Outcome)]), "action": ACTION,
-    "reward": NUMBER, "coefficient": NUMBER, "q_before": NUMBER, "q_after": NUMBER,
-    "switched": st.booleans(), "disruption": st.booleans()})
-STEP_ROW = st.fixed_dictionaries({
-    "kind": st.just("step"), "t": COUNT, "conflicts": COUNT, "total_demand": FINITE,
-    "total_achieved": FINITE, "actions": COUNT, "triggered": COUNT, "reuse": COUNT,
-    "switches": COUNT, "disruptions": COUNT})
-# Values outside the template: other JSON types, non-finite floats, and TWIN
-# values, equal to a template value but of another type (1 and 1.0 for True).
-TWIN = st.sampled_from([0, 1, 0.0, 1.0, -0.0, True, False, None, "1", [1]])
-ODD = (TWIN | st.integers() | st.floats() | st.text(max_size=6)
-       | st.lists(st.floats() | TWIN, max_size=3)
-       | st.dictionaries(st.text(max_size=4), st.integers(), max_size=2))
-ODD_PERCEPT = ODD | st.tuples(FINITE) | st.dictionaries(FINITE, st.integers(), min_size=1)
+ACTION = st.none() | st.builds(SetChannel, st.integers(), st.integers()) | st.builds(
+    MoveTo, st.integers(), st.tuples(st.integers(), st.integers()))
+EVENT = st.builds(
+    TraceEvent, t=st.integers(), node=st.integers(),
+    percept=st.lists(FINITE, max_size=5).map(tuple),
+    outcome=st.sampled_from(["idle", *(o.value for o in Outcome)]), action=ACTION,
+    reward=NUMBER, coefficient=NUMBER, q_before=NUMBER, q_after=NUMBER,
+    switched=st.booleans(), disruption=st.booleans())
 
 
 def dumps_line(record) -> str:
@@ -182,58 +169,36 @@ class TestEmission:
         assert digests == PINNED_EMISSION[(name, seed)]
 
     @pytest.mark.parametrize("name,seed", list(PINNED_EMISSION))
-    def test_tick_rows_of_a_run_are_written_without_json(self, name, seed):
-        _, records = run_scenario(load_scenario(SCENARIO_DIR / f"{name}.yaml"), seed=seed)
-        ticks = [r for r in records if r["kind"] == "tick"]
-        assert {r["outcome"] for r in ticks} > {"idle"}
-        expected = list(map(dumps_line, ticks))
-        with mock.patch.object(harness, "json", None):  # any json.dumps call raises
-            assert list(map(trace_line, ticks)) == expected
+    def test_tick_rows_of_a_run_are_written_without_json(self, tmp_path, name, seed):
+        spec = load_scenario(SCENARIO_DIR / f"{name}.yaml")
+        with mock.patch.object(TraceEvent, "to_record", side_effect=AssertionError):
+            run_scenario(spec, seed=seed, out_dir=tmp_path)
+            _, records = run_scenario(spec, seed=seed)
+        trace = tmp_path / "trace.jsonl"
+        assert hashlib.sha256(trace.read_bytes()).hexdigest() == \
+            PINNED_EMISSION[(name, seed)]["trace.jsonl"]
+        assert {r["outcome"] for r in records if r["kind"] == "tick"} > {"idle"}
 
     @settings(max_examples=300, deadline=None)
-    @given(TICK_ROW)
-    def test_tick_rows_fill_the_template_exactly(self, row):
-        expected = dumps_line(row)
-        with mock.patch.object(harness, "json", None):
-            assert trace_line(row) == expected
-
-    @settings(max_examples=500, deadline=None)
-    @given(TICK_ROW, st.data())
-    def test_other_values_and_keys_fall_back_to_json(self, row, data):
-        key = data.draw(st.sampled_from(["percept", *sorted(row)]))
-        change = data.draw(st.sampled_from(["value", "value", "drop", "add"]))
-        if change == "value":
-            row[key] = data.draw(ODD_PERCEPT if key == "percept" else ODD)
-        elif change == "drop":
-            del row[key]
-        else:
-            row["extra"] = data.draw(ODD)
-        assert trace_line(row) == dumps_line(row)
-
-    @settings(max_examples=300, deadline=None)
-    @given(TICK_ROW, st.data())
-    def test_other_actions_fall_back_to_json(self, row, data):
-        action = row["action"] = data.draw(ACTION.filter(bool))
-        where = data.draw(st.sampled_from([*action, "extra", "cell item"]))
-        odd = data.draw(TWIN | ODD)
-        if where == "cell item":
-            action.get("cell", [0, 0])[data.draw(st.integers(0, 1))] = odd
-        else:
-            action[where] = odd
-        assert trace_line(row) == dumps_line(row)
+    @given(EVENT)
+    def test_tick_rows_fill_the_template_exactly(self, event):
+        idle = TraceEvent(t=event.t, node=event.node, percept=event.percept, outcome="idle")
+        expected, idle_expected = dumps_line(event.to_record()), dumps_line(idle.to_record())
+        text = ", ".join(map(json.dumps, event.percept))
+        with mock.patch.object(agent_module, "json", None):  # any json call raises
+            assert event.line() == expected
+            assert idle.line() == idle_expected
+        assert _IDLE_LINE % (event.node, text, event.t) == idle_expected
 
     @pytest.mark.parametrize("key", ["reward", "coefficient", "q_before", "q_after", "percept"])
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
     def test_non_finite_floats_fall_back_to_json(self, key, value):
-        row = dict(harness._IDLE_ROW, t=3, node=1, percept=[0.5, 0.25])
-        row[key] = [0.5, value] if key == "percept" else value
-        assert trace_line(row) == dumps_line(row)
-        assert "NaN" in trace_line(row) or "Infinity" in trace_line(row)
-
-    @settings(max_examples=100, deadline=None)
-    @given(STEP_ROW)
-    def test_step_rows_are_written_by_json(self, row):
-        assert trace_line(row) == dumps_line(row)
+        event = TraceEvent(t=3, node=1, percept=(0.5, 0.25), outcome="recompute",
+                           action=SetChannel(1, 2), reward=0.5, coefficient=0.5,
+                           q_before=0.25, q_after=0.75)
+        setattr(event, key, (0.5, value) if key == "percept" else value)
+        assert event.line() == dumps_line(event.to_record())
+        assert "NaN" in event.line() or "Infinity" in event.line()
 
     def test_traced_percepts_keep_the_sign_of_zero(self, tmp_path):
         data = yaml.safe_load((SCENARIO_DIR / "follow_demand_location.yaml").read_text())
@@ -291,11 +256,6 @@ class TestEmission:
                 tracemalloc.stop()
         untraced, traced = peaks
         assert traced <= 2 * untraced
-
-    def test_records_only_run_formats_no_trace_text(self):
-        with mock.patch.object(Population, "percept_texts", side_effect=AssertionError):
-            _, records = run_scenario(tiny_spec(horizon=5))
-        assert any(r["kind"] == "tick" for r in records)
 
     def test_failed_run_leaves_out_dir_as_it_was(self, tmp_path):
         spec = make_channel_spec(4, {(0, 1), (1, 2), (2, 3)}, horizon=50)
@@ -401,6 +361,8 @@ class TestScenarioLoading:
          "epsilon 5.0"),
         (lambda d: d.update(agents={"policy": {"epsilon": 5.0}}), "epsilon 5.0"),
         (lambda d: d.update(agents={"kb": {"eviction": "foo"}}), "eviction policy 'foo'"),
+        (lambda d: d.update(agents={"kb": {"eviction": "lowest-coefficient"}}),
+         "agents.kb.eviction: unknown eviction policy 'lowest-coefficient'; the only one is 'lru'"),
         (lambda d: d.update(agents={"kb": {"capacity": 0}}), "capacity must be >= 1"),
         (lambda d: d.update(horizon="abc"), "'abc'"),
         (lambda d: d["env"]["users"][0].update(
@@ -423,7 +385,8 @@ class TestScenarioLoading:
         (lambda d: d.update(agents={"policy": {"type": "controlled", "window": 30}}),
          "max_switches and window must be set together"),
     ], ids=["user-node", "negative-demand", "nan-demand", "negative-step",
-            "controlled-epsilon", "greedy-epsilon", "kb-eviction", "kb-capacity",
+            "controlled-epsilon", "greedy-epsilon", "kb-eviction", "kb-eviction-removed",
+            "kb-capacity",
             "horizon-not-int", "period-zero", "period-negative", "initial-channel-palette",
             "initial-channel-node", "duplicate-node", "negative-seed", "tx-power",
             "bandwidth-unit", "controlled-window", "controlled-max-switches",
@@ -497,19 +460,19 @@ class TestScenarioLoading:
             "env": {"channels": 2, "nodes": [{"id": 0, "x": 0, "y": 0}],
                     "users": [{"id": 0, "x": 0, "y": 0, "node": 0, "demand": 1.0}],
                     "pathlos_exponent": 2.0},
-            "agents": {"polcy": {"type": "boltzmann"},
-                       "policy": {"type": "boltzmann", "tau": 0.5, "epsilon": 0.1},
+            "agents": {"polcy": {"type": "controlled"},
+                       "policy": {"type": "epsilon-greedy", "tau": 0.5, "epsilon": 0.1},
                        "kb": {"capacity": 8, "evict": "lru"}},
         }
         with pytest.raises(SpecValidation) as err:
             scenario_from_dict(spec_dict)
         assert err.value.problems == [
             "unknown key env.pathlos_exponent", "unknown key agents.polcy",
-            "unknown key agents.kb.evict", "unknown key agents.policy.epsilon"]
+            "unknown key agents.kb.evict", "unknown key agents.policy.tau"]
 
-    @pytest.mark.parametrize("policy", [{"type": "boltzmann", "tau": 0.01},
+    @pytest.mark.parametrize("policy", [{"type": "controlled", "max_switches": 1, "window": 5},
                                         {"type": "controlled", "epsilon": 0.1}],
-                             ids=["boltzmann", "controlled"])
+                             ids=["controlled-windowed", "controlled"])
     def test_location_scenario_rejects_other_policies(self, policy):
         spec_dict = yaml.safe_load((SCENARIO_DIR / "follow_demand_location.yaml").read_text())
         spec_dict["agents"]["policy"] = policy

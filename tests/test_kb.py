@@ -63,7 +63,7 @@ class TestRetain:
         assert len(kb) == 1
 
     def test_lru_eviction_drops_stalest(self):
-        kb = KnowledgeBase(capacity=3, eviction="lru")
+        kb = KnowledgeBase(capacity=3)
         oldest = case((0.1,), last_used=1)
         kb.retain(oldest)
         kb.retain(case((0.2,), last_used=5))
@@ -71,15 +71,6 @@ class TestRetain:
         kb.retain(case((0.4,), last_used=9))
         assert len(kb) == 3
         assert oldest not in kb.cases
-
-    def test_lowest_coefficient_eviction(self):
-        kb = KnowledgeBase(capacity=2, eviction="lowest-coefficient")
-        weak = case((0.1,), coefficient=0.05)
-        strong = case((0.2,), coefficient=0.9)
-        kb.retain(weak).retain(strong)
-        kb.retain(case((0.3,), coefficient=0.5))
-        assert weak not in kb.cases
-        assert strong in kb.cases
 
     def test_exact_duplicate_percept_replaces(self):
         kb = KnowledgeBase(capacity=4)
@@ -181,7 +172,7 @@ class TestProperties:
 
 class TestSnapshot:
     def test_roundtrip_through_json_file(self, tmp_path):
-        kb = KnowledgeBase(capacity=8, eviction="lru")
+        kb = KnowledgeBase(capacity=8)
         kb.retain(case((0.25, 0.75), action=SetChannel(2, 3),
                        coefficient=0.4, last_used=5, created=2))
         path = tmp_path / "kb.json"
@@ -198,6 +189,12 @@ class TestSnapshot:
     def test_schema_tag_is_checked(self, tmp_path):
         with pytest.raises(ValueError):
             KnowledgeBase.from_snapshot({"schema": "something-else", "cases": []})
+
+    def test_snapshot_names_lru_eviction_and_loads_no_other(self):
+        data = KnowledgeBase(capacity=2).snapshot()
+        assert data["eviction"] == "lru"
+        with pytest.raises(ValueError, match="eviction policy 'lowest-coefficient'"):
+            KnowledgeBase.from_snapshot(dict(data, eviction="lowest-coefficient"))
 
     def test_case_rejects_out_of_range_coefficient(self):
         with pytest.raises(InvalidCoefficient):

@@ -1,14 +1,11 @@
 import itertools
-import math
 import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
-from meshmind import (Boltzmann, Controlled, DemandProfile, EnvConfig,
-                      Environment, EpsilonGreedy, MeshTopology, MoveTo,
-                      QTable, UserSpec, boltzmann_probabilities,
+from meshmind import (Controlled, DemandProfile, EnvConfig, Environment,
+                      EpsilonGreedy, MeshTopology, MoveTo, QTable, UserSpec,
                       brute_force_channels, count_conflicts, greedy_coloring,
                       location_search, select_action)
 from meshmind.learning import IndexOutOfRange
@@ -37,23 +34,6 @@ class TestSelectAction:
                 for _ in range(300)}
         assert seen == {0, 1, 2}
 
-    def test_boltzmann_equal_values_are_uniform(self):
-        probs = boltzmann_probabilities([2.0, 2.0], tau=1.0)
-        assert probs == pytest.approx([0.5, 0.5])
-
-    def test_boltzmann_hand_evaluated_softmax(self):
-        probs = boltzmann_probabilities([1.0, 0.0], tau=1.0)
-        expected = math.e / (math.e + 1.0)
-        assert probs[0] == pytest.approx(expected, rel=1e-12)
-
-    def test_boltzmann_treats_unexplored_as_zero(self):
-        table = QTable(1, 2).set(0, 0, 0.0)  # entry 1 unexplored
-        rng = np.random.default_rng(2)
-        picks = [select_action(table, 0, Boltzmann(1.0), [0, 1], rng)
-                 for _ in range(4000)]
-        share = picks.count(0) / len(picks)
-        assert 0.45 < share < 0.55
-
     def test_empty_candidates(self):
         with pytest.raises(EmptyCandidates):
             select_action(QTable(1, 1), 0, EpsilonGreedy(0.1), [],
@@ -71,19 +51,6 @@ class TestSelectAction:
         seen = {select_action(table, 0, EpsilonGreedy(0.0), [0, 1, 2], rng)
                 for _ in range(200)}
         assert seen == {0, 1, 2}
-
-    @given(st.lists(st.floats(min_value=-50, max_value=50, allow_nan=False),
-                    min_size=1, max_size=8),
-           st.floats(min_value=1e-3, max_value=100))
-    def test_boltzmann_rows_sum_to_one(self, values, tau):
-        assert abs(boltzmann_probabilities(values, tau).sum() - 1.0) <= 1e-9
-
-    def test_cold_boltzmann_concentrates_on_argmax(self):
-        table = QTable(1, 3).set(0, 0, 1.0).set(0, 1, 2.0).set(0, 2, 0.5)
-        rng = np.random.default_rng(4)
-        picks = [select_action(table, 0, Boltzmann(1e-6), [0, 1, 2], rng)
-                 for _ in range(10_000)]
-        assert picks.count(1) / len(picks) > 0.999
 
 
 class TestControlledPolicy:
