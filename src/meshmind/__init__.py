@@ -1,34 +1,31 @@
 """meshmind: knowledge-driven self-organizing agents on a wireless mesh."""
 
-from .agent import (Agent, AgentConfig, Sample, TraceEvent,
-                    detect_unsatisfactory)
+from .agent import Agent, AgentConfig, TraceEvent
 from .env import (DemandProfile, EnvConfig, Environment, EnvState, MeshTopology,
                   MoveTo, SetChannel, ThroughputReport, UserSpec, capacity)
 from .harness import (MdpSpec, RunReport, ScenarioSpec, load_scenario,
                       q_learning_on_mdp, run_scenario, sweep, value_iteration)
 from .kb import Case, KnowledgeBase
 from .learning import (QParams, QTable, StateCodec, Transition, encode_state,
-                       format_q_table, greedy, learning_coefficient, q_update)
+                       format_q_table, learning_coefficient, q_update)
 from .optimize import (Controlled, EpsilonGreedy, brute_force_channels,
                        count_conflicts, greedy_coloring, location_search,
                        select_action)
-from .reasoning import (FeatureSpec, Outcome, PerceptVector, classify,
-                        normalize, similarity)
+from .reasoning import FeatureSpec, Outcome, classify, normalize, similarity
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "Agent", "AgentConfig", "Sample", "TraceEvent", "detect_unsatisfactory",
+    "Agent", "AgentConfig", "TraceEvent",
     "DemandProfile", "EnvConfig", "Environment", "EnvState", "MeshTopology",
     "ThroughputReport", "UserSpec", "capacity",
     "MdpSpec", "RunReport", "ScenarioSpec", "load_scenario",
     "q_learning_on_mdp", "run_scenario", "sweep", "value_iteration",
     "Case", "KnowledgeBase",
     "QParams", "QTable", "StateCodec", "Transition", "encode_state",
-    "format_q_table", "greedy", "learning_coefficient", "q_update",
+    "format_q_table", "learning_coefficient", "q_update",
     "Controlled", "EpsilonGreedy", "MoveTo", "SetChannel",
     "brute_force_channels", "count_conflicts",
     "greedy_coloring", "location_search", "select_action",
-    "FeatureSpec", "Outcome", "PerceptVector", "classify", "normalize",
-    "similarity",
+    "FeatureSpec", "Outcome", "classify", "normalize", "similarity",
 ]

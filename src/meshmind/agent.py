@@ -10,17 +10,20 @@ retrieves the nearest stored case and either reuses its action,
 recomputes it, retains the percept as a new case, or rejects it.
 
 The agent keeps its own books, and a tick builds no object beyond its
-percept, trace event and action. A channel agent decides from one read of
-its value table's row, picking from its channel palette in action-index
-order. A switch it emits is marked on its trace event, as a disruption
-when its users demand more than DISRUPTION_THRESHOLD. After the step,
-`observe` scores the action from the same batched pass: it revises the
-case, penalises a disruption and updates the value table in place.
+percept, a tuple of unit-range floats, its trace event and its action: the
+step, the serving load and the controlled gate's verdict pass as plain
+values. A channel agent decides from one read of its value table's row,
+picking from its channel palette in action-index order. A switch it emits
+is marked on its trace event, as a disruption when its users demand more
+than DISRUPTION_THRESHOLD. After the step, `observe` scores the action
+from the same batched pass: it revises the case, penalises a disruption
+and updates the value table in place.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -32,44 +35,18 @@ from .kb import Case, KnowledgeBase
 # q_update is not called here; perfbench still times it at this name.
 from .learning import (IndexOutOfRange, QParams, QTable, StateCodec, encode_state,
                        learning_coefficient, q_update)
-from .optimize import (DISRUPTION_THRESHOLD, ControlContext, Controlled,
-                       EpsilonGreedy, ExplorationPolicy, location_search,
-                       one_step_cells, select_action)
+from .optimize import (DISRUPTION_THRESHOLD, Controlled, EpsilonGreedy,
+                       ExplorationPolicy, location_search, one_step_cells,
+                       select_action)
 # normalize is the scalar form of Population.sense; perfbench times it here.
-from .reasoning import (FeatureSpec, MissingFeature, Outcome, PerceptVector,
-                        classify, normalize)
+from .reasoning import FeatureSpec, MissingFeature, Outcome, classify, normalize
 
 CHANNEL_KIND = "channel-assignment"
 LOCATION_KIND = "location-optimization"
 
 
-class NonConsecutiveSamples(Exception):
-    pass
-
-
 class UnknownPendingAction(Exception):
     pass
-
-
-@dataclass(frozen=True)
-class Sample:
-    """One sensing snapshot: the percept plus the node's supply balance."""
-
-    percept: PerceptVector
-    achieved: float
-    demanded: float
-    t: int
-
-    @property
-    def satisfied(self) -> bool:
-        return satisfied(self.achieved, self.demanded)
-
-
-def detect_unsatisfactory(prev: Sample, curr: Sample) -> bool:
-    """True when the node was undersupplied in both successive samples."""
-    if curr.t != prev.t + 1 or prev.percept.node != curr.percept.node:
-        raise NonConsecutiveSamples(f"samples at t={prev.t},{curr.t}")
-    return not prev.satisfied and not curr.satisfied
 
 
 @dataclass(kw_only=True)
@@ -85,6 +62,9 @@ class AgentParams:
 
     def __post_init__(self):
         KnowledgeBase(self.kb_capacity)  # its checks, at load
+        for name in ("similarity_threshold", "coefficient_threshold"):
+            if math.isnan(getattr(self, name)):
+                raise ValueError(f"{name} nan is not a number")
 
 
 @dataclass(kw_only=True)
@@ -191,12 +171,11 @@ class Agent:
 
     # -- sensing -----------------------------------------------------------
 
-    def sense(self, env: Environment, state: EnvState,
-              report: ThroughputReport) -> PerceptVector:
+    def sense(self, env: Environment, report: ThroughputReport) -> tuple[float, ...]:
         """This agent's percept of the report, sensed as a population of one."""
         population = Population([self], env)
         population.sense(report)
-        return population.percept(0, state.t)
+        return population.percept(0)
 
     def _action_index(self, action: Action, state: EnvState) -> int:
         if self.config.kind == CHANNEL_KIND:
@@ -218,11 +197,11 @@ class Agent:
         if not population.fired[i]:
             return None, None
         t = state.t
-        percept = population.percept(i, t)
+        percept = population.percept(i)
         demanded = population.demanded[i]
         state_index = int(population.states[i])  # ValueError on NaN, as in encode_state
         action, outcome, case = self._reason(env, state, percept, demanded, state_index)
-        event = TraceEvent(t=t, node=self.node, percept=percept.values,
+        event = TraceEvent(t=t, node=self.node, percept=percept,
                            outcome=outcome.value, action=action)
         if action is None:
             return None, event
@@ -239,10 +218,10 @@ class Agent:
         population.acted(i)
         return action, event
 
-    def _reason(self, env: Environment, state: EnvState, percept: PerceptVector,
+    def _reason(self, env: Environment, state: EnvState, percept: tuple[float, ...],
                 demanded: float, state_index: int):
-        t = percept.t
-        hit = self.kb.retrieve(percept, now=t)
+        t = state.t
+        hit = self.kb.retrieve(percept, t)
         if hit is None:
             score, coefficient, case = 0.0, 0.0, None
         else:
@@ -252,13 +231,12 @@ class Agent:
                            self.config.similarity_threshold,
                            self.config.coefficient_threshold,
                            self.kb.is_full())
-        context = self._control_context(state, t, demanded)
+        hold = self._held_channel(state, t, demanded)
         if outcome is Outcome.REUSE:
-            if (context is not None and self.config.policy.blocks(context)
-                    and case.action.channel != context.current_channel):
-                return SetChannel(self.node, context.current_channel), outcome, None
+            if hold is not None and case.action.channel != hold:
+                return SetChannel(self.node, hold), outcome, None
             return case.action, outcome, case
-        action = self._optimize(env, state, state_index, context)
+        action = self._optimize(env, state, state_index, hold)
         if outcome is Outcome.RECOMPUTE:
             self.kb.revise(case, action=action, now=t)
             return action, outcome, case
@@ -270,7 +248,7 @@ class Agent:
         return action, outcome, None  # REJECT: act without writing to the KB
 
     def _optimize(self, env: Environment, state: EnvState, state_index: int,
-                  context: ControlContext | None) -> Action:
+                  hold: int | None) -> Action:
         policy = self.config.policy
         if self.config.kind == LOCATION_KIND:
             # The one-step throughput climb is the exploitation arm here; a
@@ -280,19 +258,19 @@ class Agent:
                 return MoveTo(self.node, cells[int(self.rng.integers(len(cells)))])
             return location_search(env, state, self.node)
         channel = select_action(self.table, state_index, policy, self.config.channels,
-                                self.rng, context=context)
+                                self.rng, hold=hold)
         return SetChannel(self.node, channel)
 
-    def _control_context(self, state: EnvState, t: int,
-                         demanded: float) -> ControlContext | None:
-        """A controlled channel agent's serving load, channel and switches in the window."""
+    def _held_channel(self, state: EnvState, t: int, demanded: float) -> int | None:
+        """A controlled channel agent's current channel while its gate blocks
+        a switch at serving load `demanded`, else None."""
         policy = self.config.policy
         if self.config.kind != CHANNEL_KIND or not isinstance(policy, Controlled):
             return None
         times = self._switch_times  # empty unless the policy has a window
         while times and times[0] <= t - policy.window:
             del times[0]  # left the window for good: t only grows
-        return ControlContext(demanded, state.channel_of[self.node], len(times))
+        return state.channel_of[self.node] if policy.blocks(demanded, len(times)) else None
 
     # -- feedback -------------------------------------------------------------
 
@@ -389,6 +367,6 @@ class Population:
         """Agent i emitted an action: its next trigger needs two fresh samples."""
         self._has_prev[i] = False
 
-    def percept(self, i: int, t: int) -> PerceptVector:
-        values = tuple(self._values[self._offsets[i]:self._offsets[i + 1]])
-        return PerceptVector(values=values, t=t, node=self.agents[i].node)
+    def percept(self, i: int) -> tuple[float, ...]:
+        """Agent i's percept from the last `sense`."""
+        return tuple(self._values[self._offsets[i]:self._offsets[i + 1]])

@@ -101,7 +101,7 @@ def _cmd_dump_kb(args) -> int:
     kb = KnowledgeBase.load(args.snapshot)
     print(f"capacity={kb.capacity} eviction={kb.eviction} cases={len(kb)}")
     for case in kb.cases:
-        percept = ",".join(f"{v:.4f}" for v in case.percept.values)
+        percept = ",".join(f"{v:.4f}" for v in case.percept)
         print(f"percept=[{percept}] action={json.dumps(case.action and action_to_dict(case.action))} "
               f"coefficient={case.coefficient:.4f} hits={case.hits} "
               f"last_used={case.last_used} created={case.created}")

@@ -16,6 +16,7 @@ the run report from the step rows of either.
 from __future__ import annotations
 
 import json
+import math
 import time
 from collections import Counter
 from contextlib import contextmanager, nullcontext, suppress
@@ -72,6 +73,8 @@ class ScenarioSpec:
             problems.append("horizon must be >= 0")
         if self.seed < 0:
             problems.append("seed must be >= 0")
+        if not math.isfinite(self.disruption_penalty):
+            problems.append(f"disruption_penalty {self.disruption_penalty} must be finite")
         topo_nodes = set(self.env_config.topology.positions)
         for nid in self.agent_params.nodes or []:
             if nid not in topo_nodes:
@@ -106,11 +109,11 @@ class RunReport:
 # -- scenario loading ----------------------------------------------------------
 
 # A scenario file is read against SCENARIO. A schema is a plain type (int,
-# float, bool or str: a value of exactly that type, an int also reading as a
+# float or str: a value of exactly that type, an int also reading as a
 # float), (s, t) for a pair [a, b] of plain types, [s] for a list, {k: s} for
 # a mapping with keys of plain type k, a _Table, or a reader f(value, path,
 # problems) that may raise ValueError. Pairs and lists read as tuples.
-_ACCEPTS = {int: (int,), float: (float, int), bool: (bool,), str: (str,)}
+_ACCEPTS = {int: (int,), float: (float, int), str: (str,)}
 _ABSENT = object()
 
 
@@ -238,12 +241,12 @@ SCENARIO = _Table(dict(
         policy=_variant("type", "epsilon-greedy", {
             "epsilon-greedy": (EpsilonGreedy, _Table(epsilon=float)),
             "controlled": (Controlled, _Table(
-                epsilon=float, no_switch_while_serving=bool, serving_threshold=float,
-                max_switches=int, window=int))}),
+                epsilon=float, serving_threshold=float, max_switches=int, window=int))}),
         nodes=[int]))
 MDP = _Table(dict(schema_version=_schema_version, transitions=[[[float]]], rewards=[[float]],
                   gamma=float))
-REMOVED_KEYS = ("env.reassociate", "agents.reuse_driver", "agents.bins", "agents.feature_ranges")
+REMOVED_KEYS = ("env.reassociate", "agents.reuse_driver", "agents.bins", "agents.feature_ranges",
+                "agents.policy.no_switch_while_serving")
 
 
 def _message(path: tuple, message: str) -> str:
@@ -388,8 +391,11 @@ def run_scenario(spec: ScenarioSpec, seed: int | None = None,
     and records holds only the step rows; a run that raises leaves out_dir's
     files as they were. Without out_dir each line is parsed into records,
     so they equal the parsed trace file. collect_trace=False makes no tick
-    rows, which keeps long sweeps cheap. A zero-horizon run returns no records.
+    rows, which keeps long sweeps cheap; it is refused with out_dir, whose
+    trace.jsonl would lack them. A zero-horizon run returns no records.
     """
+    if out_dir is not None and not collect_trace:
+        raise ValueError("a run that writes out_dir must collect its trace")
     started = time.perf_counter()
     run_seed = spec.seed if seed is None else seed
     env = Environment(replace(spec.env_config, rng_seed=run_seed))

@@ -1,10 +1,12 @@
 """Capacity-bounded case store: retrieve, reuse, revise, retain.
 
-Each case pairs a percept with the action taken for it and a coefficient
-in [0, 1] scoring how well that action worked. Retrieval is an exact
-argmax over similarity (linear scan; stores are small), retention at
-capacity evicts the least recently used case, and exact-duplicate percepts
-merge into one slot.
+Each case pairs a percept, a tuple of unit-range floats, with the action
+taken for it and a coefficient in [0, 1] scoring how well that action
+worked. Retrieval is an exact argmax over similarity (linear scan; stores
+are small), retention at capacity evicts the least recently used case, and
+exact-duplicate percepts merge into one slot. A snapshot row holds a case's
+percept, action, coefficient, hits, last_used and created step; the `t`
+and `node` keys that older snapshots also wrote are ignored on load.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ import json
 from dataclasses import dataclass
 
 from .env import action_from_dict, action_to_dict
-from .reasoning import PerceptVector, similarity
+from .reasoning import similarity
 
 SNAPSHOT_SCHEMA = "meshmind-kb/1"
 
@@ -28,7 +30,7 @@ class InvalidCoefficient(ValueError):
 
 @dataclass(slots=True)
 class Case:
-    percept: PerceptVector
+    percept: tuple[float, ...]
     action: object
     coefficient: float
     hits: int = 0
@@ -57,12 +59,11 @@ class KnowledgeBase:
     def is_full(self) -> bool:
         return len(self.cases) >= self.capacity
 
-    def retrieve(self, query: PerceptVector, now: int | None = None):
+    def retrieve(self, query: tuple[float, ...], now: int):
         """Best-matching case and its similarity, or None when empty.
 
         Ties break toward the most recently used case, then insertion order.
-        Bumps the hit count and last_used of the returned case (last_used
-        becomes `now`, defaulting to the query's step index).
+        Bumps the hit count of the returned case and sets its last_used to `now`.
         """
         best: Case | None = None
         best_score = -1.0
@@ -75,13 +76,13 @@ class KnowledgeBase:
         if best is None:
             return None
         best.hits += 1
-        best.last_used = query.t if now is None else now
+        best.last_used = now
         return best, best_score
 
     def retain(self, case: Case) -> "KnowledgeBase":
         """Insert a case, replacing an exact-percept duplicate or evicting."""
         for i, existing in enumerate(self.cases):
-            if existing.percept.values == case.percept.values:
+            if existing.percept == case.percept:
                 self.cases[i] = case
                 return self
         if len(self.cases) >= self.capacity:
@@ -113,9 +114,7 @@ class KnowledgeBase:
             "eviction": self.eviction,
             "cases": [
                 {
-                    "percept": list(c.percept.values),
-                    "t": c.percept.t,
-                    "node": c.percept.node,
+                    "percept": list(c.percept),
                     "action": action_to_dict(c.action),
                     "coefficient": c.coefficient,
                     "hits": c.hits,
@@ -134,9 +133,8 @@ class KnowledgeBase:
             raise ValueError(f"unknown eviction policy {data['eviction']!r}")
         kb = cls(capacity=data["capacity"])
         for row in data["cases"]:
-            percept = PerceptVector(values=tuple(row["percept"]),
-                                    t=row["t"], node=row["node"])
-            kb.cases.append(Case(percept=percept, action=action_from_dict(row["action"]),
+            kb.cases.append(Case(percept=tuple(row["percept"]),
+                                 action=action_from_dict(row["action"]),
                                  coefficient=row["coefficient"], hits=row["hits"],
                                  last_used=row["last_used"], created=row["created"]))
         return kb

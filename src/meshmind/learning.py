@@ -6,7 +6,7 @@ Learning happens in place: `QTable.update` is the one temporal-difference
 step, which writes exactly one entry and returns its new value; the agents,
 `q_update` and the MDP oracle all learn through it. Dense arrays of the
 whole table are built only on request, for tests and oracles. States come
-from uniform per-feature binning of percept vectors.
+from uniform per-feature binning of percepts.
 """
 
 from __future__ import annotations
@@ -15,14 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .reasoning import PerceptVector
-
 
 class IndexOutOfRange(Exception):
-    pass
-
-
-class NoExploredAction(Exception):
     pass
 
 
@@ -139,14 +133,6 @@ def q_update(table: QTable, params: QParams, tr: Transition) -> QTable:
     return table
 
 
-def greedy(table: QTable, state: int) -> int:
-    """Index of the best explored action in a state; ties go to the lowest index."""
-    explored = [(v, a) for a, v in enumerate(table.row(state)) if v is not None]
-    if not explored:
-        raise NoExploredAction(f"state {state} has no explored action")
-    return max(explored, key=lambda pair: pair[0])[1]  # first of equal values
-
-
 def learning_coefficient(achieved: float, demanded: float) -> float:
     """Clamped achieved/demanded ratio in [0, 1]; zero demand counts as met."""
     if achieved < 0 or demanded < 0:
@@ -174,13 +160,13 @@ class StateCodec:
         return n
 
 
-def encode_state(percept: PerceptVector, codec: StateCodec) -> int:
+def encode_state(percept: tuple[float, ...], codec: StateCodec) -> int:
     """Row-major combination of uniform per-feature bins; 1.0 lands in the last bin."""
-    if len(percept.values) != len(codec.bins):
-        raise IndexOutOfRange(f"percept has {len(percept.values)} features, "
+    if len(percept) != len(codec.bins):
+        raise IndexOutOfRange(f"percept has {len(percept)} features, "
                               f"codec expects {len(codec.bins)}")
     index = 0
-    for value, bins in zip(percept.values, codec.bins):
+    for value, bins in zip(percept, codec.bins):
         b = min(int(value * bins), bins - 1)
         index = index * bins + b
     return index

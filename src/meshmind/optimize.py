@@ -51,19 +51,21 @@ class EpsilonGreedy:
 class Controlled(EpsilonGreedy):
     """Epsilon-greedy selection over candidates gated by service constraints.
 
-    While the node serves aggregate demand above serving_threshold, `blocks`
-    holds it on its channel, for the optimizer and a reused case alike, so
-    reconfiguration waits for a low-load window. max_switches per trailing
-    `window` steps (both set, or neither) also caps its channel changes.
+    While the node serves aggregate demand above serving_threshold (never,
+    at +inf), `blocks` holds it on its channel, for the optimizer and a
+    reused case alike, so reconfiguration waits for a low-load window.
+    max_switches per trailing `window` steps (both set, or neither) also
+    caps its channel changes.
     """
 
-    no_switch_while_serving: bool = True
     serving_threshold: float = DISRUPTION_THRESHOLD
     max_switches: int | None = None
     window: int | None = None
 
     def __post_init__(self):
         super().__post_init__()
+        if math.isnan(self.serving_threshold):
+            raise ValueError("serving_threshold nan is not a number")
         if self.max_switches is not None and self.max_switches < 0:
             raise ValueError(f"max_switches {self.max_switches} must be >= 0")
         if self.window is not None and self.window < 1:
@@ -71,34 +73,25 @@ class Controlled(EpsilonGreedy):
         if (self.max_switches is None) != (self.window is None):
             raise ValueError("max_switches and window must be set together")
 
-    def blocks(self, context: ControlContext) -> bool:
-        """Whether the gate holds the node on its channel in this context."""
-        return ((self.no_switch_while_serving and context.serving_load > self.serving_threshold)
-                or (self.max_switches is not None and context.recent_switches >= self.max_switches))
+    def blocks(self, serving_load: float, recent_switches: int) -> bool:
+        """Whether the gate holds a node serving `serving_load` on its channel
+        after `recent_switches` switches inside the window."""
+        return (serving_load > self.serving_threshold
+                or (self.max_switches is not None and recent_switches >= self.max_switches))
 
 
 ExplorationPolicy = EpsilonGreedy | Controlled
 
 
-@dataclass(frozen=True)
-class ControlContext:
-    """Live facts the controlled policy filters candidates against."""
-
-    serving_load: float = 0.0
-    current_channel: int | None = None
-    recent_switches: int = 0
-
-
 def select_action(table: QTable, state: int, policy: ExplorationPolicy,
-                  candidates, rng: np.random.Generator,
-                  context: ControlContext | None = None):
+                  candidates, rng: np.random.Generator, hold=None):
     """Pick one candidate epsilon-greedily, reading the state's row once.
 
     The candidates are the table's actions in index order: action indices,
-    or a channel agent's palette. A controlled policy whose context blocks a
-    switch keeps only the current channel (else the first candidate). Then
-    the pick is uniform with probability epsilon, else the highest-valued
-    explored candidate, or uniform when none is explored.
+    or a channel agent's palette. With `hold`, the channel a controlled
+    gate holds the node on, only that candidate is kept (else the first).
+    Then the pick is uniform with probability epsilon, else the
+    highest-valued explored candidate, or uniform when none is explored.
     """
     if not candidates:
         raise EmptyCandidates("no candidate actions")
@@ -107,8 +100,8 @@ def select_action(table: QTable, state: int, policy: ExplorationPolicy,
         raise IndexOutOfRange(f"{len(candidates)} candidates for {len(row)} actions")
 
     actions = range(len(candidates))
-    if isinstance(policy, Controlled) and context is not None and policy.blocks(context):
-        actions = [a for a in actions if candidates[a] == context.current_channel] or [0]
+    if hold is not None:
+        actions = [a for a in actions if candidates[a] == hold] or [0]
 
     best = None  # unless exploring, the first highest-valued explored action
     if rng.random() >= policy.epsilon:

@@ -1,7 +1,8 @@
 """Percept normalization, similarity scoring, and decision-branch selection.
 
-Raw measurements become unit-range percept vectors via per-feature ranges.
-Similarity between two percepts maps Euclidean distance into [0, 1], and
+Raw measurements become percepts, tuples of unit-range floats, via
+per-feature ranges. Similarity between two percepts maps Euclidean
+distance into [0, 1], and
 `classify` routes a (similarity, coefficient) pair to one of four branches:
 reuse the stored action, recompute it, retain the percept as a new case,
 or reject it when the store is full.
@@ -39,15 +40,6 @@ class FeatureSpec:
         return tuple(name for name, _, _ in self.features)
 
 
-@dataclass(frozen=True, slots=True)
-class PerceptVector:
-    """Normalized observation: unit-range components plus step/node tags."""
-
-    values: tuple[float, ...]
-    t: int = 0
-    node: int = 0
-
-
 class Outcome(Enum):
     REUSE = "reuse"
     RECOMPUTE = "recompute"
@@ -55,9 +47,8 @@ class Outcome(Enum):
     REJECT = "reject"
 
 
-def normalize(raw: Mapping[str, float], spec: FeatureSpec, *,
-              t: int = 0, node: int = 0) -> PerceptVector:
-    """Scale raw measurements into [0, 1] per the feature spec.
+def normalize(raw: Mapping[str, float], spec: FeatureSpec) -> tuple[float, ...]:
+    """Scale raw measurements into a percept in [0, 1] per the feature spec.
 
     Values outside the configured range clamp rather than error, since live
     measurements may drift past the ranges chosen at scenario setup.
@@ -68,18 +59,17 @@ def normalize(raw: Mapping[str, float], spec: FeatureSpec, *,
             raise MissingFeature(name)
         x = (raw[name] - lo) / (hi - lo)
         values.append(min(1.0, max(0.0, x)))
-    return PerceptVector(values=tuple(values), t=t, node=node)
+    return tuple(values)
 
 
-def similarity(p: PerceptVector, q: PerceptVector) -> float:
+def similarity(p: tuple[float, ...], q: tuple[float, ...]) -> float:
     """Similarity in [0, 1]: 1 - d/d_max with d Euclidean, d_max = sqrt(k).
 
     Identical percepts score 1; opposite corners of the unit cube score 0.
     """
-    if len(p.values) != len(q.values):
-        raise DimensionMismatch(f"{len(p.values)} vs {len(q.values)}")
-    dist = math.dist(p.values, q.values)
-    return 1.0 - dist / math.sqrt(len(p.values))
+    if len(p) != len(q):
+        raise DimensionMismatch(f"{len(p)} vs {len(q)}")
+    return 1.0 - math.dist(p, q) / math.sqrt(len(p))
 
 
 def classify(score: float, coefficient: float, score_threshold: float,

@@ -1,4 +1,5 @@
 import json
+import math
 import warnings
 from dataclasses import replace
 
@@ -7,11 +8,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from meshmind import (Agent, AgentConfig, DemandProfile, EnvConfig,
-                      Environment, FeatureSpec, MeshTopology,
-                      PerceptVector, QParams, Sample, SetChannel, StateCodec,
-                      UserSpec, detect_unsatisfactory)
-from meshmind.agent import (NonConsecutiveSamples, Population, TraceEvent,
-                            UnknownPendingAction)
+                      Environment, FeatureSpec, MeshTopology, QParams,
+                      SetChannel, StateCodec, UserSpec)
+from meshmind.agent import Population, TraceEvent, UnknownPendingAction
 from meshmind.env import ThroughputReport, satisfied
 from meshmind.kb import Case
 from meshmind.harness import build_agents, run_scenario
@@ -83,7 +82,7 @@ def drive(env, agents, steps, force=None, start=None, penalty=0.0):
         for i, ag in enumerate(agents):
             action, event = ag.tick(env, state, population, i)
             events.append(event or TraceEvent(t=state.t, node=ag.node, outcome="idle",
-                                              percept=population.percept(i, state.t).values))
+                                              percept=population.percept(i)))
             if action is not None:
                 batch.append(action)
                 acting.append(i)
@@ -132,23 +131,23 @@ class TestSense:
         agents = build_agents(spec, env, state, seed=0)
         agent = agents[0]
         assert agent.config.feature_spec.names == ("x", "y", "demand_u0", "demand_u1")
-        percept = agent.sense(env, state, env.report_for(state))
-        assert percept.values[0] == pytest.approx(2.0 / 3.0)  # node starts at x=2 of 0..3
-        assert percept.values[2] == pytest.approx(1.0)        # user 0 demands the peak
+        percept = agent.sense(env, env.report_for(state))
+        assert percept[0] == pytest.approx(2.0 / 3.0)  # node starts at x=2 of 0..3
+        assert percept[2] == pytest.approx(1.0)        # user 0 demands the peak
 
     def test_zero_demand_gives_zero_component(self):
         env = channel_env()
         agent = channel_agent()
         state = replace(env.reset(), demand={0: 0.0, 1: 0.0})
-        percept = agent.sense(env, state, env.report_for(state))
-        assert percept.values[1] == 0.0
+        percept = agent.sense(env, env.report_for(state))
+        assert percept[1] == 0.0
 
     def test_identical_environment_gives_identical_percepts(self):
         env = channel_env()
         agent = channel_agent()
         state = env.reset()
         report = env.report_for(state)
-        assert agent.sense(env, state, report).values == agent.sense(env, state, report).values
+        assert agent.sense(env, report) == agent.sense(env, report)
 
 
 class TestPopulation:
@@ -175,7 +174,7 @@ class TestPopulation:
                    "x": float(x), "y": float(y)}
             raw.update({f"demand_u{u}": state.demand[u] for u in env.users_of(ag.node)})
             expected = normalize(raw, ag.config.feature_spec)
-            assert population.percept(i, state.t).values == expected.values
+            assert population.percept(i) == expected
             assert population.achieved[i] == raw["achieved"]
             assert population.demanded[i] == raw["demand"]
 
@@ -185,7 +184,7 @@ class TestPopulation:
         demand_at = [env.reading_index(n, "demand") for n in (0, 1)]
         achieved_at = [env.reading_index(n, "achieved") for n in (0, 1)]
         rng = np.random.default_rng(0)
-        previous = [None, None]
+        previous = [None, None]  # whether the last counted sample was undersupplied
         for t in range(60):
             readings = np.zeros(12)  # five per-node readings of two nodes, two users
             readings[demand_at] = 5.0
@@ -193,12 +192,10 @@ class TestPopulation:
             population.sense(ThroughputReport(achieved={}, conflicts=0,
                                               readings=readings))
             for i in range(2):
-                sample = Sample(percept=PerceptVector((0.0,), t=t, node=i),
-                                achieved=readings[achieved_at[i]], demanded=5.0, t=t)
-                expected = (previous[i] is not None
-                            and detect_unsatisfactory(previous[i], sample))
+                unsatisfied = not satisfied(readings[achieved_at[i]], 5.0)
+                expected = bool(previous[i]) and unsatisfied  # undersupplied twice running
                 assert population.fired[i] == expected
-                previous[i] = sample
+                previous[i] = unsatisfied
                 if expected and rng.random() < 0.5:
                     population.acted(i)
                     previous[i] = None
@@ -218,7 +215,7 @@ class TestPopulation:
             run, _ = drive(env, agents, 1, start=run)
             state, _, population = run
             for i, ag in enumerate(agents):
-                expected = encode_state(population.percept(i, state.t), ag.config.codec)
+                expected = encode_state(population.percept(i), ag.config.codec)
                 assert population.states[i] == expected
                 checked.add(expected)
         assert len(checked) > 1
@@ -240,7 +237,7 @@ class TestPopulation:
                     st.sampled_from([*edges, 0.0, -0.0, 1.0]) | st.floats(0.0, 1.0))
         population = Population(agents, env)
         population.sense(ThroughputReport(achieved={}, conflicts=0, readings=readings))
-        assert population.states == [encode_state(population.percept(i, 0), ag.config.codec)
+        assert population.states == [encode_state(population.percept(i), ag.config.codec)
                                      for i, ag in enumerate(agents)]
 
     def test_percept_texts_are_the_json_items_of_each_percept(self):
@@ -253,7 +250,7 @@ class TestPopulation:
             population.sense(ThroughputReport(achieved={}, conflicts=0, readings=readings))
             texts = population.percept_texts()
             assert [f"[{text}]" for text in texts] == [
-                json.dumps(list(population.percept(i, 0).values)) for i in range(2)]
+                json.dumps(list(population.percept(i))) for i in range(2)]
             assert (texts[0] is texts[1]) == (demands[0].hex() == demands[1].hex())
         assert texts[0] == "0.0, NaN, 0.0"  # as json.dumps writes a NaN
 
@@ -297,28 +294,28 @@ class TestPopulation:
 
 
 class TestDetect:
-    def sample(self, t, achieved, demanded):
-        return Sample(percept=PerceptVector((0.0,), t=t, node=0),
-                      achieved=achieved, demanded=demanded, t=t)
+    def fires(self, *achieved):
+        """Whether node 0's detector fires after samples of these supplies at demand 5."""
+        env = channel_env()
+        population = Population([channel_agent(0)], env)
+        readings = np.zeros(12)  # five per-node readings of two nodes, two users
+        readings[env.reading_index(0, "demand")] = 5.0
+        for value in achieved:
+            readings[env.reading_index(0, "achieved")] = value
+            population.sense(ThroughputReport(achieved={}, conflicts=0, readings=readings))
+        return population.fired[0]
 
     def test_two_satisfied_samples_do_not_trigger(self):
-        assert not detect_unsatisfactory(self.sample(0, 5.0, 5.0),
-                                         self.sample(1, 5.0, 5.0))
+        assert not self.fires(5.0, 5.0)
 
     def test_single_unsatisfied_sample_is_not_enough(self):
-        assert not detect_unsatisfactory(self.sample(0, 5.0, 5.0),
-                                         self.sample(1, 1.0, 5.0))
-        assert not detect_unsatisfactory(self.sample(0, 1.0, 5.0),
-                                         self.sample(1, 5.0, 5.0))
+        assert not self.fires(1.0)
+        assert not self.fires(5.0, 1.0)
+        assert not self.fires(1.0, 5.0)
 
     def test_two_unsatisfied_samples_trigger(self):
-        assert detect_unsatisfactory(self.sample(0, 1.0, 5.0),
-                                     self.sample(1, 1.0, 5.0))
-
-    def test_non_consecutive_samples_rejected(self):
-        with pytest.raises(NonConsecutiveSamples):
-            detect_unsatisfactory(self.sample(0, 1.0, 5.0),
-                                  self.sample(2, 1.0, 5.0))
+        assert self.fires(1.0, 1.0)
+        assert self.fires(5.0, 1.0, 1.0)
 
 
 class TestTick:
@@ -367,13 +364,13 @@ class TestTick:
     @pytest.mark.parametrize("gated", [True, False])
     def test_reused_switch_waits_while_the_node_serves(self, gated):
         env = channel_env()  # both nodes start on channel 1: node 0 is starved
-        policy = Controlled(epsilon=0.0, no_switch_while_serving=gated)
+        policy = Controlled(epsilon=0.0, serving_threshold=1.0 if gated else math.inf)
         agent = Agent(0, replace(channel_agent().config, policy=policy))
         population = Population([agent], env)
         state = env.reset()
         report = env.report_for(state)
         population.sense(report)
-        agent.kb.retain(Case(percept=population.percept(0, 0), action=SetChannel(0, 2),
+        agent.kb.retain(Case(percept=population.percept(0), action=SetChannel(0, 2),
                              coefficient=1.0))
         population.sense(report)  # second starved sample fires the detector
         action, event = agent.tick(env, state, population, 0)
@@ -404,7 +401,7 @@ class TestObserve:
         population = Population([agent], env)
         report = starved_report(env)
         population.sense(report)
-        case = Case(percept=population.percept(0, 0), action=SetChannel(0, 2),
+        case = Case(percept=population.percept(0), action=SetChannel(0, 2),
                     coefficient=0.5)
         agent.kb.retain(case)
         population.sense(report)  # second starved sample fires the detector

@@ -6,7 +6,7 @@ from unittest import mock
 
 import pytest
 
-from meshmind import KnowledgeBase, MoveTo, PerceptVector, SetChannel, cli
+from meshmind import KnowledgeBase, MoveTo, SetChannel, cli
 from meshmind.agent import TraceEvent
 from meshmind.harness import (MdpSpec, load_scenario, run_scenario, sweep,
                               value_iteration)
@@ -90,9 +90,9 @@ def test_mdp_oracle_prints_value_iteration(capsys):
 
 def test_dump_kb_prints_a_saved_snapshot(tmp_path, capsys):
     kb = KnowledgeBase(capacity=8)
-    kb.retain(Case(percept=PerceptVector((0.25, 1.0), t=4, node=2),
+    kb.retain(Case(percept=(0.25, 1.0),
                    action=SetChannel(2, 3), coefficient=0.5, last_used=4, created=4))
-    kb.retain(Case(percept=PerceptVector((0.5, 0.0), t=6, node=2),
+    kb.retain(Case(percept=(0.5, 0.0),
                    action=MoveTo(2, (1, 0)), coefficient=1.0, hits=2, last_used=9, created=6))
     path = tmp_path / "kb.json"
     kb.save(path)

@@ -217,7 +217,7 @@ class TestEmission:
         population.sense(env.report_for(state))
         expected = []
         for _ in range(spec.horizon):
-            expected.append(list(map(float.hex, population.percept(0, state.t).values)))
+            expected.append(list(map(float.hex, population.percept(0))))
             state, report = env.apply_and_step(state, [])
             population.sense(report)
         lines = (tmp_path / "trace.jsonl").read_text().splitlines()
@@ -265,6 +265,15 @@ class TestEmission:
             with pytest.raises(RuntimeError, match="stop"):
                 run_scenario(spec, seed=3, out_dir=tmp_path)
         assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+    def test_untraced_run_with_out_dir_is_refused_before_writing(self, tmp_path):
+        (tmp_path / "report.txt").write_text("kept\n")
+        with pytest.raises(ValueError, match="must collect its trace"):
+            run_scenario(tiny_spec(horizon=3), out_dir=tmp_path / "new", collect_trace=False)
+        with pytest.raises(ValueError, match="must collect its trace"):
+            run_scenario(tiny_spec(horizon=3), out_dir=tmp_path, collect_trace=False)
+        assert [p.name for p in tmp_path.iterdir()] == ["report.txt"]
+        assert (tmp_path / "report.txt").read_text() == "kept\n"
 
     def test_infinite_radio_setting_is_rejected_at_load(self):
         data = yaml.safe_load((SCENARIO_DIR / "ring6_channels.yaml").read_text())
@@ -384,13 +393,26 @@ class TestScenarioLoading:
          "max_switches and window must be set together"),
         (lambda d: d.update(agents={"policy": {"type": "controlled", "window": 30}}),
          "max_switches and window must be set together"),
+        (lambda d: d.update(agents={"thresholds": {"similarity": float("nan")}}),
+         "agents: similarity_threshold nan is not a number"),
+        (lambda d: d.update(agents={"thresholds": {"coefficient": float("nan")}}),
+         "agents: coefficient_threshold nan is not a number"),
+        (lambda d: d.update(agents={"policy": {"type": "controlled",
+                                               "serving_threshold": float("nan")}}),
+         "agents.policy: serving_threshold nan is not a number"),
+        (lambda d: d.update(disruption_penalty=float("inf")),
+         "scenario: disruption_penalty inf must be finite"),
+        (lambda d: d.update(disruption_penalty=float("nan")),
+         "scenario: disruption_penalty nan must be finite"),
     ], ids=["user-node", "negative-demand", "nan-demand", "negative-step",
             "controlled-epsilon", "greedy-epsilon", "kb-eviction", "kb-eviction-removed",
             "kb-capacity",
             "horizon-not-int", "period-zero", "period-negative", "initial-channel-palette",
             "initial-channel-node", "duplicate-node", "negative-seed", "tx-power",
             "bandwidth-unit", "controlled-window", "controlled-max-switches",
-            "max-switches-without-window", "window-without-max-switches"])
+            "max-switches-without-window", "window-without-max-switches",
+            "nan-similarity", "nan-coefficient", "nan-serving-threshold",
+            "infinite-penalty", "nan-penalty"])
     def test_malformed_values_rejected_at_load(self, edit, problem):
         spec_dict = {
             "schema_version": 1, "kind": "channel-assignment", "horizon": 5,
@@ -401,6 +423,11 @@ class TestScenarioLoading:
         with pytest.raises(SpecValidation) as err:
             scenario_from_dict(spec_dict)
         assert problem in str(err.value)
+
+    def test_infinite_serving_threshold_loads(self):
+        data = yaml.safe_load((SCENARIO_DIR / "lowload_windows.yaml").read_text())
+        data["agents"]["policy"]["serving_threshold"] = float("inf")
+        assert scenario_from_dict(data).agent_params.policy.serving_threshold == float("inf")
 
     @pytest.mark.parametrize("edit,problem", [
         (lambda d: [d], "scenario: expected a mapping, got [{"),
@@ -415,8 +442,8 @@ class TestScenarioLoading:
         (lambda d: d | {"agents": {"policy": {"type": "controlled", "max_switches": "x"}}},
          "agents.policy.max_switches: expected int, got 'x'"),
         (lambda d: d | {"agents": {"policy": {"type": "controlled",
-                                              "no_switch_while_serving": "no"}}},
-         "agents.policy.no_switch_while_serving: expected bool, got 'no'"),
+                                              "no_switch_while_serving": False}}},
+         "agents.policy.no_switch_while_serving is no longer supported"),
         (lambda d: d | {"horizon": 2.7}, "horizon: expected int, got 2.7"),
         (lambda d: d | {"horizon": True}, "horizon: expected int, got True"),
         (lambda d: d | {"agents": {"kb": {"capacity": 2.5}}},

@@ -4,12 +4,12 @@ from dataclasses import replace
 
 import pytest
 
-from meshmind import Case, KnowledgeBase, PerceptVector, SetChannel, similarity
+from meshmind import Case, KnowledgeBase, SetChannel, similarity
 from meshmind.kb import InvalidCoefficient, UnknownCase
 
 
 def case(values, action=None, coefficient=0.5, **kw):
-    return Case(percept=PerceptVector(tuple(values)),
+    return Case(percept=tuple(values),
                 action=action or SetChannel(0, 1),
                 coefficient=coefficient, **kw)
 
@@ -17,13 +17,13 @@ def case(values, action=None, coefficient=0.5, **kw):
 class TestRetrieve:
     def test_empty_store_returns_none(self):
         kb = KnowledgeBase(capacity=4)
-        assert kb.retrieve(PerceptVector((0.5, 0.5))) is None
+        assert kb.retrieve((0.5, 0.5), now=0) is None
 
     def test_exact_match_scores_one(self):
         kb = KnowledgeBase(capacity=4)
         stored = case((0.2, 0.8))
         kb.retain(stored)
-        hit, score = kb.retrieve(PerceptVector((0.2, 0.8)))
+        hit, score = kb.retrieve((0.2, 0.8), now=0)
         assert hit is stored
         assert score == 1.0
 
@@ -32,18 +32,18 @@ class TestRetrieve:
         near = case((0.0, 0.0))
         far = case((1.0, 1.0))
         kb.retain(near).retain(far)
-        query = PerceptVector((0.1, 0.1))
+        query = (0.1, 0.1)
         # independent check: compare distances directly
-        assert math.dist(near.percept.values, query.values) \
-            < math.dist(far.percept.values, query.values)
-        hit, _ = kb.retrieve(query)
+        assert math.dist(near.percept, query) \
+            < math.dist(far.percept, query)
+        hit, _ = kb.retrieve(query, now=0)
         assert hit is near
 
     def test_retrieve_updates_usage_metadata(self):
         kb = KnowledgeBase(capacity=4)
         stored = case((0.5,), last_used=3)
         kb.retain(stored)
-        kb.retrieve(PerceptVector((0.5,), t=9))
+        kb.retrieve((0.5,), now=9)
         assert stored.hits == 1
         assert stored.last_used == 9
 
@@ -52,7 +52,7 @@ class TestRetrieve:
         stale = case((0.0, 0.4), last_used=1)
         fresh = case((0.0, 0.6), last_used=8)
         kb.retain(stale).retain(fresh)
-        hit, _ = kb.retrieve(PerceptVector((0.0, 0.5)))
+        hit, _ = kb.retrieve((0.0, 0.5), now=0)
         assert hit is fresh
 
 
@@ -102,7 +102,7 @@ class TestRevise:
         stored = case((0.5, 0.5), action=SetChannel(0, 1))
         kb.retain(stored)
         kb.revise(stored, action=SetChannel(0, 2))
-        hit, _ = kb.retrieve(PerceptVector((0.5, 0.5)))
+        hit, _ = kb.retrieve((0.5, 0.5), now=0)
         assert hit.action == SetChannel(0, 2)
 
     def test_unknown_case(self):
@@ -139,7 +139,7 @@ class TestProperties:
                 kb.retain(case(values, coefficient=rng.random(),
                                last_used=step, created=step))
             elif op < 0.8:
-                kb.retrieve(PerceptVector((rng.random(), rng.random()), t=step))
+                kb.retrieve((rng.random(), rng.random()), now=step)
             elif kb.cases:
                 target = rng.choice(kb.cases)
                 kb.revise(target, coefficient=rng.random(), now=step)
@@ -153,9 +153,9 @@ class TestProperties:
             for i in range(rng.randint(1, 20)):
                 kb.retain(case((rng.random(), rng.random(), rng.random()),
                                last_used=i, created=i))
-            query = PerceptVector((rng.random(), rng.random(), rng.random()))
+            query = (rng.random(), rng.random(), rng.random())
             best_score = max(similarity(c.percept, query) for c in kb.cases)
-            hit, score = kb.retrieve(query)
+            hit, score = kb.retrieve(query, now=0)
             assert score == best_score
             assert similarity(hit.percept, query) == best_score
 
@@ -165,7 +165,7 @@ class TestProperties:
         for i in range(20):
             stored = case((rng.random(), rng.random()), last_used=i, created=i)
             kb.retain(stored)
-            hit, score = kb.retrieve(stored.percept)
+            hit, score = kb.retrieve(stored.percept, now=i)
             assert hit is stored
             assert score == 1.0
 
@@ -181,10 +181,20 @@ class TestSnapshot:
         assert loaded.capacity == 8
         assert len(loaded) == 1
         restored = loaded.cases[0]
-        assert restored.percept.values == (0.25, 0.75)
+        assert restored.percept == (0.25, 0.75)
         assert restored.action == SetChannel(2, 3)
         assert restored.coefficient == 0.4
         assert (restored.hits, restored.last_used, restored.created) == (0, 5, 2)
+
+    def test_rows_hold_no_step_or_node_and_older_rows_still_load(self):
+        kb = KnowledgeBase(capacity=4)
+        kb.retain(case((0.5,), coefficient=0.4, last_used=7, created=3))
+        data = kb.snapshot()
+        assert sorted(data["cases"][0]) == ["action", "coefficient", "created", "hits",
+                                            "last_used", "percept"]
+        data["cases"][0].update(t=3, node=2)  # as older snapshots wrote them
+        restored = KnowledgeBase.from_snapshot(data).cases[0]
+        assert (restored.percept, restored.coefficient, restored.created) == ((0.5,), 0.4, 3)
 
     def test_schema_tag_is_checked(self, tmp_path):
         with pytest.raises(ValueError):

@@ -4,11 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from meshmind import (PerceptVector, QParams, QTable, StateCodec, Transition,
-                      encode_state, format_q_table, greedy,
-                      learning_coefficient, q_update)
-from meshmind.learning import (IndexOutOfRange, NegativeInput,
-                               NoExploredAction)
+from meshmind import (EpsilonGreedy, QParams, QTable, StateCodec, Transition,
+                      encode_state, format_q_table, learning_coefficient,
+                      q_update, select_action)
+from meshmind.learning import IndexOutOfRange, NegativeInput
 
 
 def bandit_table():
@@ -112,10 +111,6 @@ class DenseTable:
         self.set(tr.state, tr.action,
                  current + params.alpha * (tr.reward + params.gamma * best_next - current))
 
-    def greedy(self, state):
-        row = self.explored[state]
-        return int(np.argmax(np.where(row, self.values[state], -np.inf))) if row.any() else None
-
     def dump(self):
         lines = ["\t".join(["state"] + [f"a_{j + 1}" for j in range(self.values.shape[1])])]
         for s, (values, explored) in enumerate(zip(self.values, self.explored)):
@@ -132,11 +127,6 @@ def assert_matches(table, ref):
         for a in range(actions):
             expected = float(ref.values[s, a]) if ref.explored[s, a] else None
             assert table.entry(s, a) == expected
-        if ref.greedy(s) is None:
-            with pytest.raises(NoExploredAction):
-                greedy(table, s)
-        else:
-            assert greedy(table, s) == ref.greedy(s)
     assert format_q_table(table) == ref.dump()
 
 
@@ -165,26 +155,28 @@ class TestAgainstDenseModel:
 
 
 class TestGreedy:
+    """The greedy arm of `select_action`: the first highest-valued explored action."""
+
+    def greedy(self, table, state):
+        return select_action(table, state, EpsilonGreedy(0.0),
+                             list(range(table.action_count)), np.random.default_rng(0))
+
     def test_row_with_unexplored_first_action(self):
-        assert greedy(bandit_table(), 0) == 1  # 10 beats 5 and 0.2
+        assert self.greedy(bandit_table(), 0) == 1  # 10 beats 5 and 0.2
 
     def test_row_with_dominant_first_action(self):
-        assert greedy(bandit_table(), 1) == 0  # 100
+        assert self.greedy(bandit_table(), 1) == 0  # 100
 
     def test_row_with_dominant_third_action(self):
-        assert greedy(bandit_table(), 2) == 2  # 30
+        assert self.greedy(bandit_table(), 2) == 2  # 30
 
     def test_unexplored_cells_never_selected(self):
         table = QTable(1, 3).set(0, 2, -50.0)
-        assert greedy(table, 0) == 2
+        assert self.greedy(table, 0) == 2
 
     def test_tie_breaks_to_lowest_index(self):
         table = QTable(1, 3).set(0, 1, 5.0).set(0, 2, 5.0)
-        assert greedy(table, 1 - 1) == 1
-
-    def test_no_explored_action_raises(self):
-        with pytest.raises(NoExploredAction):
-            greedy(QTable(2, 2), 0)
+        assert self.greedy(table, 0) == 1
 
 
 class TestLearningCoefficient:
@@ -223,25 +215,25 @@ class TestEncodeState:
     CODEC = StateCodec(bins=(4, 4))
 
     def test_all_zeros_is_first_state(self):
-        assert encode_state(PerceptVector((0.0, 0.0)), self.CODEC) == 0
+        assert encode_state((0.0, 0.0), self.CODEC) == 0
 
     def test_all_ones_is_last_state(self):
-        assert encode_state(PerceptVector((1.0, 1.0)), self.CODEC) == 15
+        assert encode_state((1.0, 1.0), self.CODEC) == 15
 
     def test_row_major_combination(self):
         # bins: 0.3 -> 1, 0.6 -> 2; row-major index 1*4 + 2
-        assert encode_state(PerceptVector((0.3, 0.6)), self.CODEC) == 6
+        assert encode_state((0.3, 0.6), self.CODEC) == 6
 
     @given(st.lists(st.floats(min_value=0, max_value=1, allow_nan=False),
                     min_size=3, max_size=3))
     def test_total_over_unit_cube(self, values):
         codec = StateCodec(bins=(3, 2, 5))
-        index = encode_state(PerceptVector(tuple(values)), codec)
+        index = encode_state(tuple(values), codec)
         assert 0 <= index < codec.state_count
 
     def test_dimension_mismatch(self):
         with pytest.raises(IndexOutOfRange):
-            encode_state(PerceptVector((0.5,)), self.CODEC)
+            encode_state((0.5,), self.CODEC)
 
 
 class TestDump:

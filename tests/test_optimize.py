@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 
 import numpy as np
@@ -9,8 +10,7 @@ from meshmind import (Controlled, DemandProfile, EnvConfig, Environment,
                       brute_force_channels, count_conflicts, greedy_coloring,
                       location_search, select_action)
 from meshmind.learning import IndexOutOfRange
-from meshmind.optimize import (ControlContext, EmptyCandidates, NoAllowedCell,
-                               TooLarge, one_step_cells)
+from meshmind.optimize import EmptyCandidates, NoAllowedCell, TooLarge, one_step_cells
 
 
 def topology(n, edges, channels=3):
@@ -54,38 +54,32 @@ class TestSelectAction:
 
 
 class TestControlledPolicy:
-    def test_no_switch_while_serving_above_threshold(self):
+    """The gate's `blocks`, and `select_action` holding the node where it blocks."""
+
+    candidates = [1, 2, 3]  # channel palette, in action-index order
+
+    def pick(self, policy, serving_load, recent_switches, rng):
+        """The pick of a node on channel 1 whose best-valued channel is 3."""
+        hold = 1 if policy.blocks(serving_load, recent_switches) else None
         table = QTable(1, 3).set(0, 2, 9.0)
+        return select_action(table, 0, policy, self.candidates, rng, hold=hold)
+
+    def test_no_switch_while_serving_above_threshold(self):
         policy = Controlled(epsilon=0.5, serving_threshold=1.0)
-        context = ControlContext(serving_load=4.0, current_channel=1)
-        candidates = [1, 2, 3]  # channel palette, in action-index order
         rng = np.random.default_rng(5)
         for _ in range(300):
-            action = select_action(table, 0, policy, candidates, rng,
-                                   context=context)
-            assert action == 1
+            assert self.pick(policy, 4.0, 0, rng) == 1
 
     def test_switches_allowed_below_threshold(self):
-        table = QTable(1, 3).set(0, 2, 9.0)
         policy = Controlled(epsilon=0.0, serving_threshold=1.0)
-        context = ControlContext(serving_load=0.5, current_channel=1)
-        candidates = [1, 2, 3]  # channel palette, in action-index order
-        action = select_action(table, 0, policy, candidates,
-                               np.random.default_rng(6),
-                               context=context)
-        assert action == 3
+        assert not policy.blocks(0.5, 0)
+        assert self.pick(policy, 0.5, 0, np.random.default_rng(6)) == 3
 
     def test_switch_budget_blocks_when_spent(self):
-        table = QTable(1, 3).set(0, 2, 9.0)
-        policy = Controlled(epsilon=0.0, no_switch_while_serving=False,
+        policy = Controlled(epsilon=0.0, serving_threshold=math.inf,
                             max_switches=2, window=50)
-        candidates = [1, 2, 3]  # channel palette, in action-index order
-        context = ControlContext(serving_load=0.0, current_channel=1,
-                                 recent_switches=2)
-        action = select_action(table, 0, policy, candidates,
-                               np.random.default_rng(7),
-                               context=context)
-        assert action == 1
+        assert not policy.blocks(1e9, 1)  # no load gate, one switch left
+        assert self.pick(policy, 0.0, 2, np.random.default_rng(7)) == 1
 
 
 class TestGreedyColoring:

@@ -3,7 +3,7 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from meshmind import FeatureSpec, Outcome, PerceptVector, classify, normalize, similarity
+from meshmind import FeatureSpec, Outcome, classify, normalize, similarity
 from meshmind.reasoning import DimensionMismatch, MissingFeature
 
 SPEC = FeatureSpec(features=(("x", 0.0, 4.0), ("demand", 0.0, 30.0)))
@@ -14,15 +14,15 @@ unit = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
 class TestNormalize:
     def test_minima_map_to_zeros(self):
         p = normalize({"x": 0.0, "demand": 0.0}, SPEC)
-        assert p.values == (0.0, 0.0)
+        assert p == (0.0, 0.0)
 
     def test_maxima_map_to_ones(self):
         p = normalize({"x": 4.0, "demand": 30.0}, SPEC)
-        assert p.values == (1.0, 1.0)
+        assert p == (1.0, 1.0)
 
     def test_midpoint(self):
         p = normalize({"x": 0.0, "demand": 15.0}, SPEC)
-        assert p.values[1] == pytest.approx(0.5)
+        assert p[1] == pytest.approx(0.5)
 
     def test_missing_feature(self):
         with pytest.raises(MissingFeature):
@@ -30,13 +30,13 @@ class TestNormalize:
 
     def test_out_of_range_clamps(self):
         p = normalize({"x": -3.0, "demand": 99.0}, SPEC)
-        assert p.values == (0.0, 1.0)
+        assert p == (0.0, 1.0)
 
     @given(st.floats(min_value=-100, max_value=100, allow_nan=False),
            st.floats(min_value=-100, max_value=100, allow_nan=False))
     def test_components_always_in_unit_range(self, x, d):
         p = normalize({"x": x, "demand": d}, SPEC)
-        assert all(0.0 <= v <= 1.0 for v in p.values)
+        assert all(0.0 <= v <= 1.0 for v in p)
 
     @given(st.floats(min_value=-50, max_value=50, allow_nan=False),
            st.sampled_from([0.5, 2.0, 4.0, 8.0]))
@@ -45,45 +45,44 @@ class TestNormalize:
         # is exact in binary floating point
         base = FeatureSpec(features=(("x", -50.0, 50.0),))
         scaled = FeatureSpec(features=(("x", -50.0 * scale, 50.0 * scale),))
-        assert (normalize({"x": x}, base).values
-                == normalize({"x": x * scale}, scaled).values)
+        assert normalize({"x": x}, base) == normalize({"x": x * scale}, scaled)
 
 
 class TestSimilarity:
     def test_identical_percepts_score_one(self):
-        p = PerceptVector((0.3, 0.7))
+        p = (0.3, 0.7)
         assert similarity(p, p) == 1.0
 
     def test_opposite_corners_score_zero(self):
-        p = PerceptVector((0.0, 0.0, 0.0))
-        q = PerceptVector((1.0, 1.0, 1.0))
+        p = (0.0, 0.0, 0.0)
+        q = (1.0, 1.0, 1.0)
         assert similarity(p, q) == pytest.approx(0.0, abs=1e-12)
 
     def test_unit_distance_in_two_dims(self):
-        p = PerceptVector((0.0, 0.0))
-        q = PerceptVector((1.0, 0.0))
+        p = (0.0, 0.0)
+        q = (1.0, 0.0)
         assert similarity(p, q) == pytest.approx(1.0 - 1.0 / math.sqrt(2.0))
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
-            similarity(PerceptVector((0.1,)), PerceptVector((0.1, 0.2)))
+            similarity((0.1,), (0.1, 0.2))
 
     @given(st.lists(unit, min_size=1, max_size=6), st.data())
     def test_symmetric_and_bounded(self, values, data):
         other = data.draw(st.lists(unit, min_size=len(values), max_size=len(values)))
-        p, q = PerceptVector(tuple(values)), PerceptVector(tuple(other))
+        p, q = tuple(values), tuple(other)
         assert similarity(p, q) == similarity(q, p)
         assert 0.0 <= similarity(p, q) <= 1.0
 
     @given(st.lists(unit, min_size=2, max_size=4))
     def test_max_similarity_equals_min_distance(self, query_values):
         # the case maximizing similarity is the case minimizing distance
-        query = PerceptVector(tuple(query_values))
+        query = tuple(query_values)
         k = len(query_values)
-        cases = [PerceptVector(tuple((i + j) / 10 % 1.0 for j in range(k)))
+        cases = [tuple((i + j) / 10 % 1.0 for j in range(k))
                  for i in range(5)]
         by_similarity = max(cases, key=lambda c: similarity(c, query))
-        by_distance = min(cases, key=lambda c: math.dist(c.values, query.values))
+        by_distance = min(cases, key=lambda c: math.dist(c, query))
         assert similarity(by_similarity, query) == similarity(by_distance, query)
 
 
