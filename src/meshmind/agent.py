@@ -62,9 +62,9 @@ class AgentParams:
 
     def __post_init__(self):
         KnowledgeBase(self.kb_capacity)  # its checks, at load
-        for name in ("similarity_threshold", "coefficient_threshold"):
-            if math.isnan(getattr(self, name)):
-                raise ValueError(f"{name} nan is not a number")
+        if nan := [f"{name} nan is not a number" for name in ("similarity_threshold",
+                   "coefficient_threshold") if math.isnan(getattr(self, name))]:
+            raise ValueError(*nan)
 
 
 @dataclass(kw_only=True)
@@ -106,26 +106,15 @@ class TraceEvent:
         return self.outcome != "idle"
 
     def to_record(self) -> dict:
-        return {
-            "kind": "tick",
-            "t": self.t,
-            "node": self.node,
-            "percept": list(self.percept),
-            "detected": self.detected,
-            "outcome": self.outcome,
-            "action": action_to_dict(self.action) if self.action else None,
-            "reward": self.reward,
-            "coefficient": self.coefficient,
-            "q_before": self.q_before,
-            "q_after": self.q_after,
-            "switched": self.switched,
-            "disruption": self.disruption,
-        }
+        return {"kind": "tick", "t": self.t, "node": self.node, "percept": list(self.percept),
+                "detected": self.detected, "outcome": self.outcome,
+                "action": action_to_dict(self.action) if self.action else None,
+                "reward": self.reward, "coefficient": self.coefficient, "q_before": self.q_before,
+                "q_after": self.q_after, "switched": self.switched, "disruption": self.disruption}
 
-    def line(self) -> str:
-        """`json.dumps(self.to_record(), sort_keys=True)` plus a newline, written
-        straight from the fields; a line with a non-finite float, which json.dumps
-        writes as NaN or Infinity, comes from json.dumps instead."""
+    def head(self, percept_text: str | None = None) -> str:
+        """`line()` up to the value of its last key, `"t": `; `percept_text` is
+        the percept's JSON list items, as in `Population.texts`, if given."""
         action = self.action
         if action is None:
             action_text = "null"
@@ -135,19 +124,41 @@ class TraceEvent:
         else:  # MoveTo
             x, y = action.cell
             action_text = f'{{"cell": [{x}, {y}], "kind": "move_to", "node": {action.node}}}'
-        coefficient, q_after, q_before, reward = (
-            "null" if v is None else repr(v)
-            for v in (self.coefficient, self.q_after, self.q_before, self.reward))
-        line = (f'{{"action": {action_text}, "coefficient": {coefficient}, '
+        numbers = c, qa, qb, r = self.coefficient, self.q_after, self.q_before, self.reward
+        if type(c) is type(qa) is type(qb) is type(r) is float:  # q_after is new, kept for q_before
+            c, qa, qb, r = _json[c], _json.__missing__(qa), _json[qb], _json[r]
+        else:
+            c, qa, qb, r = map(_json, numbers)
+        return (f'{{"action": {action_text}, "coefficient": {c}, '
                 f'"detected": {"true" if self.detected else "false"}, '
                 f'"disruption": {"true" if self.disruption else "false"}, '
                 f'"kind": "tick", "node": {self.node}, "outcome": "{self.outcome}", '
-                f'"percept": [{", ".join(map(repr, self.percept))}], '
-                f'"q_after": {q_after}, "q_before": {q_before}, "reward": {reward}, '
-                f'"switched": {"true" if self.switched else "false"}, "t": {self.t}}}\n')
-        if "inf" in line or "nan" in line:  # no key or outcome holds either
-            return json.dumps(self.to_record(), sort_keys=True) + "\n"
-        return line
+                f'"percept": [{percept_text or ", ".join(map(_json, self.percept))}], '
+                f'"q_after": {qa}, "q_before": {qb}, "reward": {r}, '
+                f'"switched": {"true" if self.switched else "false"}, "t": ')
+
+    def line(self) -> str:
+        """`json.dumps(self.to_record(), sort_keys=True)` and a newline, from the fields."""
+        return f"{self.head()}{self.t}}}\n"
+
+
+class _JsonNumbers(dict):
+    """`_json(x)` is a trace number as json.dumps writes it. It keeps up to 1,024 float
+    texts by value: no zero, whose sign no key tells, nor NaN; only floats look up (1 == 1.0)."""
+
+    def __call__(self, x) -> str:
+        return self[x] if type(x) is float else "null" if x is None else json.dumps(x)
+
+    def __missing__(self, x: float) -> str:
+        text = repr(x) if math.isfinite(x) else json.dumps(x)  # NaN, Infinity
+        if x and x == x:
+            if len(self) >= 1024:
+                self.clear()
+            self[x] = text
+        return text
+
+
+_json = _JsonNumbers()
 
 
 # Stable direction indexing keeps MoveTo actions addressable in the value
@@ -168,6 +179,7 @@ class Agent:
         # (event, state index, action index, case) of the action awaiting feedback
         self._pending: tuple[TraceEvent, int, int, Case | None] | None = None
         self._switch_times: list[int] = []  # switches inside a controlled policy's window
+        self._set_channel: dict[int, SetChannel] = {}  # one per channel, made on first use
 
     # -- sensing -----------------------------------------------------------
 
@@ -191,7 +203,7 @@ class Agent:
         """Run one control step on row `i` of the population's pass; returns
         the chosen action (if any) plus the trace event of a triggered tick.
         An idle tick returns (None, None): its trace line, if one is kept, is
-        written from the population's percept text. Emitting an action resets
+        the population's idle head. Emitting an action resets
         the two-sample detector, so a fresh pair of samples must confirm
         dissatisfaction before the next reasoning cycle."""
         if not population.fired[i]:
@@ -234,7 +246,7 @@ class Agent:
         hold = self._held_channel(state, t, demanded)
         if outcome is Outcome.REUSE:
             if hold is not None and case.action.channel != hold:
-                return SetChannel(self.node, hold), outcome, None
+                return self._switch_to(hold), outcome, None
             return case.action, outcome, case
         action = self._optimize(env, state, state_index, hold)
         if outcome is Outcome.RECOMPUTE:
@@ -259,7 +271,13 @@ class Agent:
             return location_search(env, state, self.node)
         channel = select_action(self.table, state_index, policy, self.config.channels,
                                 self.rng, hold=hold)
-        return SetChannel(self.node, channel)
+        return self._switch_to(channel)
+
+    def _switch_to(self, channel: int) -> SetChannel:
+        """This agent's one SetChannel to `channel`."""
+        if (action := self._set_channel.get(channel)) is None:
+            action = self._set_channel[channel] = SetChannel(self.node, channel)
+        return action
 
     def _held_channel(self, state: EnvState, t: int, demanded: float) -> int | None:
         """A controlled channel agent's current channel while its gate blocks
@@ -303,10 +321,13 @@ class Population:
     index is `encode_state`'s sum as a float: NaN for a NaN percept, which
     `int` rejects. The detector is two boolean arrays: has a previous sample,
     and it was unsatisfied. After `sense`, `fired`, `achieved`, `demanded`
-    and `states` hold one entry per agent. With `trace` on, `sense` also
-    keeps the step's distinct percept values (by bits: -0.0 is not 0.0), so
-    that `percept_texts` formats each once for the trace lines of idle ticks.
+    and `states` hold one entry per agent. With `trace` on, `texts` holds each
+    percept's JSON list items and `heads` its idle line up to `"t": `; `sense` makes
+    both anew, rebuilding the agents whose percept bits changed (-0.0 is not 0.0).
     """
+
+    IDLE_HEAD = (TraceEvent(t=0, node=0, percept=(), outcome="idle").head()
+                 .replace('"node": 0', '"node": %d').replace("[]", "[%s]"))
 
     def __init__(self, agents: list[Agent], env: Environment, trace: bool = True):
         self.agents = list(agents)
@@ -335,6 +356,7 @@ class Population:
             np.array([env.reading_index(ag.node, name) for ag in self.agents], dtype=np.intp)
             for name in ("achieved", "demand"))
         self._has_prev, self._prev_unsatisfied = np.zeros((2, len(self.agents)), dtype=bool)
+        self.texts, self.heads, self._bits = [""] * len(self.agents), [""] * len(self.agents), None
 
     def sense(self, report) -> None:
         """Gather every percept, index its state and advance the detector by one sample."""
@@ -343,9 +365,14 @@ class Population:
         cells = np.minimum(np.floor(values * self._bins), self._bins - 1)
         self.states = np.add.reduceat(cells * self._strides, self._starts).tolist()
         self._values = values.tolist()
-        if self.trace:  # each distinct value, and where it occurs, for percept_texts
-            _, first, at = np.unique(values.view(np.uint64), return_index=True, return_inverse=True)
-            self._distinct, self._at = values[first].tolist(), at.tolist()
+        if self.trace:  # on the first sense, bits != None holds for every agent
+            bits, self.texts, self.heads = values.view(np.uint64), self.texts[:], self.heads[:]
+            changed = np.logical_or.reduceat(bits != self._bits, self._starts)
+            for i in np.flatnonzero(changed).tolist():
+                a, b = self._ranges[i]
+                self.texts[i] = text = ", ".join(map(_json.__getitem__, self._values[a:b]))
+                self.heads[i] = self.IDLE_HEAD % (self.agents[i].node, text)
+            self._bits = bits
         achieved = readings[self._achieved_at]
         demanded = readings[self._demand_at]
         unsatisfied = ~satisfied(achieved, demanded)
@@ -354,14 +381,6 @@ class Population:
         self._prev_unsatisfied = unsatisfied
         self.achieved = achieved.tolist()
         self.demanded = demanded.tolist()
-
-    def percept_texts(self) -> list[str]:
-        """Each agent's last traced percept as json.dumps writes a list's
-        items; agents with the same value indices share one string."""
-        reprs = list(map(json.dumps, self._distinct))
-        keys = [tuple(self._at[a:b]) for a, b in self._ranges]
-        text = {key: ", ".join(map(reprs.__getitem__, key)) for key in set(keys)}
-        return list(map(text.__getitem__, keys))
 
     def acted(self, i: int) -> None:
         """Agent i emitted an action: its next trigger needs two fresh samples."""

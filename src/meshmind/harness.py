@@ -6,11 +6,10 @@ and reports every problem in one SpecValidation. Each step of a run ticks
 every agent in ascending node order, applies their actions as one batch,
 senses all agents in one batched pass, lets each agent that acted score its
 own action, and appends one step row. A traced step first writes one line
-per agent: a triggered tick's from its TraceEvent, an idle one's from a
-template. The lines go to the trace.jsonl that a run with an output
-directory writes as it goes, or else are parsed into its records, which
-thus always read as the trace file would. `report_from_trace` aggregates
-the run report from the step rows of either.
+per agent, from its Population idle head or its TraceEvent, as one block:
+to the trace.jsonl a run with an output directory writes as it goes, or
+else parsed into its records, which thus read as the trace file would.
+`report_from_trace` aggregates the run report from either's step rows.
 """
 
 from __future__ import annotations
@@ -21,13 +20,13 @@ import time
 from collections import Counter
 from contextlib import contextmanager, nullcontext, suppress
 from dataclasses import dataclass, fields, replace
+from itertools import compress, count
 from pathlib import Path
 
 import numpy as np
 import yaml
 
-from .agent import (CHANNEL_KIND, LOCATION_KIND, Agent, AgentConfig, AgentParams,
-                    Population, TraceEvent)
+from .agent import CHANNEL_KIND, LOCATION_KIND, Agent, AgentConfig, AgentParams, Population
 from .env import (DemandProfile, EnvConfig, Environment, EnvState, MeshTopology,
                   UserSpec)
 from .kb import KnowledgeBase
@@ -262,8 +261,8 @@ def _built(build, path: tuple, problems: list, **kwargs):
         return build(**kwargs)
     except SpecValidation as exc:
         problems += [(path, problem) for problem in exc.problems]
-    except ValueError as exc:
-        problems.append((path, str(exc)))
+    except ValueError as exc:  # one problem per argument, if it has several
+        problems += [(path, str(arg)) for arg in (exc.args if len(exc.args) > 1 else [exc])]
     return None
 
 
@@ -371,9 +370,12 @@ def build_agents(spec: ScenarioSpec, env: Environment, state: EnvState,
 
 # -- run loop ----------------------------------------------------------------
 
-# An idle tick's trace line, with %-slots for its node, percept text and t.
-_IDLE_LINE = (TraceEvent(t=0, node=0, percept=(), outcome="idle").line().replace("[]", "[%s]")
-              .replace('"node": 0', '"node": %d').replace('"t": 0', '"t": %d'))
+
+def _tick_lines(heads: list[str], texts: list[str], fired, t: int, events, end: str) -> str:
+    """Step t's tick lines, its idle `heads` with each triggered one's written in, then `end`."""
+    for i, event in zip(compress(count(), fired), events):
+        heads[i] = event.head(texts[i])
+    return f"{t}}}\n".join([*heads, end])
 
 
 def run_scenario(spec: ScenarioSpec, seed: int | None = None,
@@ -385,14 +387,13 @@ def run_scenario(spec: ScenarioSpec, seed: int | None = None,
     of actions, triggered ticks, reuses, switches and disruptions), and the
     report is aggregated from those rows by `report_from_trace`. With
     collect_trace=True each step row is preceded by one tick line per agent
-    in node order: `TraceEvent.line()` if it triggered, else `_IDLE_LINE`
-    filled with its node, percept text and t. With out_dir the lines go to
-    trace.jsonl alone, written as the run goes and counted in wall_time_s,
-    and records holds only the step rows; a run that raises leaves out_dir's
-    files as they were. Without out_dir each line is parsed into records,
-    so they equal the parsed trace file. collect_trace=False makes no tick
-    rows, which keeps long sweeps cheap; it is refused with out_dir, whose
-    trace.jsonl would lack them. A zero-horizon run returns no records.
+    in node order: the Population's idle head, or a triggered tick's
+    `TraceEvent.head()`, each ended by t. With out_dir each step's lines and
+    row go to trace.jsonl alone, in one write counted in wall_time_s, and
+    records holds only the step rows; a run that raises leaves out_dir's
+    files as they were. Without out_dir the lines are parsed into records,
+    so they equal the parsed trace file. collect_trace=False (refused with
+    out_dir) makes no tick rows, for cheap sweeps. A zero-horizon run returns no records.
     """
     if out_dir is not None and not collect_trace:
         raise ValueError("a run that writes out_dir must collect its trace")
@@ -416,23 +417,15 @@ def run_scenario(spec: ScenarioSpec, seed: int | None = None,
                 if action is not None:
                     actions.append(action)
                     acting.append(i)
-            if collect_trace:  # idle lines now, before sense replaces the percepts
-                lines = [None if fire else _IDLE_LINE % (ag.node, text, state.t) for ag, fire, text
-                         in zip(agents, population.fired, population.percept_texts())]
+            if collect_trace:  # this step's lists, which sense leaves as they are
+                step = population.heads, population.texts, population.fired, state.t
 
             state, report = env.apply_and_step(state, actions, report)
             population.sense(report)  # serves this feedback and the next step
             for i in acting:
                 agents[i].observe(population, i, spec.disruption_penalty)
 
-            if collect_trace:
-                triggered = iter(events)
-                lines = [line or next(triggered).line() for line in lines]
-                if trace is None:
-                    records += map(json.loads, lines)
-                else:
-                    trace.writelines(lines)
-            records.append({
+            row = {
                 "kind": "step", "t": state.t, "conflicts": report.conflicts,
                 "total_demand": sum(state.demand.values()),
                 "total_achieved": sum(report.achieved.values()),
@@ -440,9 +433,12 @@ def run_scenario(spec: ScenarioSpec, seed: int | None = None,
                 "reuse": sum(ev.outcome == "reuse" for ev in events),
                 "switches": sum(ev.switched for ev in events),
                 "disruptions": sum(ev.disruption for ev in events),
-            })
-            if trace is not None:
-                trace.write(json.dumps(records[-1], sort_keys=True) + "\n")
+            }
+            if trace is not None:  # the step's tick lines and row, in one write
+                trace.write(_tick_lines(*step, events, json.dumps(row, sort_keys=True) + "\n"))
+            elif collect_trace:
+                records += map(json.loads, _tick_lines(*step, events, "").splitlines())
+            records.append(row)
 
     run_report = RunReport(**report_from_trace(records),
                            wall_time_s=time.perf_counter() - started)

@@ -4,9 +4,9 @@ Each case pairs a percept, a tuple of unit-range floats, with the action
 taken for it and a coefficient in [0, 1] scoring how well that action
 worked. Retrieval is an exact argmax over similarity (linear scan; stores
 are small), retention at capacity evicts the least recently used case, and
-exact-duplicate percepts merge into one slot. A snapshot row holds a case's
-percept, action, coefficient, hits, last_used and created step; the `t`
-and `node` keys that older snapshots also wrote are ignored on load.
+exact-duplicate percepts merge into one slot. A `meshmind-kb/2` snapshot row
+holds a case's percept, action, coefficient, hits, last_used and created
+step; `meshmind-kb/1` rows, which also hold `t` and `node`, still load.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from .env import action_from_dict, action_to_dict
 from .reasoning import similarity
 
-SNAPSHOT_SCHEMA = "meshmind-kb/1"
+SNAPSHOT_SCHEMA = "meshmind-kb/2"
 
 
 class UnknownCase(Exception):
@@ -127,7 +127,7 @@ class KnowledgeBase:
 
     @classmethod
     def from_snapshot(cls, data: dict) -> "KnowledgeBase":
-        if data.get("schema") != SNAPSHOT_SCHEMA:
+        if data.get("schema") not in ("meshmind-kb/1", SNAPSHOT_SCHEMA):
             raise ValueError(f"unsupported snapshot schema {data.get('schema')!r}")
         if data["eviction"] != cls.eviction:
             raise ValueError(f"unknown eviction policy {data['eviction']!r}")

@@ -245,13 +245,18 @@ class TestPopulation:
         population = Population([channel_agent(0), channel_agent(1)], env)
         readings = np.zeros(12)  # five per-node readings of two nodes, two users
         demand_at = [env.reading_index(n, "demand") for n in (0, 1)]
-        for demands in ([5.0, 5.0], [-0.0, 0.0], [1.0, 2.5], [np.nan, 0.3]):
+        for t, demands in enumerate(([5.0, 5.0], [-0.0, 0.0], [-0.0, 0.0], [0.0, -0.0],
+                                     [1.0, 2.5], [5.0, 5.0], [np.nan, 0.3])):
             readings[demand_at] = demands
             population.sense(ThroughputReport(achieved={}, conflicts=0, readings=readings))
-            texts = population.percept_texts()
+            texts = population.texts
             assert [f"[{text}]" for text in texts] == [
                 json.dumps(list(population.percept(i))) for i in range(2)]
-            assert (texts[0] is texts[1]) == (demands[0].hex() == demands[1].hex())
+            assert (texts[0] == texts[1]) == (demands[0].hex() == demands[1].hex())
+            idle = [TraceEvent(t=t, node=i, percept=population.percept(i), outcome="idle")
+                    for i in range(2)]
+            assert [f"{head}{t}}}\n" for head in population.heads] == [
+                json.dumps(event.to_record(), sort_keys=True) + "\n" for event in idle]
         assert texts[0] == "0.0, NaN, 0.0"  # as json.dumps writes a NaN
 
     def test_nan_percept_fails_the_tick_and_the_feedback_that_index_it(self):

@@ -16,8 +16,8 @@ from meshmind import (DemandProfile, EnvConfig, Environment, EpsilonGreedy,
                       value_iteration)
 from meshmind import agent as agent_module
 from meshmind.agent import Agent, Population, TraceEvent
-from meshmind.env import MoveTo, SetChannel
-from meshmind.harness import (_IDLE_LINE, AgentParams, NonStochasticRow, ScenarioSpec,
+from meshmind.env import MoveTo, SetChannel, ThroughputReport
+from meshmind.harness import (AgentParams, NonStochasticRow, ScenarioSpec,
                               SpecValidation, build_agents, report_from_trace,
                               scenario_from_dict)
 from meshmind.reasoning import Outcome
@@ -184,11 +184,51 @@ class TestEmission:
     def test_tick_rows_fill_the_template_exactly(self, event):
         idle = TraceEvent(t=event.t, node=event.node, percept=event.percept, outcome="idle")
         expected, idle_expected = dumps_line(event.to_record()), dumps_line(idle.to_record())
-        text = ", ".join(map(json.dumps, event.percept))
+        text, tail = ", ".join(map(json.dumps, event.percept)), f"{event.t}}}\n"
         with mock.patch.object(agent_module, "json", None):  # any json call raises
             assert event.line() == expected
             assert idle.line() == idle_expected
-        assert _IDLE_LINE % (event.node, text, event.t) == idle_expected
+            assert event.head(text) + tail == expected
+        assert Population.IDLE_HEAD % (event.node, text) + tail == idle_expected
+
+    @settings(max_examples=75, deadline=None)
+    @given(st.data())
+    def test_step_lines_are_each_agents_trace_event_line(self, data):
+        """Readings that repeat, revert to an earlier step's, flip the sign of
+        zero or turn NaN: each step's lines, written after the next sense as in
+        a run, are those of one TraceEvent per agent."""
+        spec = make_channel_spec(4, {(0, 1), (1, 2), (2, 3)}, horizon=1)
+        env = Environment(spec.env_config)
+        agents = build_agents(spec, env, env.reset(), 0)
+        population = Population(agents, env)
+        history = [np.zeros(env.report_for(env.reset()).readings.size)]
+        value = st.sampled_from([0.0, -0.0, 0.5, 2.5, 5.0, float("nan")]) | FINITE
+        population.sense(ThroughputReport(achieved={}, conflicts=0, readings=history[0]))
+        for t in range(data.draw(st.integers(1, 8))):
+            readings = data.draw(st.sampled_from(history)).copy()  # a repeat or a revert
+            for k in data.draw(st.lists(st.integers(0, readings.size - 1), max_size=4)):
+                readings[k] = data.draw(value)
+            history.append(readings)
+            fired = data.draw(st.lists(st.booleans(), min_size=4, max_size=4))
+            events = [data.draw(EVENT.map(lambda e, i=i: replace(
+                          e, t=t, node=agents[i].node, percept=population.percept(i))))
+                      for i in range(4) if fired[i]]
+            triggered = iter(events)
+            expected = [next(triggered) if fire else TraceEvent(
+                            t=t, node=ag.node, percept=population.percept(i), outcome="idle")
+                        for i, (ag, fire) in enumerate(zip(agents, fired))]
+            heads, texts = population.heads, population.texts
+            population.sense(ThroughputReport(achieved={}, conflicts=0, readings=readings))
+            lines = harness._tick_lines(heads, texts, fired, t, events, "")
+            assert lines == "".join(event.line() for event in expected)
+            assert lines == "".join(dumps_line(event.to_record()) for event in expected)
+
+    def test_numbers_equal_in_value_keep_their_own_text(self):
+        """Number texts are kept by value: 1 == 1.0 == True and 0.0 == -0.0."""
+        for value in (1.0, 1, True, 1.0, 0.0, -0.0, 0.0, 2.5, 2.5, 0, -0.0):
+            event = TraceEvent(t=1, node=0, percept=(value, 0.5), outcome="recompute",
+                               reward=value, coefficient=value, q_before=value, q_after=value)
+            assert event.line() == dumps_line(event.to_record())
 
     @pytest.mark.parametrize("key", ["reward", "coefficient", "q_before", "q_after", "percept"])
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
@@ -397,6 +437,10 @@ class TestScenarioLoading:
          "agents: similarity_threshold nan is not a number"),
         (lambda d: d.update(agents={"thresholds": {"coefficient": float("nan")}}),
          "agents: coefficient_threshold nan is not a number"),
+        (lambda d: d.update(agents={"thresholds": {"similarity": float("nan"),
+                                                   "coefficient": float("nan")}}),
+         "agents: similarity_threshold nan is not a number; "
+         "agents: coefficient_threshold nan is not a number"),
         (lambda d: d.update(agents={"policy": {"type": "controlled",
                                                "serving_threshold": float("nan")}}),
          "agents.policy: serving_threshold nan is not a number"),
@@ -411,7 +455,7 @@ class TestScenarioLoading:
             "initial-channel-node", "duplicate-node", "negative-seed", "tx-power",
             "bandwidth-unit", "controlled-window", "controlled-max-switches",
             "max-switches-without-window", "window-without-max-switches",
-            "nan-similarity", "nan-coefficient", "nan-serving-threshold",
+            "nan-similarity", "nan-coefficient", "nan-thresholds", "nan-serving-threshold",
             "infinite-penalty", "nan-penalty"])
     def test_malformed_values_rejected_at_load(self, edit, problem):
         spec_dict = {

@@ -190,15 +190,22 @@ class TestSnapshot:
         kb = KnowledgeBase(capacity=4)
         kb.retain(case((0.5,), coefficient=0.4, last_used=7, created=3))
         data = kb.snapshot()
+        assert data["schema"] == "meshmind-kb/2"
         assert sorted(data["cases"][0]) == ["action", "coefficient", "created", "hits",
                                             "last_used", "percept"]
-        data["cases"][0].update(t=3, node=2)  # as older snapshots wrote them
-        restored = KnowledgeBase.from_snapshot(data).cases[0]
-        assert (restored.percept, restored.coefficient, restored.created) == ((0.5,), 0.4, 3)
+        older = dict(data, schema="meshmind-kb/1",
+                     cases=[dict(data["cases"][0], t=3, node=2)])  # as /1 snapshots wrote them
+        for snapshot in (data, older):
+            restored = KnowledgeBase.from_snapshot(snapshot).cases[0]
+            assert (restored.percept, restored.coefficient, restored.created) == ((0.5,), 0.4, 3)
 
     def test_schema_tag_is_checked(self, tmp_path):
-        with pytest.raises(ValueError):
-            KnowledgeBase.from_snapshot({"schema": "something-else", "cases": []})
+        data = KnowledgeBase(capacity=2).snapshot()
+        for tag in ("meshmind-kb/1", "meshmind-kb/2"):
+            assert KnowledgeBase.from_snapshot(dict(data, schema=tag)).capacity == 2
+        for tag in ("something-else", "meshmind-kb/3", None):
+            with pytest.raises(ValueError, match=f"unsupported snapshot schema {tag!r}"):
+                KnowledgeBase.from_snapshot(dict(data, schema=tag))
 
     def test_snapshot_names_lru_eviction_and_loads_no_other(self):
         data = KnowledgeBase(capacity=2).snapshot()
