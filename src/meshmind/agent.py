@@ -62,9 +62,12 @@ class AgentParams:
 
     def __post_init__(self):
         KnowledgeBase(self.kb_capacity)  # its checks, at load
-        if nan := [f"{name} nan is not a number" for name in ("similarity_threshold",
-                   "coefficient_threshold") if math.isnan(getattr(self, name))]:
-            raise ValueError(*nan)
+        problems = [f"{name} nan is not a number" for name in ("similarity_threshold",
+                    "coefficient_threshold") if math.isnan(getattr(self, name))]
+        if self.similarity_threshold <= 0:  # an empty KB's retrieval, scored 0, would match
+            problems.append(f"similarity_threshold {self.similarity_threshold} must be > 0")
+        if problems:
+            raise ValueError(*problems)
 
 
 @dataclass(kw_only=True)
@@ -78,6 +81,7 @@ class AgentConfig(AgentParams):
     channels: tuple[int, ...] = ()
 
     def __post_init__(self):
+        super().__post_init__()
         if self.kind not in (CHANNEL_KIND, LOCATION_KIND):
             raise ValueError(f"unknown scenario kind {self.kind!r}")
         if self.kind == CHANNEL_KIND and not self.channels:

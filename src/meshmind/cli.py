@@ -60,8 +60,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cmd_run(args) -> int:
     spec = harness.load_scenario(args.spec)
-    report, _ = harness.run_scenario(spec, seed=args.seed, out_dir=args.out,
-                                     collect_trace=args.out is not None)
+    report, _ = harness.run_scenario(spec, seed=args.seed, out_dir=args.out)
     for key, value in report.rows():
         print(f"{key}={value}")
     print(f"wall_time_s={report.wall_time_s}")

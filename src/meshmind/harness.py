@@ -5,11 +5,11 @@ they may hold, with its type; `scenario_from_dict` reads a file against it
 and reports every problem in one SpecValidation. Each step of a run ticks
 every agent in ascending node order, applies their actions as one batch,
 senses all agents in one batched pass, lets each agent that acted score its
-own action, and appends one step row. A traced step first writes one line
-per agent, from its Population idle head or its TraceEvent, as one block:
-to the trace.jsonl a run with an output directory writes as it goes, or
-else parsed into its records, which thus read as the trace file would.
-`report_from_trace` aggregates the run report from either's step rows.
+own action, and appends one step row. A run with an output directory is
+traced: each step first writes one line per agent, from its Population idle
+head or its TraceEvent, then its step row, as one block to the trace.jsonl
+it writes as it goes. `report_from_trace` aggregates the run report from
+step rows, those a run returns or those read back from trace.jsonl.
 """
 
 from __future__ import annotations
@@ -379,34 +379,30 @@ def _tick_lines(heads: list[str], texts: list[str], fired, t: int, events, end: 
 
 
 def run_scenario(spec: ScenarioSpec, seed: int | None = None,
-                 out_dir=None, collect_trace: bool = True):
+                 out_dir=None, collect_trace: bool | None = None):
     """Execute the control loop for the scenario horizon.
 
-    Returns (RunReport, records). records holds one step row per step
-    (kind "step": conflicts, demand and throughput totals, and the counts
-    of actions, triggered ticks, reuses, switches and disruptions), and the
-    report is aggregated from those rows by `report_from_trace`. With
-    collect_trace=True each step row is preceded by one tick line per agent
-    in node order: the Population's idle head, or a triggered tick's
-    `TraceEvent.head()`, each ended by t. With out_dir each step's lines and
-    row go to trace.jsonl alone, in one write counted in wall_time_s, and
-    records holds only the step rows; a run that raises leaves out_dir's
-    files as they were. Without out_dir the lines are parsed into records,
-    so they equal the parsed trace file. collect_trace=False (refused with
-    out_dir) makes no tick rows, for cheap sweeps. A zero-horizon run returns no records.
+    Returns (RunReport, steps): one step row per step (conflicts, demand and
+    throughput totals, and the counts of actions, triggered ticks, reuses,
+    switches and disruptions), from which `report_from_trace` aggregates the
+    report. A run traces exactly when it has an out_dir: each step row then
+    follows one tick line per agent in node order, its idle head or its
+    `TraceEvent.head()` ended by t, and all go to trace.jsonl in one write
+    per step, counted in wall_time_s. A run that raises leaves out_dir's files
+    as they were. collect_trace, if given, must equal `out_dir is not None`.
     """
-    if out_dir is not None and not collect_trace:
-        raise ValueError("a run that writes out_dir must collect its trace")
+    if collect_trace is not None and collect_trace != (out_dir is not None):
+        raise ValueError(f"collect_trace={collect_trace} disagrees with out_dir={out_dir}")
     started = time.perf_counter()
     run_seed = spec.seed if seed is None else seed
     env = Environment(replace(spec.env_config, rng_seed=run_seed))
     state = env.reset()
     report = env.report_for(state)
     agents = build_agents(spec, env, state, run_seed)
-    population = Population(agents, env, trace=collect_trace)
+    population = Population(agents, env, trace=out_dir is not None)
     population.sense(report)
 
-    records: list[dict] = []
+    steps: list[dict] = []
     with nullcontext() if out_dir is None else _trace_file(Path(out_dir)) as trace:
         for _ in range(spec.horizon):
             actions, acting, events = [], [], []
@@ -417,7 +413,7 @@ def run_scenario(spec: ScenarioSpec, seed: int | None = None,
                 if action is not None:
                     actions.append(action)
                     acting.append(i)
-            if collect_trace:  # this step's lists, which sense leaves as they are
+            if trace is not None:  # this step's lists, which sense leaves as they are
                 step = population.heads, population.texts, population.fired, state.t
 
             state, report = env.apply_and_step(state, actions, report)
@@ -436,16 +432,14 @@ def run_scenario(spec: ScenarioSpec, seed: int | None = None,
             }
             if trace is not None:  # the step's tick lines and row, in one write
                 trace.write(_tick_lines(*step, events, json.dumps(row, sort_keys=True) + "\n"))
-            elif collect_trace:
-                records += map(json.loads, _tick_lines(*step, events, "").splitlines())
-            records.append(row)
+            steps.append(row)
 
-    run_report = RunReport(**report_from_trace(records),
+    run_report = RunReport(**report_from_trace(steps),
                            wall_time_s=time.perf_counter() - started)
 
     if out_dir is not None:
-        emit(out_dir, records, run_report, {ag.node: ag.table for ag in agents})
-    return run_report, records
+        emit(out_dir, steps, run_report, {ag.node: ag.table for ag in agents})
+    return run_report, steps
 
 
 def sweep(spec: ScenarioSpec, seeds, out_dir=None) -> dict[int, RunReport]:
@@ -453,9 +447,7 @@ def sweep(spec: ScenarioSpec, seeds, out_dir=None) -> dict[int, RunReport]:
     reports = {}
     for seed in seeds:
         sub = Path(out_dir) / f"seed_{seed}" if out_dir is not None else None
-        report, _ = run_scenario(spec, seed=seed, out_dir=sub,
-                                 collect_trace=out_dir is not None)
-        reports[seed] = report
+        reports[seed], _ = run_scenario(spec, seed=seed, out_dir=sub)
     return reports
 
 
@@ -498,7 +490,7 @@ def emit(out_dir, steps, report: RunReport, qtables: dict[int, QTable]) -> None:
 
 def report_from_trace(records) -> dict:
     """Aggregate the report fields, except wall time, from the step rows of
-    a run's records. A triggered tick runs the optimizer unless it reuses."""
+    a run's steps or parsed trace. A triggered tick runs the optimizer unless it reuses."""
     steps = [r for r in records if r.get("kind") == "step"]
     triggered = sum(r["triggered"] for r in steps)
     reuse = sum(r["reuse"] for r in steps)

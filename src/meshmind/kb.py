@@ -137,6 +137,10 @@ class KnowledgeBase:
                                  action=action_from_dict(row["action"]),
                                  coefficient=row["coefficient"], hits=row["hits"],
                                  last_used=row["last_used"], created=row["created"]))
+        if len(kb) > kb.capacity:  # retain would never bring it back under
+            raise ValueError(f"snapshot holds {len(kb)} cases, above its capacity {kb.capacity}")
+        if len({case.percept for case in kb.cases}) < len(kb):
+            raise ValueError("snapshot holds two cases of the same percept")
         return kb
 
     def save(self, path) -> None:

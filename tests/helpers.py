@@ -2,10 +2,19 @@
 
 from __future__ import annotations
 
+import json
+from pathlib import Path
+
 from meshmind import (DemandProfile, EnvConfig, MeshTopology, UserSpec)
 from meshmind.harness import AgentParams, ScenarioSpec
 from meshmind.learning import QParams
 from meshmind.optimize import EpsilonGreedy
+
+
+def read_trace(out_dir) -> list[dict]:
+    """The rows of the trace.jsonl a run wrote to `out_dir`, in file order."""
+    with open(Path(out_dir) / "trace.jsonl") as fh:
+        return [json.loads(line) for line in fh]
 
 
 def line_positions(n: int) -> dict[int, tuple[int, int]]:

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from meshmind import (Agent, AgentConfig, DemandProfile, EnvConfig,
                       Environment, FeatureSpec, MeshTopology, QParams,
                       SetChannel, StateCodec, UserSpec)
-from meshmind.agent import Population, TraceEvent, UnknownPendingAction
+from meshmind.agent import AgentParams, Population, TraceEvent, UnknownPendingAction
 from meshmind.env import ThroughputReport, satisfied
 from meshmind.kb import Case
 from meshmind.harness import build_agents, run_scenario
@@ -19,7 +19,7 @@ from meshmind.optimize import Controlled, EpsilonGreedy
 from meshmind.reasoning import MissingFeature, normalize
 
 from helpers import (grid_positions, make_channel_spec, make_location_spec,
-                     make_lowload_window_spec)
+                     make_lowload_window_spec, read_trace)
 
 
 def channel_env(channels=(1, 2)):
@@ -121,6 +121,17 @@ class TestBuild:
     def test_channel_agent_needs_a_palette(self):
         with pytest.raises(ValueError, match="palette"):
             replace(channel_agent().config, channels=())
+
+    @pytest.mark.parametrize("bad", [
+        {"similarity_threshold": math.nan}, {"coefficient_threshold": math.nan},
+        {"similarity_threshold": 0.0}, {"similarity_threshold": -math.inf},
+        {"kb_capacity": 0}, {"similarity_threshold": math.nan, "kb_capacity": 0}])
+    def test_config_rejects_what_agent_params_rejects(self, bad):
+        with pytest.raises(ValueError) as expected:
+            AgentParams(**bad)
+        with pytest.raises(ValueError) as err:
+            replace(channel_agent().config, **bad)  # AgentConfig(...) with every field
+        assert err.value.args == expected.value.args
 
 
 class TestSense:
@@ -460,12 +471,12 @@ class TestObserve:
 class TestControlledRun:
     @pytest.mark.parametrize("max_switches,window", [(1, 30), (1, 100), (2, 60)])
     @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_switch_budget_holds_in_every_window(self, max_switches, window, seed):
+    def test_switch_budget_holds_in_every_window(self, tmp_path, max_switches, window, seed):
         policy = Controlled(epsilon=0.1, serving_threshold=1.0,
                             max_switches=max_switches, window=window)
-        _, records = run_scenario(make_lowload_window_spec(policy, seed=seed), seed=seed)
+        run_scenario(make_lowload_window_spec(policy, seed=seed), seed=seed, out_dir=tmp_path)
         switches = {}
-        for r in records:
+        for r in read_trace(tmp_path):
             if r["kind"] == "tick" and r["switched"]:
                 switches.setdefault(r["node"], []).append(r["t"])
         assert switches  # the budget is spent, not idle

@@ -7,7 +7,6 @@ from unittest import mock
 import pytest
 
 from meshmind import KnowledgeBase, MoveTo, SetChannel, cli
-from meshmind.agent import TraceEvent
 from meshmind.harness import (MdpSpec, load_scenario, run_scenario, sweep,
                               value_iteration)
 from meshmind.kb import Case
@@ -37,7 +36,7 @@ def test_run_without_out_makes_no_tick_rows(capsys):
     spec_path = SCENARIO_DIR / "ring6_channels.yaml"
     expected, _ = run_scenario(load_scenario(spec_path))
     assert expected.triggered_ticks > 0
-    with mock.patch.object(TraceEvent, "to_record", side_effect=AssertionError):
+    with mock.patch.object(cli.harness, "_tick_lines", side_effect=AssertionError):
         assert cli.main(["run", str(spec_path)]) == 0
     printed = key_values(capsys.readouterr().out)
     del printed["wall_time_s"]
@@ -53,6 +52,20 @@ def test_sweep_prints_one_line_per_seed(capsys):
                      f"satisfaction={r.satisfaction_ratio:.4f} "
                      f"disruptions={r.disruptions} kb_hit_rate={r.kb_hit_rate:.4f}"
                      for seed, r in sorted(reports.items())]
+
+
+def test_sweep_writes_each_seeds_run_as_run_does(tmp_path, capsys):
+    spec_path = SCENARIO_DIR / "ring6_channels.yaml"
+    spec = load_scenario(spec_path)
+    agents = len(spec.env_config.topology.positions)
+    sweep_out = tmp_path / "sweep"
+    assert cli.main(["sweep", str(spec_path), "--seeds", "1..2", "--out", str(sweep_out)]) == 0
+    for seed in (1, 2):
+        run_out = tmp_path / f"run_{seed}"
+        assert cli.main(["run", str(spec_path), "--seed", str(seed), "--out", str(run_out)]) == 0
+        trace = (sweep_out / f"seed_{seed}" / "trace.jsonl").read_bytes()
+        assert trace.count(b"\n") == (agents + 1) * spec.horizon
+        assert trace == (run_out / "trace.jsonl").read_bytes()
 
 
 @pytest.mark.parametrize("seeds,problem", [
@@ -104,6 +117,25 @@ def test_dump_kb_prints_a_saved_snapshot(tmp_path, capsys):
         'percept=[0.5000,0.0000] action={"kind": "move_to", "node": 2, "cell": [1, 0]} '
         "coefficient=1.0000 hits=2 last_used=9 created=6",
     ]
+
+
+@pytest.mark.parametrize("edit,problem", [
+    (lambda data: data.update(capacity=1), "snapshot holds 3 cases, above its capacity 1"),
+    (lambda data: data["cases"][2].update(percept=data["cases"][0]["percept"]),
+     "snapshot holds two cases of the same percept"),
+], ids=["over-capacity", "duplicate-percept"])
+def test_dump_kb_rejects_a_snapshot_no_knowledge_base_holds(tmp_path, capsys, edit, problem):
+    kb = KnowledgeBase(capacity=8)
+    for i in range(3):
+        kb.retain(Case(percept=(i / 4, 1.0), action=SetChannel(2, 1), coefficient=0.5))
+    data = kb.snapshot()
+    edit(data)
+    path = tmp_path / "kb.json"
+    path.write_text(json.dumps(data))
+    assert cli.main(["dump-kb", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: ValueError: {problem}\n"
 
 
 def test_malformed_mdp_exits_with_every_problem_named(tmp_path, capsys):

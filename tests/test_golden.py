@@ -1,6 +1,6 @@
 """Golden decision digests: the same seed takes the same actions at every step.
 
-Each digest is a sha256 over a projection of the run's records that holds
+Each digest is a sha256 over a projection of the run's trace.jsonl that holds
 only decisions and integer outcomes: per tick (t, node, detected, outcome,
 action) and per step (conflicts, actions, switches, disruptions), followed
 by the integer RunReport fields. Fields added to trace rows later do not
@@ -17,7 +17,7 @@ import pytest
 
 from meshmind import Controlled, load_scenario, run_scenario
 
-from helpers import make_channel_spec, make_location_spec, make_lowload_window_spec
+from helpers import make_channel_spec, make_location_spec, make_lowload_window_spec, read_trace
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -124,9 +124,9 @@ GOLDEN = {
 
 
 @pytest.mark.parametrize("name,seed", sorted(GOLDEN))
-def test_decisions_match_golden_digest(name, seed):
+def test_decisions_match_golden_digest(tmp_path, name, seed):
     digest, satisfaction, mean_achieved = GOLDEN[name, seed]
-    report, records = run_scenario(make_spec(name), seed=seed)
-    assert decision_digest(records, report) == digest
+    report, _ = run_scenario(make_spec(name), seed=seed, out_dir=tmp_path)
+    assert decision_digest(read_trace(tmp_path), report) == digest
     assert report.satisfaction_ratio == pytest.approx(satisfaction, rel=1e-9)
     assert report.mean_achieved_mbps == pytest.approx(mean_achieved, rel=1e-9)

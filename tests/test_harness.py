@@ -22,7 +22,7 @@ from meshmind.harness import (AgentParams, NonStochasticRow, ScenarioSpec,
                               scenario_from_dict)
 from meshmind.reasoning import Outcome
 
-from helpers import make_channel_spec, make_location_spec
+from helpers import make_channel_spec, make_location_spec, read_trace
 from test_golden import make_spec as golden_spec
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
@@ -47,21 +47,23 @@ class TestRunScenario:
         assert report.total_conflicts == 0
         assert report.mean_achieved_mbps == 0.0
 
-    def test_same_seed_reproduces_records_exactly(self):
+    def test_same_seed_reproduces_records_exactly(self, tmp_path):
         spec = make_channel_spec(4, {(0, 1), (1, 2), (2, 3)}, horizon=60)
-        _, first = run_scenario(spec, seed=5)
-        _, second = run_scenario(spec, seed=5)
+        _, first = run_scenario(spec, seed=5, out_dir=tmp_path / "a")
+        _, second = run_scenario(spec, seed=5, out_dir=tmp_path / "b")
         assert first == second
+        assert read_trace(tmp_path / "a") == read_trace(tmp_path / "b")
 
     def test_unconstrained_user_is_fully_satisfied(self):
         report, _ = run_scenario(tiny_spec(horizon=20))
         assert report.satisfaction_ratio == pytest.approx(1.0)
         assert report.final_conflicts == 0
 
-    def test_report_matches_trace_recomputation(self):
+    def test_report_matches_trace_recomputation(self, tmp_path):
         spec = make_channel_spec(4, {(0, 1), (1, 2), (2, 3), (0, 3)},
                                  horizon=120)
-        report, records = run_scenario(spec, seed=2)
+        report, _ = run_scenario(spec, seed=2, out_dir=tmp_path)
+        records = read_trace(tmp_path)
         derived = report_from_trace(records)
         assert derived["steps"] == report.steps
         assert derived["total_conflicts"] == report.total_conflicts
@@ -92,17 +94,24 @@ class TestRunScenario:
     @pytest.mark.parametrize("spec", [
         make_channel_spec(4, {(0, 1), (1, 2), (2, 3), (0, 3)}, horizon=120),
         make_location_spec(),
-    ], ids=["channel", "location"])
-    def test_untraced_run_gives_the_traced_report(self, spec):
-        traced, records = run_scenario(spec, seed=2)
-        untraced, steps = run_scenario(spec, seed=2, collect_trace=False)
-        assert steps == [r for r in records if r["kind"] == "step"]
+        load_scenario(SCENARIO_DIR / "lowload_windows.yaml"),
+    ], ids=["channel", "location", "lowload_windows"])
+    def test_untraced_run_gives_the_traced_report(self, tmp_path, spec):
+        """A run without out_dir returns the step rows and report of a run
+        with one, whose trace.jsonl holds those rows, each line as json.dumps
+        writes it."""
+        traced, steps = run_scenario(spec, seed=0, out_dir=tmp_path)
+        untraced, untraced_steps = run_scenario(spec, seed=0)
+        lines = (tmp_path / "trace.jsonl").read_text().splitlines(keepends=True)
+        rows = read_trace(tmp_path)
+        assert lines == list(map(dumps_line, rows))  # also the sign of zero, 1 against 1.0
+        assert untraced_steps == steps == [r for r in rows if r["kind"] == "step"]
         assert replace(untraced, wall_time_s=0.0) == replace(traced, wall_time_s=0.0)
 
-    def test_one_trace_event_per_agent_per_step(self):
+    def test_one_trace_event_per_agent_per_step(self, tmp_path):
         spec = make_channel_spec(3, {(0, 1), (1, 2)}, horizon=40)
-        _, records = run_scenario(spec, seed=1)
-        ticks = [r for r in records if r["kind"] == "tick"]
+        run_scenario(spec, seed=1, out_dir=tmp_path)
+        ticks = [r for r in read_trace(tmp_path) if r["kind"] == "tick"]
         assert len(ticks) == 3 * 40
         # ascending node order within each step
         for t in range(40):
@@ -173,11 +182,10 @@ class TestEmission:
         spec = load_scenario(SCENARIO_DIR / f"{name}.yaml")
         with mock.patch.object(TraceEvent, "to_record", side_effect=AssertionError):
             run_scenario(spec, seed=seed, out_dir=tmp_path)
-            _, records = run_scenario(spec, seed=seed)
         trace = tmp_path / "trace.jsonl"
         assert hashlib.sha256(trace.read_bytes()).hexdigest() == \
             PINNED_EMISSION[(name, seed)]["trace.jsonl"]
-        assert {r["outcome"] for r in records if r["kind"] == "tick"} > {"idle"}
+        assert {r["outcome"] for r in read_trace(tmp_path) if r["kind"] == "tick"} > {"idle"}
 
     @settings(max_examples=300, deadline=None)
     @given(EVENT)
@@ -246,10 +254,8 @@ class TestEmission:
         data["env"]["users"][0]["demand"] = [[0, -0.0], [5, 1.0]]
         data["env"]["users"][1]["demand"] = 0.0
         spec = scenario_from_dict(data)
-        _, steps = run_scenario(spec, out_dir=tmp_path)  # tick rows go to the file alone
-        _, records = run_scenario(spec)
-        for rows in (steps, records):
-            assert not any(r["actions"] for r in rows if r["kind"] == "step")
+        _, steps = run_scenario(spec, out_dir=tmp_path)
+        assert not any(r["actions"] for r in steps)
         # the untraced batched pass over the same steps, with no action taken
         env = Environment(spec.env_config)
         state = env.reset()
@@ -261,29 +267,14 @@ class TestEmission:
             state, report = env.apply_and_step(state, [])
             population.sense(report)
         lines = (tmp_path / "trace.jsonl").read_text().splitlines()
-        for rows in (records, map(json.loads, lines)):
-            ticks = [r for r in rows if r["kind"] == "tick"]
-            assert [list(map(float.hex, r["percept"])) for r in ticks] == expected
+        ticks = [r for r in read_trace(tmp_path) if r["kind"] == "tick"]
+        assert [list(map(float.hex, r["percept"])) for r in ticks] == expected
         assert "-0x0.0p+0" in expected[0]
         assert '"percept": [0.6666666666666666, 0.0, -0.0, 0.0]' in lines[0]
 
-    @pytest.mark.parametrize("spec", [
-        make_channel_spec(4, {(0, 1), (1, 2), (2, 3), (0, 3)}, horizon=120),
-        make_location_spec(),
-        load_scenario(SCENARIO_DIR / "lowload_windows.yaml"),
-    ], ids=["channel", "location", "lowload_windows"])
-    def test_tick_rows_go_to_the_file_or_to_records(self, tmp_path, spec):
-        _, steps = run_scenario(spec, seed=0, out_dir=tmp_path)
-        _, records = run_scenario(spec, seed=0)
-        _, untraced = run_scenario(spec, seed=0, collect_trace=False)
-        lines = (tmp_path / "trace.jsonl").read_text().splitlines(keepends=True)
-        assert [json.loads(line) for line in lines] == records
-        assert lines == list(map(dumps_line, records))  # also the sign of zero, 1 against 1.0
-        assert steps == untraced
-
     def test_a_run_with_a_trace_file_keeps_no_tick_rows(self, tmp_path):
         spec = golden_spec("grid8x8")  # 64 nodes, 300 steps
-        runs = ({"collect_trace": False}, {"out_dir": tmp_path})
+        runs = ({}, {"out_dir": tmp_path})
         for kwargs in runs:  # first-call allocations happen outside the measured runs
             run_scenario(replace(spec, horizon=3), **kwargs)
         peaks = []
@@ -307,11 +298,11 @@ class TestEmission:
         assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
     def test_untraced_run_with_out_dir_is_refused_before_writing(self, tmp_path):
+        """collect_trace, when given, must say whether the run writes out_dir."""
         (tmp_path / "report.txt").write_text("kept\n")
-        with pytest.raises(ValueError, match="must collect its trace"):
-            run_scenario(tiny_spec(horizon=3), out_dir=tmp_path / "new", collect_trace=False)
-        with pytest.raises(ValueError, match="must collect its trace"):
-            run_scenario(tiny_spec(horizon=3), out_dir=tmp_path, collect_trace=False)
+        for out_dir, collect_trace in ((tmp_path / "new", False), (tmp_path, False), (None, True)):
+            with pytest.raises(ValueError, match="disagrees with out_dir"):
+                run_scenario(tiny_spec(horizon=3), out_dir=out_dir, collect_trace=collect_trace)
         assert [p.name for p in tmp_path.iterdir()] == ["report.txt"]
         assert (tmp_path / "report.txt").read_text() == "kept\n"
 
@@ -441,6 +432,18 @@ class TestScenarioLoading:
                                                    "coefficient": float("nan")}}),
          "agents: similarity_threshold nan is not a number; "
          "agents: coefficient_threshold nan is not a number"),
+        (lambda d: d.update(agents={"thresholds": {"similarity": 0}}),
+         "agents: similarity_threshold 0.0 must be > 0"),
+        (lambda d: d.update(agents={"thresholds": {"similarity": 0, "coefficient": 0}}),
+         "agents: similarity_threshold 0.0 must be > 0"),
+        (lambda d: d.update(agents={"thresholds": {"similarity": -1}}),
+         "agents: similarity_threshold -1.0 must be > 0"),
+        (lambda d: d.update(agents={"thresholds": {"similarity": float("-inf")}}),
+         "agents: similarity_threshold -inf must be > 0"),
+        (lambda d: d.update(agents={"thresholds": {"similarity": -1.0,
+                                                   "coefficient": float("nan")}}),
+         "agents: coefficient_threshold nan is not a number; "
+         "agents: similarity_threshold -1.0 must be > 0"),
         (lambda d: d.update(agents={"policy": {"type": "controlled",
                                                "serving_threshold": float("nan")}}),
          "agents.policy: serving_threshold nan is not a number"),
@@ -455,7 +458,9 @@ class TestScenarioLoading:
             "initial-channel-node", "duplicate-node", "negative-seed", "tx-power",
             "bandwidth-unit", "controlled-window", "controlled-max-switches",
             "max-switches-without-window", "window-without-max-switches",
-            "nan-similarity", "nan-coefficient", "nan-thresholds", "nan-serving-threshold",
+            "nan-similarity", "nan-coefficient", "nan-thresholds", "zero-similarity",
+            "zero-thresholds", "negative-similarity", "minus-infinite-similarity",
+            "negative-similarity-nan-coefficient", "nan-serving-threshold",
             "infinite-penalty", "nan-penalty"])
     def test_malformed_values_rejected_at_load(self, edit, problem):
         spec_dict = {
@@ -618,9 +623,9 @@ class TestQLearningOracle:
 
 
 class TestLocationScenario:
-    def test_relay_learns_to_follow_demand(self):
-        report, records = run_scenario(make_location_spec(), seed=1)
+    def test_relay_learns_to_follow_demand(self, tmp_path):
+        report, _ = run_scenario(make_location_spec(), seed=1, out_dir=tmp_path)
         assert report.satisfaction_ratio > 0.9
         # second cycle reuses first-cycle knowledge
-        derived = report_from_trace(records)
+        derived = report_from_trace(read_trace(tmp_path))
         assert derived["reuse_ticks"] >= 1
