@@ -94,18 +94,11 @@ class TestRunScenario:
     @pytest.mark.parametrize("spec", [
         make_channel_spec(4, {(0, 1), (1, 2), (2, 3), (0, 3)}, horizon=120),
         make_location_spec(),
-        load_scenario(SCENARIO_DIR / "lowload_windows.yaml"),
-    ], ids=["channel", "location", "lowload_windows"])
+    ], ids=["channel", "location"])
     def test_untraced_run_gives_the_traced_report(self, tmp_path, spec):
-        """A run without out_dir returns the step rows and report of a run
-        with one, whose trace.jsonl holds those rows, each line as json.dumps
-        writes it."""
-        traced, steps = run_scenario(spec, seed=0, out_dir=tmp_path)
-        untraced, untraced_steps = run_scenario(spec, seed=0)
-        lines = (tmp_path / "trace.jsonl").read_text().splitlines(keepends=True)
-        rows = read_trace(tmp_path)
-        assert lines == list(map(dumps_line, rows))  # also the sign of zero, 1 against 1.0
-        assert untraced_steps == steps == [r for r in rows if r["kind"] == "step"]
+        traced, steps = run_scenario(spec, seed=2, out_dir=tmp_path)
+        untraced, untraced_steps = run_scenario(spec, seed=2)
+        assert untraced_steps == steps
         assert replace(untraced, wall_time_s=0.0) == replace(traced, wall_time_s=0.0)
 
     def test_one_trace_event_per_agent_per_step(self, tmp_path):
@@ -271,6 +264,22 @@ class TestEmission:
         assert [list(map(float.hex, r["percept"])) for r in ticks] == expected
         assert "-0x0.0p+0" in expected[0]
         assert '"percept": [0.6666666666666666, 0.0, -0.0, 0.0]' in lines[0]
+
+    @pytest.mark.parametrize("spec", [
+        make_channel_spec(4, {(0, 1), (1, 2), (2, 3), (0, 3)}, horizon=120),
+        make_location_spec(),
+        load_scenario(SCENARIO_DIR / "lowload_windows.yaml"),
+    ], ids=["channel", "location", "lowload_windows"])
+    def test_tick_rows_go_to_the_file_or_to_records(self, tmp_path, spec):
+        """Tick rows go to trace.jsonl, each line as json.dumps writes it; the
+        records of a run hold only its step rows, with or without out_dir."""
+        _, steps = run_scenario(spec, seed=0, out_dir=tmp_path)
+        _, untraced = run_scenario(spec, seed=0)
+        lines = (tmp_path / "trace.jsonl").read_text().splitlines(keepends=True)
+        rows = read_trace(tmp_path)
+        assert lines == list(map(dumps_line, rows))  # also the sign of zero, 1 against 1.0
+        assert any(r["kind"] == "tick" for r in rows)
+        assert untraced == steps == [r for r in rows if r["kind"] == "step"]
 
     def test_a_run_with_a_trace_file_keeps_no_tick_rows(self, tmp_path):
         spec = golden_spec("grid8x8")  # 64 nodes, 300 steps
