@@ -8,14 +8,16 @@ a SetChannel action and its cell through a MoveTo action. Everything is
 deterministic given the config and its seed, so runs can be replayed bit
 for bit.
 
-The radio model is one array pass over per-user and per-node vectors
-fixed at construction (serving node, share count, position, and one
-(user, neighbour) pair per interference term); reports, `link_quality`
-and `predict_node_throughput` all take their SINR from it. Demand is
-piecewise constant and is resolved only at its change points, into one
-dict per distinct level vector. Each step's ThroughputReport holds one
-flat `readings` vector of every node's and user's measurements, so all
-agents sense with one gather.
+The radio model is one array pass over the mesh as it stands, using
+per-user and per-node vectors fixed at construction (serving node, share
+count, position, and one (user, neighbour) pair per interference term);
+reports, `link_quality` and `predict_node_throughput` all take their SINR
+from it. No node neighbours itself, so a node's cell never moves its users'
+floor of noise plus interference, and one pass scores the node at any
+number of cells. Demand is piecewise constant and is resolved only at its
+change points, into one dict per distinct level vector. Each step's
+ThroughputReport holds one flat `readings` vector of every node's and
+user's measurements, so all agents sense with one gather.
 """
 
 from __future__ import annotations
@@ -397,38 +399,32 @@ class Environment:
         d = np.maximum(1.0, np.sqrt(dx * dx + dy * dy))
         return self.config.tx_power * np.float_power(d, -self.config.pathloss_exponent)
 
-    def _radio(self, state: EnvState, node: int | None = None, cell: Cell | None = None):
-        """Every node's channel, x and y (`node` placed at `cell` when given)
-        and every user's SINR: tx * d^-eta from its serving node over noise
-        plus the same law summed over the node's co-channel neighbours."""
+    def _radio(self, state: EnvState):
+        """Every node's channel, x and y, and every user's SINR and floor: tx *
+        d^-eta from its serving node over the floor, noise plus the same law
+        summed over the node's co-channel neighbours."""
         nodes = self.nodes
         channel = np.fromiter(map(state.channel_of.__getitem__, nodes),
                               dtype=np.int64, count=len(nodes))
         xy = np.fromiter(chain.from_iterable(map(state.position_of.__getitem__, nodes)),
                          dtype=float, count=2 * len(nodes))
         x, y = xy[0::2], xy[1::2]
-        if cell is not None:
-            x[self._node_index[node]], y[self._node_index[node]] = cell
         serving, ux, uy = self._serving, self._user_x, self._user_y
         at, other = self._pairs
         co = channel[other] == channel[serving[at]]
         at, other = at[co], other[co]
-        interference = np.bincount(at, weights=self._gain(x[other] - ux[at], y[other] - uy[at]),
-                                   minlength=len(serving))
-        received = self._gain(x[serving] - ux, y[serving] - uy)
-        return channel, x, y, received / (self.config.noise_floor + interference)
+        floor = self.config.noise_floor + np.bincount(
+            at, weights=self._gain(x[other] - ux[at], y[other] - uy[at]), minlength=len(serving))
+        return channel, x, y, self._gain(x[serving] - ux, y[serving] - uy) / floor, floor
 
-    def link_quality(self, state: EnvState, user: int,
-                     cell: Cell | None = None) -> float:
-        """Signal-to-interference ratio for one user, dimensionless, with its
-        serving node at `cell` when given (see `_radio`)."""
+    def link_quality(self, state: EnvState, user: int) -> float:
+        """Signal-to-interference ratio for one user, dimensionless (see `_radio`)."""
         if user not in self._user_index:
             raise UnknownUser(f"user {user}")
-        k = self._user_index[user]
-        return float(self._radio(state, self.nodes[self._serving[k]], cell)[3][k])
+        return float(self._radio(state)[3][self._user_index[user]])
 
     def report_for(self, state: EnvState) -> ThroughputReport:
-        channel, x, y, ratio = self._radio(state)
+        channel, x, y, ratio, _ = self._radio(state)
         levels = np.fromiter(map(state.demand.__getitem__, self._user_index),
                              dtype=float, count=len(self._user_index))
         got = np.minimum(capacity(ratio, self.config.bandwidth_unit, self._sharing), levels)
@@ -454,13 +450,16 @@ class Environment:
                 return len(NODE_READINGS) * n + self._user_index[uid]
         raise KeyError(name)
 
-    def predict_node_throughput(self, state: EnvState, node: int, cell: Cell) -> float:
-        """Summed achieved throughput of the node's users were it at `cell`."""
+    def predict_node_throughput(self, state: EnvState, node: int, cells) -> list[float]:
+        """Summed achieved throughput of the node's users were it at each of
+        `cells`, from one `_radio` pass: only their received signal moves."""
         members = self._members[node]
         users = [self._user_index[u] for u in members]
-        share = capacity(self._radio(state, node, cell)[3][users],
-                         self.config.bandwidth_unit, self._sharing[users])
-        return sum(np.minimum(share, [state.demand[u] for u in members]).tolist(), 0.0)
+        floor, ux, uy = self._radio(state)[4][users], self._user_x[users], self._user_y[users]
+        sharing, demand = self._sharing[users], [state.demand[u] for u in members]
+        bandwidth = self.config.bandwidth_unit
+        return [sum(np.minimum(capacity(self._gain(cx - ux, cy - uy) / floor, bandwidth, sharing),
+                               demand).tolist(), 0.0) for cx, cy in cells]
 
     # -- per-node queries ---------------------------------------------------
 

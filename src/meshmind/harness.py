@@ -472,7 +472,8 @@ def _trace_file(out: Path):
 
 def emit(out_dir, steps, report: RunReport, qtables: dict[int, QTable]) -> None:
     """Write report, metrics (a row per step row) and value tables, byte-stable
-    per seed, and timings, next to the trace.jsonl `run_scenario` has written."""
+    per seed, and timings, next to the trace.jsonl `run_scenario` has written;
+    remove any value table of a node that is not one of this run's agents."""
     try:
         out = Path(out_dir)
         (out / "report.txt").write_text("".join(f"{k}={v}\n" for k, v in report.rows()))
@@ -482,8 +483,12 @@ def emit(out_dir, steps, report: RunReport, qtables: dict[int, QTable]) -> None:
         with open(out / "metrics.csv", "w") as fh:
             fh.write(",".join(columns) + "\n")
             fh.writelines(",".join(str(row[c]) for c in columns) + "\n" for row in steps)
-        for node, table in sorted(qtables.items()):
-            (out / f"qtable_node_{node}.txt").write_text(format_q_table(table))
+        tables = {f"qtable_node_{node}.txt": table for node, table in sorted(qtables.items())}
+        for name, table in tables.items():
+            (out / name).write_text(format_q_table(table))
+        for path in out.glob("qtable_node_*.txt"):
+            if path.name not in tables:  # an earlier run's node
+                path.unlink()
     except OSError as exc:
         raise IoFailure(str(exc)) from exc
 
@@ -571,13 +576,13 @@ def value_iteration(mdp: MdpSpec, tol: float = 1e-9):
 
 def q_learning_on_mdp(mdp: MdpSpec, params: QParams,
                       policy: ExplorationPolicy, iterations: int,
-                      seed: int = 0, start_state: int = 0) -> QTable:
-    """Run tabular updates along an exploring walk through the MDP, choosing
-    and learning through the same `select_action` and `QTable.update` as the agents."""
+                      seed: int = 0) -> QTable:
+    """Run tabular updates along an exploring walk from state 0, choosing and
+    learning through the same `select_action` and `QTable.update` as the agents."""
     rng = np.random.default_rng([seed, 2])
     table = QTable(mdp.state_count, mdp.action_count)
     candidates = list(range(mdp.action_count))
-    state = start_state
+    state = 0
     for _ in range(iterations):
         action = select_action(table, state, policy, candidates, rng)
         next_state = int(rng.choice(mdp.state_count, p=mdp.transitions[state, action]))

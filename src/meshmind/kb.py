@@ -132,11 +132,20 @@ class KnowledgeBase:
         if data["eviction"] != cls.eviction:
             raise ValueError(f"unknown eviction policy {data['eviction']!r}")
         kb = cls(capacity=data["capacity"])
-        for row in data["cases"]:
-            kb.cases.append(Case(percept=tuple(row["percept"]),
-                                 action=action_from_dict(row["action"]),
-                                 coefficient=row["coefficient"], hits=row["hits"],
-                                 last_used=row["last_used"], created=row["created"]))
+        rows = data["cases"]
+        for i, row in enumerate(rows):
+            percept = tuple(row["percept"])
+            counters = {key: row[key] for key in ("hits", "last_used", "created")}
+            if not all(0.0 <= v <= 1.0 for v in percept):  # NaN fails too
+                raise ValueError(f"snapshot case {i}: percept {list(percept)} "
+                                 "has a value outside [0, 1]")
+            if len(percept) != len(rows[0]["percept"]):
+                raise ValueError(f"snapshot case {i}: {len(percept)} percept values, "
+                                 f"case 0 has {len(rows[0]['percept'])}")
+            if min(counters.values()) < 0:
+                raise ValueError(f"snapshot case {i}: negative counter in {counters}")
+            kb.cases.append(Case(percept=percept, action=action_from_dict(row["action"]),
+                                 coefficient=row["coefficient"], **counters))
         if len(kb) > kb.capacity:  # retain would never bring it back under
             raise ValueError(f"snapshot holds {len(kb)} cases, above its capacity {kb.capacity}")
         if len({case.percept for case in kb.cases}) < len(kb):

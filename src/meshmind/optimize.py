@@ -145,23 +145,21 @@ def count_conflicts(topology: MeshTopology, assignment: dict[int, int]) -> int:
 MAX_BRUTE_FORCE = 2 ** 20
 
 
-def brute_force_channels(topology: MeshTopology, objective=None):
+def brute_force_channels(topology: MeshTopology):
     """Exhaustive search over all channel assignments; returns (best, value).
 
-    Minimizes the objective (conflict count by default). Ties resolve to the
-    lexicographically first assignment in node-sorted enumeration order.
+    Minimizes the conflict count. Ties resolve to the lexicographically
+    first assignment in node-sorted enumeration order.
     """
     nodes = topology.nodes
     n_assignments = len(topology.channels) ** len(nodes)
     if n_assignments > MAX_BRUTE_FORCE:
         raise TooLarge(f"{n_assignments} assignments exceed the enumeration guard")
-    if objective is None:
-        objective = lambda assign: count_conflicts(topology, assign)
     best = None
     best_value = math.inf
     for combo in itertools.product(topology.channels, repeat=len(nodes)):
         assignment = dict(zip(nodes, combo))
-        value = objective(assignment)
+        value = count_conflicts(topology, assignment)
         if value < best_value:
             best, best_value = assignment, value
     return best, best_value
@@ -181,15 +179,10 @@ def one_step_cells(topology: MeshTopology, node: int, current: Cell) -> list[Cel
 
 
 def location_search(env: Environment, state: EnvState, node: int) -> MoveTo:
-    """Best one-step move by predicted served throughput; ties prefer staying."""
+    """Best one-step move by predicted served throughput, every candidate cell
+    scored in one call; ties prefer staying, then the first cell in sorted order."""
     current = state.position_of[node]
-    candidates = one_step_cells(env.topology, node, current)
-    best = current if current in candidates else candidates[0]
-    best_value = env.predict_node_throughput(state, node, best)
-    for cell in candidates:
-        if cell == best:
-            continue
-        value = env.predict_node_throughput(state, node, cell)
-        if value > best_value:
-            best, best_value = cell, value
-    return MoveTo(node=node, cell=best)
+    cells = one_step_cells(env.topology, node, current)
+    values = env.predict_node_throughput(state, node, cells)
+    best = max(range(len(cells)), key=lambda i: (values[i], cells[i] == current))
+    return MoveTo(node=node, cell=cells[best])

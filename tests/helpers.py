@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 
 from meshmind import (DemandProfile, EnvConfig, MeshTopology, UserSpec)
@@ -15,6 +16,32 @@ def read_trace(out_dir) -> list[dict]:
     """The rows of the trace.jsonl a run wrote to `out_dir`, in file order."""
     with open(Path(out_dir) / "trace.jsonl") as fh:
         return [json.loads(line) for line in fh]
+
+
+def reference_ratio(env, state, user, cell=None):
+    """SINR from the documented formula, in scalar arithmetic, with the
+    serving node at `cell` when given."""
+    cfg = env.config
+    spec = next(u for u in cfg.users if u.user == user)
+
+    def gain(at):
+        d = max(1.0, math.hypot(at[0] - spec.position[0], at[1] - spec.position[1]))
+        return cfg.tx_power * d ** -cfg.pathloss_exponent
+
+    serving = spec.node
+    interference = sum(gain(state.position_of[other])
+                       for other in env.topology.neighbors(serving)
+                       if state.channel_of[other] == state.channel_of[serving])
+    return gain(cell or state.position_of[serving]) / (cfg.noise_floor + interference)
+
+
+def reference_served(env, state, node, cell):
+    """Summed achieved throughput of `node`'s users, in ascending id, with the
+    node at `cell`: each user's equal share of the link, capped at its demand."""
+    users = sorted(u.user for u in env.config.users if u.node == node)
+    return sum(min(env.config.bandwidth_unit * math.log2(
+        1.0 + reference_ratio(env, state, user, cell)) / len(users), state.demand[user])
+        for user in users)
 
 
 def line_positions(n: int) -> dict[int, tuple[int, int]]:

@@ -123,7 +123,9 @@ def test_dump_kb_prints_a_saved_snapshot(tmp_path, capsys):
     (lambda data: data.update(capacity=1), "snapshot holds 3 cases, above its capacity 1"),
     (lambda data: data["cases"][2].update(percept=data["cases"][0]["percept"]),
      "snapshot holds two cases of the same percept"),
-], ids=["over-capacity", "duplicate-percept"])
+    (lambda data: data["cases"][1].update(percept=[2.0, -1.0]),
+     "snapshot case 1: percept [2.0, -1.0] has a value outside [0, 1]"),
+], ids=["over-capacity", "duplicate-percept", "percept-range"])
 def test_dump_kb_rejects_a_snapshot_no_knowledge_base_holds(tmp_path, capsys, edit, problem):
     kb = KnowledgeBase(capacity=8)
     for i in range(3):

@@ -8,6 +8,8 @@ from meshmind import (DemandProfile, EnvConfig, Environment, MeshTopology,
                       MoveTo, SetChannel, UserSpec, capacity)
 from meshmind.env import InvalidAction, UnknownUser
 
+from helpers import reference_ratio, reference_served
+
 
 def make_env(positions, edges, users, *, channels=(1, 2, 3), eta=2.0,
              noise=1e-3, tx=1.0, bw=1.0, seed=0, horizon=10, initial=None):
@@ -284,28 +286,11 @@ class TestTopologyValidation:
         assert (5, 5) in topo.allowed[0]
 
 
-def reference_ratio(env, state, user, cell=None):
-    """SINR from the documented formula, in scalar arithmetic, with the
-    serving node at `cell` when given."""
-    cfg = env.config
-    spec = next(u for u in cfg.users if u.user == user)
-
-    def gain(at):
-        d = max(1.0, math.hypot(at[0] - spec.position[0], at[1] - spec.position[1]))
-        return cfg.tx_power * d ** -cfg.pathloss_exponent
-
-    serving = spec.node
-    interference = sum(gain(state.position_of[other])
-                       for other in env.topology.neighbors(serving)
-                       if state.channel_of[other] == state.channel_of[serving])
-    return gain(cell or state.position_of[serving]) / (cfg.noise_floor + interference)
-
-
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_report_matches_the_scalar_radio_model(data):
     # small random meshes: several users per node, co-channel neighbours,
-    # and one node moved before the report
+    # and one node moved before the report, then every node scored at two cells
     n = data.draw(st.integers(2, 6), label="nodes")
     cells = st.tuples(st.integers(0, 5), st.integers(0, 5))
     positions = {i: data.draw(cells) for i in range(n)}
@@ -331,8 +316,10 @@ def test_report_matches_the_scalar_radio_model(data):
         assert report.achieved[spec.user] == pytest.approx(
             min(share, state.demand[spec.user]), rel=1e-12, abs=0.0)
         assert env.link_quality(state, spec.user) == pytest.approx(ratio, rel=1e-12)
-        assert env.link_quality(state, spec.user, target) == pytest.approx(
-            reference_ratio(env, state, spec.user, target), rel=1e-12)
+    spots = [target, data.draw(cells, label="second cell")]
+    for node in range(n):
+        assert env.predict_node_throughput(state, node, spots) == pytest.approx(
+            [reference_served(env, state, node, cell) for cell in spots], rel=1e-12, abs=0.0)
 
 
 def test_distance_clamped_below_one_cell():

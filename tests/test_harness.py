@@ -341,6 +341,14 @@ class TestEmission:
         for name in dumps_a:
             assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
 
+    def test_a_run_removes_the_value_tables_an_earlier_run_left(self, tmp_path):
+        # lowload_windows has 10 agents, ring6_channels 6, in one out_dir
+        for name in ("lowload_windows", "ring6_channels"):
+            spec = load_scenario(SCENARIO_DIR / f"{name}.yaml")
+            run_scenario(replace(spec, horizon=5), out_dir=tmp_path)
+        assert sorted(p.name for p in tmp_path.glob("qtable_node_*.txt")) == [
+            f"qtable_node_{node}.txt" for node in range(6)]
+
     def test_report_file_is_flat_key_value(self, tmp_path):
         spec = tiny_spec(horizon=5)
         run_scenario(spec, out_dir=tmp_path)

@@ -213,6 +213,26 @@ class TestSnapshot:
         with pytest.raises(ValueError, match="eviction policy 'lowest-coefficient'"):
             KnowledgeBase.from_snapshot(dict(data, eviction="lowest-coefficient"))
 
+    @pytest.mark.parametrize("field,value,problem", [
+        ("percept", [2.0, 0.5], r"percept \[2.0, 0.5\] has a value outside \[0, 1\]"),
+        ("percept", [0.5, -1.0], r"percept \[0.5, -1.0\] has a value outside \[0, 1\]"),
+        ("percept", [math.nan, 0.5], r"percept \[nan, 0.5\] has a value outside \[0, 1\]"),
+        ("percept", [0.5, math.inf], r"percept \[0.5, inf\] has a value outside \[0, 1\]"),
+        ("percept", [0.5], "1 percept values, case 0 has 2"),
+        ("hits", -3, "negative counter in {'hits': -3, 'last_used': 4, 'created': 2}"),
+        ("last_used", -1, "negative counter in {'hits': 0, 'last_used': -1, 'created': 2}"),
+        ("created", -2, "negative counter in {'hits': 0, 'last_used': 4, 'created': -2}"),
+    ], ids=["above-one", "negative", "nan", "inf", "short-percept",
+            "negative-hits", "negative-last-used", "negative-created"])
+    def test_a_case_no_knowledge_base_holds_is_rejected_by_index(self, field, value, problem):
+        kb = KnowledgeBase(capacity=4)
+        for x in (0.0, 0.5, 1.0):
+            kb.retain(case((x, 1.0 - x), last_used=4, created=2))
+        data = kb.snapshot()
+        data["cases"][1][field] = value
+        with pytest.raises(ValueError, match=f"^snapshot case 1: {problem}$"):
+            KnowledgeBase.from_snapshot(data)
+
     def test_case_rejects_out_of_range_coefficient(self):
         with pytest.raises(InvalidCoefficient):
             case((0.1,), coefficient=-0.2)

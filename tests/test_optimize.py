@@ -12,6 +12,8 @@ from meshmind import (Controlled, DemandProfile, EnvConfig, Environment,
 from meshmind.learning import IndexOutOfRange
 from meshmind.optimize import EmptyCandidates, NoAllowedCell, TooLarge, one_step_cells
 
+from helpers import reference_served
+
 
 def topology(n, edges, channels=3):
     return MeshTopology(positions={i: (i, 0) for i in range(n)},
@@ -172,10 +174,9 @@ class TestLocationSearch:
     def test_center_of_3x3_matches_full_grid_argmax(self):
         cells = [(x, y) for x in range(3) for y in range(3)]
         env, state = location_env((1, 1), [(2, 2)], [50.0], cells)
-        # oracle: evaluate the objective at every one of the nine cells
-        best = max(cells, key=lambda c: (env.predict_node_throughput(state, 0, c),
-                                         c == (1, 1)))
-        scores = {c: env.predict_node_throughput(state, 0, c) for c in cells}
+        # oracle: evaluate the objective at every one of the nine cells, one at a time
+        scores = {c: env.predict_node_throughput(state, 0, [c])[0] for c in cells}
+        best = max(cells, key=lambda c: (scores[c], c == (1, 1)))
         assert scores[best] == max(scores.values())
         assert location_search(env, state, 0) == MoveTo(0, best)
 
@@ -196,9 +197,49 @@ class TestLocationSearch:
             env, state = location_env(node_cell, users, demands, cells)
             chosen = location_search(env, state, 0)
             neighborhood = one_step_cells(env.topology, 0, node_cell)
-            by_value = {c: env.predict_node_throughput(state, 0, c)
+            by_value = {c: env.predict_node_throughput(state, 0, [c])[0]
                         for c in neighborhood}
+            assert env.predict_node_throughput(state, 0, neighborhood) == list(by_value.values())
             assert by_value[chosen.cell] == max(by_value.values())
+
+    def test_matches_a_scalar_oracle_when_neighbours_share_the_channel(self):
+        # The relay (node 0) always has a co-channel neighbour, so its users'
+        # floor holds interference. The oracle scores every allowed cell within
+        # one step from the documented formula; it stays on a tie.
+        rng = random.Random(41)
+        stays = moves = 0
+        for _ in range(60):
+            n = rng.randint(2, 5)
+            positions = {i: (rng.randint(0, 5), rng.randint(0, 5)) for i in range(n)}
+            edges = {(0, 1)} | {(a, b) for a in range(n) for b in range(a + 1, n)
+                                if rng.random() < 0.5}
+            allowed = {(x, y) for x in range(6) for y in range(6) if rng.random() < 0.6}
+            channels = {i: rng.choice((1, 2)) for i in range(n)}
+            channels[1] = channels[0]
+            users = [UserSpec(user=u, position=(rng.randint(0, 5), rng.randint(0, 5)),
+                              demand=DemandProfile.constant(rng.uniform(0.2, 6.0)),
+                              node=0 if u == 0 else rng.randrange(n))
+                     for u in range(rng.randint(1, 6))]
+            topo = MeshTopology(positions=positions, edges=edges, channels=(1, 2),
+                                allowed={0: frozenset(allowed)})
+            env = Environment(EnvConfig(
+                topology=topo, users=users, pathloss_exponent=rng.choice((1.0, 2.0, 2.7)),
+                tx_power=1.0, noise_floor=1e-2, bandwidth_unit=1.0, horizon=5,
+                initial_channels=channels))
+            state = env.reset()
+            current = positions[0]
+            near = [c for c in topo.allowed[0]
+                    if abs(c[0] - current[0]) <= 1 and abs(c[1] - current[1]) <= 1]
+            score = {c: reference_served(env, state, 0, c) for c in near}
+            top = max(score.values())
+            chosen = location_search(env, state, 0).cell
+            assert score[chosen] == pytest.approx(top, rel=1e-12)
+            if score[current] == pytest.approx(top, rel=1e-12):
+                assert chosen == current
+                stays += 1
+            else:
+                moves += 1
+        assert stays >= 5 and moves >= 5
 
     def test_unknown_node_has_no_allowed_cells(self):
         env, state = location_env((2, 2), [(0, 0)], [5.0], [(2, 2)])
