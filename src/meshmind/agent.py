@@ -165,6 +165,17 @@ class _JsonNumbers(dict):
 _json = _JsonNumbers()
 
 
+class _JsonOfBits(dict):
+    """Maps the int b to `_json(x)` of the float x whose 64 bits are b. It keeps
+    up to 1,024 texts, zeros and NaN too: no two floats share their bits."""
+
+    def __missing__(self, b: int) -> str:
+        if len(self) >= 1024:
+            self.clear()
+        self[b] = text = _json(float(np.uint64(b).view(np.float64)))
+        return text
+
+
 # Stable direction indexing keeps MoveTo actions addressable in the value
 # table regardless of the node's current cell.
 _DIRECTIONS = [(dx, dy) for dy in (-1, 0, 1) for dx in (-1, 0, 1)]
@@ -328,6 +339,8 @@ class Population:
     and `states` hold one entry per agent. With `trace` on, `texts` holds each
     percept's JSON list items and `heads` its idle line up to `"t": `; `sense` makes
     both anew, rebuilding the agents whose percept bits changed (-0.0 is not 0.0).
+    The report object last sensed, which `apply_and_step` hands back while nothing
+    changes, advances only the detector; `heads` is then a fresh list of the same lines.
     """
 
     IDLE_HEAD = (TraceEvent(t=0, node=0, percept=(), outcome="idle").head()
@@ -360,10 +373,17 @@ class Population:
             np.array([env.reading_index(ag.node, name) for ag in self.agents], dtype=np.intp)
             for name in ("achieved", "demand"))
         self._has_prev, self._prev_unsatisfied = np.zeros((2, len(self.agents)), dtype=bool)
-        self.texts, self.heads, self._bits = [""] * len(self.agents), [""] * len(self.agents), None
+        self.texts, self.heads = [""] * len(self.agents), [""] * len(self.agents)
+        self._bits = self._report = None  # of the last full sense
+        self._json_of_bits = _JsonOfBits()  # percept value texts
 
     def sense(self, report) -> None:
         """Gather every percept, index its state and advance the detector by one sample."""
+        if report is self._report:  # the same read-only readings: only the detector moves
+            self.fired = (self._has_prev & self._prev_unsatisfied).tolist()
+            self._has_prev[:] = True
+            self.heads = self.heads[:]  # the run writes triggered heads into the old list
+            return
         readings = report.readings
         values = np.clip((readings[self._index] - self._lo) / self._span, 0.0, 1.0)
         cells = np.minimum(np.floor(values * self._bins), self._bins - 1)
@@ -372,9 +392,10 @@ class Population:
         if self.trace:  # on the first sense, bits != None holds for every agent
             bits, self.texts, self.heads = values.view(np.uint64), self.texts[:], self.heads[:]
             changed = np.logical_or.reduceat(bits != self._bits, self._starts)
+            keys = bits.tolist()
             for i in np.flatnonzero(changed).tolist():
                 a, b = self._ranges[i]
-                self.texts[i] = text = ", ".join(map(_json.__getitem__, self._values[a:b]))
+                self.texts[i] = text = ", ".join(map(self._json_of_bits.__getitem__, keys[a:b]))
                 self.heads[i] = self.IDLE_HEAD % (self.agents[i].node, text)
             self._bits = bits
         achieved = readings[self._achieved_at]
@@ -385,6 +406,7 @@ class Population:
         self._prev_unsatisfied = unsatisfied
         self.achieved = achieved.tolist()
         self.demanded = demanded.tolist()
+        self._report = report
 
     def acted(self, i: int) -> None:
         """Agent i emitted an action: its next trigger needs two fresh samples."""

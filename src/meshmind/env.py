@@ -12,12 +12,14 @@ The radio model is one array pass over the mesh as it stands, using
 per-user and per-node vectors fixed at construction (serving node, share
 count, position, and one (user, neighbour) pair per interference term);
 reports, `link_quality` and `predict_node_throughput` all take their SINR
-from it. No node neighbours itself, so a node's cell never moves its users'
-floor of noise plus interference, and one pass scores the node at any
-number of cells. Demand is piecewise constant and is resolved only at its
-change points, into one dict per distinct level vector. Each step's
-ThroughputReport holds one flat `readings` vector of every node's and
-user's measurements, so all agents sense with one gather.
+from it; its geometry, every node's x and y and every pair's and link's
+gain, is computed once per placement. No node neighbours itself, so a
+node's cell never moves its users' floor of noise plus interference, and
+one pass scores the node at any number of cells. Demand is piecewise
+constant and is resolved only at its change points, into one dict per
+distinct level vector. Each step's ThroughputReport holds one flat
+`readings` vector of every node's and user's measurements, so all agents
+sense with one gather.
 """
 
 from __future__ import annotations
@@ -67,11 +69,16 @@ def action_to_dict(action: Action) -> dict:
 
 
 def action_from_dict(data: dict) -> Action:
-    if data["kind"] == "set_channel":
-        return SetChannel(node=data["node"], channel=data["channel"])
-    if data["kind"] == "move_to":
-        return MoveTo(node=data["node"], cell=tuple(data["cell"]))
-    raise ValueError(f"unknown action kind {data.get('kind')!r}")
+    """The action `action_to_dict` wrote as `data`; a ValueError if it holds none."""
+    kind = data.get("kind")
+    try:
+        if kind == "set_channel":
+            return SetChannel(node=data["node"], channel=data["channel"])
+        if kind == "move_to":
+            return MoveTo(node=data["node"], cell=tuple(data["cell"]))
+    except KeyError as exc:
+        raise ValueError(f"{kind} action without {exc}") from None
+    raise ValueError(f"unknown action kind {kind!r}")
 
 
 class InvalidAction(Exception):
@@ -319,6 +326,7 @@ class Environment:
         edges = sorted(topo.edges)
         self._edge_a = np.array([index[a] for a, _ in edges], dtype=np.intp)
         self._edge_b = np.array([index[b] for _, b in edges], dtype=np.intp)
+        self._placed = None  # the positions of the geometry `_radio` keeps
 
         # Demand rows: the level vector at every change point, deduplicated.
         rng = np.random.default_rng([config.rng_seed, 0])
@@ -354,7 +362,8 @@ class Environment:
         leaves the state untouched. The report reflects the post-action
         configuration at t+1. Pass the report of `state` to have it reused
         when the step changes no channel or position and the demand row in
-        force stays the same.
+        force stays the same: `Population.sense` relies on that object coming
+        back to advance only its detector.
         """
         topo = self.topology
         touched = set()
@@ -402,20 +411,25 @@ class Environment:
     def _radio(self, state: EnvState):
         """Every node's channel, x and y, and every user's SINR and floor: tx *
         d^-eta from its serving node over the floor, noise plus the same law
-        summed over the node's co-channel neighbours."""
-        nodes = self.nodes
+        summed over the node's co-channel neighbours. The geometry, x, y and the
+        gains, is kept read-only for a copy of the positions last scored."""
+        nodes, serving, ux, uy = self.nodes, self._serving, self._user_x, self._user_y
+        if state.position_of != self._placed:  # by value: a caller may edit its dict
+            xy = np.fromiter(chain.from_iterable(map(state.position_of.__getitem__, nodes)),
+                             dtype=float, count=2 * len(nodes))
+            x, y, (at, other) = xy[0::2], xy[1::2], self._pairs
+            self._placed, self._geometry = dict(state.position_of), (x, y, self._gain(
+                x[other] - ux[at], y[other] - uy[at]), self._gain(x[serving] - ux, y[serving] - uy))
+            for array in self._geometry:
+                array.flags.writeable = False
+        x, y, pair_gain, signal = self._geometry
         channel = np.fromiter(map(state.channel_of.__getitem__, nodes),
                               dtype=np.int64, count=len(nodes))
-        xy = np.fromiter(chain.from_iterable(map(state.position_of.__getitem__, nodes)),
-                         dtype=float, count=2 * len(nodes))
-        x, y = xy[0::2], xy[1::2]
-        serving, ux, uy = self._serving, self._user_x, self._user_y
         at, other = self._pairs
         co = channel[other] == channel[serving[at]]
-        at, other = at[co], other[co]
         floor = self.config.noise_floor + np.bincount(
-            at, weights=self._gain(x[other] - ux[at], y[other] - uy[at]), minlength=len(serving))
-        return channel, x, y, self._gain(x[serving] - ux, y[serving] - uy) / floor, floor
+            at[co], weights=pair_gain[co], minlength=len(serving))
+        return channel, x, y, signal / floor, floor
 
     def link_quality(self, state: EnvState, user: int) -> float:
         """Signal-to-interference ratio for one user, dimensionless (see `_radio`)."""
@@ -436,6 +450,7 @@ class Environment:
             np.bincount(self._serving[by_id], weights=levels[by_id], minlength=n),
             np.bincount(self._serving, weights=got, minlength=n),
             x, y, levels))
+        readings.flags.writeable = False  # a reused report holds the readings it was sensed with
         return ThroughputReport(achieved=dict(zip(self._user_index, got.tolist())),
                                 conflicts=int(same.sum()), readings=readings)
 

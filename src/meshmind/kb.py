@@ -42,6 +42,35 @@ class Case:
             raise InvalidCoefficient(f"coefficient {self.coefficient} outside [0,1]")
 
 
+_ROW_KEYS = ("percept", "action", "coefficient", "hits", "last_used", "created")
+
+
+def _case_from_row(row: dict, first: Case | None) -> Case:
+    """The case a snapshot row holds, its percept as long as `first`'s; a
+    ValueError names what the row gets wrong."""
+    missing = [key for key in _ROW_KEYS if key not in row]
+    if missing:
+        raise ValueError(f"missing {', '.join(missing)}")
+    percept, coefficient = row["percept"], row["coefficient"]
+    counters = {key: row[key] for key in ("hits", "last_used", "created")}
+    if type(percept) is not list or not all(type(v) in (int, float) for v in percept):
+        raise ValueError(f"percept {percept!r} is not a list of numbers")
+    if not all(0.0 <= v <= 1.0 for v in percept):  # NaN fails too
+        raise ValueError(f"percept {percept} has a value outside [0, 1]")
+    if first is not None and len(percept) != len(first.percept):
+        raise ValueError(f"{len(percept)} percept values, case 0 has {len(first.percept)}")
+    if not all(type(v) is int for v in counters.values()):
+        raise ValueError(f"counters {counters} must be integers")
+    if min(counters.values()) < 0:
+        raise ValueError(f"negative counter in {counters}")
+    if type(coefficient) not in (int, float):
+        raise ValueError(f"coefficient {coefficient!r} is not a number")
+    if type(row["action"]) is not dict:
+        raise ValueError(f"action {row['action']!r} is not a mapping")
+    return Case(percept=tuple(percept), action=action_from_dict(row["action"]),
+                coefficient=coefficient, **counters)
+
+
 class KnowledgeBase:
     """Ordered, capacity-bounded collection of cases owned by one agent."""
 
@@ -132,20 +161,11 @@ class KnowledgeBase:
         if data["eviction"] != cls.eviction:
             raise ValueError(f"unknown eviction policy {data['eviction']!r}")
         kb = cls(capacity=data["capacity"])
-        rows = data["cases"]
-        for i, row in enumerate(rows):
-            percept = tuple(row["percept"])
-            counters = {key: row[key] for key in ("hits", "last_used", "created")}
-            if not all(0.0 <= v <= 1.0 for v in percept):  # NaN fails too
-                raise ValueError(f"snapshot case {i}: percept {list(percept)} "
-                                 "has a value outside [0, 1]")
-            if len(percept) != len(rows[0]["percept"]):
-                raise ValueError(f"snapshot case {i}: {len(percept)} percept values, "
-                                 f"case 0 has {len(rows[0]['percept'])}")
-            if min(counters.values()) < 0:
-                raise ValueError(f"snapshot case {i}: negative counter in {counters}")
-            kb.cases.append(Case(percept=percept, action=action_from_dict(row["action"]),
-                                 coefficient=row["coefficient"], **counters))
+        for i, row in enumerate(data["cases"]):
+            try:
+                kb.cases.append(_case_from_row(row, kb.cases[0] if kb.cases else None))
+            except ValueError as exc:  # InvalidCoefficient and unknown action kinds too
+                raise ValueError(f"snapshot case {i}: {exc}") from None
         if len(kb) > kb.capacity:  # retain would never bring it back under
             raise ValueError(f"snapshot holds {len(kb)} cases, above its capacity {kb.capacity}")
         if len({case.percept for case in kb.cases}) < len(kb):

@@ -1,7 +1,9 @@
 import json
 import math
 import warnings
+from collections import Counter
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -10,8 +12,9 @@ from hypothesis import given, settings, strategies as st
 from meshmind import (Agent, AgentConfig, DemandProfile, EnvConfig,
                       Environment, FeatureSpec, MeshTopology, QParams,
                       SetChannel, StateCodec, UserSpec)
+from meshmind import agent as agent_module
 from meshmind.agent import AgentParams, Population, TraceEvent, UnknownPendingAction
-from meshmind.env import ThroughputReport, satisfied
+from meshmind.env import MoveTo, ThroughputReport, satisfied
 from meshmind.kb import Case
 from meshmind.harness import build_agents, run_scenario
 from meshmind.learning import IndexOutOfRange, encode_state
@@ -196,20 +199,26 @@ class TestPopulation:
         achieved_at = [env.reading_index(n, "achieved") for n in (0, 1)]
         rng = np.random.default_rng(0)
         previous = [None, None]  # whether the last counted sample was undersupplied
-        for t in range(60):
-            readings = np.zeros(12)  # five per-node readings of two nodes, two users
-            readings[demand_at] = 5.0
-            readings[achieved_at] = rng.choice([1.0, 5.0 - 1e-10, 5.0], size=2)
-            population.sense(ThroughputReport(achieved={}, conflicts=0,
-                                              readings=readings))
+        report, repeats = None, Counter()
+        for t in range(120):
+            repeated = report is not None and rng.random() < 0.4
+            if not repeated:  # else the same report object is sensed again
+                readings = np.zeros(12)  # five per-node readings of two nodes, two users
+                readings[demand_at] = 5.0
+                readings[achieved_at] = rng.choice([1.0, 5.0 - 1e-10, 5.0], size=2)
+                report = ThroughputReport(achieved={}, conflicts=0, readings=readings)
+            population.sense(report)
             for i in range(2):
                 unsatisfied = not satisfied(readings[achieved_at[i]], 5.0)
                 expected = bool(previous[i]) and unsatisfied  # undersupplied twice running
                 assert population.fired[i] == expected
+                repeats[repeated, previous[i] is None, expected] += 1
                 previous[i] = unsatisfied
                 if expected and rng.random() < 0.5:
                     population.acted(i)
                     previous[i] = None
+        # a repeat fires, stays quiet after an action, and the first sample after one does not
+        assert repeats[True, False, True] and repeats[True, True, False]
 
     @pytest.mark.parametrize("spec", [
         make_channel_spec(9, {(i, i + 1) for i in range(8) if i % 3 < 2}
@@ -251,6 +260,60 @@ class TestPopulation:
         assert population.states == [encode_state(population.percept(i), ag.config.codec)
                                      for i, ag in enumerate(agents)]
 
+    @pytest.mark.parametrize("spec", [
+        make_channel_spec(9, {(i, i + 1) for i in range(8) if i % 3 < 2}
+                          | {(i, i + 3) for i in range(6)},
+                          positions=grid_positions(9, width=3), horizon=80),
+        make_location_spec(),
+    ], ids=["channel", "location"])
+    def test_a_reused_report_senses_as_a_fresh_copy_of_it(self, spec):
+        """Sensing the report `apply_and_step` hands back again advances only the
+        detector: everything a copy of its readings gives stays as it was."""
+        env = Environment(spec.env_config)
+        state = env.reset()
+        report = env.report_for(state)
+        agents = build_agents(spec, env, state, seed=0)
+        same, fresh = Population(agents, env), Population(agents, env)
+        same.sense(report)
+        fresh.sense(replace(report, readings=report.readings.copy()))
+        rng = np.random.default_rng(1)
+        reused = 0
+        for _ in range(spec.horizon):
+            actions = []
+            for node in env.nodes if rng.random() < 0.3 else ():
+                if rng.random() < 0.5:
+                    actions.append(SetChannel(node, int(rng.choice(env.topology.channels)))
+                                   if spec.kind == "channel-assignment" else
+                                   MoveTo(node, sorted(env.topology.allowed[node])[
+                                       rng.integers(len(env.topology.allowed[node]))]))
+            acting = [i for i in np.flatnonzero(same.fired).tolist() if rng.random() < 0.5]
+            for population in (same, fresh):
+                for i in acting:
+                    population.acted(i)
+            state, next_report = env.apply_and_step(state, actions, report)
+            reused += next_report is report
+            report = next_report
+            heads = same.heads, fresh.heads
+            same.sense(report)
+            fresh.sense(replace(report, readings=report.readings.copy()))
+            for old in heads:  # as the run writes a step's triggered lines
+                old[:] = ["written"] * len(old)
+            assert same.fired == fresh.fired
+            assert same.states == fresh.states
+            assert [same.percept(i) for i in range(len(agents))] == [
+                fresh.percept(i) for i in range(len(agents))]
+            assert (same.achieved, same.demanded) == (fresh.achieved, fresh.demanded)
+            assert (same.texts, same.heads) == (fresh.texts, fresh.heads)
+        assert 0 < reused < spec.horizon
+
+    def test_report_readings_are_read_only(self):
+        env = channel_env()
+        report = env.report_for(env.reset())
+        with pytest.raises(ValueError, match="read-only"):
+            report.readings[0] = 1.0
+        _, reused = env.apply_and_step(env.reset(), [], report)
+        assert reused is report
+
     def test_percept_texts_are_the_json_items_of_each_percept(self):
         env = channel_env()
         population = Population([channel_agent(0), channel_agent(1)], env)
@@ -269,6 +332,25 @@ class TestPopulation:
             assert [f"{head}{t}}}\n" for head in population.heads] == [
                 json.dumps(event.to_record(), sort_keys=True) + "\n" for event in idle]
         assert texts[0] == "0.0, NaN, 0.0"  # as json.dumps writes a NaN
+
+    def test_percept_zeros_of_either_sign_are_kept_without_a_lookup_miss(self):
+        env = channel_env()
+        population = Population([channel_agent(0), channel_agent(1)], env)
+        demand_at = [env.reading_index(n, "demand") for n in (0, 1)]
+        readings = np.zeros(12)  # five per-node readings of two nodes, two users
+
+        def sense(demands):
+            readings[demand_at] = demands
+            population.sense(ThroughputReport(achieved={}, conflicts=0, readings=readings.copy()))
+            assert [f"[{text}]" for text in population.texts] == [
+                json.dumps(list(population.percept(i))) for i in range(2)]
+
+        sense([-0.0, 0.0])  # both zeros' texts are kept from here on
+        with mock.patch.object(agent_module._JsonNumbers, "__missing__",
+                               side_effect=AssertionError("a zero's text was made again")):
+            for demands in ([0.0, -0.0], [0.0, 0.0], [-0.0, -0.0]):
+                sense(demands)
+        assert population.texts == ["0.0, -0.0, 0.0", "0.0, -0.0, 0.0"]
 
     def test_nan_percept_fails_the_tick_and_the_feedback_that_index_it(self):
         env = channel_env()

@@ -125,7 +125,15 @@ def test_dump_kb_prints_a_saved_snapshot(tmp_path, capsys):
      "snapshot holds two cases of the same percept"),
     (lambda data: data["cases"][1].update(percept=[2.0, -1.0]),
      "snapshot case 1: percept [2.0, -1.0] has a value outside [0, 1]"),
-], ids=["over-capacity", "duplicate-percept", "percept-range"])
+    (lambda data: data["cases"][2].pop("hits"), "snapshot case 2: missing hits"),
+    (lambda data: data["cases"][0].update(hits=1.5),
+     "snapshot case 0: counters {'hits': 1.5, 'last_used': 0, 'created': 0} must be integers"),
+    (lambda data: data["cases"][1].update(coefficient=2.0),
+     "snapshot case 1: coefficient 2.0 outside [0,1]"),
+    (lambda data: data["cases"][1]["action"].update(kind="hop"),
+     "snapshot case 1: unknown action kind 'hop'"),
+], ids=["over-capacity", "duplicate-percept", "percept-range", "missing-hits", "float-hits",
+        "coefficient-range", "unknown-action-kind"])
 def test_dump_kb_rejects_a_snapshot_no_knowledge_base_holds(tmp_path, capsys, edit, problem):
     kb = KnowledgeBase(capacity=8)
     for i in range(3):

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -308,18 +309,46 @@ def test_report_matches_the_scalar_radio_model(data):
         pathloss_exponent=data.draw(st.sampled_from([0.5, 1.0, 2.0, 2.7])),
         noise_floor=data.draw(st.floats(1e-4, 1e-1)), bandwidth_unit=0.7,
         initial_channels={i: data.draw(st.sampled_from([1, 2])) for i in range(n)}))
-    state, report = env.apply_and_step(env.reset(), [MoveTo(mover, target)])
-    for spec in users:
-        sharing = sum(1 for u in users if u.node == spec.node)
-        ratio = reference_ratio(env, state, spec.user)
-        share = 0.7 * math.log2(1.0 + ratio) / sharing
-        assert report.achieved[spec.user] == pytest.approx(
-            min(share, state.demand[spec.user]), rel=1e-12, abs=0.0)
-        assert env.link_quality(state, spec.user) == pytest.approx(ratio, rel=1e-12)
+    moved, report = env.apply_and_step(env.reset(), [MoveTo(mover, target)])
     spots = [target, data.draw(cells, label="second cell")]
-    for node in range(n):
-        assert env.predict_node_throughput(state, node, spots) == pytest.approx(
-            [reference_served(env, state, node, cell) for cell in spots], rel=1e-12, abs=0.0)
+    placed = replace(moved, position_of={i: data.draw(cells, label="placed") for i in range(n)})
+    # one environment scores the moved mesh, the start again, then a hand-placed one
+    for state in (moved, env.reset(), placed):
+        report = report if state is moved else env.report_for(state)
+        for spec in users:
+            sharing = sum(1 for u in users if u.node == spec.node)
+            ratio = reference_ratio(env, state, spec.user)
+            share = 0.7 * math.log2(1.0 + ratio) / sharing
+            assert report.achieved[spec.user] == pytest.approx(
+                min(share, state.demand[spec.user]), rel=1e-12, abs=0.0)
+            assert env.link_quality(state, spec.user) == pytest.approx(ratio, rel=1e-12)
+        for node in range(n):
+            assert env.predict_node_throughput(state, node, spots) == pytest.approx(
+                [reference_served(env, state, node, cell) for cell in spots],
+                rel=1e-12, abs=0.0)
+
+
+def test_a_caller_editing_its_positions_dict_is_scored_as_edited():
+    """The geometry is kept for a copy of the positions last scored: editing the
+    caller's dict in place is seen, and editing it back gives the first report."""
+    positions = {0: (0, 0), 1: (3, 0), 2: (0, 3)}
+    users = [UserSpec(user=i, position=(1, 1), node=i, demand=DemandProfile.constant(9.0))
+             for i in range(3)]
+    env = make_env(positions, {(0, 1), (0, 2), (1, 2)}, users, channels=(1,))
+    state = env.reset()
+    first = env.report_for(state)
+    state.position_of[1] = (1, 2)
+    edited = env.report_for(state)
+    for user in range(3):
+        ratio = reference_ratio(env, state, user)
+        assert env.link_quality(state, user) == pytest.approx(ratio, rel=1e-12)
+        assert edited.achieved[user] == pytest.approx(
+            min(math.log2(1.0 + ratio), 9.0), rel=1e-12, abs=0.0)
+    assert edited.achieved != first.achieved
+    state.position_of[1] = (3, 0)
+    again = env.report_for(state)
+    assert again.achieved == first.achieved
+    assert again.readings.tobytes() == first.readings.tobytes()
 
 
 def test_distance_clamped_below_one_cell():

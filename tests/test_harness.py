@@ -1,5 +1,9 @@
+import copy
 import hashlib
+import importlib.util
 import json
+import math
+import tempfile
 import tracemalloc
 from dataclasses import replace
 from pathlib import Path
@@ -582,6 +586,77 @@ class TestScenarioLoading:
         }
         with pytest.raises(SpecValidation):
             scenario_from_dict(spec_dict)
+
+
+def _small_scenarios() -> list[dict]:
+    """The shipped scenarios and small benchmark workloads, each at horizon 5."""
+    spec = importlib.util.spec_from_file_location(
+        "workloads", SCENARIO_DIR.parent / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    scenarios = [yaml.safe_load(path.read_text()) for path in sorted(SCENARIO_DIR.glob("*.yaml"))]
+    scenarios = [s for s in scenarios if "kind" in s]  # not the MDP
+    scenarios += [workloads.grid_steady(0, side=3), workloads.grid_churn_traced(0, side=3),
+                  workloads.mobile_relays(0, cols=2, rows=1)]
+    return [dict(s, horizon=5) for s in scenarios]
+
+
+SMALL_SCENARIOS = _small_scenarios()
+# Values put in by the load-boundary property: zeros, negatives, NaN, infinities,
+# empty and odd containers and other types. Numbers stay small, so that no
+# mutated horizon, channel count or node count can make a run long.
+ODD_NUMBER = st.sampled_from([0, -1, 1, 2, 0.0, -0.0, 0.5, -2.5, math.nan, math.inf, -math.inf])
+ODD_VALUE = ODD_NUMBER | st.sampled_from([[], {}, [0], [1, 2], [[0, 1.0]], {"x": 1}, "", "x",
+                                          None, True])
+
+
+def _paths(tree, path=()):
+    """The key path of every value in `tree`, each container's before its items'."""
+    yield path
+    items = tree.items() if type(tree) is dict else enumerate(tree) if type(tree) is list else ()
+    for key, child in items:
+        yield from _paths(child, path + (key,))
+
+
+def _mutate(data, tree) -> None:
+    """One mutation of a value anywhere in `tree`, each value as likely: it is
+    deleted, replaced by an odd value, or given an unknown key or extra item beside it."""
+    *where, key = data.draw(st.sampled_from(list(_paths(tree))[1:]))
+    node = tree
+    for step in where:
+        node = node[step]
+    op = data.draw(st.sampled_from(["delete", "replace", "add"]))
+    number = type(node[key]) in (int, float) and data.draw(st.booleans())
+    odd = copy.deepcopy(data.draw(ODD_NUMBER if number else ODD_VALUE))  # may be edited
+    if op == "delete":
+        del node[key]
+    elif op == "replace":
+        node[key] = odd
+    elif type(node) is dict:
+        node[data.draw(st.sampled_from(["bogus", "extra", "mode", "type"]))] = odd
+    else:
+        node.append(copy.deepcopy(node[key]) if data.draw(st.booleans()) else odd)
+
+
+class TestLoadBoundary:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_a_mutated_scenario_is_rejected_at_load_or_runs(self, data):
+        """A shipped or benchmark scenario with up to three mutations either
+        raises one SpecValidation from `scenario_from_dict` or runs its short
+        horizon, traced, to the end; any other exception fails."""
+        tree = copy.deepcopy(data.draw(st.sampled_from(SMALL_SCENARIOS)))
+        for _ in range(data.draw(st.integers(1, 3))):
+            _mutate(data, tree)
+        try:
+            spec = scenario_from_dict(tree)
+        except SpecValidation as exc:
+            assert exc.problems and all(type(p) is str for p in exc.problems)
+            return
+        assert spec.horizon <= 5
+        with tempfile.TemporaryDirectory() as out:
+            report, steps = run_scenario(spec, out_dir=out)
+            assert report.steps == len(steps) == spec.horizon
 
 
 class TestValueIteration:

@@ -222,8 +222,22 @@ class TestSnapshot:
         ("hits", -3, "negative counter in {'hits': -3, 'last_used': 4, 'created': 2}"),
         ("last_used", -1, "negative counter in {'hits': 0, 'last_used': -1, 'created': 2}"),
         ("created", -2, "negative counter in {'hits': 0, 'last_used': 4, 'created': -2}"),
+        ("hits", 1.5, r"counters {'hits': 1.5, 'last_used': 4, 'created': 2} must be integers"),
+        ("created", True,
+         r"counters {'hits': 0, 'last_used': 4, 'created': True} must be integers"),
+        ("percept", ["a", 0.5], r"percept \['a', 0.5\] is not a list of numbers"),
+        ("percept", 0.5, "percept 0.5 is not a list of numbers"),
+        ("coefficient", 2.0, r"coefficient 2.0 outside \[0,1\]"),
+        ("coefficient", "high", "coefficient 'high' is not a number"),
+        ("action", {"kind": "x", "node": 0}, "unknown action kind 'x'"),
+        ("action", {"node": 0, "channel": 1}, "unknown action kind None"),
+        ("action", {"kind": "move_to", "node": 0}, "move_to action without 'cell'"),
+        ("action", [0, 1], r"action \[0, 1\] is not a mapping"),
     ], ids=["above-one", "negative", "nan", "inf", "short-percept",
-            "negative-hits", "negative-last-used", "negative-created"])
+            "negative-hits", "negative-last-used", "negative-created", "float-hits",
+            "bool-created", "text-percept", "scalar-percept", "coefficient-range",
+            "text-coefficient", "unknown-action-kind", "action-without-kind",
+            "action-without-cell", "list-action"])
     def test_a_case_no_knowledge_base_holds_is_rejected_by_index(self, field, value, problem):
         kb = KnowledgeBase(capacity=4)
         for x in (0.0, 0.5, 1.0):
@@ -231,6 +245,17 @@ class TestSnapshot:
         data = kb.snapshot()
         data["cases"][1][field] = value
         with pytest.raises(ValueError, match=f"^snapshot case 1: {problem}$"):
+            KnowledgeBase.from_snapshot(data)
+
+    @pytest.mark.parametrize("field", ["percept", "action", "coefficient", "hits",
+                                       "last_used", "created"])
+    def test_a_row_missing_a_field_is_rejected_by_index(self, field):
+        kb = KnowledgeBase(capacity=4)
+        for x in (0.0, 0.5, 1.0):
+            kb.retain(case((x, 1.0 - x), last_used=4, created=2))
+        data = kb.snapshot()
+        del data["cases"][2][field]
+        with pytest.raises(ValueError, match=f"^snapshot case 2: missing {field}$"):
             KnowledgeBase.from_snapshot(data)
 
     def test_case_rejects_out_of_range_coefficient(self):
