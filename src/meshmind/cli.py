@@ -7,7 +7,6 @@ import json
 import sys
 
 from . import harness
-from .kb import KnowledgeBase
 from .env import action_to_dict
 from .optimize import brute_force_channels
 
@@ -97,7 +96,7 @@ def _cmd_oracle_mdp(args) -> int:
 
 
 def _cmd_dump_kb(args) -> int:
-    kb = KnowledgeBase.load(args.snapshot)
+    kb = harness.load_snapshot(args.snapshot)
     print(f"capacity={kb.capacity} eviction={kb.eviction} cases={len(kb)}")
     for case in kb.cases:
         percept = ",".join(f"{v:.4f}" for v in case.percept)

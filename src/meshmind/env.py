@@ -68,19 +68,6 @@ def action_to_dict(action: Action) -> dict:
     raise TypeError(f"not an action: {action!r}")
 
 
-def action_from_dict(data: dict) -> Action:
-    """The action `action_to_dict` wrote as `data`; a ValueError if it holds none."""
-    kind = data.get("kind")
-    try:
-        if kind == "set_channel":
-            return SetChannel(node=data["node"], channel=data["channel"])
-        if kind == "move_to":
-            return MoveTo(node=data["node"], cell=tuple(data["cell"]))
-    except KeyError as exc:
-        raise ValueError(f"{kind} action without {exc}") from None
-    raise ValueError(f"unknown action kind {kind!r}")
-
-
 class InvalidAction(Exception):
     """An action failed validation; nothing was applied."""
 

@@ -1,8 +1,9 @@
 """Scenario definition, run orchestration, oracles, and trace emission.
 
-Scenario files are YAML documents. `SCENARIO` is the table of every key
-they may hold, with its type; `scenario_from_dict` reads a file against it
-and reports every problem in one SpecValidation. Each step of a run ticks
+Scenario and MDP files are YAML documents, knowledge-base snapshots JSON
+ones. `SCENARIO`, `MDP` and `SNAPSHOT` are the tables of every key each may
+hold, with its type; a document is read against its table, and every
+problem found is reported in one SpecValidation. Each step of a run ticks
 every agent in ascending node order, applies their actions as one batch,
 senses all agents in one batched pass, lets each agent that acted score its
 own action, and appends one step row. A run with an output directory is
@@ -28,8 +29,8 @@ import yaml
 
 from .agent import CHANNEL_KIND, LOCATION_KIND, Agent, AgentConfig, AgentParams, Population
 from .env import (DemandProfile, EnvConfig, Environment, EnvState, MeshTopology,
-                  UserSpec)
-from .kb import KnowledgeBase
+                  MoveTo, SetChannel, UserSpec)
+from .kb import SNAPSHOT_SCHEMA, Case, KnowledgeBase
 # encode_state is not called here; perfbench still times it at this name.
 from .learning import QParams, QTable, StateCodec, encode_state, format_q_table
 from .optimize import Controlled, EpsilonGreedy, ExplorationPolicy, select_action
@@ -44,7 +45,7 @@ class SpecValidation(Exception):
         super().__init__("; ".join(self.problems))
 
 
-class NonStochasticRow(Exception):
+class NonStochasticRow(ValueError):
     pass
 
 
@@ -105,9 +106,9 @@ class RunReport:
         return [(f.name, getattr(self, f.name)) for f in fields(self) if f.name != "wall_time_s"]
 
 
-# -- scenario loading ----------------------------------------------------------
+# -- scenario and snapshot loading ---------------------------------------------
 
-# A scenario file is read against SCENARIO. A schema is a plain type (int,
+# A document is read against its table. A schema is a plain type (int,
 # float or str: a value of exactly that type, an int also reading as a
 # float), (s, t) for a pair [a, b] of plain types, [s] for a list, {k: s} for
 # a mapping with keys of plain type k, a _Table, or a reader f(value, path,
@@ -186,10 +187,22 @@ def _variant(tag: str, default: str, variants: dict, shorthand=None):
     return read
 
 
-def _schema_version(value, *_) -> int:
-    if type(value) is not int or value != SCHEMA_VERSION:
-        raise ValueError(f"expected {SCHEMA_VERSION}, got {value!r}")
-    return value
+def _exactly(*tags):
+    """Reader of a value equal to one of `tags`, and of the same type."""
+    def read(value, *_):
+        if not any(type(value) is type(tag) and value == tag for tag in tags):
+            raise ValueError(f"expected {' or '.join(map(repr, tags))}, got {value!r}")
+        return value
+    return read
+
+
+def _in(kind, lo, hi=math.inf):
+    """Reader of a value of plain type `kind` in [lo, hi]."""
+    def read(value, *_):
+        if type(value) in _ACCEPTS[kind] and lo <= value <= hi:
+            return kind(value)
+        raise ValueError(f"expected {kind.__name__} in [{lo}, {hi}], got {value!r}")
+    return read
 
 
 def _eviction(value, *_) -> str:
@@ -221,7 +234,7 @@ _DEMAND = _variant("mode", "piecewise", shorthand=_level_or_steps, variants={
 
 
 SCENARIO = _Table(dict(
-    schema_version=_schema_version, kind=str, horizon=int,
+    schema_version=_exactly(SCHEMA_VERSION), kind=str, horizon=int,
     env=_Table(
         dict(nodes=[_Table(dict(id=int, x=int, y=int), allowed=[(int, int)])]),
         defaults={"channels": 1, "edges": [], "users": []},
@@ -242,17 +255,39 @@ SCENARIO = _Table(dict(
             "controlled": (Controlled, _Table(
                 epsilon=float, serving_threshold=float, max_switches=int, window=int))}),
         nodes=[int]))
-MDP = _Table(dict(schema_version=_schema_version, transitions=[[[float]]], rewards=[[float]],
-                  gamma=float))
+MDP = _Table(dict(schema_version=_exactly(SCHEMA_VERSION), transitions=[[[float]]],
+                  rewards=[[float]], gamma=float))
+SNAPSHOT = _Table(dict(
+    schema=_exactly("meshmind-kb/1", SNAPSHOT_SCHEMA), capacity=int, eviction=_eviction,
+    cases=[_Table(dict(  # /1 rows also hold the step and node that wrote them
+        percept=[_in(float, 0, 1)], coefficient=_in(float, 0, 1),
+        hits=_in(int, 0), last_used=_in(int, 0), created=_in(int, 0),
+        action=_variant("kind", None, {
+            "set_channel": (SetChannel, _Table(dict(node=int, channel=int))),
+            "move_to": (MoveTo, _Table(dict(node=int, cell=(int, int))))})), t=int, node=int)]))
 REMOVED_KEYS = ("env.reassociate", "agents.reuse_driver", "agents.bins", "agents.feature_ranges",
                 "agents.policy.no_switch_while_serving")
 
 
-def _message(path: tuple, message: str) -> str:
+def _message(path: tuple, message: str, whole: str) -> str:
     name = "".join(f"[{key}]" if type(key) is int else f".{key}" for key in path)[1:]
     if message in ("unknown key", "missing key"):
         return f"{name} is no longer supported" if name in REMOVED_KEYS else f"{message} {name}"
-    return f"{name or 'scenario'}: {message}"
+    return f"{name or whole}: {message}"
+
+
+def _raise_any(problems: list, whole: str) -> None:
+    """A SpecValidation of every (key path, message) problem, the document's named `whole`."""
+    if problems:
+        raise SpecValidation([_message(*problem, whole) for problem in problems])
+
+
+def _read_or_raise(schema, data, whole: str):
+    """`data` read against `schema`, or one SpecValidation listing every problem found."""
+    problems = []
+    read = _read(schema, data, (), problems)
+    _raise_any(problems, whole)
+    return read
 
 
 def _built(build, path: tuple, problems: list, **kwargs):
@@ -289,10 +324,8 @@ def scenario_from_dict(data) -> ScenarioSpec:
     """Build a scenario from its mapping as read against SCENARIO. All the
     problems the table finds are listed in one SpecValidation; if there are
     none, so is every value a constructor rejects, named by its key path."""
+    top = _read_or_raise(SCENARIO, data, "scenario")
     problems = []
-    top = _read(SCENARIO, data, (), problems)
-    if problems:
-        raise SpecValidation([_message(*problem) for problem in problems])
     del top["schema_version"]
     env, agents = top.pop("env"), top.pop("agents")
     horizon = top["horizon"]
@@ -324,9 +357,38 @@ def scenario_from_dict(data) -> ScenarioSpec:
         **{k: v for k, v in agents.items() if v is not None})  # a rejected one keeps its default
     spec = None if env_config is None or params is None else _built(
         ScenarioSpec, (), problems, env_config=env_config, agent_params=params, **top)
-    if problems:
-        raise SpecValidation([_message(*problem) for problem in problems])
+    _raise_any(problems, "scenario")
     return spec
+
+
+def load_snapshot(path) -> KnowledgeBase:
+    """Read a knowledge-base snapshot file, as `KnowledgeBase.save` writes one."""
+    with open(path) as fh:
+        return knowledge_base_from_snapshot(json.load(fh))
+
+
+def knowledge_base_from_snapshot(data) -> KnowledgeBase:
+    """The knowledge base a snapshot holds. Like `scenario_from_dict`, it lists the
+    table's problems, or else those across rows, in one SpecValidation."""
+    top = _read_or_raise(SNAPSHOT, data, "snapshot")
+    rows, problems, first = top["cases"], [], {}
+    kb = _built(KnowledgeBase, ("capacity",), problems, capacity=top["capacity"])
+    if len(rows) > top["capacity"]:  # retain would never bring it back under
+        problems.append((("cases",), f"{len(rows)} cases, above the capacity {top['capacity']}"))
+    for i, row in enumerate(rows):
+        where, percept, width = ("cases", i, "percept"), row["percept"], len(rows[0]["percept"])
+        if not percept:
+            problems.append((where, "expected at least one value, got []"))
+        elif len(percept) != width:
+            problems.append((where, f"{len(percept)} values, case 0 has {width}"))
+        elif first.setdefault(percept, i) != i:
+            problems.append((where, f"the same as case {first[percept]}'s"))
+    _raise_any(problems, "snapshot")
+    for row in rows:
+        build, fields = row.pop("action")
+        row.pop("t", None), row.pop("node", None)  # a /1 row's step and node
+        kb.cases.append(Case(action=build(**fields), **row))
+    return kb
 
 
 # -- agent construction ----------------------------------------------------------
@@ -529,17 +591,19 @@ class MdpSpec:
     gamma: float
 
     def __post_init__(self):
-        self.transitions = np.asarray(self.transitions, dtype=float)
-        self.rewards = np.asarray(self.rewards, dtype=float)
-        if self.transitions.ndim != 3 or self.rewards.ndim != 2:
-            raise ValueError("transitions must be (S,A,S), rewards (S,A)")
-        sums = self.transitions.sum(axis=2)
-        if not np.all(np.abs(sums - 1.0) <= 1e-12):
-            bad = np.argwhere(np.abs(sums - 1.0) > 1e-12)[0]
-            raise NonStochasticRow(f"transition row (s={bad[0]}, a={bad[1]}) "
-                                   f"sums to {sums[tuple(bad)]}")
+        self.transitions = transitions = np.asarray(self.transitions, dtype=float)
+        self.rewards = rewards = np.asarray(self.rewards, dtype=float)
+        if rewards.ndim != 2 or transitions.shape != (*rewards.shape, len(rewards)):
+            raise ValueError(f"shapes {transitions.shape}, {rewards.shape} are not (S,A,S), (S,A)")
+        if not np.isfinite(rewards).all():
+            raise ValueError("rewards must be finite")
         if not 0.0 <= self.gamma < 1.0:
             raise ValueError("gamma must be in [0,1)")
+        stochastic = (transitions >= 0).all(axis=2) & (abs(transitions.sum(axis=2) - 1) <= 1e-12)
+        if not stochastic.all():
+            s, a = np.argwhere(~stochastic)[0]
+            raise NonStochasticRow(f"transition row (s={s}, a={a}) {transitions[s, a].tolist()} "
+                                   "is not a probability distribution")
 
     @property
     def state_count(self) -> int:
@@ -551,20 +615,20 @@ class MdpSpec:
 
     @classmethod
     def from_yaml(cls, path) -> "MdpSpec":
-        """Read an MDP file; every problem the MDP table finds is one SpecValidation."""
+        """Read an MDP file; each problem found is one entry of a SpecValidation."""
         with open(path) as fh:
-            problems = []
-            read = _read(MDP, yaml.safe_load(fh), (), problems)
-        if problems:
-            raise SpecValidation([_message(*problem) for problem in problems])
+            read = _read_or_raise(MDP, yaml.safe_load(fh), "MDP")
         del read["schema_version"]
-        return cls(**read)
+        problems = []
+        mdp = _built(cls, (), problems, **read)
+        _raise_any(problems, "MDP")
+        return mdp
 
 
 def value_iteration(mdp: MdpSpec, tol: float = 1e-9):
     """Bellman-optimality sweeps to within tol; returns (q_star, policy)."""
-    if tol <= 0:
-        raise ValueError("tol must be > 0")
+    if not 0 < tol < math.inf:  # a NaN tol would never be met
+        raise ValueError(f"tol {tol} must be finite and > 0")
     q = np.zeros((mdp.state_count, mdp.action_count))
     while True:
         best = q.max(axis=1)

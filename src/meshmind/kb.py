@@ -4,9 +4,9 @@ Each case pairs a percept, a tuple of unit-range floats, with the action
 taken for it and a coefficient in [0, 1] scoring how well that action
 worked. Retrieval is an exact argmax over similarity (linear scan; stores
 are small), retention at capacity evicts the least recently used case, and
-exact-duplicate percepts merge into one slot. A `meshmind-kb/2` snapshot row
-holds a case's percept, action, coefficient, hits, last_used and created
-step; `meshmind-kb/1` rows, which also hold `t` and `node`, still load.
+exact-duplicate percepts merge into one slot. A knowledge base only writes
+itself, as a `meshmind-kb/2` snapshot with one row of fields per case;
+`harness.load_snapshot` reads snapshots, `meshmind-kb/1` ones too.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .env import action_from_dict, action_to_dict
+from .env import action_to_dict
 from .reasoning import similarity
 
 SNAPSHOT_SCHEMA = "meshmind-kb/2"
@@ -40,35 +40,6 @@ class Case:
     def __post_init__(self):
         if not 0.0 <= self.coefficient <= 1.0:
             raise InvalidCoefficient(f"coefficient {self.coefficient} outside [0,1]")
-
-
-_ROW_KEYS = ("percept", "action", "coefficient", "hits", "last_used", "created")
-
-
-def _case_from_row(row: dict, first: Case | None) -> Case:
-    """The case a snapshot row holds, its percept as long as `first`'s; a
-    ValueError names what the row gets wrong."""
-    missing = [key for key in _ROW_KEYS if key not in row]
-    if missing:
-        raise ValueError(f"missing {', '.join(missing)}")
-    percept, coefficient = row["percept"], row["coefficient"]
-    counters = {key: row[key] for key in ("hits", "last_used", "created")}
-    if type(percept) is not list or not all(type(v) in (int, float) for v in percept):
-        raise ValueError(f"percept {percept!r} is not a list of numbers")
-    if not all(0.0 <= v <= 1.0 for v in percept):  # NaN fails too
-        raise ValueError(f"percept {percept} has a value outside [0, 1]")
-    if first is not None and len(percept) != len(first.percept):
-        raise ValueError(f"{len(percept)} percept values, case 0 has {len(first.percept)}")
-    if not all(type(v) is int for v in counters.values()):
-        raise ValueError(f"counters {counters} must be integers")
-    if min(counters.values()) < 0:
-        raise ValueError(f"negative counter in {counters}")
-    if type(coefficient) not in (int, float):
-        raise ValueError(f"coefficient {coefficient!r} is not a number")
-    if type(row["action"]) is not dict:
-        raise ValueError(f"action {row['action']!r} is not a mapping")
-    return Case(percept=tuple(percept), action=action_from_dict(row["action"]),
-                coefficient=coefficient, **counters)
 
 
 class KnowledgeBase:
@@ -154,29 +125,7 @@ class KnowledgeBase:
             ],
         }
 
-    @classmethod
-    def from_snapshot(cls, data: dict) -> "KnowledgeBase":
-        if data.get("schema") not in ("meshmind-kb/1", SNAPSHOT_SCHEMA):
-            raise ValueError(f"unsupported snapshot schema {data.get('schema')!r}")
-        if data["eviction"] != cls.eviction:
-            raise ValueError(f"unknown eviction policy {data['eviction']!r}")
-        kb = cls(capacity=data["capacity"])
-        for i, row in enumerate(data["cases"]):
-            try:
-                kb.cases.append(_case_from_row(row, kb.cases[0] if kb.cases else None))
-            except ValueError as exc:  # InvalidCoefficient and unknown action kinds too
-                raise ValueError(f"snapshot case {i}: {exc}") from None
-        if len(kb) > kb.capacity:  # retain would never bring it back under
-            raise ValueError(f"snapshot holds {len(kb)} cases, above its capacity {kb.capacity}")
-        if len({case.percept for case in kb.cases}) < len(kb):
-            raise ValueError("snapshot holds two cases of the same percept")
-        return kb
-
     def save(self, path) -> None:
         with open(path, "w") as fh:
             json.dump(self.snapshot(), fh, indent=2)
 
-    @classmethod
-    def load(cls, path) -> "KnowledgeBase":
-        with open(path) as fh:
-            return cls.from_snapshot(json.load(fh))

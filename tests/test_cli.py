@@ -5,6 +5,7 @@ from pathlib import Path
 from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from meshmind import KnowledgeBase, MoveTo, SetChannel, cli
 from meshmind.harness import (MdpSpec, load_scenario, run_scenario, sweep,
@@ -83,6 +84,18 @@ def test_sweep_rejects_a_seed_list_it_cannot_run(seeds, problem, capsys):
     assert captured.err == f"error: ValueError: {problem}\n"
 
 
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.text(alphabet="0123456789.,- ", max_size=6))
+def test_a_seed_text_parses_to_runnable_seeds_or_is_rejected(text):
+    """Any text is refused with a ValueError or gives at least one seed, none
+    negative. Six characters bound a range to 1,000 seeds ("0..999")."""
+    try:
+        seeds = cli._parse_seed_range(text)
+    except ValueError:
+        return
+    assert seeds and all(type(seed) is int and seed >= 0 for seed in seeds)
+
+
 def test_channel_oracle_finds_a_conflict_free_assignment(capsys):
     spec_path = SCENARIO_DIR / "lowload_windows.yaml"
     assert cli.main(["oracle", "channels", str(spec_path)]) == 0
@@ -99,6 +112,14 @@ def test_mdp_oracle_prints_value_iteration(capsys):
     assert capsys.readouterr().out.splitlines() == [
         f"state={s} q=[{' '.join(f'{v:.6f}' for v in q_star[s])}] "
         f"greedy_action={int(policy[s])}" for s in range(len(q_star))]
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf"])
+def test_mdp_oracle_rejects_a_tolerance_it_cannot_meet(tol, capsys):
+    assert cli.main(["oracle", "mdp", str(SCENARIO_DIR / "mdp_4s3a.yaml"), "--tol", tol]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: ValueError: tol {tol} must be finite and > 0\n"
 
 
 def test_dump_kb_prints_a_saved_snapshot(tmp_path, capsys):
@@ -120,20 +141,27 @@ def test_dump_kb_prints_a_saved_snapshot(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("edit,problem", [
-    (lambda data: data.update(capacity=1), "snapshot holds 3 cases, above its capacity 1"),
+    (lambda data: data.update(capacity=1), "cases: 3 cases, above the capacity 1"),
     (lambda data: data["cases"][2].update(percept=data["cases"][0]["percept"]),
-     "snapshot holds two cases of the same percept"),
+     "cases[2].percept: the same as case 0's"),
     (lambda data: data["cases"][1].update(percept=[2.0, -1.0]),
-     "snapshot case 1: percept [2.0, -1.0] has a value outside [0, 1]"),
-    (lambda data: data["cases"][2].pop("hits"), "snapshot case 2: missing hits"),
+     "cases[1].percept[0]: expected float in [0, 1], got 2.0; "
+     "cases[1].percept[1]: expected float in [0, 1], got -1.0"),
+    (lambda data: data["cases"][2].pop("hits"), "missing key cases[2].hits"),
     (lambda data: data["cases"][0].update(hits=1.5),
-     "snapshot case 0: counters {'hits': 1.5, 'last_used': 0, 'created': 0} must be integers"),
+     "cases[0].hits: expected int in [0, inf], got 1.5"),
     (lambda data: data["cases"][1].update(coefficient=2.0),
-     "snapshot case 1: coefficient 2.0 outside [0,1]"),
+     "cases[1].coefficient: expected float in [0, 1], got 2.0"),
     (lambda data: data["cases"][1]["action"].update(kind="hop"),
-     "snapshot case 1: unknown action kind 'hop'"),
+     "cases[1].action: expected a mapping with kind one of ['move_to', 'set_channel'], "
+     "got 'hop'"),
+    (lambda data: data.pop("cases"), "missing key cases"),
+    (lambda data: data.update(capacity="8"), "capacity: expected int, got '8'"),
+    (lambda data: data.update(cases=[dict(data["cases"][0], percept=[])]),
+     "cases[0].percept: expected at least one value, got []"),
 ], ids=["over-capacity", "duplicate-percept", "percept-range", "missing-hits", "float-hits",
-        "coefficient-range", "unknown-action-kind"])
+        "coefficient-range", "unknown-action-kind", "missing-cases", "text-capacity",
+        "empty-percept"])
 def test_dump_kb_rejects_a_snapshot_no_knowledge_base_holds(tmp_path, capsys, edit, problem):
     kb = KnowledgeBase(capacity=8)
     for i in range(3):
@@ -145,7 +173,7 @@ def test_dump_kb_rejects_a_snapshot_no_knowledge_base_holds(tmp_path, capsys, ed
     assert cli.main(["dump-kb", str(path)]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == f"error: ValueError: {problem}\n"
+    assert captured.err == f"error: SpecValidation: {problem}\n"
 
 
 def test_malformed_mdp_exits_with_every_problem_named(tmp_path, capsys):

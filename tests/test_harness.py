@@ -1,6 +1,8 @@
+import contextlib
 import copy
 import hashlib
 import importlib.util
+import io
 import json
 import math
 import tempfile
@@ -18,12 +20,12 @@ from meshmind import (DemandProfile, EnvConfig, Environment, EpsilonGreedy,
                       MdpSpec, MeshTopology, QParams, UserSpec, harness,
                       load_scenario, q_learning_on_mdp, run_scenario, sweep,
                       value_iteration)
-from meshmind import agent as agent_module
+from meshmind import agent as agent_module, cli
 from meshmind.agent import Agent, Population, TraceEvent
 from meshmind.env import MoveTo, SetChannel, ThroughputReport
 from meshmind.harness import (AgentParams, NonStochasticRow, ScenarioSpec,
-                              SpecValidation, build_agents, report_from_trace,
-                              scenario_from_dict)
+                              SpecValidation, build_agents, knowledge_base_from_snapshot,
+                              report_from_trace, scenario_from_dict)
 from meshmind.reasoning import Outcome
 
 from helpers import make_channel_spec, make_location_spec, read_trace
@@ -601,7 +603,23 @@ def _small_scenarios() -> list[dict]:
     return [dict(s, horizon=5) for s in scenarios]
 
 
+def _run_snapshot() -> dict:
+    """Node 0's knowledge base after 10 steps of lowload_windows (two cases), as a snapshot."""
+    agents = []
+
+    def build(*args):
+        agents.extend(build_agents(*args))
+        return agents
+
+    spec = load_scenario(SCENARIO_DIR / "lowload_windows.yaml")
+    with mock.patch.object(harness, "build_agents", build):
+        run_scenario(replace(spec, horizon=10))
+    return agents[0].kb.snapshot()
+
+
 SMALL_SCENARIOS = _small_scenarios()
+RUN_SNAPSHOT = _run_snapshot()
+MDP_FILE = yaml.safe_load((SCENARIO_DIR / "mdp_4s3a.yaml").read_text())
 # Values put in by the load-boundary property: zeros, negatives, NaN, infinities,
 # empty and odd containers and other types. Numbers stay small, so that no
 # mutated horizon, channel count or node count can make a run long.
@@ -658,6 +676,51 @@ class TestLoadBoundary:
             report, steps = run_scenario(spec, out_dir=out)
             assert report.steps == len(steps) == spec.horizon
 
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_a_mutated_snapshot_is_rejected_at_load_or_serves(self, data):
+        """A run's snapshot with up to three mutations either raises one
+        SpecValidation, or loads, retrieves case 0 by its percept and prints
+        through `meshmind dump-kb`; any other exception fails."""
+        tree = copy.deepcopy(RUN_SNAPSHOT)
+        for _ in range(data.draw(st.integers(1, 3))):
+            _mutate(data, tree)
+        try:
+            kb = knowledge_base_from_snapshot(tree)
+        except SpecValidation as exc:
+            assert exc.problems and all(type(p) is str for p in exc.problems)
+            return
+        if kb.cases:
+            assert kb.retrieve(kb.cases[0].percept, now=0)[1] == 1.0
+        with tempfile.TemporaryDirectory() as out, \
+                contextlib.redirect_stdout(io.StringIO()) as printed:
+            path = Path(out) / "kb.json"
+            path.write_text(json.dumps(tree))
+            assert cli.main(["dump-kb", str(path)]) == 0
+        assert printed.getvalue().count("\n") == 1 + len(kb)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_a_mutated_mdp_is_rejected_at_load_or_solves(self, data):
+        """The shipped MDP file with up to three mutations either raises one
+        SpecValidation, or loads as a proper MDP whose value iteration is
+        finite; any other exception fails."""
+        tree = copy.deepcopy(MDP_FILE)
+        for _ in range(data.draw(st.integers(1, 3))):
+            _mutate(data, tree)
+        with tempfile.TemporaryDirectory() as out:
+            path = Path(out) / "mdp.yaml"
+            path.write_text(yaml.safe_dump(tree))
+            try:
+                mdp = MdpSpec.from_yaml(path)
+            except SpecValidation as exc:
+                assert exc.problems and all(type(p) is str for p in exc.problems)
+                return
+        assert np.isfinite(mdp.rewards).all() and (mdp.transitions >= 0).all()
+        assert np.allclose(mdp.transitions.sum(axis=2), 1.0) and 0 <= mdp.gamma < 1
+        q_star, _ = value_iteration(mdp)
+        assert np.isfinite(q_star).all()
+
 
 class TestValueIteration:
     def test_single_state_geometric_series(self):
@@ -700,6 +763,30 @@ class TestValueIteration:
         with pytest.raises(NonStochasticRow):
             MdpSpec(transitions=[[[0.5, 0.4]], [[1.0, 0.0]]],
                     rewards=[[1.0], [1.0]], gamma=0.9)
+
+    @pytest.mark.parametrize("edit,problem", [
+        (lambda d: d["transitions"][0].__setitem__(0, [-0.5, 1.5, 0, 0]),
+         "MDP: transition row (s=0, a=0) [-0.5, 1.5, 0.0, 0.0] is not a probability distribution"),
+        (lambda d: d["transitions"][1][2].__setitem__(0, math.nan),
+         "MDP: transition row (s=1, a=2) [nan, 0.0, 0.0, 0.0] is not a probability distribution"),
+        (lambda d: d["transitions"][2].__setitem__(1, [0.5, 0, 0, 0]),
+         "MDP: transition row (s=2, a=1) [0.5, 0.0, 0.0, 0.0] is not a probability distribution"),
+        (lambda d: d.update(rewards=d["rewards"][:3]),
+         "MDP: shapes (4, 3, 4), (3, 3) are not (S,A,S), (S,A)"),
+        (lambda d: d["rewards"][3].__setitem__(0, math.inf), "MDP: rewards must be finite"),
+        (lambda d: d["transitions"][3].__setitem__(2, [1, 0]), "MDP: setting an array element"),
+        (lambda d: d.update(gamma=1.0), "MDP: gamma must be in [0,1)"),
+    ], ids=["negative-probability", "nan-probability", "non-stochastic-row", "short-rewards",
+            "infinite-reward", "jagged-transitions", "gamma-one"])
+    def test_an_mdp_file_no_mdp_holds_is_one_spec_validation(self, tmp_path, edit, problem):
+        data = copy.deepcopy(MDP_FILE)
+        edit(data)
+        path = tmp_path / "mdp.yaml"
+        path.write_text(yaml.safe_dump(data))
+        with pytest.raises(SpecValidation) as err:
+            MdpSpec.from_yaml(path)
+        assert len(err.value.problems) == 1
+        assert err.value.problems[0].startswith(problem)
 
 
 class TestQLearningOracle:

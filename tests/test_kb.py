@@ -5,6 +5,7 @@ from dataclasses import replace
 import pytest
 
 from meshmind import Case, KnowledgeBase, SetChannel, similarity
+from meshmind.harness import SpecValidation, knowledge_base_from_snapshot, load_snapshot
 from meshmind.kb import InvalidCoefficient, UnknownCase
 
 
@@ -177,7 +178,7 @@ class TestSnapshot:
                        coefficient=0.4, last_used=5, created=2))
         path = tmp_path / "kb.json"
         kb.save(path)
-        loaded = KnowledgeBase.load(path)
+        loaded = load_snapshot(path)
         assert loaded.capacity == 8
         assert len(loaded) == 1
         restored = loaded.cases[0]
@@ -196,56 +197,74 @@ class TestSnapshot:
         older = dict(data, schema="meshmind-kb/1",
                      cases=[dict(data["cases"][0], t=3, node=2)])  # as /1 snapshots wrote them
         for snapshot in (data, older):
-            restored = KnowledgeBase.from_snapshot(snapshot).cases[0]
+            restored = knowledge_base_from_snapshot(snapshot).cases[0]
             assert (restored.percept, restored.coefficient, restored.created) == ((0.5,), 0.4, 3)
 
     def test_schema_tag_is_checked(self, tmp_path):
         data = KnowledgeBase(capacity=2).snapshot()
         for tag in ("meshmind-kb/1", "meshmind-kb/2"):
-            assert KnowledgeBase.from_snapshot(dict(data, schema=tag)).capacity == 2
+            assert knowledge_base_from_snapshot(dict(data, schema=tag)).capacity == 2
         for tag in ("something-else", "meshmind-kb/3", None):
-            with pytest.raises(ValueError, match=f"unsupported snapshot schema {tag!r}"):
-                KnowledgeBase.from_snapshot(dict(data, schema=tag))
+            with pytest.raises(SpecValidation) as err:
+                knowledge_base_from_snapshot(dict(data, schema=tag))
+            assert err.value.problems == [
+                f"schema: expected 'meshmind-kb/1' or 'meshmind-kb/2', got {tag!r}"]
 
     def test_snapshot_names_lru_eviction_and_loads_no_other(self):
         data = KnowledgeBase(capacity=2).snapshot()
         assert data["eviction"] == "lru"
-        with pytest.raises(ValueError, match="eviction policy 'lowest-coefficient'"):
-            KnowledgeBase.from_snapshot(dict(data, eviction="lowest-coefficient"))
+        with pytest.raises(SpecValidation, match="eviction policy 'lowest-coefficient'"):
+            knowledge_base_from_snapshot(dict(data, eviction="lowest-coefficient"))
 
     @pytest.mark.parametrize("field,value,problem", [
-        ("percept", [2.0, 0.5], r"percept \[2.0, 0.5\] has a value outside \[0, 1\]"),
-        ("percept", [0.5, -1.0], r"percept \[0.5, -1.0\] has a value outside \[0, 1\]"),
-        ("percept", [math.nan, 0.5], r"percept \[nan, 0.5\] has a value outside \[0, 1\]"),
-        ("percept", [0.5, math.inf], r"percept \[0.5, inf\] has a value outside \[0, 1\]"),
-        ("percept", [0.5], "1 percept values, case 0 has 2"),
-        ("hits", -3, "negative counter in {'hits': -3, 'last_used': 4, 'created': 2}"),
-        ("last_used", -1, "negative counter in {'hits': 0, 'last_used': -1, 'created': 2}"),
-        ("created", -2, "negative counter in {'hits': 0, 'last_used': 4, 'created': -2}"),
-        ("hits", 1.5, r"counters {'hits': 1.5, 'last_used': 4, 'created': 2} must be integers"),
-        ("created", True,
-         r"counters {'hits': 0, 'last_used': 4, 'created': True} must be integers"),
-        ("percept", ["a", 0.5], r"percept \['a', 0.5\] is not a list of numbers"),
-        ("percept", 0.5, "percept 0.5 is not a list of numbers"),
-        ("coefficient", 2.0, r"coefficient 2.0 outside \[0,1\]"),
-        ("coefficient", "high", "coefficient 'high' is not a number"),
-        ("action", {"kind": "x", "node": 0}, "unknown action kind 'x'"),
-        ("action", {"node": 0, "channel": 1}, "unknown action kind None"),
-        ("action", {"kind": "move_to", "node": 0}, "move_to action without 'cell'"),
-        ("action", [0, 1], r"action \[0, 1\] is not a mapping"),
+        ("percept", [2.0, 0.5], "percept[0]: expected float in [0, 1], got 2.0"),
+        ("percept", [0.5, -1.0], "percept[1]: expected float in [0, 1], got -1.0"),
+        ("percept", [math.nan, 0.5], "percept[0]: expected float in [0, 1], got nan"),
+        ("percept", [0.5, math.inf], "percept[1]: expected float in [0, 1], got inf"),
+        ("percept", [0.5], "percept: 1 values, case 0 has 2"),
+        ("hits", -3, "hits: expected int in [0, inf], got -3"),
+        ("last_used", -1, "last_used: expected int in [0, inf], got -1"),
+        ("created", -2, "created: expected int in [0, inf], got -2"),
+        ("hits", 1.5, "hits: expected int in [0, inf], got 1.5"),
+        ("created", True, "created: expected int in [0, inf], got True"),
+        ("percept", ["a", 0.5], "percept[0]: expected float in [0, 1], got 'a'"),
+        ("percept", 0.5, "percept: expected a list, got 0.5"),
+        ("coefficient", 2.0, "coefficient: expected float in [0, 1], got 2.0"),
+        ("coefficient", "high", "coefficient: expected float in [0, 1], got 'high'"),
+        ("action", {"kind": "x", "node": 0},
+         "action: expected a mapping with kind one of ['move_to', 'set_channel'], got 'x'"),
+        ("action", {"node": 0, "channel": 1}, "action: expected a mapping with kind one of "
+         "['move_to', 'set_channel'], got {'node': 0, 'channel': 1}"),
+        ("action", {"kind": "move_to", "node": 0}, "missing key cases[1].action.cell"),
+        ("action", [0, 1],
+         "action: expected a mapping with kind one of ['move_to', 'set_channel'], got [0, 1]"),
+        ("action", {"kind": "set_channel", "node": 0, "channel": "2"},
+         "action.channel: expected int, got '2'"),
+        ("action", {"kind": "set_channel", "node": 1.5, "channel": 1},
+         "action.node: expected int, got 1.5"),
+        ("action", {"kind": "move_to", "node": 0, "cell": [1]},
+         "action.cell: expected a pair, got [1]"),
+        ("action", {"kind": "move_to", "node": 0, "cell": 5},
+         "action.cell: expected a pair, got 5"),
+        ("percept", [], "percept: expected at least one value, got []"),
+        ("percept", [0.0, 1.0], "percept: the same as case 0's"),
+        ("weight", 1.0, "unknown key cases[1].weight"),
     ], ids=["above-one", "negative", "nan", "inf", "short-percept",
             "negative-hits", "negative-last-used", "negative-created", "float-hits",
             "bool-created", "text-percept", "scalar-percept", "coefficient-range",
             "text-coefficient", "unknown-action-kind", "action-without-kind",
-            "action-without-cell", "list-action"])
+            "action-without-cell", "list-action", "text-channel", "float-node", "short-cell",
+            "scalar-cell", "empty-percept", "duplicate-percept", "unknown-key"])
     def test_a_case_no_knowledge_base_holds_is_rejected_by_index(self, field, value, problem):
         kb = KnowledgeBase(capacity=4)
         for x in (0.0, 0.5, 1.0):
             kb.retain(case((x, 1.0 - x), last_used=4, created=2))
         data = kb.snapshot()
         data["cases"][1][field] = value
-        with pytest.raises(ValueError, match=f"^snapshot case 1: {problem}$"):
-            KnowledgeBase.from_snapshot(data)
+        with pytest.raises(SpecValidation) as err:
+            knowledge_base_from_snapshot(data)
+        keyed = problem.startswith(("missing key", "unknown key"))
+        assert err.value.problems == [problem if keyed else f"cases[1].{problem}"]
 
     @pytest.mark.parametrize("field", ["percept", "action", "coefficient", "hits",
                                        "last_used", "created"])
@@ -255,8 +274,40 @@ class TestSnapshot:
             kb.retain(case((x, 1.0 - x), last_used=4, created=2))
         data = kb.snapshot()
         del data["cases"][2][field]
-        with pytest.raises(ValueError, match=f"^snapshot case 2: missing {field}$"):
-            KnowledgeBase.from_snapshot(data)
+        with pytest.raises(SpecValidation) as err:
+            knowledge_base_from_snapshot(data)
+        assert err.value.problems == [f"missing key cases[2].{field}"]
+
+    @pytest.mark.parametrize("edit,problems", [
+        (lambda data: data.pop("cases"), ["missing key cases"]),
+        (lambda data: data.pop("capacity"), ["missing key capacity"]),
+        (lambda data: data.pop("eviction"), ["missing key eviction"]),
+        (lambda data: data.update(capacity="8"), ["capacity: expected int, got '8'"]),
+        (lambda data: data.update(capacity=None), ["capacity: expected int, got None"]),
+        (lambda data: data.update(capacity=2.5), ["capacity: expected int, got 2.5"]),
+        (lambda data: data.update(capacity=True), ["capacity: expected int, got True"]),
+        (lambda data: data.update(capacity=0),
+         ["capacity: capacity must be >= 1", "cases: 1 cases, above the capacity 0"]),
+        (lambda data: data.update(cases=[1]), ["cases[0]: expected a mapping, got 1"]),
+        (lambda data: data.update(owner=3), ["unknown key owner"]),
+        (lambda data: data["cases"][0].update(percept=[]),
+         ["cases[0].percept: expected at least one value, got []"]),
+    ], ids=["missing-cases", "missing-capacity", "missing-eviction", "text-capacity",
+            "null-capacity", "float-capacity", "bool-capacity", "zero-capacity", "scalar-case",
+            "unknown-key", "empty-percept"])
+    def test_a_snapshot_no_knowledge_base_holds_is_rejected_by_key_path(self, edit, problems):
+        kb = KnowledgeBase(capacity=4)
+        kb.retain(case((0.5, 0.5)))
+        data = kb.snapshot()
+        edit(data)
+        with pytest.raises(SpecValidation) as err:
+            knowledge_base_from_snapshot(data)
+        assert err.value.problems == problems
+
+    def test_a_snapshot_that_is_no_mapping_is_rejected(self):
+        with pytest.raises(SpecValidation) as err:
+            knowledge_base_from_snapshot([KnowledgeBase(capacity=2).snapshot()])
+        assert err.value.problems[0].startswith("snapshot: expected a mapping, got [{")
 
     def test_case_rejects_out_of_range_coefficient(self):
         with pytest.raises(InvalidCoefficient):

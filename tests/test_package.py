@@ -1,4 +1,5 @@
 import meshmind
+from meshmind import env
 
 
 def test_every_exported_name_resolves():
@@ -16,3 +17,7 @@ def test_star_import_binds_every_exported_name():
 def test_removed_names_are_not_exported():
     for name in ("PerceptVector", "Sample", "detect_unsatisfactory", "greedy"):
         assert not hasattr(meshmind, name), name
+    # snapshots are read by harness.load_snapshot and knowledge_base_from_snapshot
+    for owner, name in ((meshmind.KnowledgeBase, "from_snapshot"),
+                        (meshmind.KnowledgeBase, "load"), (env, "action_from_dict")):
+        assert not hasattr(owner, name), name
