@@ -10,14 +10,15 @@ retrieves the nearest stored case and either reuses its action,
 recomputes it, retains the percept as a new case, or rejects it.
 
 The agent keeps its own books, and a tick builds no object beyond its
-percept, a tuple of unit-range floats, its trace event and its action: the
-step, the serving load and the controlled gate's verdict pass as plain
-values. A channel agent decides from one read of its value table's row,
-picking from its channel palette in action-index order. A switch it emits
-is marked on its trace event, as a disruption when its users demand more
-than DISRUPTION_THRESHOLD. After the step, `observe` scores the action
-from the same batched pass: it revises the case, penalises a disruption
-and updates the value table in place.
+percept, a tuple of unit-range floats, its trace event and its action:
+the step, the serving load and the controlled gate's verdict pass as
+plain values, and its config holds what no tick changes. A channel agent
+decides from one read of its value table's row, picking from its channel
+palette in action-index order. A switch it emits is marked on its trace
+event, as a disruption when its users demand more than
+DISRUPTION_THRESHOLD. After the step, `observe` scores the action from
+the same batched pass: it revises the case, penalises a disruption and
+updates the value table in place.
 """
 
 from __future__ import annotations
@@ -73,7 +74,8 @@ class AgentParams:
 @dataclass(kw_only=True)
 class AgentConfig(AgentParams):
     """A scenario's agent settings plus one agent's kind, feature spec and
-    codec, and for a channel agent the channel palette, in action-index order."""
+    codec, and for a channel agent the channel palette, in action-index order.
+    Its `channel_index` and controlled `gate`, or None, are worked out once."""
 
     kind: str
     feature_spec: FeatureSpec
@@ -86,6 +88,9 @@ class AgentConfig(AgentParams):
             raise ValueError(f"unknown scenario kind {self.kind!r}")
         if self.kind == CHANNEL_KIND and not self.channels:
             raise ValueError("a channel agent needs a channel palette")
+        self.channel_index = {channel: a for a, channel in enumerate(self.channels)}
+        self.gate = (self.policy if self.kind == CHANNEL_KIND
+                     and isinstance(self.policy, Controlled) else None)
 
 
 @dataclass(slots=True)
@@ -179,6 +184,8 @@ class _JsonOfBits(dict):
 # Stable direction indexing keeps MoveTo actions addressable in the value
 # table regardless of the node's current cell.
 _DIRECTIONS = [(dx, dy) for dy in (-1, 0, 1) for dx in (-1, 0, 1)]
+_DIRECTION_INDEX = {direction: a for a, direction in enumerate(_DIRECTIONS)}
+_OUTCOME_TEXT = {outcome: outcome.value for outcome in Outcome}
 
 
 class Agent:
@@ -204,23 +211,16 @@ class Agent:
         population.sense(report)
         return population.percept(0)
 
-    def _action_index(self, action: Action, state: EnvState) -> int:
-        if self.config.kind == CHANNEL_KIND:
-            return self.config.channels.index(action.channel)
-        cx, cy = state.position_of[self.node]
-        dx, dy = action.cell[0] - cx, action.cell[1] - cy
-        return _DIRECTIONS.index((dx, dy))
-
     # -- the control cycle ---------------------------------------------------
 
     def tick(self, env: Environment, state: EnvState, population: "Population",
              i: int) -> tuple[Action | None, TraceEvent | None]:
-        """Run one control step on row `i` of the population's pass; returns
-        the chosen action (if any) plus the trace event of a triggered tick.
-        An idle tick returns (None, None): its trace line, if one is kept, is
-        the population's idle head. Emitting an action resets
-        the two-sample detector, so a fresh pair of samples must confirm
-        dissatisfaction before the next reasoning cycle."""
+        """Run one control step on row `i` of the population's pass. A
+        triggered tick returns its action and trace event; an idle one returns
+        (None, None), and its trace line, if one is kept, is the population's
+        idle head. Emitting an action resets the two-sample detector, so a
+        fresh pair of samples must confirm dissatisfaction before the next
+        reasoning cycle."""
         if not population.fired[i]:
             return None, None
         t = state.t
@@ -228,19 +228,18 @@ class Agent:
         demanded = population.demanded[i]
         state_index = int(population.states[i])  # ValueError on NaN, as in encode_state
         action, outcome, case = self._reason(env, state, percept, demanded, state_index)
-        event = TraceEvent(t=t, node=self.node, percept=percept,
-                           outcome=outcome.value, action=action)
-        if action is None:
-            return None, event
-
-        action_index = self._action_index(action, state)
+        event = TraceEvent(t, self.node, percept, _OUTCOME_TEXT[outcome], action)
+        if type(action) is SetChannel:
+            action_index = self.config.channel_index[action.channel]
+            if action.channel != state.channel_of[self.node]:
+                event.switched = True
+                event.disruption = demanded > DISRUPTION_THRESHOLD
+                if self.config.gate is not None and self.config.gate.window:
+                    self._switch_times.append(t)
+        else:  # a MoveTo, indexed by its direction
+            (x, y), (cx, cy) = action.cell, state.position_of[self.node]
+            action_index = _DIRECTION_INDEX[x - cx, y - cy]
         event.q_before = self.table.entry(state_index, action_index)
-        if (isinstance(action, SetChannel)
-                and action.channel != state.channel_of[self.node]):
-            event.switched = True
-            event.disruption = demanded > DISRUPTION_THRESHOLD
-            if getattr(self.config.policy, "window", None):
-                self._switch_times.append(t)
         self._pending = (event, state_index, action_index, case)
         population.acted(i)
         return action, event
@@ -258,7 +257,7 @@ class Agent:
                            self.config.similarity_threshold,
                            self.config.coefficient_threshold,
                            self.kb.is_full())
-        hold = self._held_channel(state, t, demanded)
+        hold = None if self.config.gate is None else self._held_channel(state, t, demanded)
         if outcome is Outcome.REUSE:
             if hold is not None and case.action.channel != hold:
                 return self._switch_to(hold), outcome, None
@@ -295,15 +294,12 @@ class Agent:
         return action
 
     def _held_channel(self, state: EnvState, t: int, demanded: float) -> int | None:
-        """A controlled channel agent's current channel while its gate blocks
-        a switch at serving load `demanded`, else None."""
-        policy = self.config.policy
-        if self.config.kind != CHANNEL_KIND or not isinstance(policy, Controlled):
-            return None
-        times = self._switch_times  # empty unless the policy has a window
-        while times and times[0] <= t - policy.window:
+        """The current channel while this agent's controlled gate, which it
+        must have, blocks a switch at serving load `demanded`, else None."""
+        gate, times = self.config.gate, self._switch_times  # times is empty unless gate.window
+        while times and times[0] <= t - gate.window:
             del times[0]  # left the window for good: t only grows
-        return state.channel_of[self.node] if policy.blocks(demanded, len(times)) else None
+        return state.channel_of[self.node] if gate.blocks(demanded, len(times)) else None
 
     # -- feedback -------------------------------------------------------------
 
@@ -340,7 +336,8 @@ class Population:
     percept's JSON list items and `heads` its idle line up to `"t": `; `sense` makes
     both anew, rebuilding the agents whose percept bits changed (-0.0 is not 0.0).
     The report object last sensed, which `apply_and_step` hands back while nothing
-    changes, advances only the detector; `heads` is then a fresh list of the same lines.
+    changes, advances only the detector; with `trace` on, `heads` is then a fresh list
+    of the same lines.
     """
 
     IDLE_HEAD = (TraceEvent(t=0, node=0, percept=(), outcome="idle").head()
@@ -382,7 +379,8 @@ class Population:
         if report is self._report:  # the same read-only readings: only the detector moves
             self.fired = (self._has_prev & self._prev_unsatisfied).tolist()
             self._has_prev[:] = True
-            self.heads = self.heads[:]  # the run writes triggered heads into the old list
+            if self.trace:  # the run writes triggered heads into the old list
+                self.heads = self.heads[:]
             return
         readings = report.readings
         values = np.clip((readings[self._index] - self._lo) / self._span, 0.0, 1.0)

@@ -17,9 +17,12 @@ gain, is computed once per placement. No node neighbours itself, so a
 node's cell never moves its users' floor of noise plus interference, and
 one pass scores the node at any number of cells. Demand is piecewise
 constant and is resolved only at its change points, into one dict per
-distinct level vector. Each step's ThroughputReport holds one flat
-`readings` vector of every node's and user's measurements, so all agents
-sense with one gather.
+distinct level vector. Each ThroughputReport holds one flat `readings`
+vector of every node's and user's measurements, so all agents sense with
+one gather, and its demand and achieved totals. A step copies a state's
+channel or position dict only when an action changes a value in it, and
+hands back the same report when it copied neither and the demand row
+stayed the same, so an idle step costs no radio pass.
 """
 
 from __future__ import annotations
@@ -256,7 +259,8 @@ class EnvConfig:
 
 @dataclass(frozen=True)
 class EnvState:
-    """Ground-truth simulator state at one step; treat as immutable."""
+    """Ground-truth simulator state at one step. Successive states share the
+    dicts a step did not change, so treat every dict as read-only."""
 
     t: int
     channel_of: dict[int, int]
@@ -266,9 +270,13 @@ class EnvState:
 
 @dataclass(frozen=True)
 class ThroughputReport:
+    """One state's measurements; its totals are summed once, in user order."""
+
     achieved: dict[int, float]  # user -> Mbps
     conflicts: int              # co-channel interference edges
     readings: np.ndarray        # flat per-node and per-user measurements
+    total_demand: float         # Mbps
+    total_achieved: float       # Mbps
 
 
 def capacity(ratio, bandwidth_unit: float = 1.0, sharing=1):
@@ -345,14 +353,16 @@ class Environment:
                        ) -> tuple[EnvState, ThroughputReport]:
         """Validate and apply a batch of actions, advancing time by one step.
 
-        All actions are checked before any is applied; an InvalidAction
-        leaves the state untouched. The report reflects the post-action
-        configuration at t+1. Pass the report of `state` to have it reused
-        when the step changes no channel or position and the demand row in
-        force stays the same: `Population.sense` relies on that object coming
-        back to advance only its detector.
+        An InvalidAction leaves the state untouched: its dicts are never
+        written. The new state copies `channel_of` or `position_of` only when
+        an action first changes a value in it, and shares every other dict
+        with `state`. The report reflects the post-action configuration at
+        t+1. Pass the report of `state` to have that same object back when no
+        dict was copied and the demand row in force is the same dict:
+        `Population.sense` relies on that to advance only its detector.
         """
         topo = self.topology
+        channels, positions = state.channel_of, state.position_of
         touched = set()
         for action in actions:
             node = action.node
@@ -364,26 +374,25 @@ class Environment:
             if isinstance(action, SetChannel):
                 if action.channel not in topo.channels:
                     raise InvalidAction(node, f"channel {action.channel} not in palette")
+                if channels[node] != action.channel:
+                    if channels is state.channel_of:
+                        channels = dict(channels)
+                    channels[node] = action.channel
             elif isinstance(action, MoveTo):
-                if tuple(action.cell) not in topo.allowed[node]:
+                if (cell := tuple(action.cell)) not in topo.allowed[node]:
                     raise InvalidAction(node, f"cell {action.cell} not allowed")
+                if positions[node] != cell:
+                    if positions is state.position_of:
+                        positions = dict(positions)
+                    positions[node] = cell
             else:
                 raise InvalidAction(node, f"unsupported action {type(action).__name__}")
 
-        channels, positions = state.channel_of, state.position_of
-        if actions:
-            channels, positions = dict(channels), dict(positions)
-            for action in actions:
-                if isinstance(action, SetChannel):
-                    channels[action.node] = action.channel
-                else:
-                    positions[action.node] = tuple(action.cell)
-
-        row = self._demand_row(state.t + 1)
+        demand = self._demand_rows[self._demand_row(state.t + 1)]
         new_state = EnvState(t=state.t + 1, channel_of=channels, position_of=positions,
-                             demand=self._demand_rows[row])
-        if (report is None or row != self._demand_row(state.t) or actions and (
-                channels != state.channel_of or positions != state.position_of)):
+                             demand=demand)
+        if (report is None or demand is not state.demand or channels is not state.channel_of
+                or positions is not state.position_of):
             report = self.report_for(new_state)
         return new_state, report
 
@@ -438,8 +447,11 @@ class Environment:
             np.bincount(self._serving, weights=got, minlength=n),
             x, y, levels))
         readings.flags.writeable = False  # a reused report holds the readings it was sensed with
-        return ThroughputReport(achieved=dict(zip(self._user_index, got.tolist())),
-                                conflicts=int(same.sum()), readings=readings)
+        achieved = got.tolist()
+        return ThroughputReport(achieved=dict(zip(self._user_index, achieved)),
+                                conflicts=int(same.sum()), readings=readings,
+                                total_demand=sum(state.demand.values()),
+                                total_achieved=sum(achieved))
 
     def reading_index(self, node: int, name: str) -> int:
         """Index in ThroughputReport.readings of a node's reading `name`: one
@@ -459,9 +471,11 @@ class Environment:
         users = [self._user_index[u] for u in members]
         floor, ux, uy = self._radio(state)[4][users], self._user_x[users], self._user_y[users]
         sharing, demand = self._sharing[users], [state.demand[u] for u in members]
-        bandwidth = self.config.bandwidth_unit
-        return [sum(np.minimum(capacity(self._gain(cx - ux, cy - uy) / floor, bandwidth, sharing),
-                               demand).tolist(), 0.0) for cx, cy in cells]
+        xy = np.array(cells, dtype=float).reshape(-1, 2)
+        cx, cy = xy[:, :1], xy[:, 1:]
+        served = np.minimum(capacity(self._gain(cx - ux, cy - uy) / floor,
+                                     self.config.bandwidth_unit, sharing), demand)
+        return [sum(row, 0.0) for row in served.tolist()]  # one (cells x users) pass
 
     # -- per-node queries ---------------------------------------------------
 

@@ -151,21 +151,25 @@ def _read(schema, value, path: tuple, problems: list):
         (key_type, item), = schema.items()
         return {_read(key_type, key, path, problems): _read(item, raw, path + (key,), problems)
                 for key, raw in value.items()}
-    if kind is tuple and type(value) is list and len(value) == 2:
-        (first, second), (a, b) = schema, value
-        if type(a) is first and type(b) is second:  # the common case, without a conversion
-            return a, b
-        if type(a) in _ACCEPTS[first] and type(b) in _ACCEPTS[second]:
-            return first(a), second(b)
-    elif kind is type:
-        if type(value) in _ACCEPTS[schema]:
-            return schema(value)
-    elif callable(schema):
-        try:
-            return schema(value, path, problems)
-        except ValueError as exc:
-            problems.append((path, str(exc)))
-            return None
+    try:
+        if kind is tuple and type(value) is list and len(value) == 2:
+            (first, second), (a, b) = schema, value
+            if type(a) is first and type(b) is second:  # the common case, without a conversion
+                return a, b
+            if type(a) in _ACCEPTS[first] and type(b) in _ACCEPTS[second]:
+                return first(a), second(b)
+        elif kind is type:
+            if type(value) in _ACCEPTS[schema]:
+                return schema(value)
+        elif callable(schema):
+            try:
+                return schema(value, path, problems)
+            except ValueError as exc:
+                problems.append((path, str(exc)))
+                return None
+    except OverflowError:  # float() of an int beyond the float range
+        problems.append((path, "expected float, got an int too large for a float"))
+        return None
     what = {list: "a list", tuple: "a pair"}.get(kind, getattr(schema, "__name__", "a mapping"))
     problems.append((path, f"expected {what}, got {value!r}"))
     return None
@@ -470,9 +474,8 @@ def run_scenario(spec: ScenarioSpec, seed: int | None = None,
             actions, acting, events = [], [], []
             for i, ag in enumerate(agents):
                 action, event = ag.tick(env, state, population, i)
-                if event is not None:
+                if event is not None:  # a triggered tick, which always acts
                     events.append(event)
-                if action is not None:
                     actions.append(action)
                     acting.append(i)
             if trace is not None:  # this step's lists, which sense leaves as they are
@@ -483,14 +486,17 @@ def run_scenario(spec: ScenarioSpec, seed: int | None = None,
             for i in acting:
                 agents[i].observe(population, i, spec.disruption_penalty)
 
+            reuse = switches = disruptions = 0
+            for ev in events:
+                reuse += ev.outcome == "reuse"
+                if ev.switched:  # only a switch disrupts
+                    switches += 1
+                    disruptions += ev.disruption
             row = {
                 "kind": "step", "t": state.t, "conflicts": report.conflicts,
-                "total_demand": sum(state.demand.values()),
-                "total_achieved": sum(report.achieved.values()),
+                "total_demand": report.total_demand, "total_achieved": report.total_achieved,
                 "actions": len(actions), "triggered": len(events),
-                "reuse": sum(ev.outcome == "reuse" for ev in events),
-                "switches": sum(ev.switched for ev in events),
-                "disruptions": sum(ev.disruption for ev in events),
+                "reuse": reuse, "switches": switches, "disruptions": disruptions,
             }
             if trace is not None:  # the step's tick lines and row, in one write
                 trace.write(_tick_lines(*step, events, json.dumps(row, sort_keys=True) + "\n"))

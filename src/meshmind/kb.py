@@ -12,10 +12,12 @@ itself, as a `meshmind-kb/2` snapshot with one row of fields per case;
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 from .env import action_to_dict
-from .reasoning import similarity
+# retrieve scores as similarity does, inline; perfbench still counts similarity here.
+from .reasoning import DimensionMismatch, similarity
 
 SNAPSHOT_SCHEMA = "meshmind-kb/2"
 
@@ -64,11 +66,15 @@ class KnowledgeBase:
 
         Ties break toward the most recently used case, then insertion order.
         Bumps the hit count of the returned case and sets its last_used to `now`.
+        Each score is `similarity(case.percept, query)`, bit for bit.
         """
         best: Case | None = None
         best_score = -1.0
+        width, root = len(query), math.sqrt(len(query))
         for case in self.cases:
-            score = similarity(case.percept, query)
+            if len(case.percept) != width:
+                raise DimensionMismatch(f"{len(case.percept)} vs {width}")
+            score = 1.0 - math.dist(case.percept, query) / root
             if score > best_score or (score == best_score
                                       and best is not None
                                       and case.last_used > best.last_used):
@@ -93,7 +99,10 @@ class KnowledgeBase:
     def revise(self, case: Case, action=None, coefficient: float | None = None,
                now: int | None = None) -> "KnowledgeBase":
         """Replace a stored case's action and/or coefficient in place; not an equal copy's."""
-        if id(case) not in map(id, self.cases):  # identity, not equality
+        for stored in self.cases:  # identity, not equality
+            if stored is case:
+                break
+        else:
             raise UnknownCase("case is not stored in this knowledge base")
         if coefficient is not None:
             if not 0.0 <= coefficient <= 1.0:

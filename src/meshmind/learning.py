@@ -91,7 +91,10 @@ class QTable:
         """
         self._check(state, action)
         self._check(next_state, 0)
-        best_next = max((v for v in self._rows.get(next_state, ()) if v is not None), default=0.0)
+        next_row = self._rows.get(next_state, ())
+        if None in next_row:
+            next_row = [v for v in next_row if v is not None]
+        best_next = max(next_row) if next_row else 0.0
         row = self._row_for(state)
         current = 0.0 if row[action] is None else row[action]
         row[action] = value = current + params.alpha * (reward + params.gamma * best_next - current)

@@ -4,9 +4,11 @@ from __future__ import annotations
 
 import json
 import math
+from dataclasses import replace
 from pathlib import Path
 
-from meshmind import (DemandProfile, EnvConfig, MeshTopology, UserSpec)
+from meshmind import DemandProfile, EnvConfig, Environment, MeshTopology, UserSpec
+from meshmind.env import ThroughputReport
 from meshmind.harness import AgentParams, ScenarioSpec
 from meshmind.learning import QParams
 from meshmind.optimize import EpsilonGreedy
@@ -16,6 +18,12 @@ def read_trace(out_dir) -> list[dict]:
     """The rows of the trace.jsonl a run wrote to `out_dir`, in file order."""
     with open(Path(out_dir) / "trace.jsonl") as fh:
         return [json.loads(line) for line in fh]
+
+
+def readings_report(readings) -> ThroughputReport:
+    """A report holding only `readings`, all that `Population.sense` reads."""
+    return ThroughputReport(achieved={}, conflicts=0, readings=readings,
+                            total_demand=0.0, total_achieved=0.0)
 
 
 def reference_ratio(env, state, user, cell=None):
@@ -42,6 +50,53 @@ def reference_served(env, state, node, cell):
     return sum(min(env.config.bandwidth_unit * math.log2(
         1.0 + reference_ratio(env, state, user, cell)) / len(users), state.demand[user])
         for user in users)
+
+
+def reactive_location_oracle(spec, seed: int) -> float:
+    """Satisfaction a one-step-late reactive relay reaches on a location
+    scenario whose relays share no interference edge, so that each relay is
+    planned on its own, exactly.
+
+    In a run, the move that lands at step t+1 is chosen from the report of
+    step t, and the agent's two-sample detector confirms a change one step
+    after that. So the oracle plans its cell at t+1 from the demand of step
+    t-1 (step 0's at first), assuming that demand holds to the horizon. The
+    plan is a dynamic programme over allowed cells x remaining steps, with
+    moves to a cell at most one step away on each axis, staying included;
+    it maximises the served throughput summed over the remaining steps, and
+    a tie goes to the lowest cell. Served throughput is `reference_served`'s.
+    Satisfaction is served over demanded, summed over steps 1..horizon as in
+    a run's report.
+    """
+    env = Environment(replace(spec.env_config, rng_seed=seed))
+    states = [env.reset()]
+    for _ in range(spec.horizon):
+        states.append(env.apply_and_step(states[-1], [])[0])
+    served_total = 0.0
+    for node in env.nodes:
+        cells = sorted(env.topology.allowed[node])
+        moves = {c: [d for d in cells if abs(d[0] - c[0]) <= 1 and abs(d[1] - c[1]) <= 1]
+                 for c in cells}
+        plans = {}  # seen demand levels -> the best move from each cell, by remaining steps
+
+        def plan(seen):
+            levels = tuple(seen.demand[u] for u in env.users_of(node))
+            if levels not in plans:
+                gain = {c: reference_served(env, seen, node, c) for c in cells}
+                value, best = dict.fromkeys(cells, 0.0), [None]
+                for _ in range(spec.horizon):
+                    scored = {c: max(((gain[d] + value[d], -i), d)
+                                     for i, d in enumerate(moves[c])) for c in cells}
+                    value = {c: v for c, ((v, _), _) in scored.items()}
+                    best.append({c: d for c, (_, d) in scored.items()})
+                plans[levels] = best
+            return plans[levels]
+
+        cell = states[0].position_of[node]
+        for t in range(spec.horizon):
+            cell = plan(states[max(t - 1, 0)])[spec.horizon - t][cell]
+            served_total += reference_served(env, states[t + 1], node, cell)
+    return served_total / sum(sum(s.demand.values()) for s in states[1:])
 
 
 def line_positions(n: int) -> dict[int, tuple[int, int]]:
@@ -80,23 +135,31 @@ def make_channel_spec(n_nodes: int, edges, *, channels: int = 3,
                         disruption_penalty=disruption_penalty)
 
 
-def make_location_spec(*, horizon: int = 80, seed: int = 0,
-                       epsilon: float = 0.1) -> ScenarioSpec:
+def make_location_spec(*, horizon: int = 80, seed: int = 0, epsilon: float = 0.1,
+                       cols: int = 1, rows: int = 1) -> ScenarioSpec:
     """One mobile node on a 4-cell strip chasing demand that alternates
     between a user at each end every 20 steps (period 40).
 
     Parked next to the high-demand user the node satisfies both users; one
     cell further it cannot, so every demand flip triggers exactly one
-    relocation whose stored case scores 1.0.
+    relocation whose stored case scores 1.0. With `cols` x `rows` tiles,
+    tile (c, r) is such a strip at x = 4c..4c+3, y = 2r, with node
+    r * cols + c and users 2 * node (at the left end) and 2 * node + 1;
+    tiles share no interference edge.
     """
-    cells = frozenset((x, 0) for x in range(4))
-    topo = MeshTopology(positions={0: (2, 0)}, edges=set(), channels=(1,),
-                        allowed={0: cells})
     hi, lo = 3.0, 0.1
     profile_a = DemandProfile.periodic(40, [(0, hi), (20, lo)], horizon)
     profile_b = DemandProfile.periodic(40, [(0, lo), (20, hi)], horizon)
-    users = [UserSpec(user=0, position=(0, 0), demand=profile_a, node=0),
-             UserSpec(user=1, position=(3, 0), demand=profile_b, node=0)]
+    positions, allowed, users = {}, {}, []
+    for r in range(rows):
+        for c in range(cols):
+            node, x0, y = r * cols + c, 4 * c, 2 * r
+            positions[node] = (x0 + 2, y)
+            allowed[node] = frozenset((x0 + dx, y) for dx in range(4))
+            users += [UserSpec(user=2 * node, position=(x0, y), demand=profile_a, node=node),
+                      UserSpec(user=2 * node + 1, position=(x0 + 3, y), demand=profile_b,
+                               node=node)]
+    topo = MeshTopology(positions=positions, edges=set(), channels=(1,), allowed=allowed)
     env_config = EnvConfig(topology=topo, users=users, pathloss_exponent=2.0,
                            tx_power=1.0, noise_floor=1e-2, bandwidth_unit=1.0,
                            rng_seed=seed, horizon=max(1, horizon))

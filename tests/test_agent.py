@@ -14,7 +14,7 @@ from meshmind import (Agent, AgentConfig, DemandProfile, EnvConfig,
                       SetChannel, StateCodec, UserSpec)
 from meshmind import agent as agent_module
 from meshmind.agent import AgentParams, Population, TraceEvent, UnknownPendingAction
-from meshmind.env import MoveTo, ThroughputReport, satisfied
+from meshmind.env import MoveTo, satisfied
 from meshmind.kb import Case
 from meshmind.harness import build_agents, run_scenario
 from meshmind.learning import IndexOutOfRange, encode_state
@@ -22,7 +22,7 @@ from meshmind.optimize import Controlled, EpsilonGreedy
 from meshmind.reasoning import MissingFeature, normalize
 
 from helpers import (grid_positions, make_channel_spec, make_location_spec,
-                     make_lowload_window_spec, read_trace)
+                     make_lowload_window_spec, read_trace, readings_report)
 
 
 def channel_env(channels=(1, 2)):
@@ -107,7 +107,7 @@ def starved_report(env):
     """A report in which node 0's users demand 5 Mbps and receive nothing."""
     readings = np.zeros(12)  # five per-node readings of two nodes, two users
     readings[env.reading_index(0, "demand")] = 5.0
-    return ThroughputReport(achieved={}, conflicts=0, readings=readings)
+    return readings_report(readings)
 
 
 class TestBuild:
@@ -206,7 +206,7 @@ class TestPopulation:
                 readings = np.zeros(12)  # five per-node readings of two nodes, two users
                 readings[demand_at] = 5.0
                 readings[achieved_at] = rng.choice([1.0, 5.0 - 1e-10, 5.0], size=2)
-                report = ThroughputReport(achieved={}, conflicts=0, readings=readings)
+                report = readings_report(readings)
             population.sense(report)
             for i in range(2):
                 unsatisfied = not satisfied(readings[achieved_at[i]], 5.0)
@@ -256,7 +256,7 @@ class TestPopulation:
                 readings[env.reading_index(node, name)] = data.draw(
                     st.sampled_from([*edges, 0.0, -0.0, 1.0]) | st.floats(0.0, 1.0))
         population = Population(agents, env)
-        population.sense(ThroughputReport(achieved={}, conflicts=0, readings=readings))
+        population.sense(readings_report(readings))
         assert population.states == [encode_state(population.percept(i), ag.config.codec)
                                      for i, ag in enumerate(agents)]
 
@@ -322,7 +322,7 @@ class TestPopulation:
         for t, demands in enumerate(([5.0, 5.0], [-0.0, 0.0], [-0.0, 0.0], [0.0, -0.0],
                                      [1.0, 2.5], [5.0, 5.0], [np.nan, 0.3])):
             readings[demand_at] = demands
-            population.sense(ThroughputReport(achieved={}, conflicts=0, readings=readings))
+            population.sense(readings_report(readings))
             texts = population.texts
             assert [f"[{text}]" for text in texts] == [
                 json.dumps(list(population.percept(i))) for i in range(2)]
@@ -341,7 +341,7 @@ class TestPopulation:
 
         def sense(demands):
             readings[demand_at] = demands
-            population.sense(ThroughputReport(achieved={}, conflicts=0, readings=readings.copy()))
+            population.sense(readings_report(readings.copy()))
             assert [f"[{text}]" for text in population.texts] == [
                 json.dumps(list(population.percept(i))) for i in range(2)]
 
@@ -400,7 +400,7 @@ class TestDetect:
         readings[env.reading_index(0, "demand")] = 5.0
         for value in achieved:
             readings[env.reading_index(0, "achieved")] = value
-            population.sense(ThroughputReport(achieved={}, conflicts=0, readings=readings))
+            population.sense(readings_report(readings))
         return population.fired[0]
 
     def test_two_satisfied_samples_do_not_trigger(self):

@@ -75,6 +75,45 @@ class TestApplyAndStep:
         assert (switched.readings == fresh.readings).all()
         assert switched.achieved == fresh.achieved
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_a_step_copies_and_rescores_only_what_it_changes(self, data):
+        """Random batches, current channels and cells re-asserted among them:
+        the report comes back as the same object exactly when no channel,
+        position or demand row changed; a changing step leaves the old
+        state's dicts as they were and shares those it did not change; and
+        the report totals are the exact sums, on fresh and reused reports."""
+        allowed = {0: frozenset({(0, 0), (1, 0)}), 1: frozenset({(2, 0), (2, 1)})}
+        users = [UserSpec(user=0, position=(0, 1), node=0,
+                          demand=DemandProfile.piecewise([(0, 5.0), (4, 9.0), (6, 5.0)])),
+                 UserSpec(user=1, position=(2, 2), node=1, demand=DemandProfile.constant(2.0)),
+                 UserSpec(user=2, position=(4, 0), node=2, demand=DemandProfile.constant(1.0))]
+        topo = MeshTopology(positions={0: (0, 0), 1: (2, 0), 2: (4, 0)},
+                            edges={(0, 1), (1, 2)}, channels=(1, 2), allowed=allowed)
+        env = Environment(EnvConfig(topology=topo, users=users, horizon=10))
+        state = env.reset()
+        report = env.report_for(state)
+        for _ in range(8):
+            batch = [data.draw(st.sampled_from([
+                *(SetChannel(node, channel) for channel in topo.channels),
+                *(MoveTo(node, cell) for cell in sorted(topo.allowed[node]))]))
+                for node in data.draw(st.lists(st.sampled_from(topo.nodes), unique=True))]
+            before = [dict(d) for d in (state.channel_of, state.position_of, state.demand)]
+            nxt, stepped = env.apply_and_step(state, batch, report)
+            assert [state.channel_of, state.position_of, state.demand] == before
+            same = [new == old for new, old in zip(
+                (nxt.channel_of, nxt.position_of, nxt.demand), before)]
+            assert [new is old for new, old in zip(
+                (nxt.channel_of, nxt.position_of, nxt.demand),
+                (state.channel_of, state.position_of, state.demand))] == same
+            assert (stepped is report) == all(same)
+            fresh = env.report_for(nxt)
+            assert stepped.readings.tobytes() == fresh.readings.tobytes()
+            for r in (stepped, fresh):
+                assert r.total_demand == sum(nxt.demand.values())
+                assert r.total_achieved == sum(r.achieved.values())
+            state, report = nxt, stepped
+
     def test_invalid_channel_rejected_without_partial_application(self):
         users = [UserSpec(user=i, position=(i, 0),
                           demand=DemandProfile.constant(1.0), node=i)

@@ -45,6 +45,9 @@ def make_spec(name: str):
                                  positions=positions)
     if name == "location_helper":
         return make_location_spec()
+    if name == "relay_tiles_2x2":
+        # Four relays sharing one value table's state space; seed 1 explores.
+        return make_location_spec(cols=2, rows=2, horizon=400)
     if name == "lowload_budget_kb2":
         # A switch budget and a two-case store: reaches every branch, REJECT included.
         spec = make_lowload_window_spec(Controlled(epsilon=0.1, max_switches=1, window=20))
@@ -111,6 +114,15 @@ GOLDEN = {
     ('location_helper', 2): (
         '8faea5ccbfdbcc1cd5d75b50d5b2b8a3a0a890ea97185a9d079fbb0acfceabe7',
         0.9790393502925985, 3.0350219859070515),
+    ('relay_tiles_2x2', 0): (
+        'd8fae0f5f90ffd2ff900ce8b109eb7df8346f40a51d51f2fccf704db408c4936',
+        0.9790393502925994, 12.14008794362822),
+    ('relay_tiles_2x2', 1): (
+        'b87fce5b5a361c8d97ba11b69917ed7060d4e6499a422e42ad00e9cedc1c3fbf',
+        0.9787773421712568, 12.136839042923572),
+    ('relay_tiles_2x2', 2): (
+        'd8fae0f5f90ffd2ff900ce8b109eb7df8346f40a51d51f2fccf704db408c4936',
+        0.9790393502925994, 12.14008794362822),
     ('lowload_budget_kb2', 0): (
         'b6b7609bd3612115705026db650a6992c329e78da5a91bde15a55190b99ae955',
         0.8048281698463815, 8.906765079633288),

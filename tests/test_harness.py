@@ -22,13 +22,14 @@ from meshmind import (DemandProfile, EnvConfig, Environment, EpsilonGreedy,
                       value_iteration)
 from meshmind import agent as agent_module, cli
 from meshmind.agent import Agent, Population, TraceEvent
-from meshmind.env import MoveTo, SetChannel, ThroughputReport
+from meshmind.env import MoveTo, SetChannel
 from meshmind.harness import (AgentParams, NonStochasticRow, ScenarioSpec,
                               SpecValidation, build_agents, knowledge_base_from_snapshot,
                               report_from_trace, scenario_from_dict)
 from meshmind.reasoning import Outcome
 
-from helpers import make_channel_spec, make_location_spec, read_trace
+from helpers import (make_channel_spec, make_location_spec, reactive_location_oracle, read_trace,
+                     readings_report)
 from test_golden import make_spec as golden_spec
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
@@ -210,7 +211,7 @@ class TestEmission:
         population = Population(agents, env)
         history = [np.zeros(env.report_for(env.reset()).readings.size)]
         value = st.sampled_from([0.0, -0.0, 0.5, 2.5, 5.0, float("nan")]) | FINITE
-        population.sense(ThroughputReport(achieved={}, conflicts=0, readings=history[0]))
+        population.sense(readings_report(history[0]))
         for t in range(data.draw(st.integers(1, 8))):
             readings = data.draw(st.sampled_from(history)).copy()  # a repeat or a revert
             for k in data.draw(st.lists(st.integers(0, readings.size - 1), max_size=4)):
@@ -225,7 +226,7 @@ class TestEmission:
                             t=t, node=ag.node, percept=population.percept(i), outcome="idle")
                         for i, (ag, fire) in enumerate(zip(agents, fired))]
             heads, texts = population.heads, population.texts
-            population.sense(ThroughputReport(achieved={}, conflicts=0, readings=readings))
+            population.sense(readings_report(readings))
             lines = harness._tick_lines(heads, texts, fired, t, events, "")
             assert lines == "".join(event.line() for event in expected)
             assert lines == "".join(dumps_line(event.to_record()) for event in expected)
@@ -474,6 +475,10 @@ class TestScenarioLoading:
          "scenario: disruption_penalty inf must be finite"),
         (lambda d: d.update(disruption_penalty=float("nan")),
          "scenario: disruption_penalty nan must be finite"),
+        (lambda d: d.update(disruption_penalty=10**400),
+         "disruption_penalty: expected float, got an int too large for a float"),
+        (lambda d: d["env"]["users"][0].update(demand=[[0, 1.0], [2, -10**400]]),
+         "env.users[0].demand[1]: expected float, got an int too large for a float"),
     ], ids=["user-node", "negative-demand", "nan-demand", "negative-step",
             "controlled-epsilon", "greedy-epsilon", "kb-eviction", "kb-eviction-removed",
             "kb-capacity",
@@ -484,7 +489,8 @@ class TestScenarioLoading:
             "nan-similarity", "nan-coefficient", "nan-thresholds", "zero-similarity",
             "zero-thresholds", "negative-similarity", "minus-infinite-similarity",
             "negative-similarity-nan-coefficient", "nan-serving-threshold",
-            "infinite-penalty", "nan-penalty"])
+            "infinite-penalty", "nan-penalty", "overflowing-penalty",
+            "overflowing-demand-step"])
     def test_malformed_values_rejected_at_load(self, edit, problem):
         spec_dict = {
             "schema_version": 1, "kind": "channel-assignment", "horizon": 5,
@@ -776,8 +782,10 @@ class TestValueIteration:
         (lambda d: d["rewards"][3].__setitem__(0, math.inf), "MDP: rewards must be finite"),
         (lambda d: d["transitions"][3].__setitem__(2, [1, 0]), "MDP: setting an array element"),
         (lambda d: d.update(gamma=1.0), "MDP: gamma must be in [0,1)"),
+        (lambda d: d["rewards"][1].__setitem__(2, 10**400),
+         "rewards[1][2]: expected float, got an int too large for a float"),
     ], ids=["negative-probability", "nan-probability", "non-stochastic-row", "short-rewards",
-            "infinite-reward", "jagged-transitions", "gamma-one"])
+            "infinite-reward", "jagged-transitions", "gamma-one", "overflowing-reward"])
     def test_an_mdp_file_no_mdp_holds_is_one_spec_validation(self, tmp_path, edit, problem):
         data = copy.deepcopy(MDP_FILE)
         edit(data)
@@ -802,6 +810,18 @@ class TestQLearningOracle:
 
 
 class TestLocationScenario:
+    @pytest.mark.parametrize("name", ["follow_demand_location", "relay_tiles_2x2"])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_relays_reach_the_one_step_late_reactive_oracle(self, name, seed):
+        spec = golden_spec(name)
+        report, _ = run_scenario(spec, seed=seed)
+        assert report.satisfaction_ratio >= reactive_location_oracle(spec, seed)
+
+    def test_reactive_oracle_keeps_its_recorded_value(self):
+        # each of the four flips costs the oracle the steps it sees it late, and the walk
+        spec = golden_spec("follow_demand_location")
+        assert reactive_location_oracle(spec, 0) == pytest.approx(0.9675307175081532, rel=1e-12)
+
     def test_relay_learns_to_follow_demand(self, tmp_path):
         report, _ = run_scenario(make_location_spec(), seed=1, out_dir=tmp_path)
         assert report.satisfaction_ratio > 0.9

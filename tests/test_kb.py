@@ -7,6 +7,7 @@ import pytest
 from meshmind import Case, KnowledgeBase, SetChannel, similarity
 from meshmind.harness import SpecValidation, knowledge_base_from_snapshot, load_snapshot
 from meshmind.kb import InvalidCoefficient, UnknownCase
+from meshmind.reasoning import DimensionMismatch
 
 
 def case(values, action=None, coefficient=0.5, **kw):
@@ -55,6 +56,12 @@ class TestRetrieve:
         kb.retain(stale).retain(fresh)
         hit, _ = kb.retrieve((0.0, 0.5), now=0)
         assert hit is fresh
+
+    def test_retrieve_rejects_a_query_of_another_width(self):
+        kb = KnowledgeBase(capacity=4)
+        kb.retain(case((0.5, 0.5)))
+        with pytest.raises(DimensionMismatch, match="2 vs 3"):
+            kb.retrieve((0.5, 0.5, 0.5), now=1)
 
 
 class TestRetain:
