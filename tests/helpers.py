@@ -77,26 +77,30 @@ def reactive_location_oracle(spec, seed: int) -> float:
         cells = sorted(env.topology.allowed[node])
         moves = {c: [d for d in cells if abs(d[0] - c[0]) <= 1 and abs(d[1] - c[1]) <= 1]
                  for c in cells}
-        plans = {}  # seen demand levels -> the best move from each cell, by remaining steps
-
-        def plan(seen):
+        plans = {}  # the seen demand levels of the node's users -> their best moves
+        cell = states[0].position_of[node]
+        for t in range(spec.horizon):
+            seen = states[max(t - 1, 0)]
             levels = tuple(seen.demand[u] for u in env.users_of(node))
             if levels not in plans:
                 gain = {c: reference_served(env, seen, node, c) for c in cells}
-                value, best = dict.fromkeys(cells, 0.0), [None]
-                for _ in range(spec.horizon):
-                    scored = {c: max(((gain[d] + value[d], -i), d)
-                                     for i, d in enumerate(moves[c])) for c in cells}
-                    value = {c: v for c, ((v, _), _) in scored.items()}
-                    best.append({c: d for c, (_, d) in scored.items()})
-                plans[levels] = best
-            return plans[levels]
-
-        cell = states[0].position_of[node]
-        for t in range(spec.horizon):
-            cell = plan(states[max(t - 1, 0)])[spec.horizon - t][cell]
+                plans[levels] = _best_moves(gain, moves, spec.horizon)
+            cell = plans[levels][spec.horizon - t][cell]
             served_total += reference_served(env, states[t + 1], node, cell)
     return served_total / sum(sum(s.demand.values()) for s in states[1:])
+
+
+def _best_moves(gain: dict, moves: dict, horizon: int) -> list[dict]:
+    """best[k][c]: the first move of a k-step walk from cell c along `moves`
+    that maximises the summed `gain` of the cells it visits, for k in
+    1..horizon; a tie goes to the lowest cell."""
+    value, best = dict.fromkeys(gain, 0.0), [None]
+    for _ in range(horizon):
+        scored = {c: max(((gain[d] + value[d], -i), d) for i, d in enumerate(moves[c]))
+                  for c in gain}
+        value = {c: v for c, ((v, _), _) in scored.items()}
+        best.append({c: d for c, (_, d) in scored.items()})
+    return best
 
 
 def line_positions(n: int) -> dict[int, tuple[int, int]]:

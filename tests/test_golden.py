@@ -46,7 +46,7 @@ def make_spec(name: str):
     if name == "location_helper":
         return make_location_spec()
     if name == "relay_tiles_2x2":
-        # Four relays sharing one value table's state space; seed 1 explores.
+        # Four relays whose state space spans every tile; seed 1 explores.
         return make_location_spec(cols=2, rows=2, horizon=400)
     if name == "lowload_budget_kb2":
         # A switch budget and a two-case store: reaches every branch, REJECT included.

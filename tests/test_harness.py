@@ -818,7 +818,7 @@ class TestLocationScenario:
         assert report.satisfaction_ratio >= reactive_location_oracle(spec, seed)
 
     def test_reactive_oracle_keeps_its_recorded_value(self):
-        # each of the four flips costs the oracle the steps it sees it late, and the walk
+        # ROADMAP item 3's figure; a weaker oracle would let the gate above pass idly
         spec = golden_spec("follow_demand_location")
         assert reactive_location_oracle(spec, 0) == pytest.approx(0.9675307175081532, rel=1e-12)
 
