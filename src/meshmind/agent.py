@@ -9,16 +9,16 @@ users were undersupplied in two successive samples. A triggered cycle
 retrieves the nearest stored case and either reuses its action,
 recomputes it, retains the percept as a new case, or rejects it.
 
-The agent keeps its own books, and a tick builds no object beyond its
-percept, a tuple of unit-range floats, its trace event and its action:
-the step, the serving load and the controlled gate's verdict pass as
-plain values, and its config holds what no tick changes. A channel agent
-decides from one read of its value table's row, picking from its channel
-palette in action-index order. A switch it emits is marked on its trace
-event, as a disruption when its users demand more than
-DISRUPTION_THRESHOLD. After the step, `observe` scores the action from
-the same batched pass: it revises the case, penalises a disruption and
-updates the value table in place.
+The agent keeps its own books and writes nothing to the population. A
+tick returns its trace event, which holds its action, or None; it builds
+no other object but its percept, a tuple of unit-range floats: the step,
+the serving load and the controlled gate's verdict pass as plain values,
+and its config holds what no tick changes. A channel agent decides from
+one read of its value table's row, picking from its channel palette in
+action-index order. A switch it emits is marked on its trace event, as a
+disruption when its users demand more than DISRUPTION_THRESHOLD. After
+the step, `observe` scores the action from the same batched pass: it
+revises the case, penalises a disruption and updates the value table.
 """
 
 from __future__ import annotations
@@ -123,7 +123,7 @@ class TraceEvent:
 
     def head(self, percept_text: str | None = None) -> str:
         """`line()` up to the value of its last key, `"t": `; `percept_text` is
-        the percept's JSON list items, as in `Population.texts`, if given."""
+        the percept's JSON list items, as `Population.lines` gives them, if given."""
         action = self.action
         if action is None:
             action_text = "null"
@@ -214,15 +214,11 @@ class Agent:
     # -- the control cycle ---------------------------------------------------
 
     def tick(self, env: Environment, state: EnvState, population: "Population",
-             i: int) -> tuple[Action | None, TraceEvent | None]:
-        """Run one control step on row `i` of the population's pass. A
-        triggered tick returns its action and trace event; an idle one returns
-        (None, None), and its trace line, if one is kept, is the population's
-        idle head. Emitting an action resets the two-sample detector, so a
-        fresh pair of samples must confirm dissatisfaction before the next
-        reasoning cycle."""
+             i: int) -> TraceEvent | None:
+        """Run one control step on row `i` of the population's pass: a triggered tick returns
+        its trace event, which holds its action, an idle one None. The caller marks it acted."""
         if not population.fired[i]:
-            return None, None
+            return None
         t = state.t
         percept = population.percept(i)
         demanded = population.demanded[i]
@@ -241,8 +237,7 @@ class Agent:
             action_index = _DIRECTION_INDEX[x - cx, y - cy]
         event.q_before = self.table.entry(state_index, action_index)
         self._pending = (event, state_index, action_index, case)
-        population.acted(i)
-        return action, event
+        return event
 
     def _reason(self, env: Environment, state: EnvState, percept: tuple[float, ...],
                 demanded: float, state_index: int):
@@ -332,20 +327,16 @@ class Population:
     index is `encode_state`'s sum as a float: NaN for a NaN percept, which
     `int` rejects. The detector is two boolean arrays: has a previous sample,
     and it was unsatisfied. After `sense`, `fired`, `achieved`, `demanded`
-    and `states` hold one entry per agent. With `trace` on, `texts` holds each
-    percept's JSON list items and `heads` its idle line up to `"t": `; `sense` makes
-    both anew, rebuilding the agents whose percept bits changed (-0.0 is not 0.0).
-    The report object last sensed, which `apply_and_step` hands back while nothing
-    changes, advances only the detector; with `trace` on, `heads` is then a fresh list
-    of the same lines.
+    and `states` hold one entry per agent, in lists the next `sense` replaces;
+    the report object last sensed, which `apply_and_step` hands back while
+    nothing changes, advances only the detector. Only a traced run calls `lines`.
     """
 
     IDLE_HEAD = (TraceEvent(t=0, node=0, percept=(), outcome="idle").head()
                  .replace('"node": 0', '"node": %d').replace("[]", "[%s]"))
 
-    def __init__(self, agents: list[Agent], env: Environment, trace: bool = True):
+    def __init__(self, agents: list[Agent], env: Environment):
         self.agents = list(agents)
-        self.trace = trace
         index, lo, hi, bins, self._offsets = [], [], [], [], [0]
         for ag in self.agents:
             for name, f_lo, f_hi in ag.config.feature_spec.features:
@@ -370,8 +361,9 @@ class Population:
             np.array([env.reading_index(ag.node, name) for ag in self.agents], dtype=np.intp)
             for name in ("achieved", "demand"))
         self._has_prev, self._prev_unsatisfied = np.zeros((2, len(self.agents)), dtype=bool)
-        self.texts, self.heads = [""] * len(self.agents), [""] * len(self.agents)
-        self._bits = self._report = None  # of the last full sense
+        self._heads, self._texts = [""] * len(self.agents), [""] * len(self.agents)
+        self._report = None  # the last one sensed
+        self._bits = self._lined = None  # the percept bits and percepts `lines` last read
         self._json_of_bits = _JsonOfBits()  # percept value texts
 
     def sense(self, report) -> None:
@@ -379,23 +371,12 @@ class Population:
         if report is self._report:  # the same read-only readings: only the detector moves
             self.fired = (self._has_prev & self._prev_unsatisfied).tolist()
             self._has_prev[:] = True
-            if self.trace:  # the run writes triggered heads into the old list
-                self.heads = self.heads[:]
             return
         readings = report.readings
-        values = np.clip((readings[self._index] - self._lo) / self._span, 0.0, 1.0)
+        values = self._percepts = np.clip((readings[self._index] - self._lo) / self._span, 0, 1)
         cells = np.minimum(np.floor(values * self._bins), self._bins - 1)
         self.states = np.add.reduceat(cells * self._strides, self._starts).tolist()
         self._values = values.tolist()
-        if self.trace:  # on the first sense, bits != None holds for every agent
-            bits, self.texts, self.heads = values.view(np.uint64), self.texts[:], self.heads[:]
-            changed = np.logical_or.reduceat(bits != self._bits, self._starts)
-            keys = bits.tolist()
-            for i in np.flatnonzero(changed).tolist():
-                a, b = self._ranges[i]
-                self.texts[i] = text = ", ".join(map(self._json_of_bits.__getitem__, keys[a:b]))
-                self.heads[i] = self.IDLE_HEAD % (self.agents[i].node, text)
-            self._bits = bits
         achieved = readings[self._achieved_at]
         demanded = readings[self._demand_at]
         unsatisfied = ~satisfied(achieved, demanded)
@@ -406,9 +387,24 @@ class Population:
         self.demanded = demanded.tolist()
         self._report = report
 
-    def acted(self, i: int) -> None:
-        """Agent i emitted an action: its next trigger needs two fresh samples."""
-        self._has_prev[i] = False
+    def acted(self, agents: list[int]) -> None:
+        """These agents emitted an action: each one's next trigger needs two fresh samples."""
+        self._has_prev[agents] = False
+
+    def lines(self) -> tuple[list[str], list[str]]:
+        """Each agent's idle trace line up to `"t": ` and percept JSON items, in two lists it
+        owns, rebuilt for agents whose percept bits changed since the last call (-0.0 too)."""
+        if self._percepts is self._lined:  # no fresh sense since the last call
+            return self._heads, self._texts
+        bits = self._percepts.view(np.uint64)  # the first call finds every agent changed
+        changed = np.logical_or.reduceat(bits != self._bits, self._starts)
+        keys = bits.tolist()
+        for i in np.flatnonzero(changed).tolist():
+            a, b = self._ranges[i]
+            self._texts[i] = text = ", ".join(map(self._json_of_bits.__getitem__, keys[a:b]))
+            self._heads[i] = self.IDLE_HEAD % (self.agents[i].node, text)
+        self._bits, self._lined = bits, self._percepts
+        return self._heads, self._texts
 
     def percept(self, i: int) -> tuple[float, ...]:
         """Agent i's percept from the last `sense`."""

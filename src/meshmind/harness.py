@@ -4,13 +4,13 @@ Scenario and MDP files are YAML documents, knowledge-base snapshots JSON
 ones. `SCENARIO`, `MDP` and `SNAPSHOT` are the tables of every key each may
 hold, with its type; a document is read against its table, and every
 problem found is reported in one SpecValidation. Each step of a run ticks
-every agent in ascending node order, applies their actions as one batch,
-senses all agents in one batched pass, lets each agent that acted score its
-own action, and appends one step row. A run with an output directory is
-traced: each step first writes one line per agent, from its Population idle
-head or its TraceEvent, then its step row, as one block to the trace.jsonl
-it writes as it goes. `report_from_trace` aggregates the run report from
-step rows, those a run returns or those read back from trace.jsonl.
+every agent in node order, tells the population which acted, applies their
+actions as one batch, senses all agents in one batched pass, lets each
+agent that acted score its own action, and appends one step row. A traced
+run, one with an output directory, takes the population's idle lines before
+a step's actions apply, then writes one line per agent and the step row as
+one block to its trace.jsonl. `report_from_trace` aggregates the run report
+from step rows, those a run returns or those read back from trace.jsonl.
 """
 
 from __future__ import annotations
@@ -318,6 +318,35 @@ def _profile(read, horizon: int, profiles: dict, path: tuple, problems: list):
     return profiles[key]
 
 
+_LIMIT = 2 ** 53  # floats hold every int in [-_LIMIT, _LIMIT]
+_BEYOND = "expected int in [-2**53, 2**53], where floats hold every int"
+
+
+def _coordinate_problems(nodes, users, location: bool) -> list:
+    """(key path, message) of each node or user coordinate and allowed cell
+    beyond ±2**53, and in a location scenario of each node's start or allowed
+    cell below 0, where a location agent's feature bins start."""
+    nx, ny, ux, uy = ([row[key] for row in rows] for rows in (nodes, users) for key in ("x", "y"))
+    at_nodes = nx + ny + [c for row in nodes for cell in row.get("allowed", ()) for c in cell]
+    if (min(at_nodes, default=0) >= (0 if location else -_LIMIT)
+            and min(ux + uy, default=0) >= -_LIMIT and max(at_nodes + ux + uy, default=0) <= _LIMIT):
+        return []  # the common case, in a few passes without a walk
+    problems = [(("env", name, i, key), _BEYOND)
+                for name, rows in (("nodes", nodes), ("users", users))
+                for i, row in enumerate(rows) for key in ("x", "y")
+                if not -_LIMIT <= row[key] <= _LIMIT]
+    for i, row in enumerate(nodes):
+        start = ("env", "nodes", i)
+        for path, (x, y) in [(start, (row["x"], row["y"])), *(
+                ((*start, "allowed", k), cell) for k, cell in enumerate(row.get("allowed", ())))]:
+            inside = -_LIMIT <= min(x, y) <= max(x, y) <= _LIMIT
+            if not inside and path is not start:  # a start's coordinates are named above
+                problems.append((path, _BEYOND))
+            elif inside and location and min(x, y) < 0:
+                problems.append((path, f"cell [{x}, {y}] is below 0, where location bins start"))
+    return problems
+
+
 def load_scenario(path) -> ScenarioSpec:
     """Parse and validate a scenario YAML file."""
     with open(path) as fh:
@@ -334,6 +363,7 @@ def scenario_from_dict(data) -> ScenarioSpec:
     env, agents = top.pop("env"), top.pop("agents")
     horizon = top["horizon"]
     nodes = env.pop("nodes")
+    problems += _coordinate_problems(nodes, env["users"], top["kind"] == LOCATION_KIND)
     positions = {row["id"]: (row["x"], row["y"]) for row in nodes}
     if len(positions) < len(nodes):
         ids = Counter(row["id"] for row in nodes)
@@ -438,10 +468,11 @@ def build_agents(spec: ScenarioSpec, env: Environment, state: EnvState,
 
 
 def _tick_lines(heads: list[str], texts: list[str], fired, t: int, events, end: str) -> str:
-    """Step t's tick lines, its idle `heads` with each triggered one's written in, then `end`."""
+    """Step t's tick lines, its idle `heads` with each triggered one's in a copy, then `end`."""
+    lines = [*heads, end]
     for i, event in zip(compress(count(), fired), events):
-        heads[i] = event.head(texts[i])
-    return f"{t}}}\n".join([*heads, end])
+        lines[i] = event.head(texts[i])
+    return f"{t}}}\n".join(lines)
 
 
 def run_scenario(spec: ScenarioSpec, seed: int | None = None,
@@ -451,11 +482,12 @@ def run_scenario(spec: ScenarioSpec, seed: int | None = None,
     Returns (RunReport, steps): one step row per step (conflicts, demand and
     throughput totals, and the counts of actions, triggered ticks, reuses,
     switches and disruptions), from which `report_from_trace` aggregates the
-    report. A run traces exactly when it has an out_dir: each step row then
-    follows one tick line per agent in node order, its idle head or its
-    `TraceEvent.head()` ended by t, and all go to trace.jsonl in one write
-    per step, counted in wall_time_s. A run that raises leaves out_dir's files
-    as they were. collect_trace, if given, must equal `out_dir is not None`.
+    report. A step tells the population once which agents acted. A run traces
+    exactly when it has an out_dir: each step row then follows one tick line
+    per agent in node order, the population's idle head or the agent's
+    `TraceEvent.head()` ended by t, all in one write to trace.jsonl per step,
+    counted in wall_time_s. A run that raises leaves out_dir's files as they
+    were. collect_trace, if given, must equal `out_dir is not None`.
     """
     if collect_trace is not None and collect_trace != (out_dir is not None):
         raise ValueError(f"collect_trace={collect_trace} disagrees with out_dir={out_dir}")
@@ -465,23 +497,24 @@ def run_scenario(spec: ScenarioSpec, seed: int | None = None,
     state = env.reset()
     report = env.report_for(state)
     agents = build_agents(spec, env, state, run_seed)
-    population = Population(agents, env, trace=out_dir is not None)
+    population = Population(agents, env)
     population.sense(report)
 
     steps: list[dict] = []
     with nullcontext() if out_dir is None else _trace_file(Path(out_dir)) as trace:
         for _ in range(spec.horizon):
-            actions, acting, events = [], [], []
+            events, acting = [], []
             for i, ag in enumerate(agents):
-                action, event = ag.tick(env, state, population, i)
+                event = ag.tick(env, state, population, i)
                 if event is not None:  # a triggered tick, which always acts
                     events.append(event)
-                    actions.append(action)
                     acting.append(i)
-            if trace is not None:  # this step's lists, which sense leaves as they are
-                step = population.heads, population.texts, population.fired, state.t
+            if acting:
+                population.acted(acting)
+            if trace is not None:  # this step's lines, which sense leaves as they are
+                step = (*population.lines(), population.fired, state.t)
 
-            state, report = env.apply_and_step(state, actions, report)
+            state, report = env.apply_and_step(state, [ev.action for ev in events], report)
             population.sense(report)  # serves this feedback and the next step
             for i in acting:
                 agents[i].observe(population, i, spec.disruption_penalty)
@@ -495,7 +528,7 @@ def run_scenario(spec: ScenarioSpec, seed: int | None = None,
             row = {
                 "kind": "step", "t": state.t, "conflicts": report.conflicts,
                 "total_demand": report.total_demand, "total_achieved": report.total_achieved,
-                "actions": len(actions), "triggered": len(events),
+                "actions": len(events), "triggered": len(events),
                 "reuse": reuse, "switches": switches, "disruptions": disruptions,
             }
             if trace is not None:  # the step's tick lines and row, in one write

@@ -7,6 +7,8 @@ import math
 from dataclasses import replace
 from pathlib import Path
 
+from hypothesis import strategies as st
+
 from meshmind import DemandProfile, EnvConfig, Environment, MeshTopology, UserSpec
 from meshmind.env import ThroughputReport
 from meshmind.harness import AgentParams, ScenarioSpec
@@ -24,6 +26,21 @@ def readings_report(readings) -> ThroughputReport:
     """A report holding only `readings`, all that `Population.sense` reads."""
     return ThroughputReport(achieved={}, conflicts=0, readings=readings,
                             total_demand=0.0, total_achieved=0.0)
+
+
+# A reading of a sequence: a zero of either sign, NaN or any finite float.
+READING = st.sampled_from([0.0, -0.0, 0.5, 2.5, 5.0, math.nan]) | st.floats(
+    allow_nan=False, allow_infinity=False)
+
+
+def draw_readings(data, history: list):
+    """A copy of readings drawn from `history`, a repeat or a revert, with up to
+    four values replaced by a READING; it is appended to `history`."""
+    readings = data.draw(st.sampled_from(history)).copy()
+    for k in data.draw(st.lists(st.integers(0, readings.size - 1), max_size=4)):
+        readings[k] = data.draw(READING)
+    history.append(readings)
+    return readings
 
 
 def reference_ratio(env, state, user, cell=None):

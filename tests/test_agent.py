@@ -21,7 +21,7 @@ from meshmind.learning import IndexOutOfRange, encode_state
 from meshmind.optimize import Controlled, EpsilonGreedy
 from meshmind.reasoning import MissingFeature, normalize
 
-from helpers import (grid_positions, make_channel_spec, make_location_spec,
+from helpers import (draw_readings, grid_positions, make_channel_spec, make_location_spec,
                      make_lowload_window_spec, read_trace, readings_report)
 
 
@@ -64,11 +64,11 @@ def two_relay_spec(horizon=60):
 
 
 def drive(env, agents, steps, force=None, start=None, penalty=0.0):
-    """Minimal copy of the harness loop: tick, batch-apply, sense, feed back
-    (charging `penalty` for a disruptive switch).
+    """Minimal copy of the harness loop: tick, mark the agents that acted,
+    batch-apply, sense, feed back (charging `penalty` for a disruptive switch).
 
     Returns ((state, report, population), events), with one event per agent
-    per step: an idle tick, for which `tick` returns none, is recorded as an
+    per step: an idle tick, for which `tick` returns None, is recorded as an
     idle TraceEvent. Pass that first value as `start` to continue the run
     with the same detector state.
     """
@@ -83,12 +83,13 @@ def drive(env, agents, steps, force=None, start=None, penalty=0.0):
     for t in range(steps):
         batch, acting = [], []
         for i, ag in enumerate(agents):
-            action, event = ag.tick(env, state, population, i)
+            event = ag.tick(env, state, population, i)
             events.append(event or TraceEvent(t=state.t, node=ag.node, outcome="idle",
                                               percept=population.percept(i)))
-            if action is not None:
-                batch.append(action)
+            if event is not None:
+                batch.append(event.action)
                 acting.append(i)
+        population.acted(acting)
         if force is not None:
             batch.extend(force(t, state))
         state, report = env.apply_and_step(state, batch)
@@ -215,7 +216,7 @@ class TestPopulation:
                 repeats[repeated, previous[i] is None, expected] += 1
                 previous[i] = unsatisfied
                 if expected and rng.random() < 0.5:
-                    population.acted(i)
+                    population.acted([i])
                     previous[i] = None
         # a repeat fires, stays quiet after an action, and the first sample after one does not
         assert repeats[True, False, True] and repeats[True, True, False]
@@ -288,23 +289,69 @@ class TestPopulation:
                                        rng.integers(len(env.topology.allowed[node]))]))
             acting = [i for i in np.flatnonzero(same.fired).tolist() if rng.random() < 0.5]
             for population in (same, fresh):
-                for i in acting:
-                    population.acted(i)
+                population.acted(acting)
             state, next_report = env.apply_and_step(state, actions, report)
             reused += next_report is report
             report = next_report
-            heads = same.heads, fresh.heads
             same.sense(report)
             fresh.sense(replace(report, readings=report.readings.copy()))
-            for old in heads:  # as the run writes a step's triggered lines
-                old[:] = ["written"] * len(old)
             assert same.fired == fresh.fired
             assert same.states == fresh.states
             assert [same.percept(i) for i in range(len(agents))] == [
                 fresh.percept(i) for i in range(len(agents))]
             assert (same.achieved, same.demanded) == (fresh.achieved, fresh.demanded)
-            assert (same.texts, same.heads) == (fresh.texts, fresh.heads)
+            assert same.lines() == fresh.lines()
         assert 0 < reused < spec.horizon
+
+    @pytest.mark.parametrize("reused", [True, False], ids=["reused", "fresh"])
+    @pytest.mark.parametrize("acting", [[], [1, 3]], ids=["none", "two"])
+    def test_acted_resets_the_detector_of_exactly_those_agents(self, acting, reused):
+        spec = make_channel_spec(4, {(0, 1), (1, 2), (2, 3)}, horizon=1)
+        env = Environment(spec.env_config)
+        population = Population(build_agents(spec, env, env.reset(), 0), env)
+        readings = np.zeros(env.report_for(env.reset()).readings.size)
+        readings[[env.reading_index(node, "demand") for node in range(4)]] = 5.0  # all starved
+        report = readings_report(readings)
+        population.sense(report)
+        population.sense(report)
+        assert population.fired == [True] * 4
+        population.acted(acting)
+        fired = []
+        for _ in range(2):
+            population.sense(report if reused else readings_report(readings.copy()))
+            fired.append(population.fired)
+        assert fired == [[i not in acting for i in range(4)], [True] * 4]
+
+    @settings(max_examples=75, deadline=None)
+    @given(st.data())
+    def test_asking_for_lines_changes_nothing_sensed(self, data):
+        """Two populations sense the same readings, the report object of the last
+        sense or new ones; one asks for its lines after some senses. Both keep the
+        same sensed values, and the lines are those of a population new to them."""
+        spec = make_channel_spec(4, {(0, 1), (1, 2), (2, 3)}, horizon=1)
+        env = Environment(spec.env_config)
+        agents = build_agents(spec, env, env.reset(), 0)
+        asking, quiet = Population(agents, env), Population(agents, env)
+        history = [np.zeros(env.report_for(env.reset()).readings.size)]
+        report = readings_report(history[0])
+
+        def sensed(population):
+            return repr((population.fired, population.states, population.achieved,
+                         population.demanded, [population.percept(i) for i in range(4)]))
+
+        for _ in range(data.draw(st.integers(1, 8))):
+            if data.draw(st.booleans()):  # else the report object sensed last
+                report = readings_report(draw_readings(data, history))
+            for population in (asking, quiet):
+                population.sense(report)
+            if data.draw(st.booleans()):
+                new = Population(agents, env)
+                new.sense(report)
+                assert asking.lines() == new.lines()
+            assert sensed(asking) == sensed(quiet)
+            acting = data.draw(st.lists(st.integers(0, 3), unique=True))
+            for population in (asking, quiet):
+                population.acted(acting)
 
     def test_report_readings_are_read_only(self):
         env = channel_env()
@@ -323,13 +370,13 @@ class TestPopulation:
                                      [1.0, 2.5], [5.0, 5.0], [np.nan, 0.3])):
             readings[demand_at] = demands
             population.sense(readings_report(readings))
-            texts = population.texts
+            heads, texts = population.lines()
             assert [f"[{text}]" for text in texts] == [
                 json.dumps(list(population.percept(i))) for i in range(2)]
             assert (texts[0] == texts[1]) == (demands[0].hex() == demands[1].hex())
             idle = [TraceEvent(t=t, node=i, percept=population.percept(i), outcome="idle")
                     for i in range(2)]
-            assert [f"{head}{t}}}\n" for head in population.heads] == [
+            assert [f"{head}{t}}}\n" for head in heads] == [
                 json.dumps(event.to_record(), sort_keys=True) + "\n" for event in idle]
         assert texts[0] == "0.0, NaN, 0.0"  # as json.dumps writes a NaN
 
@@ -342,7 +389,7 @@ class TestPopulation:
         def sense(demands):
             readings[demand_at] = demands
             population.sense(readings_report(readings.copy()))
-            assert [f"[{text}]" for text in population.texts] == [
+            assert [f"[{text}]" for text in population.lines()[1]] == [
                 json.dumps(list(population.percept(i))) for i in range(2)]
 
         sense([-0.0, 0.0])  # both zeros' texts are kept from here on
@@ -350,7 +397,7 @@ class TestPopulation:
                                side_effect=AssertionError("a zero's text was made again")):
             for demands in ([0.0, -0.0], [0.0, 0.0], [-0.0, -0.0]):
                 sense(demands)
-        assert population.texts == ["0.0, -0.0, 0.0", "0.0, -0.0, 0.0"]
+        assert population.lines()[1] == ["0.0, -0.0, 0.0", "0.0, -0.0, 0.0"]
 
     def test_nan_percept_fails_the_tick_and_the_feedback_that_index_it(self):
         env = channel_env()
@@ -359,8 +406,8 @@ class TestPopulation:
         report = starved_report(env)
         population.sense(report)
         population.sense(report)
-        action, _ = agent.tick(env, env.reset(), population, 0)
-        assert action is not None
+        assert agent.tick(env, env.reset(), population, 0) is not None
+        population.acted([0])
         readings = report.readings.copy()
         readings[env.reading_index(0, "conflicts")] = np.nan
         nan_report = replace(report, readings=readings)
@@ -471,10 +518,10 @@ class TestTick:
         agent.kb.retain(Case(percept=population.percept(0), action=SetChannel(0, 2),
                              coefficient=1.0))
         population.sense(report)  # second starved sample fires the detector
-        action, event = agent.tick(env, state, population, 0)
+        event = agent.tick(env, state, population, 0)
         assert event.outcome == "reuse"
         # the node serves 5.0 Mbps, above the 1.0 threshold: the switch waits
-        assert action == SetChannel(0, 1 if gated else 2)
+        assert event.action == SetChannel(0, 1 if gated else 2)
         assert event.switched is not gated
 
     def test_acting_resets_the_two_sample_detector(self):
@@ -503,8 +550,8 @@ class TestObserve:
                     coefficient=0.5)
         agent.kb.retain(case)
         population.sense(report)  # second starved sample fires the detector
-        action, event = agent.tick(env, env.reset(), population, 0)
-        assert event.outcome == "recompute" and action is not None
+        event = agent.tick(env, env.reset(), population, 0)
+        assert event.outcome == "recompute" and event.action is not None
         population.sense(report)  # the action left the node starved
         agent.observe(population, 0, 0.0)
         assert case.coefficient == 0.0
@@ -519,11 +566,11 @@ class TestObserve:
         agent.tick(env, state, population, 0)  # first sample
         state, report = env.apply_and_step(state, [])
         population.sense(report)
-        action, event = agent.tick(env, state, population, 0)
-        assert action is not None
+        event = agent.tick(env, state, population, 0)
+        assert event is not None
         before = agent.table.values.copy()
         before_explored = agent.table.explored.copy()
-        state, report = env.apply_and_step(state, [action])
+        state, report = env.apply_and_step(state, [event.action])
         population.sense(report)
         agent.observe(population, 0, 0.0)
         assert (agent.table.values != before).sum() <= 1

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from meshmind import KnowledgeBase, MoveTo, SetChannel, cli
+from meshmind.agent import Population
 from meshmind.harness import (MdpSpec, load_scenario, run_scenario, sweep,
                               value_iteration)
 from meshmind.kb import Case
@@ -37,7 +38,8 @@ def test_run_without_out_makes_no_tick_rows(capsys):
     spec_path = SCENARIO_DIR / "ring6_channels.yaml"
     expected, _ = run_scenario(load_scenario(spec_path))
     assert expected.triggered_ticks > 0
-    with mock.patch.object(cli.harness, "_tick_lines", side_effect=AssertionError):
+    with mock.patch.object(cli.harness, "_tick_lines", side_effect=AssertionError), \
+            mock.patch.object(Population, "lines", side_effect=AssertionError):
         assert cli.main(["run", str(spec_path)]) == 0
     printed = key_values(capsys.readouterr().out)
     del printed["wall_time_s"]

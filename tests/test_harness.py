@@ -28,8 +28,8 @@ from meshmind.harness import (AgentParams, NonStochasticRow, ScenarioSpec,
                               report_from_trace, scenario_from_dict)
 from meshmind.reasoning import Outcome
 
-from helpers import (make_channel_spec, make_location_spec, reactive_location_oracle, read_trace,
-                     readings_report)
+from helpers import (draw_readings, make_channel_spec, make_location_spec,
+                     reactive_location_oracle, read_trace, readings_report)
 from test_golden import make_spec as golden_spec
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
@@ -152,6 +152,18 @@ PINNED_EMISSION = {
     },
 }
 
+BEYOND = "expected int in [-2**53, 2**53], where floats hold every int"
+
+
+def shift_below_zero(data):
+    """follow_demand_location moved by x - 10: every node cell is below 0."""
+    node = data["env"]["nodes"][0]
+    node["x"] -= 10
+    node["allowed"] = [[x - 10, y] for x, y in node["allowed"]]
+    for user in data["env"]["users"]:
+        user["x"] -= 10
+
+
 # Trace events for `TraceEvent.line`. FINITE includes -0.0, subnormals and huge values.
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
 NUMBER = st.none() | FINITE
@@ -210,13 +222,9 @@ class TestEmission:
         agents = build_agents(spec, env, env.reset(), 0)
         population = Population(agents, env)
         history = [np.zeros(env.report_for(env.reset()).readings.size)]
-        value = st.sampled_from([0.0, -0.0, 0.5, 2.5, 5.0, float("nan")]) | FINITE
         population.sense(readings_report(history[0]))
         for t in range(data.draw(st.integers(1, 8))):
-            readings = data.draw(st.sampled_from(history)).copy()  # a repeat or a revert
-            for k in data.draw(st.lists(st.integers(0, readings.size - 1), max_size=4)):
-                readings[k] = data.draw(value)
-            history.append(readings)
+            readings = draw_readings(data, history)
             fired = data.draw(st.lists(st.booleans(), min_size=4, max_size=4))
             events = [data.draw(EVENT.map(lambda e, i=i: replace(
                           e, t=t, node=agents[i].node, percept=population.percept(i))))
@@ -225,7 +233,7 @@ class TestEmission:
             expected = [next(triggered) if fire else TraceEvent(
                             t=t, node=ag.node, percept=population.percept(i), outcome="idle")
                         for i, (ag, fire) in enumerate(zip(agents, fired))]
-            heads, texts = population.heads, population.texts
+            heads, texts = population.lines()
             population.sense(readings_report(readings))
             lines = harness._tick_lines(heads, texts, fired, t, events, "")
             assert lines == "".join(event.line() for event in expected)
@@ -259,7 +267,7 @@ class TestEmission:
         # the untraced batched pass over the same steps, with no action taken
         env = Environment(spec.env_config)
         state = env.reset()
-        population = Population(build_agents(spec, env, state, spec.seed), env, trace=False)
+        population = Population(build_agents(spec, env, state, spec.seed), env)
         population.sense(env.report_for(state))
         expected = []
         for _ in range(spec.horizon):
@@ -479,6 +487,14 @@ class TestScenarioLoading:
          "disruption_penalty: expected float, got an int too large for a float"),
         (lambda d: d["env"]["users"][0].update(demand=[[0, 1.0], [2, -10**400]]),
          "env.users[0].demand[1]: expected float, got an int too large for a float"),
+        (lambda d: d["env"]["nodes"][0].update(x=10**400),
+         "env.nodes[0].x: " + BEYOND),
+        (lambda d: d["env"]["nodes"][0].update(y=-2**53 - 1),
+         "env.nodes[0].y: " + BEYOND),
+        (lambda d: d["env"]["users"][0].update(x=-10**400),
+         "env.users[0].x: " + BEYOND),
+        (lambda d: d["env"]["nodes"][0].update(allowed=[[0, 0], [0, 10**400]]),
+         "env.nodes[0].allowed[1]: " + BEYOND),
     ], ids=["user-node", "negative-demand", "nan-demand", "negative-step",
             "controlled-epsilon", "greedy-epsilon", "kb-eviction", "kb-eviction-removed",
             "kb-capacity",
@@ -490,7 +506,8 @@ class TestScenarioLoading:
             "zero-thresholds", "negative-similarity", "minus-infinite-similarity",
             "negative-similarity-nan-coefficient", "nan-serving-threshold",
             "infinite-penalty", "nan-penalty", "overflowing-penalty",
-            "overflowing-demand-step"])
+            "overflowing-demand-step", "huge-node-x", "node-y-beyond-2-53", "huge-user-x",
+            "huge-allowed-cell"])
     def test_malformed_values_rejected_at_load(self, edit, problem):
         spec_dict = {
             "schema_version": 1, "kind": "channel-assignment", "horizon": 5,
@@ -501,6 +518,37 @@ class TestScenarioLoading:
         with pytest.raises(SpecValidation) as err:
             scenario_from_dict(spec_dict)
         assert problem in str(err.value)
+
+    @pytest.mark.parametrize("edit,problems", [
+        (lambda d: d["env"]["users"][1].update(x=2**53 + 1), ["env.users[1].x: " + BEYOND]),
+        (lambda d: d["env"]["nodes"][0].update(x=-10**400), ["env.nodes[0].x: " + BEYOND]),
+        (lambda d: d["env"]["nodes"][0]["allowed"].append([10**400, -1]),
+         ["env.nodes[0].allowed[4]: " + BEYOND]),
+        (lambda d: d["env"]["nodes"][0].update(x=-1),
+         ["env.nodes[0]: cell [-1, 0] is below 0, where location bins start"]),
+        (lambda d: d["env"]["nodes"][0]["allowed"].insert(0, [0, -1]),
+         ["env.nodes[0].allowed[0]: cell [0, -1] is below 0, where location bins start"]),
+        (shift_below_zero, ["env.nodes[0]: cell [-8, 0] is below 0, where location bins start",
+                            *(f"env.nodes[0].allowed[{k}]: cell [{k - 10}, 0] is below 0, "
+                              "where location bins start" for k in range(4))]),
+    ], ids=["user-x", "start-x", "allowed-cell", "negative-start", "negative-allowed-cell",
+            "shifted"])
+    def test_each_bad_location_cell_is_one_problem_at_its_path(self, edit, problems):
+        data = yaml.safe_load((SCENARIO_DIR / "follow_demand_location.yaml").read_text())
+        edit(data)
+        with pytest.raises(SpecValidation) as err:
+            scenario_from_dict(data)
+        assert err.value.problems == problems
+
+    @pytest.mark.parametrize("name", ["ring6_channels", "follow_demand_location"])
+    def test_negative_coordinates_load_where_nothing_bins_them(self, name):
+        """Channel nodes and every user may sit below 0; a location agent bins only node cells."""
+        data = yaml.safe_load((SCENARIO_DIR / f"{name}.yaml").read_text())
+        for row in data["env"]["users"] + (
+                data["env"]["nodes"] if name == "ring6_channels" else []):
+            row["x"], row["y"] = row["x"] - 10, -2**53
+        spec = scenario_from_dict(data)
+        run_scenario(replace(spec, horizon=3))
 
     def test_infinite_serving_threshold_loads(self):
         data = yaml.safe_load((SCENARIO_DIR / "lowload_windows.yaml").read_text())
