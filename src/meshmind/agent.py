@@ -121,9 +121,9 @@ class TraceEvent:
                 "reward": self.reward, "coefficient": self.coefficient, "q_before": self.q_before,
                 "q_after": self.q_after, "switched": self.switched, "disruption": self.disruption}
 
-    def head(self, percept_text: str | None = None) -> str:
-        """`line()` up to the value of its last key, `"t": `; `percept_text` is
-        the percept's JSON list items, as `Population.lines` gives them, if given."""
+    def head(self, percept_text: str) -> str:
+        """`json.dumps(self.to_record(), sort_keys=True)` up to its last key, `"t": `, with
+        `percept_text`, the percept's JSON list items as `Population.lines` gives them."""
         action = self.action
         if action is None:
             action_text = "null"
@@ -142,18 +142,14 @@ class TraceEvent:
                 f'"detected": {"true" if self.detected else "false"}, '
                 f'"disruption": {"true" if self.disruption else "false"}, '
                 f'"kind": "tick", "node": {self.node}, "outcome": "{self.outcome}", '
-                f'"percept": [{percept_text or ", ".join(map(_json, self.percept))}], '
+                f'"percept": [{percept_text}], '
                 f'"q_after": {qa}, "q_before": {qb}, "reward": {r}, '
                 f'"switched": {"true" if self.switched else "false"}, "t": ')
 
-    def line(self) -> str:
-        """`json.dumps(self.to_record(), sort_keys=True)` and a newline, from the fields."""
-        return f"{self.head()}{self.t}}}\n"
-
 
 class _JsonNumbers(dict):
-    """`_json(x)` is a trace number as json.dumps writes it. It keeps up to 1,024 float
-    texts by value: no zero, whose sign no key tells, nor NaN; only floats look up (1 == 1.0)."""
+    """`_json(x)` is a tick or percept number as json.dumps writes it. It keeps up to 1,024
+    float texts by value: no zero, whose sign no key tells, nor NaN; only floats look up."""
 
     def __call__(self, x) -> str:
         return self[x] if type(x) is float else "null" if x is None else json.dumps(x)
@@ -168,17 +164,6 @@ class _JsonNumbers(dict):
 
 
 _json = _JsonNumbers()
-
-
-class _JsonOfBits(dict):
-    """Maps the int b to `_json(x)` of the float x whose 64 bits are b. It keeps
-    up to 1,024 texts, zeros and NaN too: no two floats share their bits."""
-
-    def __missing__(self, b: int) -> str:
-        if len(self) >= 1024:
-            self.clear()
-        self[b] = text = _json(float(np.uint64(b).view(np.float64)))
-        return text
 
 
 # Stable direction indexing keeps MoveTo actions addressable in the value
@@ -329,11 +314,12 @@ class Population:
     and it was unsatisfied. After `sense`, `fired`, `achieved`, `demanded`
     and `states` hold one entry per agent, in lists the next `sense` replaces;
     the report object last sensed, which `apply_and_step` hands back while
-    nothing changes, advances only the detector. Only a traced run calls `lines`.
+    nothing changes, advances only the detector. Only a traced run calls
+    `lines`, the one writer of percept text, from the sensed values.
     """
 
-    IDLE_HEAD = (TraceEvent(t=0, node=0, percept=(), outcome="idle").head()
-                 .replace('"node": 0', '"node": %d').replace("[]", "[%s]"))
+    IDLE_HEAD = TraceEvent(t=0, node=0, percept=(), outcome="idle").head("%s").replace(
+        '"node": 0', '"node": %d')
 
     def __init__(self, agents: list[Agent], env: Environment):
         self.agents = list(agents)
@@ -364,7 +350,6 @@ class Population:
         self._heads, self._texts = [""] * len(self.agents), [""] * len(self.agents)
         self._report = None  # the last one sensed
         self._bits = self._lined = None  # the percept bits and percepts `lines` last read
-        self._json_of_bits = _JsonOfBits()  # percept value texts
 
     def sense(self, report) -> None:
         """Gather every percept, index its state and advance the detector by one sample."""
@@ -393,15 +378,15 @@ class Population:
 
     def lines(self) -> tuple[list[str], list[str]]:
         """Each agent's idle trace line up to `"t": ` and percept JSON items, in two lists it
-        owns, rebuilt for agents whose percept bits changed since the last call (-0.0 too)."""
+        owns, rebuilt by `_json` for agents whose percept bits changed since the last call."""
         if self._percepts is self._lined:  # no fresh sense since the last call
             return self._heads, self._texts
         bits = self._percepts.view(np.uint64)  # the first call finds every agent changed
         changed = np.logical_or.reduceat(bits != self._bits, self._starts)
-        keys = bits.tolist()
+        values = self._values
         for i in np.flatnonzero(changed).tolist():
             a, b = self._ranges[i]
-            self._texts[i] = text = ", ".join(map(self._json_of_bits.__getitem__, keys[a:b]))
+            self._texts[i] = text = ", ".join(map(_json.__getitem__, values[a:b]))
             self._heads[i] = self.IDLE_HEAD % (self.agents[i].node, text)
         self._bits, self._lined = bits, self._percepts
         return self._heads, self._texts

@@ -18,11 +18,12 @@ node's cell never moves its users' floor of noise plus interference, and
 one pass scores the node at any number of cells. Demand is piecewise
 constant and is resolved only at its change points, into one dict per
 distinct level vector. Each ThroughputReport holds one flat `readings`
-vector of every node's and user's measurements, so all agents sense with
-one gather, and its demand and achieved totals. A step copies a state's
-channel or position dict only when an action changes a value in it, and
-hands back the same report when it copied neither and the demand row
-stayed the same, so an idle step costs no radio pass.
+vector of every node's and user's measurements, a user's achieved Mbps in
+its node's sum, so all agents sense with one gather, and its demand and
+achieved totals. A step copies a state's channel or position dict only
+when an action changes a value in it, and hands back the same report when
+it copied neither and the demand row stayed the same, so an idle step
+costs no radio pass.
 """
 
 from __future__ import annotations
@@ -270,9 +271,8 @@ class EnvState:
 
 @dataclass(frozen=True)
 class ThroughputReport:
-    """One state's measurements; its totals are summed once, in user order."""
+    """One state's measurements, per node and user; its totals are summed once, in user order."""
 
-    achieved: dict[int, float]  # user -> Mbps
     conflicts: int              # co-channel interference edges
     readings: np.ndarray        # flat per-node and per-user measurements
     total_demand: float         # Mbps
@@ -447,11 +447,9 @@ class Environment:
             np.bincount(self._serving, weights=got, minlength=n),
             x, y, levels))
         readings.flags.writeable = False  # a reused report holds the readings it was sensed with
-        achieved = got.tolist()
-        return ThroughputReport(achieved=dict(zip(self._user_index, achieved)),
-                                conflicts=int(same.sum()), readings=readings,
+        return ThroughputReport(conflicts=int(same.sum()), readings=readings,
                                 total_demand=sum(state.demand.values()),
-                                total_achieved=sum(achieved))
+                                total_achieved=sum(got.tolist()))
 
     def reading_index(self, node: int, name: str) -> int:
         """Index in ThroughputReport.readings of a node's reading `name`: one

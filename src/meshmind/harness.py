@@ -322,28 +322,45 @@ _LIMIT = 2 ** 53  # floats hold every int in [-_LIMIT, _LIMIT]
 _BEYOND = "expected int in [-2**53, 2**53], where floats hold every int"
 
 
-def _coordinate_problems(nodes, users, location: bool) -> list:
-    """(key path, message) of each node or user coordinate and allowed cell
-    beyond ±2**53, and in a location scenario of each node's start or allowed
-    cell below 0, where a location agent's feature bins start."""
+def _coordinate_problems(nodes, users) -> list:
+    """(key path, message) of each node or user coordinate and allowed cell beyond ±2**53."""
     nx, ny, ux, uy = ([row[key] for row in rows] for rows in (nodes, users) for key in ("x", "y"))
     at_nodes = nx + ny + [c for row in nodes for cell in row.get("allowed", ()) for c in cell]
-    if (min(at_nodes, default=0) >= (0 if location else -_LIMIT)
-            and min(ux + uy, default=0) >= -_LIMIT and max(at_nodes + ux + uy, default=0) <= _LIMIT):
+    if -_LIMIT <= min(coords := at_nodes + ux + uy, default=0) <= max(coords, default=0) <= _LIMIT:
         return []  # the common case, in a few passes without a walk
     problems = [(("env", name, i, key), _BEYOND)
                 for name, rows in (("nodes", nodes), ("users", users))
                 for i, row in enumerate(rows) for key in ("x", "y")
                 if not -_LIMIT <= row[key] <= _LIMIT]
     for i, row in enumerate(nodes):
-        start = ("env", "nodes", i)
-        for path, (x, y) in [(start, (row["x"], row["y"])), *(
-                ((*start, "allowed", k), cell) for k, cell in enumerate(row.get("allowed", ())))]:
-            inside = -_LIMIT <= min(x, y) <= max(x, y) <= _LIMIT
-            if not inside and path is not start:  # a start's coordinates are named above
-                problems.append((path, _BEYOND))
-            elif inside and location and min(x, y) < 0:
-                problems.append((path, f"cell [{x}, {y}] is below 0, where location bins start"))
+        problems += [(("env", "nodes", i, "allowed", k), _BEYOND)
+                     for k, (x, y) in enumerate(row.get("allowed", ()))
+                     if not -_LIMIT <= min(x, y) <= max(x, y) <= _LIMIT]
+    return problems
+
+
+def _cell_bins(topology: MeshTopology) -> list[tuple[float, float, int]]:
+    """(lo, hi, bins) of the x and then the y location feature: one bin per
+    cell from the lowest allowed cell to the highest, over every node."""
+    ranges = []
+    for axis in (0, 1):
+        cells = [cell[axis] for allowed in topology.allowed.values() for cell in allowed]
+        lo, hi = min(cells, default=0), max(cells, default=0)
+        ranges.append((float(lo), float(max(hi, lo + 1)), hi - lo + 1))
+    return ranges
+
+
+def _state_count_problems(spec: ScenarioSpec, rows) -> list:
+    """(key path, message) of each location agent with more states than 2**53,
+    x bins times y bins times 3 per user, beyond which float state sums round."""
+    config, agents, problems = spec.env_config, spec.agent_params.nodes, []
+    (*_, x_bins), (*_, y_bins) = _cell_bins(config.topology)
+    users = Counter(config.serving_nodes())
+    for i, row in enumerate(rows):
+        node, count = row["id"], users[row["id"]]
+        if (agents is None or node in agents) and x_bins * y_bins * 3 ** count > _LIMIT:
+            problems.append((("env", "nodes", i), f"node {node} has {x_bins} x {y_bins} cells "
+                             f"and {count} users: more than 2**53 location states"))
     return problems
 
 
@@ -363,7 +380,7 @@ def scenario_from_dict(data) -> ScenarioSpec:
     env, agents = top.pop("env"), top.pop("agents")
     horizon = top["horizon"]
     nodes = env.pop("nodes")
-    problems += _coordinate_problems(nodes, env["users"], top["kind"] == LOCATION_KIND)
+    problems += _coordinate_problems(nodes, env["users"])
     positions = {row["id"]: (row["x"], row["y"]) for row in nodes}
     if len(positions) < len(nodes):
         ids = Counter(row["id"] for row in nodes)
@@ -391,6 +408,8 @@ def scenario_from_dict(data) -> ScenarioSpec:
         **{k: v for k, v in agents.items() if v is not None})  # a rejected one keeps its default
     spec = None if env_config is None or params is None else _built(
         ScenarioSpec, (), problems, env_config=env_config, agent_params=params, **top)
+    if not problems and spec.kind == LOCATION_KIND:
+        problems += _state_count_problems(spec, nodes)
     _raise_any(problems, "scenario")
     return spec
 
@@ -436,8 +455,8 @@ def build_agents(spec: ScenarioSpec, env: Environment, state: EnvState,
     nodes = sorted(params.nodes if params.nodes is not None else topology.nodes)
     demand_max = max((user.demand.peak for user in spec.env_config.users), default=0.0) or 1.0
     max_deg = max(1, topology.max_degree())
-    xs = [c[0] for cells in topology.allowed.values() for c in cells]
-    ys = [c[1] for cells in topology.allowed.values() for c in cells]
+    if spec.kind == LOCATION_KIND:
+        (x_lo, x_hi, x_bins), (y_lo, y_hi, y_bins) = _cell_bins(topology)
     agents, configs = [], {}
     for node in nodes:
         if spec.kind == CHANNEL_KIND:
@@ -450,11 +469,11 @@ def build_agents(spec: ScenarioSpec, env: Environment, state: EnvState,
         else:
             users = env.users_of(node)
             features = (
-                ("x", 0.0, float(max(max(xs), 1))),
-                ("y", 0.0, float(max(max(ys), 1))),
+                ("x", x_lo, x_hi),
+                ("y", y_lo, y_hi),
                 *((f"demand_u{uid}", 0.0, demand_max) for uid in users),
             )
-            bins = (int(max(xs)) + 1, int(max(ys)) + 1, *(3,) * len(users))
+            bins = (x_bins, y_bins, *(3,) * len(users))
         key = (features, bins)  # agents with equal features share one config
         if key not in configs:
             configs[key] = AgentConfig(kind=spec.kind, feature_spec=FeatureSpec(features),
@@ -485,7 +504,7 @@ def run_scenario(spec: ScenarioSpec, seed: int | None = None,
     report. A step tells the population once which agents acted. A run traces
     exactly when it has an out_dir: each step row then follows one tick line
     per agent in node order, the population's idle head or the agent's
-    `TraceEvent.head()` ended by t, all in one write to trace.jsonl per step,
+    `TraceEvent.head` ended by t, all in one write to trace.jsonl per step,
     counted in wall_time_s. A run that raises leaves out_dir's files as they
     were. collect_trace, if given, must equal `out_dir is not None`.
     """
@@ -493,6 +512,8 @@ def run_scenario(spec: ScenarioSpec, seed: int | None = None,
         raise ValueError(f"collect_trace={collect_trace} disagrees with out_dir={out_dir}")
     started = time.perf_counter()
     run_seed = spec.seed if seed is None else seed
+    if run_seed < 0:
+        raise ValueError(f"seed {run_seed} is negative")
     env = Environment(replace(spec.env_config, rng_seed=run_seed))
     state = env.reset()
     report = env.report_for(state)

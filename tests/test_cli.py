@@ -86,6 +86,15 @@ def test_sweep_rejects_a_seed_list_it_cannot_run(seeds, problem, capsys):
     assert captured.err == f"error: ValueError: {problem}\n"
 
 
+def test_run_rejects_a_negative_seed_before_it_builds_anything(capsys):
+    spec_path = SCENARIO_DIR / "ring6_channels.yaml"
+    with mock.patch.object(cli.harness, "Environment", side_effect=AssertionError):
+        assert cli.main(["run", str(spec_path), "--seed", "-1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: ValueError: seed -1 is negative\n"
+
+
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(st.text(alphabet="0123456789.,- ", max_size=6))
 def test_a_seed_text_parses_to_runnable_seeds_or_is_rejected(text):

@@ -41,7 +41,7 @@ class TestApplyAndStep:
         state = env.reset()
         _, report = env.apply_and_step(state, [])
         ratio = env.link_quality(state, 0)
-        assert report.achieved[0] == pytest.approx(min(capacity(ratio), 10.0))
+        assert env.node_achieved(report, 0) == pytest.approx(min(capacity(ratio), 10.0))
 
     def test_triangle_all_same_channel_has_three_conflicts(self):
         users = [UserSpec(user=i, position=(i, 0),
@@ -73,7 +73,7 @@ class TestApplyAndStep:
         assert switched.conflicts == 1
         fresh = env.report_for(state)
         assert (switched.readings == fresh.readings).all()
-        assert switched.achieved == fresh.achieved
+        assert switched.total_achieved == fresh.total_achieved
 
     @settings(max_examples=60, deadline=None)
     @given(st.data())
@@ -109,9 +109,10 @@ class TestApplyAndStep:
             assert (stepped is report) == all(same)
             fresh = env.report_for(nxt)
             assert stepped.readings.tobytes() == fresh.readings.tobytes()
-            for r in (stepped, fresh):
+            for r in (stepped, fresh):  # one user per node: node sums are user values
                 assert r.total_demand == sum(nxt.demand.values())
-                assert r.total_achieved == sum(r.achieved.values())
+                assert r.total_achieved == sum(
+                    r.readings[env.reading_index(node, "achieved")].item() for node in topo.nodes)
             state, report = nxt, stepped
 
     def test_invalid_channel_rejected_without_partial_application(self):
@@ -267,7 +268,7 @@ class TestInvariants:
                 batch = [actions[t % 4]] if t % 3 == 0 else []
                 state, report = env.apply_and_step(state, batch)
                 rows.append((dict(state.channel_of), dict(state.demand),
-                             dict(report.achieved), report.conflicts))
+                             report.readings.tobytes(), report.conflicts))
             return rows
 
         assert trajectory(3) == trajectory(3)
@@ -355,13 +356,11 @@ def test_report_matches_the_scalar_radio_model(data):
     for state in (moved, env.reset(), placed):
         report = report if state is moved else env.report_for(state)
         for spec in users:
-            sharing = sum(1 for u in users if u.node == spec.node)
             ratio = reference_ratio(env, state, spec.user)
-            share = 0.7 * math.log2(1.0 + ratio) / sharing
-            assert report.achieved[spec.user] == pytest.approx(
-                min(share, state.demand[spec.user]), rel=1e-12, abs=0.0)
             assert env.link_quality(state, spec.user) == pytest.approx(ratio, rel=1e-12)
         for node in range(n):
+            assert env.node_achieved(report, node) == pytest.approx(
+                reference_served(env, state, node, state.position_of[node]), rel=1e-12, abs=0.0)
             assert env.predict_node_throughput(state, node, spots) == pytest.approx(
                 [reference_served(env, state, node, cell) for cell in spots],
                 rel=1e-12, abs=0.0)
@@ -378,15 +377,14 @@ def test_a_caller_editing_its_positions_dict_is_scored_as_edited():
     first = env.report_for(state)
     state.position_of[1] = (1, 2)
     edited = env.report_for(state)
-    for user in range(3):
+    for user in range(3):  # node `user` serves it alone
         ratio = reference_ratio(env, state, user)
         assert env.link_quality(state, user) == pytest.approx(ratio, rel=1e-12)
-        assert edited.achieved[user] == pytest.approx(
+        assert env.node_achieved(edited, user) == pytest.approx(
             min(math.log2(1.0 + ratio), 9.0), rel=1e-12, abs=0.0)
-    assert edited.achieved != first.achieved
+    assert edited.readings.tobytes() != first.readings.tobytes()
     state.position_of[1] = (3, 0)
     again = env.report_for(state)
-    assert again.achieved == first.achieved
     assert again.readings.tobytes() == first.readings.tobytes()
 
 
@@ -414,7 +412,8 @@ def test_readings_match_the_per_node_queries():
             return readings[env.reading_index(node, name)]
         assert at("conflicts") == env.local_conflicts(state, node)
         assert at("demand") == env.node_demand(state, node)
-        assert at("achieved") == sum(report.achieved[u] for u in env.users_of(node))
+        assert at("achieved") == pytest.approx(
+            reference_served(env, state, node, state.position_of[node]), rel=1e-12, abs=0.0)
         assert (at("x"), at("y")) == state.position_of[node]
         for uid in env.users_of(node):
             assert at(f"demand_u{uid}") == state.demand[uid]

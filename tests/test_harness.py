@@ -155,16 +155,16 @@ PINNED_EMISSION = {
 BEYOND = "expected int in [-2**53, 2**53], where floats hold every int"
 
 
-def shift_below_zero(data):
-    """follow_demand_location moved by x - 10: every node cell is below 0."""
-    node = data["env"]["nodes"][0]
-    node["x"] -= 10
-    node["allowed"] = [[x - 10, y] for x, y in node["allowed"]]
-    for user in data["env"]["users"]:
-        user["x"] -= 10
+def translate(data, dx: int, dy: int):
+    """Move every node, its allowed cells and every user of a location scenario by (dx, dy)."""
+    for node in data["env"]["nodes"]:
+        node["allowed"] = [[x + dx, y + dy] for x, y in node["allowed"]]
+    for row in data["env"]["nodes"] + data["env"]["users"]:
+        row["x"], row["y"] = row["x"] + dx, row["y"] + dy
+    return data
 
 
-# Trace events for `TraceEvent.line`. FINITE includes -0.0, subnormals and huge values.
+# Trace events for `TraceEvent.head`. FINITE includes -0.0, subnormals and huge values.
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
 NUMBER = st.none() | FINITE
 ACTION = st.none() | st.builds(SetChannel, st.integers(), st.integers()) | st.builds(
@@ -179,6 +179,11 @@ EVENT = st.builds(
 
 def dumps_line(record) -> str:
     return json.dumps(record, sort_keys=True) + "\n"
+
+
+def line(event) -> str:
+    """The event's trace line, its percept items written by `_json`, as `Population.lines` does."""
+    return f"{event.head(', '.join(map(agent_module._json, event.percept)))}{event.t}}}\n"
 
 
 class TestEmission:
@@ -206,9 +211,9 @@ class TestEmission:
         expected, idle_expected = dumps_line(event.to_record()), dumps_line(idle.to_record())
         text, tail = ", ".join(map(json.dumps, event.percept)), f"{event.t}}}\n"
         with mock.patch.object(agent_module, "json", None):  # any json call raises
-            assert event.line() == expected
-            assert idle.line() == idle_expected
+            assert line(event) == expected
             assert event.head(text) + tail == expected
+            assert idle.head(text) + tail == idle_expected
         assert Population.IDLE_HEAD % (event.node, text) + tail == idle_expected
 
     @settings(max_examples=75, deadline=None)
@@ -236,7 +241,7 @@ class TestEmission:
             heads, texts = population.lines()
             population.sense(readings_report(readings))
             lines = harness._tick_lines(heads, texts, fired, t, events, "")
-            assert lines == "".join(event.line() for event in expected)
+            assert lines == "".join(map(line, expected))
             assert lines == "".join(dumps_line(event.to_record()) for event in expected)
 
     def test_numbers_equal_in_value_keep_their_own_text(self):
@@ -244,7 +249,7 @@ class TestEmission:
         for value in (1.0, 1, True, 1.0, 0.0, -0.0, 0.0, 2.5, 2.5, 0, -0.0):
             event = TraceEvent(t=1, node=0, percept=(value, 0.5), outcome="recompute",
                                reward=value, coefficient=value, q_before=value, q_after=value)
-            assert event.line() == dumps_line(event.to_record())
+            assert line(event) == dumps_line(event.to_record())
 
     @pytest.mark.parametrize("key", ["reward", "coefficient", "q_before", "q_after", "percept"])
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
@@ -253,8 +258,8 @@ class TestEmission:
                            action=SetChannel(1, 2), reward=0.5, coefficient=0.5,
                            q_before=0.25, q_after=0.75)
         setattr(event, key, (0.5, value) if key == "percept" else value)
-        assert event.line() == dumps_line(event.to_record())
-        assert "NaN" in event.line() or "Infinity" in event.line()
+        assert line(event) == dumps_line(event.to_record())
+        assert "NaN" in line(event) or "Infinity" in line(event)
 
     def test_traced_percepts_keep_the_sign_of_zero(self, tmp_path):
         data = yaml.safe_load((SCENARIO_DIR / "follow_demand_location.yaml").read_text())
@@ -524,21 +529,53 @@ class TestScenarioLoading:
         (lambda d: d["env"]["nodes"][0].update(x=-10**400), ["env.nodes[0].x: " + BEYOND]),
         (lambda d: d["env"]["nodes"][0]["allowed"].append([10**400, -1]),
          ["env.nodes[0].allowed[4]: " + BEYOND]),
-        (lambda d: d["env"]["nodes"][0].update(x=-1),
-         ["env.nodes[0]: cell [-1, 0] is below 0, where location bins start"]),
-        (lambda d: d["env"]["nodes"][0]["allowed"].insert(0, [0, -1]),
-         ["env.nodes[0].allowed[0]: cell [0, -1] is below 0, where location bins start"]),
-        (shift_below_zero, ["env.nodes[0]: cell [-8, 0] is below 0, where location bins start",
-                            *(f"env.nodes[0].allowed[{k}]: cell [{k - 10}, 0] is below 0, "
-                              "where location bins start" for k in range(4))]),
-    ], ids=["user-x", "start-x", "allowed-cell", "negative-start", "negative-allowed-cell",
-            "shifted"])
+        (lambda d: d["env"]["nodes"][0]["allowed"].append([2**27, 2**27]),
+         ["env.nodes[0]: node 0 has 134217729 x 134217729 cells and 2 users: "
+          "more than 2**53 location states"]),
+        (lambda d: d["env"]["nodes"][0]["allowed"].append([2**25 - 1, 29826161]),
+         ["env.nodes[0]: node 0 has 33554432 x 29826162 cells and 2 users: "
+          "more than 2**53 location states"]),
+        (lambda d: d["env"]["users"].extend(
+            {"id": k, "x": 0, "y": 0, "node": 0, "demand": 1.0} for k in range(2, 33)),
+         ["env.nodes[0]: node 0 has 4 x 1 cells and 33 users: "
+          "more than 2**53 location states"]),
+        (lambda d: translate(d, -2**53, 0)["env"]["nodes"][0]["allowed"].append([2**53, 0]),
+         ["env.nodes[0]: node 0 has 18014398509481985 x 1 cells and 2 users: "
+          "more than 2**53 location states"]),
+    ], ids=["user-x", "start-x", "allowed-cell", "cells-2-27-apart", "one-row-of-cells-too-many",
+            "33-users", "cells-2-54-apart"])
     def test_each_bad_location_cell_is_one_problem_at_its_path(self, edit, problems):
         data = yaml.safe_load((SCENARIO_DIR / "follow_demand_location.yaml").read_text())
         edit(data)
         with pytest.raises(SpecValidation) as err:
             scenario_from_dict(data)
         assert err.value.problems == problems
+
+    @pytest.mark.parametrize("edit", [
+        lambda d: d["env"]["nodes"][0]["allowed"].append([2**25 - 1, 29826160]),
+        lambda d: d["env"]["users"].extend(
+            {"id": k, "x": 0, "y": 0, "node": 0, "demand": 1.0} for k in range(2, 32)),
+        lambda d: d["agents"].update(nodes=[]) or d["env"]["users"].extend(
+            {"id": k, "x": 0, "y": 0, "node": 0, "demand": 1.0} for k in range(2, 34)),
+    ], ids=["cells-at-2-53-states", "32-users", "34-users-of-no-agent"])
+    def test_location_agents_of_up_to_2_53_states_load(self, edit):
+        """9 x 2**25 x 29826161 and 4 x 3**32 states are at most 2**53; a node
+        that runs no agent has no states."""
+        data = yaml.safe_load((SCENARIO_DIR / "follow_demand_location.yaml").read_text())
+        edit(data)
+        scenario_from_dict(data)
+
+    @pytest.mark.parametrize("dx,dy", [(-10, 0), (10**6, -7), (2**40, 2**40)])
+    def test_a_moved_location_deployment_runs_as_the_unmoved_one(self, dx, dy):
+        """Location features bin from the lowest allowed cell, so moving every node,
+        cell and user leaves each state, decision and report as it was."""
+        text = (SCENARIO_DIR / "follow_demand_location.yaml").read_text()
+        unmoved = scenario_from_dict(yaml.safe_load(text))
+        moved = scenario_from_dict(translate(yaml.safe_load(text), dx, dy))
+        for seed in range(3):
+            report, steps = run_scenario(moved, seed=seed)
+            expected, expected_steps = run_scenario(unmoved, seed=seed)
+            assert (report.rows(), steps) == (expected.rows(), expected_steps)
 
     @pytest.mark.parametrize("name", ["ring6_channels", "follow_demand_location"])
     def test_negative_coordinates_load_where_nothing_bins_them(self, name):
