@@ -148,8 +148,8 @@ class TraceEvent:
 
 
 class _JsonNumbers(dict):
-    """`_json(x)` is a tick or percept number as json.dumps writes it. It keeps up to 1,024
-    float texts by value: no zero, whose sign no key tells, nor NaN; only floats look up."""
+    """`_json(x)` is a tick or percept number as json.dumps writes it. It keeps up to 1,024 float
+    texts by value: no zero, whose sign no key tells, nor NaN; only floats look up (1 == 1.0)."""
 
     def __call__(self, x) -> str:
         return self[x] if type(x) is float else "null" if x is None else json.dumps(x)
@@ -378,7 +378,7 @@ class Population:
 
     def lines(self) -> tuple[list[str], list[str]]:
         """Each agent's idle trace line up to `"t": ` and percept JSON items, in two lists it
-        owns, rebuilt by `_json` for agents whose percept bits changed since the last call."""
+        owns, rebuilt by `_json` for agents whose bits changed since the last call (-0.0 too)."""
         if self._percepts is self._lined:  # no fresh sense since the last call
             return self._heads, self._texts
         bits = self._percepts.view(np.uint64)  # the first call finds every agent changed
