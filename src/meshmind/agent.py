@@ -67,6 +67,9 @@ class AgentParams:
                     "coefficient_threshold") if math.isnan(getattr(self, name))]
         if self.similarity_threshold <= 0:  # an empty KB's retrieval, scored 0, would match
             problems.append(f"similarity_threshold {self.similarity_threshold} must be > 0")
+        if self.nodes is not None and len(set(self.nodes)) < len(self.nodes):
+            twice = min(n for n in self.nodes if self.nodes.count(n) > 1)
+            problems.append(f"nodes lists node {twice} more than once")
         if problems:
             raise ValueError(*problems)
 
@@ -309,8 +312,9 @@ class Population:
     Every agent feature indexes ThroughputReport.readings; the ragged lists
     share one gather with per-agent offsets, and a percept is
     clip((reading - lo) / (hi - lo), 0, 1) as in `normalize`. Its state
-    index is `encode_state`'s sum as a float: NaN for a NaN percept, which
-    `int` rejects. The detector is two boolean arrays: has a previous sample,
+    index is `encode_state`'s sum as a float, each bin times the int product
+    of the agent's later bin counts: NaN for a NaN percept, which `int`
+    rejects. The detector is two boolean arrays: has a previous sample,
     and it was unsatisfied. After `sense`, `fired`, `achieved`, `demanded`
     and `states` hold one entry per agent, in lists the next `sense` replaces;
     the report object last sensed, which `apply_and_step` hands back while
@@ -337,7 +341,7 @@ class Population:
             if len(bins) != len(index):  # both counts matched up to this agent
                 raise IndexOutOfRange(f"node {ag.node}: codec bins do not match its features")
         self._ranges = list(zip(self._offsets, self._offsets[1:]))
-        strides = [int(np.prod(bins[k + 1:b])) for a, b in self._ranges for k in range(a, b)]
+        strides = [math.prod(bins[k + 1:b]) for a, b in self._ranges for k in range(a, b)]
         self._index = np.array(index, dtype=np.intp)
         self._lo = np.array(lo)
         self._span = np.array(hi) - self._lo

@@ -17,13 +17,15 @@ gain, is computed once per placement. No node neighbours itself, so a
 node's cell never moves its users' floor of noise plus interference, and
 one pass scores the node at any number of cells. Demand is piecewise
 constant and is resolved only at its change points, into one dict per
-distinct level vector. Each ThroughputReport holds one flat `readings`
-vector of every node's and user's measurements, a user's achieved Mbps in
-its node's sum, so all agents sense with one gather, and its demand and
-achieved totals. A step copies a state's channel or position dict only
-when an action changes a value in it, and hands back the same report when
-it copied neither and the demand row stayed the same, so an idle step
-costs no radio pass.
+distinct level vector; each distinct deterministic profile object is
+resolved once for all its users, and a random one once per user, in user
+order. Each ThroughputReport holds one flat `readings` vector of every
+node's and user's measurements, a user's achieved Mbps in its node's sum,
+so all agents sense with one gather, and its demand and achieved totals.
+A step copies a state's channel or position dict only when an action
+changes a value in it, and hands back the same report when it copied
+neither and the demand row stayed the same, so an idle step costs no
+radio pass.
 """
 
 from __future__ import annotations
@@ -326,9 +328,13 @@ class Environment:
         # Demand rows: the level vector at every change point, deduplicated.
         rng = np.random.default_rng([config.rng_seed, 0])
         profiles = [u.demand for u in config.users]
+        distinct = {id(p): p for p in profiles}
         points = self._change_points = sorted(
-            {0, *chain.from_iterable(p.change_points(config.horizon) for p in profiles)})
-        levels = [p.resolve(config.horizon, points, rng) for p in profiles]
+            {0, *chain.from_iterable(p.change_points(config.horizon) for p in distinct.values())})
+        shared = {key: p.resolve(config.horizon, points, rng)
+                  for key, p in distinct.items() if not p.random_epoch_len}
+        levels = [shared[id(p)] if id(p) in shared else p.resolve(config.horizon, points, rng)
+                  for p in profiles]
         rows: dict[tuple[float, ...], int] = {}
         self._row_at = [rows.setdefault(r, len(rows))
                         for r in (zip(*levels) if levels else [()] * len(points))]

@@ -386,6 +386,9 @@ def scenario_from_dict(data) -> ScenarioSpec:
         ids = Counter(row["id"] for row in nodes)
         problems.append((("env", "nodes"),
                          f"duplicate node id {min(i for i in ids if ids[i] > 1)}"))
+    if min(positions, default=0) < 0:  # an agent seeds its generator from its node id
+        problems += [(("env", "nodes", i, "id"), f"expected int >= 0, got {row['id']}")
+                     for i, row in enumerate(nodes) if row["id"] < 0]
     topology = _built(
         MeshTopology, ("env",), problems,
         positions=positions, channels=env.pop("channels"), edges=set(env.pop("edges")),
@@ -449,11 +452,13 @@ def knowledge_base_from_snapshot(data) -> KnowledgeBase:
 
 def build_agents(spec: ScenarioSpec, env: Environment, state: EnvState,
                  seed: int) -> list[Agent]:
-    """One agent per controllable node, with per-scenario feature specs."""
+    """One agent per controllable node, with per-scenario feature specs; demand
+    features span 0 to the highest peak of the distinct profile objects."""
     params = spec.agent_params
     topology = spec.env_config.topology
     nodes = sorted(params.nodes if params.nodes is not None else topology.nodes)
-    demand_max = max((user.demand.peak for user in spec.env_config.users), default=0.0) or 1.0
+    profiles = {id(user.demand): user.demand for user in spec.env_config.users}.values()
+    demand_max = max((profile.peak for profile in profiles), default=0.0) or 1.0
     max_deg = max(1, topology.max_degree())
     if spec.kind == LOCATION_KIND:
         (x_lo, x_hi, x_bins), (y_lo, y_hi, y_bins) = _cell_bins(topology)

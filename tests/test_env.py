@@ -21,6 +21,31 @@ def make_env(positions, edges, users, *, channels=(1, 2, 3), eta=2.0,
     return Environment(cfg)
 
 
+def assert_levels_match_a_per_step_loop(env, profiles, seed, horizon):
+    """Check each user u's demand against a per-step loop over `profiles[u]`
+    for horizon + 4 steps; returns each user's levels, step by step."""
+    # reference: random epochs drawn user by user in config order from
+    # the run's demand RNG; steps past the horizon hold its levels
+    rng = np.random.default_rng([seed, 0])
+    draws = [[p.random_levels[rng.integers(len(p.random_levels))]
+              for _ in range(horizon // p.random_epoch_len + 1)]
+             if p.random_epoch_len else None for p in profiles]
+
+    def level(u, t):
+        profile, t = profiles[u], min(t, horizon)
+        if profile.random_epoch_len:
+            return draws[u][t // profile.random_epoch_len]
+        return [v for start, v in profile.steps if start <= t][-1]
+
+    users, seen = range(len(profiles)), []
+    state = env.reset()
+    for t in range(horizon + 4):
+        seen.append([state.demand[u] for u in users])
+        assert seen[-1] == [level(u, t) for u in users]
+        state, _ = env.apply_and_step(state, [])
+    return [list(column) for column in zip(*seen)]
+
+
 def single_node_env(demand=10.0, **kw):
     users = [UserSpec(user=0, position=(0, 0),
                       demand=DemandProfile.constant(demand), node=0)]
@@ -217,24 +242,25 @@ class TestDemandEvolution:
         users = [UserSpec(user=u, position=(0, 0), node=0, demand=p)
                  for u, p in enumerate(profiles)]
         env = make_env({0: (0, 0)}, set(), users, seed=seed, horizon=horizon)
+        assert_levels_match_a_per_step_loop(env, profiles, seed, horizon)
 
-        # reference: random epochs drawn user by user in config order from
-        # the run's demand RNG; steps past the horizon hold its levels
-        rng = np.random.default_rng([seed, 0])
-        draws = [[p.random_levels[rng.integers(len(p.random_levels))]
-                  for _ in range(horizon // p.random_epoch_len + 1)]
-                 if p.random_epoch_len else None for p in profiles]
-
-        def level(u, t):
-            profile, t = profiles[u], min(t, horizon)
-            if profile.random_epoch_len:
-                return draws[u][t // profile.random_epoch_len]
-            return [v for start, v in profile.steps if start <= t][-1]
-
-        state = env.reset()
-        for t in range(horizon + 4):
-            assert [state.demand[u] for u in range(4)] == [level(u, t) for u in range(4)]
-            state, _ = env.apply_and_step(state, [])
+    def test_users_of_one_profile_object_share_its_levels_but_not_its_draws(self, monkeypatch):
+        """A deterministic profile object is resolved once for all its users; a
+        random one draws once per user, in user order, so its users' levels differ."""
+        horizon, seed = 45, 3
+        periodic = DemandProfile.periodic(10, [(0, 2.0), (3, 0.25)], horizon)
+        random = DemandProfile.random_epochs(4, [1.0, 8.0, 3.0])
+        profiles = [periodic, random, periodic, random]
+        resolved, resolve = [], DemandProfile.resolve
+        monkeypatch.setattr(DemandProfile, "resolve",
+                            lambda self, *args: resolved.append(self) or resolve(self, *args))
+        users = [UserSpec(user=u, position=(0, 0), node=0, demand=p)
+                 for u, p in enumerate(profiles)]
+        env = make_env({0: (0, 0)}, set(), users, seed=seed, horizon=horizon)
+        assert [p is periodic for p in resolved].count(True) == 1
+        assert [p is random for p in resolved].count(True) == 2
+        levels = assert_levels_match_a_per_step_loop(env, profiles, seed, horizon)
+        assert levels[1] != levels[3]  # the check above tells the two random users apart
 
     def test_random_profile_is_seed_deterministic(self):
         def demands(seed):

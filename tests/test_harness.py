@@ -450,6 +450,9 @@ class TestScenarioLoading:
          "initial channel 9 of node 0 not in palette"),
         (lambda d: d["env"].update(initial_channels={7: 1}), "initial channel of unknown node 7"),
         (lambda d: d["env"]["nodes"].append({"id": 0, "x": 1, "y": 0}), "duplicate node id 0"),
+        (lambda d: d["env"]["nodes"][0].update(id=-1) or d["env"]["users"][0].update(node=-1),
+         "env.nodes[0].id: expected int >= 0, got -1"),
+        (lambda d: d.update(agents={"nodes": [0, 0]}), "agents: nodes lists node 0 more than once"),
         (lambda d: d.update(seed=-1), "seed must be >= 0"),
         (lambda d: d["env"].update(tx_power=0.0), "tx_power must be > 0"),
         (lambda d: d["env"].update(bandwidth_unit=0), "bandwidth_unit must be > 0"),
@@ -504,7 +507,8 @@ class TestScenarioLoading:
             "controlled-epsilon", "greedy-epsilon", "kb-eviction", "kb-eviction-removed",
             "kb-capacity",
             "horizon-not-int", "period-zero", "period-negative", "initial-channel-palette",
-            "initial-channel-node", "duplicate-node", "negative-seed", "tx-power",
+            "initial-channel-node", "duplicate-node", "negative-node-id", "duplicate-agent-node",
+            "negative-seed", "tx-power",
             "bandwidth-unit", "controlled-window", "controlled-max-switches",
             "max-switches-without-window", "window-without-max-switches",
             "nan-similarity", "nan-coefficient", "nan-thresholds", "zero-similarity",
@@ -576,6 +580,26 @@ class TestScenarioLoading:
             report, steps = run_scenario(moved, seed=seed)
             expected, expected_steps = run_scenario(unmoved, seed=seed)
             assert (report.rows(), steps) == (expected.rows(), expected_steps)
+
+    @pytest.mark.parametrize("node", [-1, 2**32, 2**40])
+    def test_a_node_id_seeds_its_agent_so_only_a_negative_one_is_rejected(self, node):
+        """Each agent's generator is seeded with its node id, which numpy takes
+        at any size but not below 0; each such id is one problem at its path."""
+        data = yaml.safe_load((SCENARIO_DIR / "ring6_channels.yaml").read_text())
+        rename = {0: node, 3: -2 if node < 0 else 3}
+        for row in data["env"]["nodes"]:
+            row["id"] = rename.get(row["id"], row["id"])
+        for row in data["env"]["users"]:
+            row["node"] = rename.get(row["node"], row["node"])
+        data["env"]["edges"] = [[rename.get(a, a), rename.get(b, b)]
+                                for a, b in data["env"]["edges"]]
+        if node < 0:
+            with pytest.raises(SpecValidation) as err:
+                scenario_from_dict(data)
+            assert err.value.problems == ["env.nodes[0].id: expected int >= 0, got -1",
+                                          "env.nodes[3].id: expected int >= 0, got -2"]
+        else:
+            run_scenario(replace(scenario_from_dict(data), horizon=3))
 
     @pytest.mark.parametrize("name", ["ring6_channels", "follow_demand_location"])
     def test_negative_coordinates_load_where_nothing_bins_them(self, name):
