@@ -6,8 +6,8 @@ from .env import (DemandProfile, EnvConfig, Environment, EnvState, MeshTopology,
 from .harness import (MdpSpec, RunReport, ScenarioSpec, load_scenario,
                       q_learning_on_mdp, run_scenario, sweep, value_iteration)
 from .kb import Case, KnowledgeBase
-from .learning import (QParams, QTable, StateCodec, Transition, encode_state,
-                       format_q_table, learning_coefficient, q_update)
+from .learning import (QParams, QTable, Transition, encode_state, format_q_table,
+                       learning_coefficient, q_update)
 from .optimize import (Controlled, EpsilonGreedy, brute_force_channels,
                        count_conflicts, greedy_coloring, location_search,
                        select_action)
@@ -22,7 +22,7 @@ __all__ = [
     "MdpSpec", "RunReport", "ScenarioSpec", "load_scenario",
     "q_learning_on_mdp", "run_scenario", "sweep", "value_iteration",
     "Case", "KnowledgeBase",
-    "QParams", "QTable", "StateCodec", "Transition", "encode_state",
+    "QParams", "QTable", "Transition", "encode_state",
     "format_q_table", "learning_coefficient", "q_update",
     "Controlled", "EpsilonGreedy", "MoveTo", "SetChannel",
     "brute_force_channels", "count_conflicts",

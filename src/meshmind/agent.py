@@ -34,8 +34,7 @@ from .env import (Action, Environment, EnvState, MoveTo, SetChannel, ThroughputR
 from .kb import Case, KnowledgeBase
 # encode_state is the scalar form of Population.states; perfbench times it here.
 # q_update is not called here; perfbench still times it at this name.
-from .learning import (IndexOutOfRange, QParams, QTable, StateCodec, encode_state,
-                       learning_coefficient, q_update)
+from .learning import QParams, QTable, encode_state, learning_coefficient, q_update
 from .optimize import (DISRUPTION_THRESHOLD, Controlled, EpsilonGreedy,
                        ExplorationPolicy, location_search, one_step_cells,
                        select_action)
@@ -76,13 +75,13 @@ class AgentParams:
 
 @dataclass(kw_only=True)
 class AgentConfig(AgentParams):
-    """A scenario's agent settings plus one agent's kind, feature spec and
-    codec, and for a channel agent the channel palette, in action-index order.
-    Its `channel_index` and controlled `gate`, or None, are worked out once."""
+    """A scenario's agent settings plus one agent's kind, its feature spec (the
+    whole percept layout: each feature's range and bins) and, for a channel
+    agent, the channel palette in action-index order. Its `channel_index` and
+    controlled `gate`, or None, are worked out once."""
 
     kind: str
     feature_spec: FeatureSpec
-    codec: StateCodec
     channels: tuple[int, ...] = ()
 
     def __post_init__(self):
@@ -183,7 +182,7 @@ class Agent:
         self.node = node
         self.config = config
         self.kb = KnowledgeBase(capacity=config.kb_capacity)
-        self.table = QTable(config.codec.state_count, len(
+        self.table = QTable(config.feature_spec.state_count, len(
             _DIRECTIONS if config.kind == LOCATION_KIND else config.channels))
         self.rng = np.random.default_rng([run_seed, 1, node])
         # (event, state index, action index, case) of the action awaiting feedback
@@ -309,8 +308,9 @@ class Agent:
 class Population:
     """Agents sensed and detected together, in one batched pass per step.
 
-    Every agent feature indexes ThroughputReport.readings; the ragged lists
-    share one gather with per-agent offsets, and a percept is
+    Each agent's feature spec is its whole percept layout: every feature
+    indexes ThroughputReport.readings, and the ragged lists of all agents'
+    features share one gather with per-agent offsets. A percept is
     clip((reading - lo) / (hi - lo), 0, 1) as in `normalize`. Its state
     index is `encode_state`'s sum as a float, each bin times the int product
     of the agent's later bin counts: NaN for a NaN percept, which `int`
@@ -329,19 +329,17 @@ class Population:
         self.agents = list(agents)
         index, lo, hi, bins, self._offsets = [], [], [], [], [0]
         for ag in self.agents:
-            for name, f_lo, f_hi in ag.config.feature_spec.features:
+            for name, f_lo, f_hi, f_bins in ag.config.feature_spec.features:
                 try:
                     index.append(env.reading_index(ag.node, name))
                 except KeyError:
                     raise MissingFeature(name) from None
                 lo.append(f_lo)
                 hi.append(f_hi)
-            bins += ag.config.codec.bins
+                bins.append(f_bins)
             self._offsets.append(len(index))
-            if len(bins) != len(index):  # both counts matched up to this agent
-                raise IndexOutOfRange(f"node {ag.node}: codec bins do not match its features")
-        self._ranges = list(zip(self._offsets, self._offsets[1:]))
-        strides = [math.prod(bins[k + 1:b]) for a, b in self._ranges for k in range(a, b)]
+        strides = [math.prod(bins[k + 1:b]) for a, b in zip(self._offsets, self._offsets[1:])
+                   for k in range(a, b)]
         self._index = np.array(index, dtype=np.intp)
         self._lo = np.array(lo)
         self._span = np.array(hi) - self._lo
@@ -387,10 +385,10 @@ class Population:
             return self._heads, self._texts
         bits = self._percepts.view(np.uint64)  # the first call finds every agent changed
         changed = np.logical_or.reduceat(bits != self._bits, self._starts)
-        values = self._values
+        values, offsets = self._values, self._offsets
         for i in np.flatnonzero(changed).tolist():
-            a, b = self._ranges[i]
-            self._texts[i] = text = ", ".join(map(_json.__getitem__, values[a:b]))
+            self._texts[i] = text = ", ".join(
+                map(_json.__getitem__, values[offsets[i]:offsets[i + 1]]))
             self._heads[i] = self.IDLE_HEAD % (self.agents[i].node, text)
         self._bits, self._lined = bits, self._percepts
         return self._heads, self._texts

@@ -32,7 +32,7 @@ from .env import (DemandProfile, EnvConfig, Environment, EnvState, MeshTopology,
                   MoveTo, SetChannel, UserSpec)
 from .kb import SNAPSHOT_SCHEMA, Case, KnowledgeBase
 # encode_state is not called here; perfbench still times it at this name.
-from .learning import QParams, QTable, StateCodec, encode_state, format_q_table
+from .learning import QParams, QTable, encode_state, format_q_table
 from .optimize import Controlled, EpsilonGreedy, ExplorationPolicy, select_action
 from .reasoning import FeatureSpec
 
@@ -217,11 +217,14 @@ def _eviction(value, *_) -> str:
     return value
 
 
+_INT64 = _in(int, -2 ** 63, 2 ** 63 - 1)  # what the radio's int64 channel arrays hold
+
+
 def _channels(value, *where) -> tuple[int, ...]:
     """A channel count n, for channels 1..n, or a list of channel numbers."""
     if type(value) is list:
-        return _read([int], value, *where)
-    return tuple(range(1, (_read(int, value, *where) or 0) + 1))
+        return _read([_INT64], value, *where)
+    return tuple(range(1, (_read(_INT64, value, *where) or 0) + 1))
 
 
 def _level_or_steps(value, *where):
@@ -339,26 +342,29 @@ def _coordinate_problems(nodes, users) -> list:
     return problems
 
 
-def _cell_bins(topology: MeshTopology) -> list[tuple[float, float, int]]:
-    """(lo, hi, bins) of the x and then the y location feature: one bin per
-    cell from the lowest allowed cell to the highest, over every node."""
-    ranges = []
-    for axis in (0, 1):
+_DEMAND_BINS = 3  # bins of each user-demand feature of a location agent
+
+
+def _cell_bins(topology: MeshTopology) -> list[tuple[str, float, float, int]]:
+    """The x and then the y location feature, (name, lo, hi, bins): one bin
+    per cell from the lowest allowed cell to the highest, over every node."""
+    features = []
+    for name, axis in (("x", 0), ("y", 1)):
         cells = [cell[axis] for allowed in topology.allowed.values() for cell in allowed]
         lo, hi = min(cells, default=0), max(cells, default=0)
-        ranges.append((float(lo), float(max(hi, lo + 1)), hi - lo + 1))
-    return ranges
+        features.append((name, float(lo), float(max(hi, lo + 1)), hi - lo + 1))
+    return features
 
 
 def _state_count_problems(spec: ScenarioSpec, rows) -> list:
-    """(key path, message) of each location agent with more states than 2**53,
-    x bins times y bins times 3 per user, beyond which float state sums round."""
+    """(key path, message) of each location agent with more states than 2**53, x bins
+    times y bins times _DEMAND_BINS per user, beyond which float state sums round."""
     config, agents, problems = spec.env_config, spec.agent_params.nodes, []
     (*_, x_bins), (*_, y_bins) = _cell_bins(config.topology)
     users = Counter(config.serving_nodes())
     for i, row in enumerate(rows):
         node, count = row["id"], users[row["id"]]
-        if (agents is None or node in agents) and x_bins * y_bins * 3 ** count > _LIMIT:
+        if (agents is None or node in agents) and x_bins * y_bins * _DEMAND_BINS ** count > _LIMIT:
             problems.append((("env", "nodes", i), f"node {node} has {x_bins} x {y_bins} cells "
                              f"and {count} users: more than 2**53 location states"))
     return problems
@@ -453,38 +459,28 @@ def knowledge_base_from_snapshot(data) -> KnowledgeBase:
 def build_agents(spec: ScenarioSpec, env: Environment, state: EnvState,
                  seed: int) -> list[Agent]:
     """One agent per controllable node, with per-scenario feature specs; demand
-    features span 0 to the highest peak of the distinct profile objects."""
+    features span 0 to the highest peak of the distinct profile objects. Agents
+    with equal features, and so equal percept layouts, share one config."""
     params = spec.agent_params
     topology = spec.env_config.topology
     nodes = sorted(params.nodes if params.nodes is not None else topology.nodes)
     profiles = {id(user.demand): user.demand for user in spec.env_config.users}.values()
     demand_max = max((profile.peak for profile in profiles), default=0.0) or 1.0
-    max_deg = max(1, topology.max_degree())
-    if spec.kind == LOCATION_KIND:
-        (x_lo, x_hi, x_bins), (y_lo, y_hi, y_bins) = _cell_bins(topology)
+    if spec.kind == CHANNEL_KIND:
+        max_deg = max(1, topology.max_degree())
+        channel_features = (("conflicts", 0.0, float(max_deg), min(max_deg + 1, 4)),
+                            ("demand", 0.0, demand_max, 2), ("achieved", 0.0, demand_max, 2))
+    else:
+        cells = _cell_bins(topology)
     agents, configs = [], {}
     for node in nodes:
-        if spec.kind == CHANNEL_KIND:
-            features = (
-                ("conflicts", 0.0, float(max_deg)),
-                ("demand", 0.0, demand_max),
-                ("achieved", 0.0, demand_max),
-            )
-            bins = (min(max_deg + 1, 4), 2, 2)
-        else:
-            users = env.users_of(node)
-            features = (
-                ("x", x_lo, x_hi),
-                ("y", y_lo, y_hi),
-                *((f"demand_u{uid}", 0.0, demand_max) for uid in users),
-            )
-            bins = (x_bins, y_bins, *(3,) * len(users))
-        key = (features, bins)  # agents with equal features share one config
-        if key not in configs:
-            configs[key] = AgentConfig(kind=spec.kind, feature_spec=FeatureSpec(features),
-                                       codec=StateCodec(bins), channels=topology.channels,
-                                       **vars(params))
-        agents.append(Agent(node, configs[key], run_seed=seed))
+        features = channel_features if spec.kind == CHANNEL_KIND else (
+            *cells, *((f"demand_u{uid}", 0.0, demand_max, _DEMAND_BINS)
+                      for uid in env.users_of(node)))
+        if features not in configs:
+            configs[features] = AgentConfig(kind=spec.kind, feature_spec=FeatureSpec(features),
+                                            channels=topology.channels, **vars(params))
+        agents.append(Agent(node, configs[features], run_seed=seed))
     return agents
 
 

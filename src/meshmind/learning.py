@@ -5,8 +5,9 @@ an unexplored entry, and stores rows only for the states it has visited.
 Learning happens in place: `QTable.update` is the one temporal-difference
 step, which writes exactly one entry and returns its new value; the agents,
 `q_update` and the MDP oracle all learn through it. Dense arrays of the
-whole table are built only on request, for tests and oracles. States come
-from uniform per-feature binning of percepts.
+whole table are built only on request, for tests and oracles. A percept's
+state comes from uniform binning of each feature, with the bin counts its
+agent's `reasoning.FeatureSpec` gives beside the feature ranges.
 """
 
 from __future__ import annotations
@@ -14,6 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+
+from .reasoning import FeatureSpec
 
 
 class IndexOutOfRange(Exception):
@@ -145,31 +148,13 @@ def learning_coefficient(achieved: float, demanded: float) -> float:
     return min(achieved / demanded, 1.0)
 
 
-@dataclass(frozen=True)
-class StateCodec:
-    """Per-feature bin counts mapping a percept to a discrete state index."""
-
-    bins: tuple[int, ...]
-
-    def __post_init__(self):
-        if not self.bins or any(b < 1 for b in self.bins):
-            raise ValueError("every feature needs at least one bin")
-
-    @property
-    def state_count(self) -> int:
-        n = 1
-        for b in self.bins:
-            n *= b
-        return n
-
-
-def encode_state(percept: tuple[float, ...], codec: StateCodec) -> int:
-    """Row-major combination of uniform per-feature bins; 1.0 lands in the last bin."""
-    if len(percept) != len(codec.bins):
+def encode_state(percept: tuple[float, ...], spec: FeatureSpec) -> int:
+    """Row-major combination of the spec's uniform per-feature bins; 1.0 lands in the last bin."""
+    if len(percept) != len(spec.features):
         raise IndexOutOfRange(f"percept has {len(percept)} features, "
-                              f"codec expects {len(codec.bins)}")
+                              f"spec expects {len(spec.features)}")
     index = 0
-    for value, bins in zip(percept, codec.bins):
+    for value, bins in zip(percept, spec.bins):
         b = min(int(value * bins), bins - 1)
         index = index * bins + b
     return index

@@ -1,17 +1,19 @@
-"""Percept normalization, similarity scoring, and decision-branch selection.
+"""Percept layout, normalization, similarity scoring, and decision-branch selection.
 
-Raw measurements become percepts, tuples of unit-range floats, via
-per-feature ranges. Similarity between two percepts maps Euclidean
-distance into [0, 1], and
-`classify` routes a (similarity, coefficient) pair to one of four branches:
-reuse the stored action, recompute it, retain the percept as a new case,
-or reject it when the store is full.
+A FeatureSpec is an agent's whole percept layout: each feature's name,
+range and bin count. Raw measurements become percepts, tuples of
+unit-range floats, via the ranges, and the bins map a percept to a state
+index (`learning.encode_state`). Similarity between two percepts maps
+Euclidean distance into [0, 1], and `classify` routes a (similarity,
+coefficient) pair to one of four branches: reuse the stored action,
+recompute it, retain the percept as a new case, or reject it when the
+store is full.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Mapping
 
@@ -26,18 +28,28 @@ class DimensionMismatch(Exception):
 
 @dataclass(frozen=True)
 class FeatureSpec:
-    """Ordered (name, min, max) ranges defining percept normalization."""
+    """Ordered (name, min, max, bins) features: each one's normalization range
+    and its count of uniform bins, so that a percept has `state_count` states.
+    `bins` and `state_count` are worked out once, for every agent sharing it."""
 
-    features: tuple[tuple[str, float, float], ...]
+    features: tuple[tuple[str, float, float, int], ...]
+    bins: tuple[int, ...] = field(init=False, repr=False)
+    state_count: int = field(init=False, repr=False)
 
     def __post_init__(self):
-        for name, lo, hi in self.features:
+        if not self.features:
+            raise ValueError("a percept needs at least one feature")
+        for name, lo, hi, bins in self.features:
             if not hi > lo:
                 raise ValueError(f"feature {name!r}: max must exceed min")
+            if bins < 1:
+                raise ValueError(f"feature {name!r}: needs at least one bin")
+        object.__setattr__(self, "bins", tuple(bins for *_, bins in self.features))
+        object.__setattr__(self, "state_count", math.prod(self.bins))
 
     @property
     def names(self) -> tuple[str, ...]:
-        return tuple(name for name, _, _ in self.features)
+        return tuple(name for name, *_ in self.features)
 
 
 class Outcome(Enum):
@@ -54,7 +66,7 @@ def normalize(raw: Mapping[str, float], spec: FeatureSpec) -> tuple[float, ...]:
     measurements may drift past the ranges chosen at scenario setup.
     """
     values = []
-    for name, lo, hi in spec.features:
+    for name, lo, hi, _ in spec.features:
         if name not in raw:
             raise MissingFeature(name)
         x = (raw[name] - lo) / (hi - lo)

@@ -10,13 +10,13 @@ from hypothesis import given, settings, strategies as st
 
 from meshmind import (Agent, AgentConfig, DemandProfile, EnvConfig,
                       Environment, FeatureSpec, MeshTopology, QParams,
-                      SetChannel, StateCodec, UserSpec)
+                      SetChannel, UserSpec)
 from meshmind import agent as agent_module
 from meshmind.agent import AgentParams, Population, TraceEvent, UnknownPendingAction
 from meshmind.env import MoveTo, satisfied
 from meshmind.kb import Case
 from meshmind.harness import build_agents, run_scenario
-from meshmind.learning import IndexOutOfRange, encode_state
+from meshmind.learning import encode_state
 from meshmind.optimize import Controlled, EpsilonGreedy
 from meshmind.reasoning import MissingFeature, normalize
 
@@ -40,10 +40,9 @@ def channel_env(channels=(1, 2)):
 def channel_agent(node=0, seed=0, epsilon=0.2, channels=(1, 2)):
     config = AgentConfig(
         kind="channel-assignment", channels=channels,
-        feature_spec=FeatureSpec(features=(("conflicts", 0.0, 1.0),
-                                           ("demand", 0.0, 5.0),
-                                           ("achieved", 0.0, 5.0))),
-        codec=StateCodec(bins=(2, 2, 2)),
+        feature_spec=FeatureSpec(features=(("conflicts", 0.0, 1.0, 2),
+                                           ("demand", 0.0, 5.0, 2),
+                                           ("achieved", 0.0, 5.0, 2))),
         qparams=QParams(alpha=0.4, gamma=0.3),
         policy=EpsilonGreedy(epsilon))
     return Agent(node, config, run_seed=seed)
@@ -119,7 +118,26 @@ class TestBuild:
         env = Environment(spec.env_config)
         for agent in build_agents(spec, env, env.reset(), seed=0):
             assert (agent.table.state_count, agent.table.action_count) == (
-                agent.config.codec.state_count, actions)
+                agent.config.feature_spec.state_count, actions)
+
+    def test_agents_of_one_layout_share_one_config(self):
+        spec = make_channel_spec(9, {(i, i + 1) for i in range(8) if i % 3 < 2}
+                                 | {(i, i + 3) for i in range(6)},
+                                 positions=grid_positions(9, width=3))
+        env = Environment(spec.env_config)
+        agents = build_agents(spec, env, env.reset(), seed=0)
+        assert len(agents) == 9
+        assert all(agent.config is agents[0].config for agent in agents)
+
+    def test_relays_serving_other_users_have_their_own_configs(self):
+        spec = make_location_spec(cols=2, rows=2)
+        env = Environment(spec.env_config)
+        agents = build_agents(spec, env, env.reset(), seed=0)
+        assert len({id(agent.config) for agent in agents}) == len(agents) == 4
+        # one x and y layout over every node's cells; the demand features name each relay's users
+        assert len({agent.config.feature_spec.features[:2] for agent in agents}) == 1
+        assert [agent.config.feature_spec.names[2:] for agent in agents] == [
+            (f"demand_u{2 * node}", f"demand_u{2 * node + 1}") for node in range(4)]
 
     def test_channel_agent_needs_a_palette(self):
         with pytest.raises(ValueError, match="palette"):
@@ -235,7 +253,7 @@ class TestPopulation:
             run, _ = drive(env, agents, 1, start=run)
             state, _, population = run
             for i, ag in enumerate(agents):
-                expected = encode_state(population.percept(i), ag.config.codec)
+                expected = encode_state(population.percept(i), ag.config.feature_spec)
                 assert population.states[i] == expected
                 checked.add(expected)
         assert len(checked) > 1
@@ -249,15 +267,15 @@ class TestPopulation:
         for node in (0, 1):
             bins = data.draw(st.lists(st.integers(1, 6), min_size=1, max_size=3))
             agents.append(Agent(node, AgentConfig(
-                kind="channel-assignment", channels=(1, 2), codec=StateCodec(tuple(bins)),
-                feature_spec=FeatureSpec(tuple((n, 0.0, 1.0) for n in names[:len(bins)])))))
+                kind="channel-assignment", channels=(1, 2),
+                feature_spec=FeatureSpec(tuple((n, 0.0, 1.0, b) for n, b in zip(names, bins))))))
             for name in names[:len(bins)]:  # on the unit range a percept is its reading
                 edges = [k / b for b in bins for k in range(b + 1)]
                 readings[env.reading_index(node, name)] = data.draw(
                     st.sampled_from([*edges, 0.0, -0.0, 1.0]) | st.floats(0.0, 1.0))
         population = Population(agents, env)
         population.sense(readings_report(readings))
-        assert population.states == [encode_state(population.percept(i), ag.config.codec)
+        assert population.states == [encode_state(population.percept(i), ag.config.feature_spec)
                                      for i, ag in enumerate(agents)]
 
     @pytest.mark.parametrize("spec", [
@@ -417,19 +435,11 @@ class TestPopulation:
         with pytest.raises(ValueError, match="NaN"):
             agent.tick(env, env.reset(), population, 0)
 
-    @pytest.mark.parametrize("node", [0, 1])
-    def test_codec_must_match_the_feature_count(self, node):
-        agents = [channel_agent(0), channel_agent(1)]
-        agents[node].config = replace(agents[node].config, codec=StateCodec(bins=(2, 2)))
-        with pytest.raises(IndexOutOfRange, match=f"node {node}"):
-            Population(agents, channel_env())
-
     def test_unknown_feature_is_missing(self):
         env = channel_env()
         agent = Agent(0, AgentConfig(
             kind="channel-assignment", channels=(1, 2),
-            feature_spec=FeatureSpec(features=(("demand_u1", 0.0, 5.0),)),
-            codec=StateCodec(bins=(2,))))
+            feature_spec=FeatureSpec(features=(("demand_u1", 0.0, 5.0, 2),))))
         with pytest.raises(MissingFeature):
             Population([agent], env)  # user 1 belongs to node 1
 

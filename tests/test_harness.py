@@ -153,6 +153,7 @@ PINNED_EMISSION = {
 }
 
 BEYOND = "expected int in [-2**53, 2**53], where floats hold every int"
+INT64 = f"expected int in [{-2**63}, {2**63 - 1}], got "
 
 
 def translate(data, dx: int, dy: int):
@@ -503,6 +504,9 @@ class TestScenarioLoading:
          "env.users[0].x: " + BEYOND),
         (lambda d: d["env"]["nodes"][0].update(allowed=[[0, 0], [0, 10**400]]),
          "env.nodes[0].allowed[1]: " + BEYOND),
+        (lambda d: d["env"].update(channels=[1, 2, 2**63]),
+         f"env.channels[2]: {INT64}{2**63}"),
+        (lambda d: d["env"].update(channels=2**63), f"env.channels: {INT64}{2**63}"),
     ], ids=["user-node", "negative-demand", "nan-demand", "negative-step",
             "controlled-epsilon", "greedy-epsilon", "kb-eviction", "kb-eviction-removed",
             "kb-capacity",
@@ -516,7 +520,7 @@ class TestScenarioLoading:
             "negative-similarity-nan-coefficient", "nan-serving-threshold",
             "infinite-penalty", "nan-penalty", "overflowing-penalty",
             "overflowing-demand-step", "huge-node-x", "node-y-beyond-2-53", "huge-user-x",
-            "huge-allowed-cell"])
+            "huge-allowed-cell", "listed-channel-beyond-int64", "channel-count-beyond-int64"])
     def test_malformed_values_rejected_at_load(self, edit, problem):
         spec_dict = {
             "schema_version": 1, "kind": "channel-assignment", "horizon": 5,
@@ -625,7 +629,7 @@ class TestScenarioLoading:
         (lambda d: d["env"]["nodes"][0].update(allowed=[[1]]),
          "env.nodes[0].allowed[0]: expected a pair, got [1]"),
         (lambda d: d | {"agents": {"nodes": 0}}, "agents.nodes: expected a list, got 0"),
-        (lambda d: d["env"].update(channels="abc"), "env.channels: expected int, got 'abc'"),
+        (lambda d: d["env"].update(channels="abc"), f"env.channels: {INT64}'abc'"),
         (lambda d: d | {"agents": {"policy": {"type": "controlled", "max_switches": "x"}}},
          "agents.policy.max_switches: expected int, got 'x'"),
         (lambda d: d | {"agents": {"policy": {"type": "controlled",
@@ -737,7 +741,8 @@ RUN_SNAPSHOT = _run_snapshot()
 MDP_FILE = yaml.safe_load((SCENARIO_DIR / "mdp_4s3a.yaml").read_text())
 # Values put in by the load-boundary property: zeros, negatives, NaN, infinities,
 # empty and odd containers and other types. Numbers stay small, so that no
-# mutated horizon, channel count or node count can make a run long.
+# mutated horizon, channel count or node count can make a run long: a channel
+# count up to 2**63 - 1 loads, and its palette is built whole at load.
 ODD_NUMBER = st.sampled_from([0, -1, 1, 2, 0.0, -0.0, 0.5, -2.5, math.nan, math.inf, -math.inf])
 ODD_VALUE = ODD_NUMBER | st.sampled_from([[], {}, [0], [1, 2], [[0, 1.0]], {"x": 1}, "", "x",
                                           None, True])

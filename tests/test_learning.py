@@ -1,10 +1,11 @@
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from meshmind import (EpsilonGreedy, QParams, QTable, StateCodec, Transition,
+from meshmind import (EpsilonGreedy, FeatureSpec, QParams, QTable, Transition,
                       encode_state, format_q_table, learning_coefficient,
                       q_update, select_action)
 from meshmind.learning import IndexOutOfRange, NegativeInput
@@ -211,29 +212,40 @@ class TestLearningCoefficient:
         assert learning_coefficient(lo, demanded) <= learning_coefficient(hi, demanded)
 
 
+def unit_features(*bins):
+    """A feature spec of unit ranges with these bin counts."""
+    return FeatureSpec(tuple((f"f{k}", 0.0, 1.0, b) for k, b in enumerate(bins)))
+
+
 class TestEncodeState:
-    CODEC = StateCodec(bins=(4, 4))
+    SPEC = unit_features(4, 4)
 
     def test_all_zeros_is_first_state(self):
-        assert encode_state((0.0, 0.0), self.CODEC) == 0
+        assert encode_state((0.0, 0.0), self.SPEC) == 0
 
     def test_all_ones_is_last_state(self):
-        assert encode_state((1.0, 1.0), self.CODEC) == 15
+        assert encode_state((1.0, 1.0), self.SPEC) == 15
 
     def test_row_major_combination(self):
         # bins: 0.3 -> 1, 0.6 -> 2; row-major index 1*4 + 2
-        assert encode_state((0.3, 0.6), self.CODEC) == 6
+        assert encode_state((0.3, 0.6), self.SPEC) == 6
 
     @given(st.lists(st.floats(min_value=0, max_value=1, allow_nan=False),
                     min_size=3, max_size=3))
     def test_total_over_unit_cube(self, values):
-        codec = StateCodec(bins=(3, 2, 5))
-        index = encode_state(tuple(values), codec)
-        assert 0 <= index < codec.state_count
+        spec = unit_features(3, 2, 5)
+        index = encode_state(tuple(values), spec)
+        assert 0 <= index < spec.state_count
+
+    @given(st.lists(st.integers(1, 6), min_size=1, max_size=4))
+    def test_state_count_is_the_product_of_the_bins_past_the_last_state(self, bins):
+        spec = unit_features(*bins)
+        assert spec.bins == tuple(bins)
+        assert spec.state_count == math.prod(bins) == encode_state((1.0,) * len(bins), spec) + 1
 
     def test_dimension_mismatch(self):
         with pytest.raises(IndexOutOfRange):
-            encode_state((0.5,), self.CODEC)
+            encode_state((0.5,), self.SPEC)
 
 
 class TestDump:

@@ -15,7 +15,7 @@ def test_star_import_binds_every_exported_name():
 
 
 def test_removed_names_are_not_exported():
-    for name in ("PerceptVector", "Sample", "detect_unsatisfactory", "greedy"):
+    for name in ("PerceptVector", "Sample", "StateCodec", "detect_unsatisfactory", "greedy"):
         assert not hasattr(meshmind, name), name
     # snapshots are read by harness.load_snapshot and knowledge_base_from_snapshot
     for owner, name in ((meshmind.KnowledgeBase, "from_snapshot"),

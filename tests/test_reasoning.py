@@ -6,7 +6,7 @@ from hypothesis import given, strategies as st
 from meshmind import FeatureSpec, Outcome, classify, normalize, similarity
 from meshmind.reasoning import DimensionMismatch, MissingFeature
 
-SPEC = FeatureSpec(features=(("x", 0.0, 4.0), ("demand", 0.0, 30.0)))
+SPEC = FeatureSpec(features=(("x", 0.0, 4.0, 4), ("demand", 0.0, 30.0, 3)))
 
 unit = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
 
@@ -43,8 +43,8 @@ class TestNormalize:
     def test_uniform_rescaling_leaves_percepts_unchanged(self, x, scale):
         # scaling a feature and its configured range by the same power of two
         # is exact in binary floating point
-        base = FeatureSpec(features=(("x", -50.0, 50.0),))
-        scaled = FeatureSpec(features=(("x", -50.0 * scale, 50.0 * scale),))
+        base = FeatureSpec(features=(("x", -50.0, 50.0, 2),))
+        scaled = FeatureSpec(features=(("x", -50.0 * scale, 50.0 * scale, 2),))
         assert normalize({"x": x}, base) == normalize({"x": x * scale}, scaled)
 
 
@@ -111,4 +111,13 @@ class TestClassify:
 
 def test_feature_spec_rejects_empty_range():
     with pytest.raises(ValueError):
-        FeatureSpec(features=(("x", 1.0, 1.0),))
+        FeatureSpec(features=(("x", 1.0, 1.0, 2),))
+
+
+@pytest.mark.parametrize("features,problem", [
+    ((("x", 0.0, 1.0, 2), ("y", 0.0, 1.0, 0)), "feature 'y': needs at least one bin"),
+    ((("x", 0.0, 1.0, -1),), "feature 'x': needs at least one bin"),
+    ((), "a percept needs at least one feature")])
+def test_feature_spec_rejects_fewer_than_one_bin_or_feature(features, problem):
+    with pytest.raises(ValueError, match=problem):
+        FeatureSpec(features)
