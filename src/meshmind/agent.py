@@ -13,9 +13,9 @@ The agent keeps its own books and writes nothing to the population. A
 tick returns its trace event, which holds its action, or None; it builds
 no other object but its percept, a tuple of unit-range floats: the step,
 the serving load and the controlled gate's verdict pass as plain values,
-and its config holds what no tick changes. A channel agent decides from
-one read of its value table's row, picking from its channel palette in
-action-index order. A switch it emits is marked on its trace event, as a
+and its config holds what no tick changes. A channel agent picks an
+action index from one read of its value table's row; its palette names
+the channel. A switch it emits is marked on its trace event, as a
 disruption when its users demand more than DISRUPTION_THRESHOLD. After
 the step, `observe` scores the action from the same batched pass: it
 revises the case, penalises a disruption and updates the value table.
@@ -246,7 +246,7 @@ class Agent:
             return case.action, outcome, case
         action = self._optimize(env, state, state_index, hold)
         if outcome is Outcome.RECOMPUTE:
-            self.kb.revise(case, action=action, now=t)
+            self.kb.revise(case, action=action)
             return action, outcome, case
         if outcome is Outcome.RETAIN_NEW:
             new_case = Case(percept=percept, action=action, coefficient=0.0,
@@ -265,9 +265,9 @@ class Agent:
                 cells = one_step_cells(env.topology, self.node, state.position_of[self.node])
                 return MoveTo(self.node, cells[int(self.rng.integers(len(cells)))])
             return location_search(env, state, self.node)
-        channel = select_action(self.table, state_index, policy, self.config.channels,
-                                self.rng, hold=hold)
-        return self._switch_to(channel)
+        held = None if hold is None else self.config.channel_index[hold]
+        a = select_action(self.table, state_index, policy, self.rng, held)
+        return self._switch_to(self.config.channels[a])
 
     def _switch_to(self, channel: int) -> SetChannel:
         """This agent's one SetChannel to `channel`."""
@@ -297,7 +297,7 @@ class Agent:
         achieved = population.achieved[i]
         coefficient = learning_coefficient(achieved, population.demanded[i])
         if case is not None:
-            self.kb.revise(case, coefficient=coefficient, now=event.t)
+            self.kb.revise(case, coefficient=coefficient)
         reward = achieved - (disruption_penalty if event.disruption else 0.0)
         event.q_after = self.table.update(self.config.qparams, state_index, action_index,
                                           reward, int(population.states[i]))

@@ -5,8 +5,8 @@ one channel each; users attach to a node and receive a share of its link
 capacity. Interference is counted only between nodes that share both an
 interference-graph edge and a channel. A node changes its channel through
 a SetChannel action and its cell through a MoveTo action. Everything is
-deterministic given the config and its seed, so runs can be replayed bit
-for bit.
+deterministic given the config and the seed the Environment takes, so
+runs can be replayed bit for bit.
 
 The radio model is one array pass over the mesh as it stands, using
 per-user and per-node vectors fixed at construction (serving node, share
@@ -141,8 +141,8 @@ class MeshTopology:
 class DemandProfile:
     """Piecewise-constant demand levels, or seeded random levels per epoch.
 
-    steps is a sorted ((start_t, level), ...) sequence; the level holds from
-    its start until the next entry. In random mode, one level is drawn per
+    steps is a sorted ((start_t, level), ...) sequence, one level per start,
+    each holding until the next start. In random mode, one level is drawn per
     epoch of epoch_len steps from the given choices using the run RNG.
     """
 
@@ -164,13 +164,17 @@ class DemandProfile:
         steps = tuple(sorted((int(t), float(v)) for t, v in steps))
         if not steps or steps[0][0] != 0:
             raise ValueError("profile must start at t=0")
+        if twice := [t for (t, _), (u, _) in zip(steps, steps[1:]) if t == u]:
+            raise ValueError(f"step {twice[0]} has more than one level")
         return cls(steps=steps)
 
     @classmethod
     def periodic(cls, period: int, segments, horizon: int) -> "DemandProfile":
-        """Repeat segments ((offset, level), ...) every `period` steps."""
+        """Repeat segments ((offset, level), ...), offsets in [0, period), every period steps."""
         if period < 1:
             raise ValueError(f"period {period} must be >= 1")
+        if outside := [off for off, _ in segments if not 0 <= off < period]:
+            raise ValueError(f"segment offset {outside[0]} is outside [0, {period})")
         pairs = []
         t = 0
         while t <= horizon:
@@ -221,13 +225,13 @@ class UserSpec:
 
 @dataclass
 class EnvConfig:
+    """A run's mesh, users and radio constants; its seed goes to the Environment."""
     topology: MeshTopology
     users: list[UserSpec]
     pathloss_exponent: float = 2.0
     tx_power: float = 1.0
     noise_floor: float = 1e-3
     bandwidth_unit: float = 1.0
-    rng_seed: int = 0
     horizon: int = 100
     initial_channels: dict[int, int] | None = None
 
@@ -297,11 +301,12 @@ def capacity(ratio, bandwidth_unit: float = 1.0, sharing=1):
 class Environment:
     """Steps EnvState values forward and scores them into throughput reports.
 
-    Users attach to their configured node, else the nearest one, for good.
-    Per-user arrays are in config order and per-node arrays in `nodes` order.
+    Users attach to their configured node, else the nearest, for good. Per-user
+    arrays are in config order, per-node ones in `nodes` order. `seed` seeds the
+    random demand draws; `demand_peak` is the highest level any profile takes.
     """
 
-    def __init__(self, config: EnvConfig):
+    def __init__(self, config: EnvConfig, seed: int = 0):
         self.config = config
         self.topology = topo = config.topology
         self.nodes = topo.nodes
@@ -326,9 +331,10 @@ class Environment:
         self._placed = None  # the positions of the geometry `_radio` keeps
 
         # Demand rows: the level vector at every change point, deduplicated.
-        rng = np.random.default_rng([config.rng_seed, 0])
+        rng = np.random.default_rng([seed, 0])
         profiles = [u.demand for u in config.users]
         distinct = {id(p): p for p in profiles}
+        self.demand_peak = max((p.peak for p in distinct.values()), default=0.0)
         points = self._change_points = sorted(
             {0, *chain.from_iterable(p.change_points(config.horizon) for p in distinct.values())})
         shared = {key: p.resolve(config.horizon, points, rng)

@@ -20,7 +20,7 @@ import math
 import time
 from collections import Counter
 from contextlib import contextmanager, nullcontext, suppress
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from itertools import compress, count
 from pathlib import Path
 
@@ -209,22 +209,19 @@ def _in(kind, lo, hi=math.inf):
     return read
 
 
-def _eviction(value, *_) -> str:
-    """The knowledge base's one eviction, which a scenario may still name."""
-    if value != KnowledgeBase.eviction:
-        raise ValueError(f"unknown eviction policy {value!r}; "
-                         f"the only one is {KnowledgeBase.eviction!r}")
-    return value
-
-
 _INT64 = _in(int, -2 ** 63, 2 ** 63 - 1)  # what the radio's int64 channel arrays hold
+_EVICTION = _exactly(KnowledgeBase.eviction)  # the one, which a document may still name
+_PALETTE = 2 ** 16  # channels at most: a channel agent's value-table row holds one per channel
 
 
 def _channels(value, *where) -> tuple[int, ...]:
-    """A channel count n, for channels 1..n, or a list of channel numbers."""
-    if type(value) is list:
-        return _read([_INT64], value, *where)
-    return tuple(range(1, (_read(_INT64, value, *where) or 0) + 1))
+    """A channel count n, for channels 1..n, or a list of channel numbers: at
+    most _PALETTE of them, since the palette is built whole at load."""
+    listed = type(value) is list
+    channels = value if listed else range(1, (_read(_INT64, value, *where) or 0) + 1)
+    if len(channels) > _PALETTE:
+        raise ValueError(f"{len(channels)} channels, above the {_PALETTE} a palette may hold")
+    return _read([_INT64], channels, *where) if listed else tuple(channels)
 
 
 def _level_or_steps(value, *where):
@@ -256,7 +253,7 @@ SCENARIO = _Table(dict(
         defaults={"qparams": {}, "thresholds": {}, "kb": {}, "policy": {}},
         qparams=_Table(alpha=float, gamma=float),
         thresholds=_Table(similarity=float, coefficient=float),
-        kb=_Table(capacity=int, eviction=_eviction),
+        kb=_Table(capacity=int, eviction=_EVICTION),
         policy=_variant("type", "epsilon-greedy", {
             "epsilon-greedy": (EpsilonGreedy, _Table(epsilon=float)),
             "controlled": (Controlled, _Table(
@@ -265,7 +262,7 @@ SCENARIO = _Table(dict(
 MDP = _Table(dict(schema_version=_exactly(SCHEMA_VERSION), transitions=[[[float]]],
                   rewards=[[float]], gamma=float))
 SNAPSHOT = _Table(dict(
-    schema=_exactly("meshmind-kb/1", SNAPSHOT_SCHEMA), capacity=int, eviction=_eviction,
+    schema=_exactly("meshmind-kb/1", SNAPSHOT_SCHEMA), capacity=int, eviction=_EVICTION,
     cases=[_Table(dict(  # /1 rows also hold the step and node that wrote them
         percept=[_in(float, 0, 1)], coefficient=_in(float, 0, 1),
         hits=_in(int, 0), last_used=_in(int, 0), created=_in(int, 0),
@@ -287,6 +284,21 @@ def _raise_any(problems: list, whole: str) -> None:
     """A SpecValidation of every (key path, message) problem, the document's named `whole`."""
     if problems:
         raise SpecValidation([_message(*problem, whole) for problem in problems])
+
+
+def _document(path, parse, whole: str):
+    """The document in the file at `path`, as `parse` reads it. A YAML or JSON syntax
+    error is one SpecValidation problem named `whole`, at the parser's line and column."""
+    with open(path) as fh:
+        try:
+            return parse(fh)
+        except json.JSONDecodeError as exc:
+            line, column, message = exc.lineno, exc.colno, exc.msg
+        except yaml.YAMLError as exc:
+            if (mark := getattr(exc, "problem_mark", None)) is None:  # a character YAML forbids
+                raise SpecValidation([f"{whole}: {' '.join(str(exc).split())}"]) from None
+            line, column, message = mark.line + 1, mark.column + 1, exc.problem
+    raise SpecValidation([f"{whole}: line {line}, column {column}: {message}"])
 
 
 def _read_or_raise(schema, data, whole: str):
@@ -372,8 +384,7 @@ def _state_count_problems(spec: ScenarioSpec, rows) -> list:
 
 def load_scenario(path) -> ScenarioSpec:
     """Parse and validate a scenario YAML file."""
-    with open(path) as fh:
-        return scenario_from_dict(yaml.safe_load(fh))
+    return scenario_from_dict(_document(path, yaml.safe_load, "scenario"))
 
 
 def scenario_from_dict(data) -> ScenarioSpec:
@@ -406,7 +417,7 @@ def scenario_from_dict(data) -> ScenarioSpec:
              for i, row in enumerate(env.pop("users"))]
     env_config = None if topology is None else _built(
         EnvConfig, ("env",), problems, topology=topology, users=users,
-        horizon=max(1, horizon), rng_seed=top.get("seed", ScenarioSpec.seed), **env)
+        horizon=max(1, horizon), **env)
     build, kwargs = agents["policy"]
     agents.update(policy=_built(build, ("agents", "policy"), problems, **kwargs),
                   qparams=_built(QParams, ("agents", "qparams"), problems, **agents["qparams"]))
@@ -425,8 +436,7 @@ def scenario_from_dict(data) -> ScenarioSpec:
 
 def load_snapshot(path) -> KnowledgeBase:
     """Read a knowledge-base snapshot file, as `KnowledgeBase.save` writes one."""
-    with open(path) as fh:
-        return knowledge_base_from_snapshot(json.load(fh))
+    return knowledge_base_from_snapshot(_document(path, json.load, "snapshot"))
 
 
 def knowledge_base_from_snapshot(data) -> KnowledgeBase:
@@ -459,13 +469,12 @@ def knowledge_base_from_snapshot(data) -> KnowledgeBase:
 def build_agents(spec: ScenarioSpec, env: Environment, state: EnvState,
                  seed: int) -> list[Agent]:
     """One agent per controllable node, with per-scenario feature specs; demand
-    features span 0 to the highest peak of the distinct profile objects. Agents
+    features span 0 to the environment's `demand_peak` (1 when it is 0). Agents
     with equal features, and so equal percept layouts, share one config."""
     params = spec.agent_params
     topology = spec.env_config.topology
     nodes = sorted(params.nodes if params.nodes is not None else topology.nodes)
-    profiles = {id(user.demand): user.demand for user in spec.env_config.users}.values()
-    demand_max = max((profile.peak for profile in profiles), default=0.0) or 1.0
+    demand_max = env.demand_peak or 1.0
     if spec.kind == CHANNEL_KIND:
         max_deg = max(1, topology.max_degree())
         channel_features = (("conflicts", 0.0, float(max_deg), min(max_deg + 1, 4)),
@@ -515,7 +524,7 @@ def run_scenario(spec: ScenarioSpec, seed: int | None = None,
     run_seed = spec.seed if seed is None else seed
     if run_seed < 0:
         raise ValueError(f"seed {run_seed} is negative")
-    env = Environment(replace(spec.env_config, rng_seed=run_seed))
+    env = Environment(spec.env_config, seed=run_seed)
     state = env.reset()
     report = env.report_for(state)
     agents = build_agents(spec, env, state, run_seed)
@@ -677,8 +686,7 @@ class MdpSpec:
     @classmethod
     def from_yaml(cls, path) -> "MdpSpec":
         """Read an MDP file; each problem found is one entry of a SpecValidation."""
-        with open(path) as fh:
-            read = _read_or_raise(MDP, yaml.safe_load(fh), "MDP")
+        read = _read_or_raise(MDP, _document(path, yaml.safe_load, "MDP"), "MDP")
         del read["schema_version"]
         problems = []
         mdp = _built(cls, (), problems, **read)
@@ -706,10 +714,9 @@ def q_learning_on_mdp(mdp: MdpSpec, params: QParams,
     learning through the same `select_action` and `QTable.update` as the agents."""
     rng = np.random.default_rng([seed, 2])
     table = QTable(mdp.state_count, mdp.action_count)
-    candidates = list(range(mdp.action_count))
     state = 0
     for _ in range(iterations):
-        action = select_action(table, state, policy, candidates, rng)
+        action = select_action(table, state, policy, rng)
         next_state = int(rng.choice(mdp.state_count, p=mdp.transitions[state, action]))
         table.update(params, state, action, float(mdp.rewards[state, action]), next_state)
         state = next_state

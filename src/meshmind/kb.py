@@ -96,9 +96,9 @@ class KnowledgeBase:
         self.cases.append(case)
         return self
 
-    def revise(self, case: Case, action=None, coefficient: float | None = None,
-               now: int | None = None) -> "KnowledgeBase":
-        """Replace a stored case's action and/or coefficient in place; not an equal copy's."""
+    def revise(self, case: Case, action=None, coefficient: float | None = None) -> "KnowledgeBase":
+        """Replace a stored case's action and/or coefficient in place; not an equal copy's.
+        last_used stays: an agent revises a case only in the tick that last used it."""
         for stored in self.cases:  # identity, not equality
             if stored is case:
                 break
@@ -110,8 +110,6 @@ class KnowledgeBase:
             case.coefficient = coefficient
         if action is not None:
             case.action = action
-        if now is not None:
-            case.last_used = now
         return self
 
     # -- snapshots ---------------------------------------------------------

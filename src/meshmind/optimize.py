@@ -1,9 +1,9 @@
 """Action search: exploitation, exploration policies, and domain heuristics.
 
-Selection policies draw from a caller-supplied RNG so traces replay
-exactly. The coloring heuristic and the exhaustive channel search act as
-each other's sanity check; the location hill-climb scores one-step moves
-through the environment's own throughput model.
+Selection picks an action index, drawing from a caller-supplied RNG so
+traces replay exactly. The coloring heuristic and the exhaustive channel
+search act as each other's sanity check; the location hill-climb scores
+one-step moves through the environment's own throughput model.
 """
 
 from __future__ import annotations
@@ -21,10 +21,6 @@ from .learning import IndexOutOfRange, QTable
 # demand more than this many Mbps at the moment of the switch. It doubles
 # as the controlled policy's default serving threshold.
 DISRUPTION_THRESHOLD = 1.0
-
-
-class EmptyCandidates(Exception):
-    pass
 
 
 class TooLarge(Exception):
@@ -49,7 +45,7 @@ class EpsilonGreedy:
 
 @dataclass(frozen=True)
 class Controlled(EpsilonGreedy):
-    """Epsilon-greedy selection over candidates gated by service constraints.
+    """Epsilon-greedy selection gated by service constraints.
 
     While the node serves aggregate demand above serving_threshold (never,
     at +inf), `blocks` holds it on its channel, for the optimizer and a
@@ -84,25 +80,17 @@ ExplorationPolicy = EpsilonGreedy | Controlled
 
 
 def select_action(table: QTable, state: int, policy: ExplorationPolicy,
-                  candidates, rng: np.random.Generator, hold=None):
-    """Pick one candidate epsilon-greedily, reading the state's row once.
+                  rng: np.random.Generator, hold: int | None = None) -> int:
+    """Pick an action index epsilon-greedily, reading the state's row once.
 
-    The candidates are the table's actions in index order: action indices,
-    or a channel agent's palette. With `hold`, the channel a controlled
-    gate holds the node on, only that candidate is kept (else the first).
-    Then the pick is uniform with probability epsilon, else the
-    highest-valued explored candidate, or uniform when none is explored.
+    With `hold`, the action index a controlled gate holds (IndexOutOfRange
+    outside the row), only that action is kept. Then the pick is uniform with
+    probability epsilon, else the highest-valued explored one, or uniform if none is.
     """
-    if not candidates:
-        raise EmptyCandidates("no candidate actions")
     row = table.row(state)
-    if len(candidates) != len(row):
-        raise IndexOutOfRange(f"{len(candidates)} candidates for {len(row)} actions")
-
-    actions = range(len(candidates))
-    if hold is not None:
-        actions = [a for a in actions if candidates[a] == hold] or [0]
-
+    if hold is not None and not 0 <= hold < len(row):
+        raise IndexOutOfRange(f"hold {hold} outside {len(row)} actions")
+    actions = range(len(row)) if hold is None else (hold,)
     best = None  # unless exploring, the first highest-valued explored action
     if rng.random() >= policy.epsilon:
         for a in actions:
@@ -110,7 +98,7 @@ def select_action(table: QTable, state: int, policy: ExplorationPolicy,
                 best = a
     if best is None:
         best = actions[int(rng.integers(len(actions)))]
-    return candidates[best]
+    return best
 
 
 # -- channel assignment heuristics -------------------------------------------

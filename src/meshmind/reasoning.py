@@ -47,10 +47,6 @@ class FeatureSpec:
         object.__setattr__(self, "bins", tuple(bins for *_, bins in self.features))
         object.__setattr__(self, "state_count", math.prod(self.bins))
 
-    @property
-    def names(self) -> tuple[str, ...]:
-        return tuple(name for name, *_ in self.features)
-
 
 class Outcome(Enum):
     REUSE = "reuse"

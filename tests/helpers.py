@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import replace
 from pathlib import Path
 
 from hypothesis import strategies as st
@@ -85,7 +84,7 @@ def reactive_location_oracle(spec, seed: int) -> float:
     Satisfaction is served over demanded, summed over steps 1..horizon as in
     a run's report.
     """
-    env = Environment(replace(spec.env_config, rng_seed=seed))
+    env = Environment(spec.env_config, seed=seed)
     states = [env.reset()]
     for _ in range(spec.horizon):
         states.append(env.apply_and_step(states[-1], [])[0])
@@ -148,7 +147,7 @@ def make_channel_spec(n_nodes: int, edges, *, channels: int = 3,
              for i in range(n_nodes)]
     env_config = EnvConfig(topology=topo, users=users, pathloss_exponent=1.0,
                            tx_power=1.0, noise_floor=1e-3, bandwidth_unit=1.0,
-                           rng_seed=seed, horizon=max(1, horizon))
+                           horizon=max(1, horizon))
     params = AgentParams(policy=policy or EpsilonGreedy(0.2),
                          qparams=qparams or QParams(alpha=0.4, gamma=0.3))
     return ScenarioSpec(kind="channel-assignment", env_config=env_config,
@@ -183,7 +182,7 @@ def make_location_spec(*, horizon: int = 80, seed: int = 0, epsilon: float = 0.1
     topo = MeshTopology(positions=positions, edges=set(), channels=(1,), allowed=allowed)
     env_config = EnvConfig(topology=topo, users=users, pathloss_exponent=2.0,
                            tx_power=1.0, noise_floor=1e-2, bandwidth_unit=1.0,
-                           rng_seed=seed, horizon=max(1, horizon))
+                           horizon=max(1, horizon))
     params = AgentParams(policy=EpsilonGreedy(epsilon),
                          qparams=QParams(alpha=0.3, gamma=0.5),
                          similarity_threshold=0.95,
@@ -211,7 +210,7 @@ def make_lowload_window_spec(policy, *, horizon: int = 300,
              for i in range(n)]
     env_config = EnvConfig(topology=topo, users=users, pathloss_exponent=0.5,
                            tx_power=1.0, noise_floor=1e-3, bandwidth_unit=0.3,
-                           rng_seed=seed, horizon=max(1, horizon))
+                           horizon=max(1, horizon))
     params = AgentParams(policy=policy, qparams=QParams(alpha=0.4, gamma=0.3))
     return ScenarioSpec(kind="channel-assignment", env_config=env_config,
                         agent_params=params, horizon=horizon, seed=seed)

@@ -14,7 +14,7 @@ from meshmind import (Agent, AgentConfig, DemandProfile, EnvConfig,
 from meshmind import agent as agent_module
 from meshmind.agent import AgentParams, Population, TraceEvent, UnknownPendingAction
 from meshmind.env import MoveTo, satisfied
-from meshmind.kb import Case
+from meshmind.kb import Case, KnowledgeBase
 from meshmind.harness import build_agents, run_scenario
 from meshmind.learning import encode_state
 from meshmind.optimize import Controlled, EpsilonGreedy
@@ -33,7 +33,7 @@ def channel_env(channels=(1, 2)):
              for i in range(2)]
     cfg = EnvConfig(topology=topo, users=users, pathloss_exponent=1.0,
                     tx_power=1.0, noise_floor=1e-3, bandwidth_unit=1.0,
-                    rng_seed=0, horizon=100)
+                    horizon=100)
     return Environment(cfg)
 
 
@@ -136,8 +136,24 @@ class TestBuild:
         assert len({id(agent.config) for agent in agents}) == len(agents) == 4
         # one x and y layout over every node's cells; the demand features name each relay's users
         assert len({agent.config.feature_spec.features[:2] for agent in agents}) == 1
-        assert [agent.config.feature_spec.names[2:] for agent in agents] == [
-            (f"demand_u{2 * node}", f"demand_u{2 * node + 1}") for node in range(4)]
+        assert [[name for name, *_ in agent.config.feature_spec.features[2:]]
+                for agent in agents] == [
+            [f"demand_u{2 * node}", f"demand_u{2 * node + 1}"] for node in range(4)]
+
+    @pytest.mark.parametrize("spec", [make_channel_spec(3, {(0, 1), (1, 2)}),
+                                      make_location_spec(cols=2)], ids=["channel", "location"])
+    def test_demand_features_span_the_environment_peak(self, spec):
+        periodic = DemandProfile.periodic(30, [(0, 2.5), (8, 0.6)], spec.horizon)
+        random = DemandProfile.random_epochs(8, [0.4, 7.5])
+        users = [replace(user, demand=(periodic, random)[k % 2])
+                 for k, user in enumerate(spec.env_config.users)]
+        spec = replace(spec, env_config=replace(spec.env_config, users=users))
+        env = Environment(spec.env_config, seed=4)
+        assert env.demand_peak == 7.5
+        for agent in build_agents(spec, env, env.reset(), seed=4):
+            spans = {(lo, hi) for name, lo, hi, _ in agent.config.feature_spec.features
+                     if name.startswith(("demand", "achieved"))}
+            assert spans == {(0.0, env.demand_peak)}
 
     def test_channel_agent_needs_a_palette(self):
         with pytest.raises(ValueError, match="palette"):
@@ -162,7 +178,8 @@ class TestSense:
         state = env.reset()
         agents = build_agents(spec, env, state, seed=0)
         agent = agents[0]
-        assert agent.config.feature_spec.names == ("x", "y", "demand_u0", "demand_u1")
+        assert [name for name, *_ in agent.config.feature_spec.features] == [
+            "x", "y", "demand_u0", "demand_u1"]
         percept = agent.sense(env, env.report_for(state))
         assert percept[0] == pytest.approx(2.0 / 3.0)  # node starts at x=2 of 0..3
         assert percept[2] == pytest.approx(1.0)        # user 0 demands the peak
@@ -593,6 +610,28 @@ class TestObserve:
         assert plain.switched
         assert (penalised.t, penalised.action) == (plain.t, plain.action)
         assert penalised.reward == plain.reward - 2.0
+
+    @pytest.mark.parametrize("spec,outcomes", [
+        (make_lowload_window_spec(Controlled(epsilon=0.1, serving_threshold=1.0), horizon=120),
+         {"recompute", "retain", "reuse"}),
+        (make_location_spec(horizon=120, cols=2), {"retain", "reuse"}),
+    ], ids=["channel", "location"])
+    def test_every_revised_case_was_used_at_that_step(self, spec, outcomes):
+        """A tick or its feedback revises only a case that `retrieve`, or its
+        retention, stamped with the tick's step: `revise` leaves last_used alone."""
+        env = Environment(spec.env_config)
+        agents = build_agents(spec, env, env.reset(), seed=0)
+        revised, seen = [], set()
+        for agent in agents:
+            agent.kb.revise = lambda case, kb=agent.kb, **kw: (
+                revised.append(case), KnowledgeBase.revise(kb, case, **kw))[1]
+        start = None
+        for t in range(spec.horizon):
+            start, events = drive(env, agents, 1, start=start)
+            assert all(case.last_used == t for case in revised), t
+            seen.update(ev.outcome for ev in events if revised and ev.detected)
+            revised.clear()
+        assert seen >= outcomes
 
     def test_observe_without_pending_action_raises(self):
         env = channel_env()

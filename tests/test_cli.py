@@ -187,6 +187,30 @@ def test_dump_kb_rejects_a_snapshot_no_knowledge_base_holds(tmp_path, capsys, ed
     assert captured.err == f"error: SpecValidation: {problem}\n"
 
 
+def _half_a_snapshot() -> str:
+    kb = KnowledgeBase(capacity=8)
+    kb.retain(Case(percept=(0.25, 1.0), action=SetChannel(2, 3), coefficient=0.5))
+    text = json.dumps(kb.snapshot(), indent=2)
+    return text[:len(text) // 2]
+
+
+@pytest.mark.parametrize("command,text,problem", [
+    (["run"], (SCENARIO_DIR / "ring6_channels.yaml").read_text().replace("[5, 0]]", "[5, 0]"),
+     "scenario: line 22, column 3: expected ',' or ']', but got '<scalar>'"),
+    (["oracle", "mdp"], (SCENARIO_DIR / "mdp_4s3a.yaml").read_text().split("0, 1, 0,")[0],
+     "MDP: line 11, column 7: expected the node content, but found '<stream end>'"),
+    (["dump-kb"], _half_a_snapshot(),
+     "snapshot: line 12, column 8: Expecting property name enclosed in double quotes"),
+], ids=["scenario-unclosed-list", "mdp-truncated", "snapshot-truncated"])
+def test_a_file_that_does_not_parse_is_one_problem(tmp_path, capsys, command, text, problem):
+    path = tmp_path / "bad"
+    path.write_text(text)
+    assert cli.main([*command, str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: SpecValidation: {problem}\n"
+
+
 def test_malformed_mdp_exits_with_every_problem_named(tmp_path, capsys):
     text = (SCENARIO_DIR / "mdp_4s3a.yaml").read_text().replace("gamma:", "gama:")
     path = tmp_path / "bad_mdp.yaml"

@@ -17,8 +17,8 @@ def make_env(positions, edges, users, *, channels=(1, 2, 3), eta=2.0,
     topo = MeshTopology(positions=positions, edges=set(edges), channels=channels)
     cfg = EnvConfig(topology=topo, users=users, pathloss_exponent=eta,
                     tx_power=tx, noise_floor=noise, bandwidth_unit=bw,
-                    rng_seed=seed, horizon=horizon, initial_channels=initial)
-    return Environment(cfg)
+                    horizon=horizon, initial_channels=initial)
+    return Environment(cfg, seed=seed)
 
 
 def assert_levels_match_a_per_step_loop(env, profiles, seed, horizon):

@@ -41,7 +41,7 @@ def tiny_spec(horizon=10, seed=0):
                       demand=DemandProfile.constant(2.0), node=0)]
     env_config = EnvConfig(topology=topo, users=users, pathloss_exponent=1.0,
                            noise_floor=1e-3, bandwidth_unit=1.0,
-                           rng_seed=seed, horizon=max(1, horizon))
+                           horizon=max(1, horizon))
     return ScenarioSpec(kind="channel-assignment", env_config=env_config,
                         agent_params=AgentParams(), horizon=horizon, seed=seed)
 
@@ -438,9 +438,9 @@ class TestScenarioLoading:
         (lambda d: d.update(agents={"policy": {"type": "controlled", "epsilon": 5.0}}),
          "epsilon 5.0"),
         (lambda d: d.update(agents={"policy": {"epsilon": 5.0}}), "epsilon 5.0"),
-        (lambda d: d.update(agents={"kb": {"eviction": "foo"}}), "eviction policy 'foo'"),
+        (lambda d: d.update(agents={"kb": {"eviction": "foo"}}), "expected 'lru', got 'foo'"),
         (lambda d: d.update(agents={"kb": {"eviction": "lowest-coefficient"}}),
-         "agents.kb.eviction: unknown eviction policy 'lowest-coefficient'; the only one is 'lru'"),
+         "agents.kb.eviction: expected 'lru', got 'lowest-coefficient'"),
         (lambda d: d.update(agents={"kb": {"capacity": 0}}), "capacity must be >= 1"),
         (lambda d: d.update(horizon="abc"), "'abc'"),
         (lambda d: d["env"]["users"][0].update(
@@ -507,6 +507,19 @@ class TestScenarioLoading:
         (lambda d: d["env"].update(channels=[1, 2, 2**63]),
          f"env.channels[2]: {INT64}{2**63}"),
         (lambda d: d["env"].update(channels=2**63), f"env.channels: {INT64}{2**63}"),
+        (lambda d: d["env"].update(channels=list(range(1, 2**16 + 2))),
+         "env.channels: 65537 channels, above the 65536 a palette may hold"),
+        (lambda d: d["env"]["users"][0].update(demand=[[0, 5.0], [0, 1.0]]),
+         "env.users[0].demand: step 0 has more than one level"),
+        (lambda d: d["env"]["users"][0].update(
+            demand={"mode": "periodic", "period": 10, "segments": [[0, 1.0], [0, 2.0]]}),
+         "env.users[0].demand: step 0 has more than one level"),
+        (lambda d: d["env"]["users"][0].update(
+            demand={"mode": "periodic", "period": 10, "segments": [[0, 1.0], [10, 2.0]]}),
+         "env.users[0].demand: segment offset 10 is outside [0, 10)"),
+        (lambda d: d["env"]["users"][0].update(
+            demand={"mode": "periodic", "period": 10, "segments": [[0, 1.0], [15, 2.0]]}),
+         "env.users[0].demand: segment offset 15 is outside [0, 10)"),
     ], ids=["user-node", "negative-demand", "nan-demand", "negative-step",
             "controlled-epsilon", "greedy-epsilon", "kb-eviction", "kb-eviction-removed",
             "kb-capacity",
@@ -520,7 +533,9 @@ class TestScenarioLoading:
             "negative-similarity-nan-coefficient", "nan-serving-threshold",
             "infinite-penalty", "nan-penalty", "overflowing-penalty",
             "overflowing-demand-step", "huge-node-x", "node-y-beyond-2-53", "huge-user-x",
-            "huge-allowed-cell", "listed-channel-beyond-int64", "channel-count-beyond-int64"])
+            "huge-allowed-cell", "listed-channel-beyond-int64", "channel-count-beyond-int64",
+            "channel-list-beyond-palette", "two-levels-at-a-step",
+            "two-segments-at-an-offset", "offset-at-the-period", "offset-past-the-period"])
     def test_malformed_values_rejected_at_load(self, edit, problem):
         spec_dict = {
             "schema_version": 1, "kind": "channel-assignment", "horizon": 5,
@@ -531,6 +546,22 @@ class TestScenarioLoading:
         with pytest.raises(SpecValidation) as err:
             scenario_from_dict(spec_dict)
         assert problem in str(err.value)
+
+    @pytest.mark.parametrize("channels,problem", [
+        (2**62, f"env.channels: {2**62} channels, above the 65536 a palette may hold"),
+        (2**63, f"env.channels: {INT64}{2**63}")], ids=["beyond-palette", "beyond-int64"])
+    def test_a_palette_too_large_to_build_is_one_problem(self, channels, problem):
+        data = yaml.safe_load((SCENARIO_DIR / "ring6_channels.yaml").read_text())
+        data["env"]["channels"] = channels
+        tracemalloc.start()
+        try:
+            with pytest.raises(SpecValidation) as err:
+                scenario_from_dict(data)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert err.value.problems == [problem]
+        assert peak < 2**20  # no palette was built
 
     @pytest.mark.parametrize("edit,problems", [
         (lambda d: d["env"]["users"][1].update(x=2**53 + 1), ["env.users[1].x: " + BEYOND]),
@@ -741,8 +772,7 @@ RUN_SNAPSHOT = _run_snapshot()
 MDP_FILE = yaml.safe_load((SCENARIO_DIR / "mdp_4s3a.yaml").read_text())
 # Values put in by the load-boundary property: zeros, negatives, NaN, infinities,
 # empty and odd containers and other types. Numbers stay small, so that no
-# mutated horizon, channel count or node count can make a run long: a channel
-# count up to 2**63 - 1 loads, and its palette is built whole at load.
+# mutated horizon, channel count or node count can make a run long.
 ODD_NUMBER = st.sampled_from([0, -1, 1, 2, 0.0, -0.0, 0.5, -2.5, math.nan, math.inf, -math.inf])
 ODD_VALUE = ODD_NUMBER | st.sampled_from([[], {}, [0], [1, 2], [[0, 1.0]], {"x": 1}, "", "x",
                                           None, True])

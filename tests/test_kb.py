@@ -96,14 +96,13 @@ class TestRevise:
         kb.revise(stored, coefficient=0.9)
         assert stored.coefficient == 0.9
 
-    def test_noop_revise_touches_only_last_used(self):
+    def test_revise_leaves_last_used(self):
         kb = KnowledgeBase(capacity=4)
         stored = case((0.5,), coefficient=0.2, last_used=1)
         kb.retain(stored)
-        kb.revise(stored, now=7)
-        assert stored.coefficient == 0.2
-        assert stored.action == SetChannel(0, 1)
-        assert stored.last_used == 7
+        kb.revise(stored, action=SetChannel(0, 2), coefficient=0.6)
+        assert (stored.action, stored.coefficient) == (SetChannel(0, 2), 0.6)
+        assert stored.last_used == 1
 
     def test_revised_action_is_what_retrieve_returns(self):
         kb = KnowledgeBase(capacity=4)
@@ -150,7 +149,7 @@ class TestProperties:
                 kb.retrieve((rng.random(), rng.random()), now=step)
             elif kb.cases:
                 target = rng.choice(kb.cases)
-                kb.revise(target, coefficient=rng.random(), now=step)
+                kb.revise(target, coefficient=rng.random())
             assert len(kb) <= kb.capacity
             assert all(0.0 <= c.coefficient <= 1.0 for c in kb.cases)
 
@@ -220,7 +219,7 @@ class TestSnapshot:
     def test_snapshot_names_lru_eviction_and_loads_no_other(self):
         data = KnowledgeBase(capacity=2).snapshot()
         assert data["eviction"] == "lru"
-        with pytest.raises(SpecValidation, match="eviction policy 'lowest-coefficient'"):
+        with pytest.raises(SpecValidation, match="expected 'lru', got 'lowest-coefficient'"):
             knowledge_base_from_snapshot(dict(data, eviction="lowest-coefficient"))
 
     @pytest.mark.parametrize("field,value,problem", [

@@ -159,8 +159,7 @@ class TestGreedy:
     """The greedy arm of `select_action`: the first highest-valued explored action."""
 
     def greedy(self, table, state):
-        return select_action(table, state, EpsilonGreedy(0.0),
-                             list(range(table.action_count)), np.random.default_rng(0))
+        return select_action(table, state, EpsilonGreedy(0.0), np.random.default_rng(0))
 
     def test_row_with_unexplored_first_action(self):
         assert self.greedy(bandit_table(), 0) == 1  # 10 beats 5 and 0.2

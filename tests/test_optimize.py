@@ -10,7 +10,7 @@ from meshmind import (Controlled, DemandProfile, EnvConfig, Environment,
                       brute_force_channels, count_conflicts, greedy_coloring,
                       location_search, select_action)
 from meshmind.learning import IndexOutOfRange
-from meshmind.optimize import EmptyCandidates, NoAllowedCell, TooLarge, one_step_cells
+from meshmind.optimize import NoAllowedCell, TooLarge, one_step_cells
 
 from helpers import reference_served
 
@@ -26,62 +26,53 @@ class TestSelectAction:
         table = QTable(1, 3).set(0, 0, 1.0).set(0, 1, 9.0).set(0, 2, 4.0)
         rng = np.random.default_rng(0)
         for _ in range(200):
-            assert select_action(table, 0, EpsilonGreedy(0.0),
-                                 [0, 1, 2], rng) == 1
+            assert select_action(table, 0, EpsilonGreedy(0.0), rng) == 1
 
     def test_full_epsilon_covers_all_candidates(self):
         table = QTable(1, 3).set(0, 1, 9.0)
         rng = np.random.default_rng(1)
-        seen = {select_action(table, 0, EpsilonGreedy(1.0), [0, 1, 2], rng)
-                for _ in range(300)}
+        seen = {select_action(table, 0, EpsilonGreedy(1.0), rng) for _ in range(300)}
         assert seen == {0, 1, 2}
-
-    def test_empty_candidates(self):
-        with pytest.raises(EmptyCandidates):
-            select_action(QTable(1, 1), 0, EpsilonGreedy(0.1), [],
-                          np.random.default_rng(0))
-
-    def test_candidates_must_list_every_action(self):
-        for candidates in ([0, 1], [0, 1, 2, 3]):
-            with pytest.raises(IndexOutOfRange):
-                select_action(QTable(1, 3), 0, EpsilonGreedy(0.1), candidates,
-                              np.random.default_rng(0))
 
     def test_greedy_fallback_without_explored_entries_is_uniform(self):
         table = QTable(1, 3)
         rng = np.random.default_rng(3)
-        seen = {select_action(table, 0, EpsilonGreedy(0.0), [0, 1, 2], rng)
-                for _ in range(200)}
+        seen = {select_action(table, 0, EpsilonGreedy(0.0), rng) for _ in range(200)}
         assert seen == {0, 1, 2}
+
+    @pytest.mark.parametrize("hold", [-1, 3, 7])
+    @pytest.mark.parametrize("epsilon", [0.0, 1.0])
+    def test_hold_outside_the_row_raises(self, hold, epsilon):
+        table = QTable(1, 3).set(0, 0, 9.0)
+        with pytest.raises(IndexOutOfRange):
+            select_action(table, 0, EpsilonGreedy(epsilon), np.random.default_rng(0), hold)
 
 
 class TestControlledPolicy:
     """The gate's `blocks`, and `select_action` holding the node where it blocks."""
 
-    candidates = [1, 2, 3]  # channel palette, in action-index order
-
     def pick(self, policy, serving_load, recent_switches, rng):
-        """The pick of a node on channel 1 whose best-valued channel is 3."""
-        hold = 1 if policy.blocks(serving_load, recent_switches) else None
+        """The action index picked for a node on action 0 whose best-valued action is 2."""
+        hold = 0 if policy.blocks(serving_load, recent_switches) else None
         table = QTable(1, 3).set(0, 2, 9.0)
-        return select_action(table, 0, policy, self.candidates, rng, hold=hold)
+        return select_action(table, 0, policy, rng, hold=hold)
 
     def test_no_switch_while_serving_above_threshold(self):
         policy = Controlled(epsilon=0.5, serving_threshold=1.0)
         rng = np.random.default_rng(5)
         for _ in range(300):
-            assert self.pick(policy, 4.0, 0, rng) == 1
+            assert self.pick(policy, 4.0, 0, rng) == 0
 
     def test_switches_allowed_below_threshold(self):
         policy = Controlled(epsilon=0.0, serving_threshold=1.0)
         assert not policy.blocks(0.5, 0)
-        assert self.pick(policy, 0.5, 0, np.random.default_rng(6)) == 3
+        assert self.pick(policy, 0.5, 0, np.random.default_rng(6)) == 2
 
     def test_switch_budget_blocks_when_spent(self):
         policy = Controlled(epsilon=0.0, serving_threshold=math.inf,
                             max_switches=2, window=50)
         assert not policy.blocks(1e9, 1)  # no load gate, one switch left
-        assert self.pick(policy, 0.0, 2, np.random.default_rng(7)) == 1
+        assert self.pick(policy, 0.0, 2, np.random.default_rng(7)) == 0
 
 
 class TestGreedyColoring:
@@ -156,7 +147,7 @@ def location_env(node_cell, user_cells, demands, allowed, eta=2.0):
              for i, cell in enumerate(user_cells)]
     cfg = EnvConfig(topology=topo, users=users, pathloss_exponent=eta,
                     tx_power=1.0, noise_floor=1e-2, bandwidth_unit=1.0,
-                    rng_seed=0, horizon=5)
+                    horizon=5)
     env = Environment(cfg)
     return env, env.reset()
 
