@@ -318,8 +318,11 @@ class Population:
     and it was unsatisfied. After `sense`, `fired`, `achieved`, `demanded`
     and `states` hold one entry per agent, in lists the next `sense` replaces;
     the report object last sensed, which `apply_and_step` hands back while
-    nothing changes, advances only the detector. Only a traced run calls
-    `lines`, the one writer of percept text, from the sensed values.
+    nothing changes, advances only the detector. The population is `settled`
+    when no agent's latest sample is unsatisfied: no agent fires then, and
+    sensing the same report again leaves every array as it is, so a run
+    stands at a fixed point until another report comes. Only a traced run
+    calls `lines`, the one writer of percept text, from the sensed values.
     """
 
     IDLE_HEAD = TraceEvent(t=0, node=0, percept=(), outcome="idle").head("%s").replace(
@@ -373,6 +376,11 @@ class Population:
         self.achieved = achieved.tolist()
         self.demanded = demanded.tolist()
         self._report = report
+
+    @property
+    def settled(self) -> bool:
+        """Whether no agent's latest sample is unsatisfied, so that none fires."""
+        return not self._prev_unsatisfied.any()
 
     def acted(self, agents: list[int]) -> None:
         """These agents emitted an action: each one's next trigger needs two fresh samples."""

@@ -19,7 +19,8 @@ one pass scores the node at any number of cells. Demand is piecewise
 constant and is resolved only at its change points, into one dict per
 distinct level vector; each distinct deterministic profile object is
 resolved once for all its users, and a random one once per user, in user
-order. Each ThroughputReport holds one flat `readings` vector of every
+order; `next_change` names the next step at which another row comes into
+force. Each ThroughputReport holds one flat `readings` vector of every
 node's and user's measurements, a user's achieved Mbps in its node's sum,
 so all agents sense with one gather, and its demand and achieved totals.
 A step copies a state's channel or position dict only when an action
@@ -335,15 +336,19 @@ class Environment:
         profiles = [u.demand for u in config.users]
         distinct = {id(p): p for p in profiles}
         self.demand_peak = max((p.peak for p in distinct.values()), default=0.0)
-        points = self._change_points = sorted(
+        points = sorted(
             {0, *chain.from_iterable(p.change_points(config.horizon) for p in distinct.values())})
         shared = {key: p.resolve(config.horizon, points, rng)
                   for key, p in distinct.items() if not p.random_epoch_len}
         levels = [shared[id(p)] if id(p) in shared else p.resolve(config.horizon, points, rng)
                   for p in profiles]
         rows: dict[tuple[float, ...], int] = {}
-        self._row_at = [rows.setdefault(r, len(rows))
-                        for r in (zip(*levels) if levels else [()] * len(points))]
+        self._change_points, self._row_at = [], []  # the points where another row comes in
+        for point, levels_at in zip(points, zip(*levels) if levels else [()] * len(points)):
+            row = rows.setdefault(levels_at, len(rows))
+            if not self._row_at or row != self._row_at[-1]:
+                self._change_points.append(point)
+                self._row_at.append(row)
         self._demand_rows = [dict(zip(self._user_index, r)) for r in rows]
 
     # -- construction ----------------------------------------------------
@@ -357,6 +362,13 @@ class Environment:
 
     def _demand_row(self, t: int) -> int:
         return self._row_at[bisect_right(self._change_points, t) - 1]
+
+    def next_change(self, t: int) -> int:
+        """The first step after t at which another demand row comes into force, or
+        the step after the horizon if none does: each step before it has t's dict."""
+        points = self._change_points
+        k = bisect_right(points, t)
+        return points[k] if k < len(points) else max(t, self.config.horizon) + 1
 
     # -- stepping ----------------------------------------------------------
 

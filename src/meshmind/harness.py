@@ -3,24 +3,29 @@
 Scenario and MDP files are YAML documents, knowledge-base snapshots JSON
 ones. `SCENARIO`, `MDP` and `SNAPSHOT` are the tables of every key each may
 hold, with its type; a document is read against its table, and every
-problem found is reported in one SpecValidation. Each step of a run ticks
-every agent in node order, tells the population which acted, applies their
-actions as one batch, senses all agents in one batched pass, lets each
-agent that acted score its own action, and appends one step row. A traced
-run, one with an output directory, takes the population's idle lines before
-a step's actions apply, then writes one line per agent and the step row as
-one block to its trace.jsonl. `report_from_trace` aggregates the run report
-from step rows, those a run returns or those read back from trace.jsonl.
+problem found is reported in one SpecValidation; so is a file that is not
+UTF-8. Each step of a run ticks every agent in node order, tells the
+population which acted, applies their actions as one batch, senses all
+agents in one batched pass, lets each agent that acted score its own
+action, and appends one step row. When the population is settled, no agent
+can fire and every step up to the next demand change repeats the same idle
+step, so the run appends that stretch's rows without stepping and steps
+again at the change. A traced run, one with an output directory, takes the
+population's idle lines before a step's actions apply, then writes one line
+per agent and the step row as one block to its trace.jsonl, a skipped step
+too. `report_from_trace` aggregates the run report from step rows, those a
+run returns or those read back from trace.jsonl.
 """
 
 from __future__ import annotations
 
+import io
 import json
 import math
 import time
 from collections import Counter
 from contextlib import contextmanager, nullcontext, suppress
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from itertools import compress, count
 from pathlib import Path
 
@@ -287,17 +292,21 @@ def _raise_any(problems: list, whole: str) -> None:
 
 
 def _document(path, parse, whole: str):
-    """The document in the file at `path`, as `parse` reads it. A YAML or JSON syntax
-    error is one SpecValidation problem named `whole`, at the parser's line and column."""
-    with open(path) as fh:
-        try:
-            return parse(fh)
-        except json.JSONDecodeError as exc:
-            line, column, message = exc.lineno, exc.colno, exc.msg
-        except yaml.YAMLError as exc:
-            if (mark := getattr(exc, "problem_mark", None)) is None:  # a character YAML forbids
-                raise SpecValidation([f"{whole}: {' '.join(str(exc).split())}"]) from None
-            line, column, message = mark.line + 1, mark.column + 1, exc.problem
+    """The document in the UTF-8 file at `path`, as `parse` reads it, its line ends read as
+    text files read them. A byte that is not UTF-8, or a YAML or JSON syntax error, is one
+    SpecValidation problem named `whole`, at the byte's offset or the parser's line and column."""
+    try:
+        text = Path(path).read_bytes().decode()
+    except UnicodeDecodeError as exc:
+        raise SpecValidation([f"{whole}: byte {exc.start}: not UTF-8 ({exc.reason})"]) from None
+    try:
+        return parse(io.StringIO(text, newline=None))
+    except json.JSONDecodeError as exc:
+        line, column, message = exc.lineno, exc.colno, exc.msg
+    except yaml.YAMLError as exc:
+        if (mark := getattr(exc, "problem_mark", None)) is None:  # a character YAML forbids
+            raise SpecValidation([f"{whole}: {' '.join(str(exc).split())}"]) from None
+        line, column, message = mark.line + 1, mark.column + 1, exc.problem
     raise SpecValidation([f"{whole}: line {line}, column {column}: {message}"])
 
 
@@ -504,6 +513,22 @@ def _tick_lines(heads: list[str], texts: list[str], fired, t: int, events, end: 
     return f"{t}}}\n".join(lines)
 
 
+def _step_row(t: int, report, events) -> dict:
+    """The row of the step to t, scored in `report`, whose triggered ticks gave `events`."""
+    reuse = switches = disruptions = 0
+    for ev in events:
+        reuse += ev.outcome == "reuse"
+        if ev.switched:  # only a switch disrupts
+            switches += 1
+            disruptions += ev.disruption
+    return {
+        "kind": "step", "t": t, "conflicts": report.conflicts,
+        "total_demand": report.total_demand, "total_achieved": report.total_achieved,
+        "actions": len(events), "triggered": len(events),
+        "reuse": reuse, "switches": switches, "disruptions": disruptions,
+    }
+
+
 def run_scenario(spec: ScenarioSpec, seed: int | None = None,
                  out_dir=None, collect_trace: bool | None = None):
     """Execute the control loop for the scenario horizon.
@@ -511,12 +536,18 @@ def run_scenario(spec: ScenarioSpec, seed: int | None = None,
     Returns (RunReport, steps): one step row per step (conflicts, demand and
     throughput totals, and the counts of actions, triggered ticks, reuses,
     switches and disruptions), from which `report_from_trace` aggregates the
-    report. A step tells the population once which agents acted. A run traces
-    exactly when it has an out_dir: each step row then follows one tick line
-    per agent in node order, the population's idle head or the agent's
-    `TraceEvent.head` ended by t, all in one write to trace.jsonl per step,
-    counted in wall_time_s. A run that raises leaves out_dir's files as they
-    were. collect_trace, if given, must equal `out_dir is not None`.
+    report. A step tells the population once which agents acted. When a
+    sense, the first one too, leaves the population settled, the run is at a
+    fixed point up to `Environment.next_change`: each step before it would
+    fire no agent and get the same report back. So each such step's row is
+    the last report's with its own t and no actions, and the run moves to
+    the step before the change without ticking, stepping or sensing. A run
+    traces exactly when it has an out_dir: each step row then follows one
+    tick line per agent in node order, the population's idle head or the
+    agent's `TraceEvent.head` ended by t, all in one write to trace.jsonl
+    per step, counted in wall_time_s. A run that raises leaves out_dir's
+    files as they were. collect_trace, if given, must equal
+    `out_dir is not None`.
     """
     if collect_trace is not None and collect_trace != (out_dir is not None):
         raise ValueError(f"collect_trace={collect_trace} disagrees with out_dir={out_dir}")
@@ -533,7 +564,19 @@ def run_scenario(spec: ScenarioSpec, seed: int | None = None,
 
     steps: list[dict] = []
     with nullcontext() if out_dir is None else _trace_file(Path(out_dir)) as trace:
-        for _ in range(spec.horizon):
+        while state.t < spec.horizon:
+            if population.settled and (end := min(env.next_change(state.t) - 1,
+                                                  spec.horizon)) > state.t:
+                # A fixed point: every step up to the demand change repeats an idle one.
+                rows = [_step_row(t, report, ()) for t in range(state.t + 1, end + 1)]
+                if trace is not None:
+                    lines = (*population.lines(), population.fired)
+                    for row in rows:
+                        trace.write(_tick_lines(*lines, row["t"] - 1, (),
+                                                json.dumps(row, sort_keys=True) + "\n"))
+                steps += rows
+                state = replace(state, t=end)
+                continue
             events, acting = [], []
             for i, ag in enumerate(agents):
                 event = ag.tick(env, state, population, i)
@@ -550,18 +593,7 @@ def run_scenario(spec: ScenarioSpec, seed: int | None = None,
             for i in acting:
                 agents[i].observe(population, i, spec.disruption_penalty)
 
-            reuse = switches = disruptions = 0
-            for ev in events:
-                reuse += ev.outcome == "reuse"
-                if ev.switched:  # only a switch disrupts
-                    switches += 1
-                    disruptions += ev.disruption
-            row = {
-                "kind": "step", "t": state.t, "conflicts": report.conflicts,
-                "total_demand": report.total_demand, "total_achieved": report.total_achieved,
-                "actions": len(events), "triggered": len(events),
-                "reuse": reuse, "switches": switches, "disruptions": disruptions,
-            }
+            row = _step_row(state.t, report, events)
             if trace is not None:  # the step's tick lines and row, in one write
                 trace.write(_tick_lines(*step, events, json.dumps(row, sort_keys=True) + "\n"))
             steps.append(row)

@@ -201,10 +201,17 @@ def _half_a_snapshot() -> str:
      "MDP: line 11, column 7: expected the node content, but found '<stream end>'"),
     (["dump-kb"], _half_a_snapshot(),
      "snapshot: line 12, column 8: Expecting property name enclosed in double quotes"),
-], ids=["scenario-unclosed-list", "mdp-truncated", "snapshot-truncated"])
+    (["run"], b'schema_version: 1\nkind: "\xff\xfe"\n',
+     "scenario: byte 25: not UTF-8 (invalid start byte)"),
+    (["oracle", "mdp"], b"schema_version: 1\ngamma: 0.5 # \xfe\n",
+     "MDP: byte 31: not UTF-8 (invalid start byte)"),
+    (["dump-kb"], _half_a_snapshot().encode()[:40] + b"\xff\xfe",
+     "snapshot: byte 40: not UTF-8 (invalid start byte)"),
+], ids=["scenario-unclosed-list", "mdp-truncated", "snapshot-truncated",
+        "scenario-not-utf8", "mdp-not-utf8", "snapshot-not-utf8"])
 def test_a_file_that_does_not_parse_is_one_problem(tmp_path, capsys, command, text, problem):
     path = tmp_path / "bad"
-    path.write_text(text)
+    path.write_bytes(text if type(text) is bytes else text.encode())
     assert cli.main([*command, str(path)]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""

@@ -278,6 +278,59 @@ class TestDemandEvolution:
         assert demands(7) != demands(8)
 
 
+def next_changes_by_stepping(env, horizon):
+    """For each t in 0..horizon + 3, the first later step whose demand is another
+    dict than t's, found by stepping, or max(t, horizon) + 1 if none is."""
+    states = [env.reset()]
+    for _ in range(horizon + 4):
+        states.append(env.apply_and_step(states[-1], [])[0])
+    return [next((s for s in range(t + 1, len(states)) if states[s].demand is not state.demand),
+                 max(t, horizon) + 1) for t, state in enumerate(states[:-1])]
+
+
+class TestNextChange:
+    @pytest.mark.parametrize("profile", [
+        DemandProfile.constant(3.0),
+        DemandProfile.piecewise([(0, 1.0), (7, 4.0), (12, 0.5), (60, 9.0)]),  # 60 > horizon
+        DemandProfile.periodic(10, [(0, 2.0), (3, 0.25)], 45),
+        DemandProfile.random_epochs(6, [0.5, 2.0, 3.5]),
+    ], ids=["constant", "piecewise", "periodic", "random-epochs"])
+    def test_each_profile_changes_where_stepping_finds_another_demand_dict(self, profile):
+        horizon = 45
+        users = [UserSpec(user=u, position=(0, 0), node=0, demand=profile) for u in range(2)]
+        env = make_env({0: (0, 0)}, set(), users, seed=5, horizon=horizon)
+        expected = next_changes_by_stepping(env, horizon)
+        assert [env.next_change(t) for t in range(horizon + 4)] == expected
+        if profile.random_epoch_len:  # its own draws differ from epoch to epoch
+            assert len(set(expected)) > 2
+
+    def test_the_horizon_ends_every_stretch(self):
+        env = single_node_env(horizon=50)
+        assert [env.next_change(t) for t in (0, 49, 50)] == [51, 51, 51]
+        assert env.next_change(60) == 61  # past the horizon the last levels hold
+        users = [UserSpec(user=0, position=(0, 0), node=0,
+                          demand=DemandProfile.piecewise([(0, 1.0), (50, 2.0)]))]
+        env = make_env({0: (0, 0)}, set(), users, horizon=50)
+        assert [env.next_change(t) for t in (0, 49, 50)] == [50, 50, 51]
+
+    def test_a_change_point_that_keeps_the_demand_dict_is_no_change(self):
+        """Change points at 4, 6, 8 and 12. At 6 the level vector stays what it was
+        at 4, so its row is the same dict and 6 is no change; at 8 it goes back to
+        step 0's, which is another dict than step 7's, so 8 is one."""
+        profiles = [DemandProfile.piecewise([(0, 1.0), (4, 2.0), (8, 1.0)]),
+                    DemandProfile.piecewise([(0, 3.0), (6, 3.0), (8, 3.0), (12, 5.0)])]
+        users = [UserSpec(user=u, position=(0, 0), node=0, demand=p)
+                 for u, p in enumerate(profiles)]
+        env = make_env({0: (0, 0)}, set(), users, horizon=20)
+        states = [env.reset()]
+        for _ in range(12):
+            states.append(env.apply_and_step(states[-1], [])[0])
+        assert states[6].demand is states[4].demand and states[8].demand is states[0].demand
+        assert [env.next_change(t) for t in (0, 3, 4, 5, 7, 8, 11, 12)] == [
+            4, 4, 8, 8, 8, 12, 12, 21]
+        assert [env.next_change(t) for t in range(24)] == next_changes_by_stepping(env, 20)
+
+
 class TestInvariants:
     def test_run_is_bit_deterministic(self):
         def trajectory(seed):

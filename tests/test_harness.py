@@ -26,6 +26,8 @@ from meshmind.env import MoveTo, SetChannel
 from meshmind.harness import (AgentParams, NonStochasticRow, ScenarioSpec,
                               SpecValidation, build_agents, knowledge_base_from_snapshot,
                               report_from_trace, scenario_from_dict)
+from meshmind.learning import format_q_table
+from meshmind.optimize import Controlled
 from meshmind.reasoning import Outcome
 
 from helpers import (draw_readings, make_channel_spec, make_location_spec,
@@ -33,6 +35,31 @@ from helpers import (draw_readings, make_channel_spec, make_location_spec,
 from test_golden import make_spec as golden_spec
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
+
+
+def _perfbench_workloads():
+    """perfbench's workload generators, loaded from their file."""
+    spec = importlib.util.spec_from_file_location(
+        "workloads", SCENARIO_DIR.parent / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return workloads
+
+
+WORKLOADS = _perfbench_workloads()
+
+
+def run_keeping_agents(spec, **kwargs):
+    """`run_scenario(spec, **kwargs)`'s report and step rows, and the agents it built."""
+    agents = []
+
+    def build(*args):
+        agents.extend(build_agents(*args))
+        return agents
+
+    with mock.patch.object(harness, "build_agents", build):
+        report, steps = run_scenario(spec, **kwargs)
+    return report, steps, agents
 
 
 def tiny_spec(horizon=10, seed=0):
@@ -124,6 +151,85 @@ class TestRunScenario:
         assert set(reports) == {1, 2, 3}
         again = sweep(spec, seeds=[2])
         assert again[2].final_conflicts == reports[2].final_conflicts
+
+
+LEVEL = st.sampled_from([0.5, 2.0, 5.0, 12.0])  # a clean link carries ~9.97 Mbps
+
+
+@st.composite
+def fixed_point_specs(draw):
+    """A small channel spec, on up to five nodes with a random demand profile and policy,
+    or a tiled location spec; horizons up to 60."""
+    horizon, seed = draw(st.integers(0, 60)), draw(st.integers(0, 3))
+    if draw(st.booleans()):
+        return make_location_spec(horizon=horizon, seed=seed,
+                                  epsilon=draw(st.sampled_from([0.0, 0.1, 0.5])),
+                                  cols=draw(st.integers(1, 2)), rows=draw(st.integers(1, 2)))
+    n = draw(st.integers(2, 5))
+    edges = draw(st.sets(st.sampled_from([(a, b) for a in range(n) for b in range(a + 1, n)])))
+    demand = draw(st.one_of(
+        LEVEL.map(DemandProfile.constant),
+        st.builds(lambda first, rest: DemandProfile.piecewise([(0, first), *rest.items()]),
+                  LEVEL, st.dictionaries(st.integers(1, 70), LEVEL, max_size=3)),
+        st.builds(lambda period, levels: DemandProfile.periodic(
+            period, list(enumerate(levels)), horizon), st.integers(3, 15),
+            st.lists(LEVEL, min_size=1, max_size=3)),
+        st.builds(DemandProfile.random_epochs, st.integers(1, 15),
+                  st.lists(LEVEL, min_size=1, max_size=3))))
+    policy = draw(st.sampled_from([EpsilonGreedy(0.0), EpsilonGreedy(0.2), Controlled(
+        epsilon=0.2, serving_threshold=4.0, max_switches=1, window=10)]))
+    return make_channel_spec(n, edges, channels=draw(st.integers(1, 3)), demand=demand,
+                             horizon=horizon, seed=seed, policy=policy)
+
+
+def stepping_every_step():
+    """Make a run step at every step: the next demand change is always the next step."""
+    return mock.patch.object(Environment, "next_change", lambda self, t: t + 1)
+
+
+def run_outcome(spec, traced: bool):
+    """A run's outcome: its report without wall time, its step rows, the files it emits
+    but timings.json, and each agent's value table, knowledge base and generator state;
+    and the number of steps it took with `Environment.apply_and_step`."""
+    real, calls = Environment.apply_and_step, []
+
+    def counted(self, *args):
+        calls.append(self)
+        return real(self, *args)
+
+    with tempfile.TemporaryDirectory() as out, \
+            mock.patch.object(Environment, "apply_and_step", counted):
+        report, steps, agents = run_keeping_agents(spec, out_dir=out if traced else None)
+        files = {path.name: path.read_bytes() for path in sorted(Path(out).iterdir())
+                 if path.name != "timings.json"}
+    return (replace(report, wall_time_s=0.0), steps, files,
+            [(format_q_table(ag.table), ag.kb.snapshot(), ag.rng.bit_generator.state)
+             for ag in agents]), len(calls)
+
+
+class TestFixedPoints:
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(fixed_point_specs(), st.booleans())
+    def test_skipping_fixed_points_changes_nothing(self, spec, traced):
+        """A run that skips to the next demand change at each fixed point ends as
+        one that steps every step: step rows, report, trace bytes, tables and KBs."""
+        skipping, _ = run_outcome(spec, traced)
+        with stepping_every_step():
+            every, stepped = run_outcome(spec, traced)
+        assert stepped == spec.horizon
+        assert every == skipping
+
+    @pytest.mark.parametrize("spec,stepped", [
+        (load_scenario(SCENARIO_DIR / "follow_demand_location.yaml"), 12),
+        (scenario_from_dict(WORKLOADS.mobile_relays(0, cols=2, rows=2, horizon=30)), 5),
+    ], ids=["follow_demand_location", "mobile_relays_2x2"])
+    def test_a_settled_run_steps_only_to_change_its_demand_or_act(self, spec, stepped):
+        """follow_demand_location steps 12 of its 80 steps and a 2x2 mobile_relays
+        instance 5 of 30, with the same outcome as stepping all of them."""
+        skipping, steps = run_outcome(spec, traced=True)
+        assert steps == stepped < spec.horizon == len(skipping[1])
+        with stepping_every_step():
+            assert run_outcome(spec, traced=True) == (skipping, spec.horizon)
 
 
 # sha256 of every file but timings.json that a run writes, recorded before
@@ -409,6 +515,17 @@ class TestScenarioLoading:
         with pytest.raises(SpecValidation) as err:
             scenario_from_dict({"schema_version": 1})
         assert any("kind" in p for p in err.value.problems)
+
+    def test_a_scenario_file_that_is_not_utf8_is_one_problem(self, tmp_path):
+        shipped = (SCENARIO_DIR / "ring6_channels.yaml").read_bytes()
+        path = tmp_path / "scenario.yaml"
+        path.write_bytes(shipped.replace(b"Six radio", b"Six \xff\xfe radio"))
+        with pytest.raises(SpecValidation) as err:
+            load_scenario(path)
+        assert err.value.problems == ["scenario: byte 6: not UTF-8 (invalid start byte)"]
+        # UTF-8 beyond ASCII, and CRLF line ends, read as before
+        path.write_bytes(shipped.replace(b"Six", "Six \u00e9".encode()).replace(b"\n", b"\r\n"))
+        assert load_scenario(path) == load_scenario(SCENARIO_DIR / "ring6_channels.yaml")
 
     def test_wrong_schema_version_rejected(self):
         with pytest.raises(SpecValidation):
@@ -742,28 +859,17 @@ class TestScenarioLoading:
 
 def _small_scenarios() -> list[dict]:
     """The shipped scenarios and small benchmark workloads, each at horizon 5."""
-    spec = importlib.util.spec_from_file_location(
-        "workloads", SCENARIO_DIR.parent / "perfbench" / "workloads.py")
-    workloads = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(workloads)
     scenarios = [yaml.safe_load(path.read_text()) for path in sorted(SCENARIO_DIR.glob("*.yaml"))]
     scenarios = [s for s in scenarios if "kind" in s]  # not the MDP
-    scenarios += [workloads.grid_steady(0, side=3), workloads.grid_churn_traced(0, side=3),
-                  workloads.mobile_relays(0, cols=2, rows=1)]
+    scenarios += [WORKLOADS.grid_steady(0, side=3), WORKLOADS.grid_churn_traced(0, side=3),
+                  WORKLOADS.mobile_relays(0, cols=2, rows=1)]
     return [dict(s, horizon=5) for s in scenarios]
 
 
 def _run_snapshot() -> dict:
     """Node 0's knowledge base after 10 steps of lowload_windows (two cases), as a snapshot."""
-    agents = []
-
-    def build(*args):
-        agents.extend(build_agents(*args))
-        return agents
-
     spec = load_scenario(SCENARIO_DIR / "lowload_windows.yaml")
-    with mock.patch.object(harness, "build_agents", build):
-        run_scenario(replace(spec, horizon=10))
+    _, _, agents = run_keeping_agents(replace(spec, horizon=10))
     return agents[0].kb.snapshot()
 
 
@@ -939,6 +1045,15 @@ class TestValueIteration:
             MdpSpec.from_yaml(path)
         assert len(err.value.problems) == 1
         assert err.value.problems[0].startswith(problem)
+
+
+    def test_an_mdp_file_that_is_not_utf8_is_one_problem(self, tmp_path):
+        path = tmp_path / "mdp.yaml"
+        path.write_bytes((SCENARIO_DIR / "mdp_4s3a.yaml").read_bytes().replace(
+            b"gamma: 0.85", b"gamma: 0.85 # \xfe"))
+        with pytest.raises(SpecValidation) as err:
+            MdpSpec.from_yaml(path)
+        assert err.value.problems == ["MDP: byte 164: not UTF-8 (invalid start byte)"]
 
 
 class TestQLearningOracle:

@@ -193,6 +193,14 @@ class TestSnapshot:
         assert restored.coefficient == 0.4
         assert (restored.hits, restored.last_used, restored.created) == (0, 5, 2)
 
+    def test_a_snapshot_file_that_is_not_utf8_is_one_problem(self, tmp_path):
+        path = tmp_path / "kb.json"
+        KnowledgeBase(capacity=2).save(path)
+        path.write_bytes(path.read_bytes().replace(b"meshmind-kb", b"meshmind-kb\xc3"))
+        with pytest.raises(SpecValidation) as err:
+            load_snapshot(path)
+        assert err.value.problems == ["snapshot: byte 26: not UTF-8 (invalid continuation byte)"]
+
     def test_rows_hold_no_step_or_node_and_older_rows_still_load(self):
         kb = KnowledgeBase(capacity=4)
         kb.retain(case((0.5,), coefficient=0.4, last_used=7, created=3))
