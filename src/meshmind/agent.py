@@ -35,9 +35,8 @@ from .kb import Case, KnowledgeBase
 # encode_state is the scalar form of Population.states; perfbench times it here.
 # q_update is not called here; perfbench still times it at this name.
 from .learning import QParams, QTable, encode_state, learning_coefficient, q_update
-from .optimize import (DISRUPTION_THRESHOLD, Controlled, EpsilonGreedy,
-                       ExplorationPolicy, location_search, one_step_cells,
-                       select_action)
+from .optimize import (DISRUPTION_THRESHOLD, Controlled, EpsilonGreedy, location_search,
+                       one_step_cells, select_action)
 # normalize is the scalar form of Population.sense; perfbench times it here.
 from .reasoning import FeatureSpec, MissingFeature, Outcome, classify, normalize
 
@@ -53,7 +52,7 @@ class UnknownPendingAction(Exception):
 class AgentParams:
     """The agent settings a scenario sets for all its agents."""
 
-    policy: ExplorationPolicy = field(default_factory=EpsilonGreedy)
+    policy: EpsilonGreedy = field(default_factory=EpsilonGreedy)
     qparams: QParams = field(default_factory=QParams)
     similarity_threshold: float = 0.8
     coefficient_threshold: float = 0.7

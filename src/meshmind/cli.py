@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 
 from . import harness
 from .env import action_to_dict
@@ -59,7 +60,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cmd_run(args) -> int:
     spec = harness.load_scenario(args.spec)
-    report, _ = harness.run_scenario(spec, seed=args.seed, out_dir=args.out)
+    if args.seed is not None:
+        spec = replace(spec, seed=args.seed)
+    report, _ = harness.run_scenario(spec, out_dir=args.out)
     for key, value in report.rows():
         print(f"{key}={value}")
     print(f"wall_time_s={report.wall_time_s}")

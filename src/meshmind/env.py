@@ -16,13 +16,14 @@ from it; its geometry, every node's x and y and every pair's and link's
 gain, is computed once per placement. No node neighbours itself, so a
 node's cell never moves its users' floor of noise plus interference, and
 one pass scores the node at any number of cells. Demand is piecewise
-constant and is resolved only at its change points, into one dict per
-distinct level vector; each distinct deterministic profile object is
-resolved once for all its users, and a random one once per user, in user
-order; `next_change` names the next step at which another row comes into
-force. Each ThroughputReport holds one flat `readings` vector of every
-node's and user's measurements, a user's achieved Mbps in its node's sum,
-so all agents sense with one gather, and its demand and achieved totals.
+constant, possibly periodic, and is resolved only at its change points up
+to the config's horizon, the run's one step count, into one dict per
+distinct level vector; equal deterministic profiles are resolved once for
+all their users, and a random one once per user, in user order;
+`next_change` names the next step at which another row comes into force.
+Each ThroughputReport holds one flat `readings` vector of every node's and
+user's measurements, a user's achieved Mbps in its node's sum, so all
+agents sense with one gather, and its demand and achieved totals.
 A step copies a state's channel or position dict only when an action
 changes a value in it, and hands back the same report when it copied
 neither and the demand row stayed the same, so an idle step costs no
@@ -143,13 +144,17 @@ class DemandProfile:
     """Piecewise-constant demand levels, or seeded random levels per epoch.
 
     steps is a sorted ((start_t, level), ...) sequence, one level per start,
-    each holding until the next start. In random mode, one level is drawn per
-    epoch of epoch_len steps from the given choices using the run RNG.
+    each holding until the next start; with a period they are offsets in
+    [0, period), and the level at t is the one at t % period. In random
+    mode, one level is drawn per epoch of epoch_len steps from the given
+    choices using the run RNG. A profile reaches to the horizon that
+    `change_points` and `resolve` are given, the Environment's.
     """
 
     steps: tuple[tuple[int, float], ...] = ((0, 0.0),)
     random_epoch_len: int = 0
     random_levels: tuple[float, ...] = ()
+    period: int = 0  # 0: the steps do not repeat
 
     def __post_init__(self):
         for level in (*(v for _, v in self.steps), *self.random_levels):
@@ -170,20 +175,13 @@ class DemandProfile:
         return cls(steps=steps)
 
     @classmethod
-    def periodic(cls, period: int, segments, horizon: int) -> "DemandProfile":
+    def periodic(cls, period: int, segments) -> "DemandProfile":
         """Repeat segments ((offset, level), ...), offsets in [0, period), every period steps."""
         if period < 1:
             raise ValueError(f"period {period} must be >= 1")
         if outside := [off for off, _ in segments if not 0 <= off < period]:
             raise ValueError(f"segment offset {outside[0]} is outside [0, {period})")
-        pairs = []
-        t = 0
-        while t <= horizon:
-            for off, level in sorted(segments):
-                if t + off <= horizon:
-                    pairs.append((t + off, level))
-            t += period
-        return cls.piecewise(pairs)
+        return cls(steps=cls.piecewise(segments).steps, period=int(period))
 
     @classmethod
     def random_epochs(cls, epoch: int, levels) -> "DemandProfile":
@@ -194,14 +192,18 @@ class DemandProfile:
 
     @property
     def peak(self) -> float:
-        """The highest level the profile can take."""
+        """The highest level the profile can take, also one past a run's horizon."""
         return max((*(v for _, v in self.steps), *self.random_levels), default=0.0)
 
     def change_points(self, horizon: int):
         """The steps in 0..horizon at which the level may change."""
         if self.random_epoch_len:
             return range(0, horizon + 1, self.random_epoch_len)
-        return [t for t, _ in self.steps if t <= horizon]
+        starts = [t for t, _ in self.steps]
+        if self.period:
+            return [t + s for t in range(0, horizon + 1, self.period)
+                    for s in starts if t + s <= horizon]
+        return [t for t in starts if t <= horizon]
 
     def resolve(self, horizon: int, points: list[int],
                 rng: np.random.Generator) -> list[float]:
@@ -212,8 +214,9 @@ class DemandProfile:
             draws = [levels[k] for k in rng.integers(
                 len(levels), size=horizon // self.random_epoch_len + 1).tolist()]
             return [draws[t // self.random_epoch_len] for t in points]
-        starts = [t for t, _ in self.steps]
-        return [self.steps[bisect_right(starts, t) - 1][1] for t in points]
+        starts, period = [t for t, _ in self.steps], self.period
+        return [self.steps[bisect_right(starts, t % period if period else t) - 1][1]
+                for t in points]
 
 
 @dataclass(frozen=True)
@@ -226,7 +229,8 @@ class UserSpec:
 
 @dataclass
 class EnvConfig:
-    """A run's mesh, users and radio constants; its seed goes to the Environment."""
+    """A run's mesh, users, radio constants and horizon, the run's one step
+    count; the run's seed goes to the Environment."""
     topology: MeshTopology
     users: list[UserSpec]
     pathloss_exponent: float = 2.0
@@ -240,8 +244,8 @@ class EnvConfig:
         for name in ("pathloss_exponent", "tx_power", "noise_floor", "bandwidth_unit"):
             if not 0 < getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be > 0 and finite")
-        if self.horizon < 1:
-            raise ValueError("horizon must be >= 1")
+        if self.horizon < 0:
+            raise ValueError("horizon must be >= 0")
         topo = self.topology
         seen = set()
         for u in self.users:
@@ -334,14 +338,13 @@ class Environment:
         # Demand rows: the level vector at every change point, deduplicated.
         rng = np.random.default_rng([seed, 0])
         profiles = [u.demand for u in config.users]
-        distinct = {id(p): p for p in profiles}
-        self.demand_peak = max((p.peak for p in distinct.values()), default=0.0)
+        distinct = dict.fromkeys(profiles)
+        self.demand_peak = max((p.peak for p in distinct), default=0.0)
         points = sorted(
-            {0, *chain.from_iterable(p.change_points(config.horizon) for p in distinct.values())})
-        shared = {key: p.resolve(config.horizon, points, rng)
-                  for key, p in distinct.items() if not p.random_epoch_len}
-        levels = [shared[id(p)] if id(p) in shared else p.resolve(config.horizon, points, rng)
-                  for p in profiles]
+            {0, *chain.from_iterable(p.change_points(config.horizon) for p in distinct)})
+        shared = {p: p.resolve(config.horizon, points, rng)
+                  for p in distinct if not p.random_epoch_len}
+        levels = [shared.get(p) or p.resolve(config.horizon, points, rng) for p in profiles]
         rows: dict[tuple[float, ...], int] = {}
         self._change_points, self._row_at = [], []  # the points where another row comes in
         for point, levels_at in zip(points, zip(*levels) if levels else [()] * len(points)):

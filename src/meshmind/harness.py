@@ -38,7 +38,7 @@ from .env import (DemandProfile, EnvConfig, Environment, EnvState, MeshTopology,
 from .kb import SNAPSHOT_SCHEMA, Case, KnowledgeBase
 # encode_state is not called here; perfbench still times it at this name.
 from .learning import QParams, QTable, encode_state, format_q_table
-from .optimize import Controlled, EpsilonGreedy, ExplorationPolicy, select_action
+from .optimize import Controlled, EpsilonGreedy, select_action
 from .reasoning import FeatureSpec
 
 SCHEMA_VERSION = 1
@@ -63,10 +63,12 @@ class IoFailure(Exception):
 
 @dataclass
 class ScenarioSpec:
+    """A run: its env config, which holds the horizon, its agents' parameters
+    and its one seed, which seeds the environment and every agent."""
+
     kind: str
     env_config: EnvConfig
     agent_params: AgentParams
-    horizon: int
     seed: int = 0
     disruption_penalty: float = 0.0
 
@@ -74,8 +76,6 @@ class ScenarioSpec:
         problems = []
         if self.kind not in (CHANNEL_KIND, LOCATION_KIND):
             problems.append(f"unknown kind {self.kind!r}")
-        if self.horizon < 0:
-            problems.append("horizon must be >= 0")
         if self.seed < 0:
             problems.append("seed must be >= 0")
         if not math.isfinite(self.disruption_penalty):
@@ -89,6 +89,11 @@ class ScenarioSpec:
             problems.append(f"location agents move epsilon-greedily, not {type(policy).__name__}")
         if problems:
             raise SpecValidation(problems)
+
+    @property
+    def horizon(self) -> int:
+        """The run's step count, `env_config.horizon`."""
+        return self.env_config.horizon
 
 
 @dataclass
@@ -329,13 +334,11 @@ def _built(build, path: tuple, problems: list, **kwargs):
     return None
 
 
-def _profile(read, horizon: int, profiles: dict, path: tuple, problems: list):
+def _profile(read, profiles: dict, path: tuple, problems: list):
     """A user's demand profile from its read (builder, fields), or the equal
-    one in `profiles`; periodic segments repeat up to the horizon. A rejected
-    profile is None, and its problem is noted at `path` for every user."""
+    one in `profiles`. A rejected profile is None, and its problem is noted
+    at `path` for every user."""
     build, fields = read
-    if build == DemandProfile.periodic:
-        fields = {**fields, "horizon": horizon}
     key = (build, *fields.items())
     if profiles.get(key) is None:
         profiles[key] = _built(build, path, problems, **fields)
@@ -403,8 +406,7 @@ def scenario_from_dict(data) -> ScenarioSpec:
     top = _read_or_raise(SCENARIO, data, "scenario")
     problems = []
     del top["schema_version"]
-    env, agents = top.pop("env"), top.pop("agents")
-    horizon = top["horizon"]
+    env, agents, horizon = top.pop("env"), top.pop("agents"), top.pop("horizon")
     nodes = env.pop("nodes")
     problems += _coordinate_problems(nodes, env["users"])
     positions = {row["id"]: (row["x"], row["y"]) for row in nodes}
@@ -421,12 +423,12 @@ def scenario_from_dict(data) -> ScenarioSpec:
         allowed={row["id"]: frozenset(row["allowed"]) for row in nodes if "allowed" in row})
     profiles = {}
     users = [UserSpec(user=row["id"], position=(row["x"], row["y"]), node=row.get("node"),
-                      demand=_profile(row["demand"], horizon, profiles,
+                      demand=_profile(row["demand"], profiles,
                                       ("env", "users", i, "demand"), problems))
              for i, row in enumerate(env.pop("users"))]
     env_config = None if topology is None else _built(
         EnvConfig, ("env",), problems, topology=topology, users=users,
-        horizon=max(1, horizon), **env)
+        horizon=horizon, **env)
     build, kwargs = agents["policy"]
     agents.update(policy=_built(build, ("agents", "policy"), problems, **kwargs),
                   qparams=_built(QParams, ("agents", "qparams"), problems, **agents["qparams"]))
@@ -529,19 +531,19 @@ def _step_row(t: int, report, events) -> dict:
     }
 
 
-def run_scenario(spec: ScenarioSpec, seed: int | None = None,
-                 out_dir=None, collect_trace: bool | None = None):
-    """Execute the control loop for the scenario horizon.
+def run_scenario(spec: ScenarioSpec, out_dir=None, collect_trace: bool | None = None):
+    """Execute the control loop for `spec.horizon` steps, seeded by `spec.seed`.
 
     Returns (RunReport, steps): one step row per step (conflicts, demand and
     throughput totals, and the counts of actions, triggered ticks, reuses,
     switches and disruptions), from which `report_from_trace` aggregates the
     report. A step tells the population once which agents acted. When a
     sense, the first one too, leaves the population settled, the run is at a
-    fixed point up to `Environment.next_change`: each step before it would
-    fire no agent and get the same report back. So each such step's row is
-    the last report's with its own t and no actions, and the run moves to
-    the step before the change without ticking, stepping or sensing. A run
+    fixed point up to `Environment.next_change`, at most the step after the
+    horizon: each step before it would fire no agent and get the same report
+    back. So each such step's row is the last report's with its own t and no
+    actions, and the run moves to the step before the change without
+    ticking, stepping or sensing. A run
     traces exactly when it has an out_dir: each step row then follows one
     tick line per agent in node order, the population's idle head or the
     agent's `TraceEvent.head` ended by t, all in one write to trace.jsonl
@@ -552,21 +554,17 @@ def run_scenario(spec: ScenarioSpec, seed: int | None = None,
     if collect_trace is not None and collect_trace != (out_dir is not None):
         raise ValueError(f"collect_trace={collect_trace} disagrees with out_dir={out_dir}")
     started = time.perf_counter()
-    run_seed = spec.seed if seed is None else seed
-    if run_seed < 0:
-        raise ValueError(f"seed {run_seed} is negative")
-    env = Environment(spec.env_config, seed=run_seed)
+    env = Environment(spec.env_config, seed=spec.seed)
     state = env.reset()
     report = env.report_for(state)
-    agents = build_agents(spec, env, state, run_seed)
+    agents = build_agents(spec, env, state, spec.seed)
     population = Population(agents, env)
     population.sense(report)
 
     steps: list[dict] = []
     with nullcontext() if out_dir is None else _trace_file(Path(out_dir)) as trace:
         while state.t < spec.horizon:
-            if population.settled and (end := min(env.next_change(state.t) - 1,
-                                                  spec.horizon)) > state.t:
+            if population.settled and (end := env.next_change(state.t) - 1) > state.t:
                 # A fixed point: every step up to the demand change repeats an idle one.
                 rows = [_step_row(t, report, ()) for t in range(state.t + 1, end + 1)]
                 if trace is not None:
@@ -607,11 +605,11 @@ def run_scenario(spec: ScenarioSpec, seed: int | None = None,
 
 
 def sweep(spec: ScenarioSpec, seeds, out_dir=None) -> dict[int, RunReport]:
-    """Run the scenario once per seed; independent runs, shared spec."""
+    """Run the scenario once per seed, each a copy of `spec` with that seed."""
     reports = {}
     for seed in seeds:
         sub = Path(out_dir) / f"seed_{seed}" if out_dir is not None else None
-        reports[seed], _ = run_scenario(spec, seed=seed, out_dir=sub)
+        reports[seed], _ = run_scenario(replace(spec, seed=seed), out_dir=sub)
     return reports
 
 
@@ -740,7 +738,7 @@ def value_iteration(mdp: MdpSpec, tol: float = 1e-9):
 
 
 def q_learning_on_mdp(mdp: MdpSpec, params: QParams,
-                      policy: ExplorationPolicy, iterations: int,
+                      policy: EpsilonGreedy, iterations: int,
                       seed: int = 0) -> QTable:
     """Run tabular updates along an exploring walk from state 0, choosing and
     learning through the same `select_action` and `QTable.update` as the agents."""

@@ -76,10 +76,7 @@ class Controlled(EpsilonGreedy):
                 or (self.max_switches is not None and recent_switches >= self.max_switches))
 
 
-ExplorationPolicy = EpsilonGreedy | Controlled
-
-
-def select_action(table: QTable, state: int, policy: ExplorationPolicy,
+def select_action(table: QTable, state: int, policy: EpsilonGreedy,
                   rng: np.random.Generator, hold: int | None = None) -> int:
     """Pick an action index epsilon-greedily, reading the state's row once.
 

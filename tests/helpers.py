@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+from dataclasses import replace
 from pathlib import Path
 
 from hypothesis import strategies as st
@@ -119,6 +120,11 @@ def _best_moves(gain: dict, moves: dict, horizon: int) -> list[dict]:
     return best
 
 
+def with_horizon(spec: ScenarioSpec, horizon: int) -> ScenarioSpec:
+    """`spec` with another horizon, which its env_config holds."""
+    return replace(spec, env_config=replace(spec.env_config, horizon=horizon))
+
+
 def line_positions(n: int) -> dict[int, tuple[int, int]]:
     return {i: (i, 0) for i in range(n)}
 
@@ -147,11 +153,11 @@ def make_channel_spec(n_nodes: int, edges, *, channels: int = 3,
              for i in range(n_nodes)]
     env_config = EnvConfig(topology=topo, users=users, pathloss_exponent=1.0,
                            tx_power=1.0, noise_floor=1e-3, bandwidth_unit=1.0,
-                           horizon=max(1, horizon))
+                           horizon=horizon)
     params = AgentParams(policy=policy or EpsilonGreedy(0.2),
                          qparams=qparams or QParams(alpha=0.4, gamma=0.3))
     return ScenarioSpec(kind="channel-assignment", env_config=env_config,
-                        agent_params=params, horizon=horizon, seed=seed,
+                        agent_params=params, seed=seed,
                         disruption_penalty=disruption_penalty)
 
 
@@ -168,8 +174,8 @@ def make_location_spec(*, horizon: int = 80, seed: int = 0, epsilon: float = 0.1
     tiles share no interference edge.
     """
     hi, lo = 3.0, 0.1
-    profile_a = DemandProfile.periodic(40, [(0, hi), (20, lo)], horizon)
-    profile_b = DemandProfile.periodic(40, [(0, lo), (20, hi)], horizon)
+    profile_a = DemandProfile.periodic(40, [(0, hi), (20, lo)])
+    profile_b = DemandProfile.periodic(40, [(0, lo), (20, hi)])
     positions, allowed, users = {}, {}, []
     for r in range(rows):
         for c in range(cols):
@@ -182,13 +188,13 @@ def make_location_spec(*, horizon: int = 80, seed: int = 0, epsilon: float = 0.1
     topo = MeshTopology(positions=positions, edges=set(), channels=(1,), allowed=allowed)
     env_config = EnvConfig(topology=topo, users=users, pathloss_exponent=2.0,
                            tx_power=1.0, noise_floor=1e-2, bandwidth_unit=1.0,
-                           horizon=max(1, horizon))
+                           horizon=horizon)
     params = AgentParams(policy=EpsilonGreedy(epsilon),
                          qparams=QParams(alpha=0.3, gamma=0.5),
                          similarity_threshold=0.95,
                          coefficient_threshold=0.9)
     return ScenarioSpec(kind="location-optimization", env_config=env_config,
-                        agent_params=params, horizon=horizon, seed=seed)
+                        agent_params=params, seed=seed)
 
 
 def make_lowload_window_spec(policy, *, horizon: int = 300,
@@ -205,15 +211,15 @@ def make_lowload_window_spec(policy, *, horizon: int = 300,
     positions = grid_positions(n)
     topo = MeshTopology(positions=positions, edges=edges,
                         channels=(1, 2, 3))
-    profile = DemandProfile.periodic(30, [(0, 2.5), (8, 0.6)], horizon)
+    profile = DemandProfile.periodic(30, [(0, 2.5), (8, 0.6)])
     users = [UserSpec(user=i, position=positions[i], demand=profile, node=i)
              for i in range(n)]
     env_config = EnvConfig(topology=topo, users=users, pathloss_exponent=0.5,
                            tx_power=1.0, noise_floor=1e-3, bandwidth_unit=0.3,
-                           horizon=max(1, horizon))
+                           horizon=horizon)
     params = AgentParams(policy=policy, qparams=QParams(alpha=0.4, gamma=0.3))
     return ScenarioSpec(kind="channel-assignment", env_config=env_config,
-                        agent_params=params, horizon=horizon, seed=seed)
+                        agent_params=params, seed=seed)
 
 
 def _path(n):

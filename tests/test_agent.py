@@ -57,7 +57,7 @@ def two_relay_spec(horizon=60):
                         allowed={0: cells, 1: cells})
     users = [*spec.env_config.users,
              UserSpec(user=2, position=(3, 1), demand=DemandProfile.periodic(
-                 30, [(0, 2.0), (15, 0.2)], horizon), node=1)]
+                 30, [(0, 2.0), (15, 0.2)]), node=1)]
     return replace(spec, env_config=replace(spec.env_config, topology=topo, users=users))
 
 
@@ -143,7 +143,7 @@ class TestBuild:
     @pytest.mark.parametrize("spec", [make_channel_spec(3, {(0, 1), (1, 2)}),
                                       make_location_spec(cols=2)], ids=["channel", "location"])
     def test_demand_features_span_the_environment_peak(self, spec):
-        periodic = DemandProfile.periodic(30, [(0, 2.5), (8, 0.6)], spec.horizon)
+        periodic = DemandProfile.periodic(30, [(0, 2.5), (8, 0.6)])
         random = DemandProfile.random_epochs(8, [0.4, 7.5])
         users = [replace(user, demand=(periodic, random)[k % 2])
                  for k, user in enumerate(spec.env_config.users)]
@@ -648,7 +648,7 @@ class TestControlledRun:
     def test_switch_budget_holds_in_every_window(self, tmp_path, max_switches, window, seed):
         policy = Controlled(epsilon=0.1, serving_threshold=1.0,
                             max_switches=max_switches, window=window)
-        run_scenario(make_lowload_window_spec(policy, seed=seed), seed=seed, out_dir=tmp_path)
+        run_scenario(make_lowload_window_spec(policy, seed=seed), out_dir=tmp_path)
         switches = {}
         for r in read_trace(tmp_path):
             if r["kind"] == "tick" and r["switched"]:
@@ -668,6 +668,6 @@ class TestControlledRun:
             side * side, edges, positions=grid_positions(side * side, width=side),
             demand=DemandProfile.random_epochs(8, [0.4, 0.8, 2.5, 5.0]), horizon=300,
             seed=seed, policy=Controlled(epsilon=0.1, serving_threshold=1.0))
-        report, _ = run_scenario(spec, seed=seed)
+        report, _ = run_scenario(spec)
         assert report.reuse_ticks > 0 and report.switches > 0
         assert report.disruptions == 0  # a switch above 1.0 Mbps is a disruption

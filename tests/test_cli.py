@@ -1,6 +1,7 @@
 """The command-line entry points, called in-process through `cli.main`."""
 
 import json
+from dataclasses import replace
 from pathlib import Path
 from unittest import mock
 
@@ -29,7 +30,7 @@ def test_run_prints_and_writes_the_seeded_report(tmp_path, capsys):
     timings = json.loads((out / "timings.json").read_text())
     assert float(printed.pop("wall_time_s")) == timings["wall_time_s"]
     assert printed == key_values((out / "report.txt").read_text())
-    expected, _ = run_scenario(load_scenario(spec_path), seed=3)
+    expected, _ = run_scenario(replace(load_scenario(spec_path), seed=3))
     assert printed == {key: str(value) for key, value in expected.rows()}
     assert (out / "trace.jsonl").stat().st_size > 0
 
@@ -92,7 +93,7 @@ def test_run_rejects_a_negative_seed_before_it_builds_anything(capsys):
         assert cli.main(["run", str(spec_path), "--seed", "-1"]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "error: ValueError: seed -1 is negative\n"
+    assert captured.err == "error: SpecValidation: seed must be >= 0\n"
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)

@@ -35,7 +35,8 @@ def assert_levels_match_a_per_step_loop(env, profiles, seed, horizon):
         profile, t = profiles[u], min(t, horizon)
         if profile.random_epoch_len:
             return draws[u][t // profile.random_epoch_len]
-        return [v for start, v in profile.steps if start <= t][-1]
+        at = t % profile.period if profile.period else t
+        return [v for start, v in profile.steps if start <= at][-1]
 
     users, seen = range(len(profiles)), []
     state = env.reset()
@@ -237,7 +238,7 @@ class TestDemandEvolution:
         horizon, seed = 45, 11
         profiles = [DemandProfile.piecewise([(0, 1.0), (7, 4.0), (60, 9.0)]),  # 60 > horizon
                     DemandProfile.random_epochs(6, [0.5, 2.0, 3.5]),
-                    DemandProfile.periodic(10, [(0, 2.0), (3, 0.25)], horizon),
+                    DemandProfile.periodic(10, [(0, 2.0), (3, 0.25)]),
                     DemandProfile.random_epochs(4, [1.0, 8.0])]
         users = [UserSpec(user=u, position=(0, 0), node=0, demand=p)
                  for u, p in enumerate(profiles)]
@@ -245,19 +246,21 @@ class TestDemandEvolution:
         assert_levels_match_a_per_step_loop(env, profiles, seed, horizon)
 
     def test_users_of_one_profile_object_share_its_levels_but_not_its_draws(self, monkeypatch):
-        """A deterministic profile object is resolved once for all its users; a
-        random one draws once per user, in user order, so its users' levels differ."""
+        """A deterministic profile is resolved once for all its users, also those of
+        an equal but distinct object; a random one draws once per user, in user
+        order, so its users' levels differ."""
         horizon, seed = 45, 3
-        periodic = DemandProfile.periodic(10, [(0, 2.0), (3, 0.25)], horizon)
+        periodic = DemandProfile.periodic(10, [(0, 2.0), (3, 0.25)])
         random = DemandProfile.random_epochs(4, [1.0, 8.0, 3.0])
-        profiles = [periodic, random, periodic, random]
+        profiles = [periodic, random, DemandProfile.periodic(10, [(0, 2.0), (3, 0.25)]), random]
+        assert profiles[2] is not periodic
         resolved, resolve = [], DemandProfile.resolve
         monkeypatch.setattr(DemandProfile, "resolve",
                             lambda self, *args: resolved.append(self) or resolve(self, *args))
         users = [UserSpec(user=u, position=(0, 0), node=0, demand=p)
                  for u, p in enumerate(profiles)]
         env = make_env({0: (0, 0)}, set(), users, seed=seed, horizon=horizon)
-        assert [p is periodic for p in resolved].count(True) == 1
+        assert [p == periodic for p in resolved].count(True) == 1
         assert [p is random for p in resolved].count(True) == 2
         levels = assert_levels_match_a_per_step_loop(env, profiles, seed, horizon)
         assert levels[1] != levels[3]  # the check above tells the two random users apart
@@ -292,7 +295,7 @@ class TestNextChange:
     @pytest.mark.parametrize("profile", [
         DemandProfile.constant(3.0),
         DemandProfile.piecewise([(0, 1.0), (7, 4.0), (12, 0.5), (60, 9.0)]),  # 60 > horizon
-        DemandProfile.periodic(10, [(0, 2.0), (3, 0.25)], 45),
+        DemandProfile.periodic(10, [(0, 2.0), (3, 0.25)]),
         DemandProfile.random_epochs(6, [0.5, 2.0, 3.5]),
     ], ids=["constant", "piecewise", "periodic", "random-epochs"])
     def test_each_profile_changes_where_stepping_finds_another_demand_dict(self, profile):

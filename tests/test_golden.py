@@ -138,7 +138,7 @@ GOLDEN = {
 @pytest.mark.parametrize("name,seed", sorted(GOLDEN))
 def test_decisions_match_golden_digest(tmp_path, name, seed):
     digest, satisfaction, mean_achieved = GOLDEN[name, seed]
-    report, _ = run_scenario(make_spec(name), seed=seed, out_dir=tmp_path)
+    report, _ = run_scenario(replace(make_spec(name), seed=seed), out_dir=tmp_path)
     assert decision_digest(read_trace(tmp_path), report) == digest
     assert report.satisfaction_ratio == pytest.approx(satisfaction, rel=1e-9)
     assert report.mean_achieved_mbps == pytest.approx(mean_achieved, rel=1e-9)

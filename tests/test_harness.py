@@ -31,7 +31,7 @@ from meshmind.optimize import Controlled
 from meshmind.reasoning import Outcome
 
 from helpers import (draw_readings, make_channel_spec, make_location_spec,
-                     reactive_location_oracle, read_trace, readings_report)
+                     reactive_location_oracle, read_trace, readings_report, with_horizon)
 from test_golden import make_spec as golden_spec
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
@@ -67,10 +67,9 @@ def tiny_spec(horizon=10, seed=0):
     users = [UserSpec(user=0, position=(0, 0),
                       demand=DemandProfile.constant(2.0), node=0)]
     env_config = EnvConfig(topology=topo, users=users, pathloss_exponent=1.0,
-                           noise_floor=1e-3, bandwidth_unit=1.0,
-                           horizon=max(1, horizon))
+                           noise_floor=1e-3, bandwidth_unit=1.0, horizon=horizon)
     return ScenarioSpec(kind="channel-assignment", env_config=env_config,
-                        agent_params=AgentParams(), horizon=horizon, seed=seed)
+                        agent_params=AgentParams(), seed=seed)
 
 
 class TestRunScenario:
@@ -82,9 +81,9 @@ class TestRunScenario:
         assert report.mean_achieved_mbps == 0.0
 
     def test_same_seed_reproduces_records_exactly(self, tmp_path):
-        spec = make_channel_spec(4, {(0, 1), (1, 2), (2, 3)}, horizon=60)
-        _, first = run_scenario(spec, seed=5, out_dir=tmp_path / "a")
-        _, second = run_scenario(spec, seed=5, out_dir=tmp_path / "b")
+        spec = make_channel_spec(4, {(0, 1), (1, 2), (2, 3)}, horizon=60, seed=5)
+        _, first = run_scenario(spec, out_dir=tmp_path / "a")
+        _, second = run_scenario(spec, out_dir=tmp_path / "b")
         assert first == second
         assert read_trace(tmp_path / "a") == read_trace(tmp_path / "b")
 
@@ -95,8 +94,8 @@ class TestRunScenario:
 
     def test_report_matches_trace_recomputation(self, tmp_path):
         spec = make_channel_spec(4, {(0, 1), (1, 2), (2, 3), (0, 3)},
-                                 horizon=120)
-        report, _ = run_scenario(spec, seed=2, out_dir=tmp_path)
+                                 horizon=120, seed=2)
+        report, _ = run_scenario(spec, out_dir=tmp_path)
         records = read_trace(tmp_path)
         derived = report_from_trace(records)
         assert derived["steps"] == report.steps
@@ -130,14 +129,15 @@ class TestRunScenario:
         make_location_spec(),
     ], ids=["channel", "location"])
     def test_untraced_run_gives_the_traced_report(self, tmp_path, spec):
-        traced, steps = run_scenario(spec, seed=2, out_dir=tmp_path)
-        untraced, untraced_steps = run_scenario(spec, seed=2)
+        spec = replace(spec, seed=2)
+        traced, steps = run_scenario(spec, out_dir=tmp_path)
+        untraced, untraced_steps = run_scenario(spec)
         assert untraced_steps == steps
         assert replace(untraced, wall_time_s=0.0) == replace(traced, wall_time_s=0.0)
 
     def test_one_trace_event_per_agent_per_step(self, tmp_path):
-        spec = make_channel_spec(3, {(0, 1), (1, 2)}, horizon=40)
-        run_scenario(spec, seed=1, out_dir=tmp_path)
+        spec = make_channel_spec(3, {(0, 1), (1, 2)}, horizon=40, seed=1)
+        run_scenario(spec, out_dir=tmp_path)
         ticks = [r for r in read_trace(tmp_path) if r["kind"] == "tick"]
         assert len(ticks) == 3 * 40
         # ascending node order within each step
@@ -151,6 +151,25 @@ class TestRunScenario:
         assert set(reports) == {1, 2, 3}
         again = sweep(spec, seeds=[2])
         assert again[2].final_conflicts == reports[2].final_conflicts
+
+    def test_periodic_demand_repeats_up_to_the_horizon_the_run_takes(self):
+        """A spec built for 10 steps and given 40 repeats its period through t = 40:
+        the env config holds the one horizon that profiles expand to."""
+        periodic = DemandProfile.periodic(6, [(0, 3.0), (3, 0.1)])
+        spec = make_channel_spec(3, {(0, 1), (1, 2)}, demand=periodic, horizon=10)
+        _, steps = run_scenario(with_horizon(spec, 40))
+        assert [row["total_demand"] for row in steps] == pytest.approx(
+            [3 * (3.0 if t % 6 < 3 else 0.1) for t in range(1, 41)])
+
+    def test_random_demand_draws_for_the_horizon_the_run_takes(self):
+        """Given 40 steps, a spec built for 10 draws as one built for 40 does."""
+        random = DemandProfile.random_epochs(4, [0.5, 2.0, 5.0, 17.0])
+        spec = make_channel_spec(3, {(0, 1), (1, 2)}, demand=random, horizon=10)
+        _, steps = run_scenario(with_horizon(spec, 40))
+        _, expected = run_scenario(make_channel_spec(3, {(0, 1), (1, 2)}, demand=random,
+                                                     horizon=40))
+        assert steps == expected
+        assert len({row["total_demand"] for row in steps[10:]}) > 1
 
 
 LEVEL = st.sampled_from([0.5, 2.0, 5.0, 12.0])  # a clean link carries ~9.97 Mbps
@@ -172,7 +191,7 @@ def fixed_point_specs(draw):
         st.builds(lambda first, rest: DemandProfile.piecewise([(0, first), *rest.items()]),
                   LEVEL, st.dictionaries(st.integers(1, 70), LEVEL, max_size=3)),
         st.builds(lambda period, levels: DemandProfile.periodic(
-            period, list(enumerate(levels)), horizon), st.integers(3, 15),
+            period, list(enumerate(levels))), st.integers(3, 15),
             st.lists(LEVEL, min_size=1, max_size=3)),
         st.builds(DemandProfile.random_epochs, st.integers(1, 15),
                   st.lists(LEVEL, min_size=1, max_size=3))))
@@ -296,7 +315,8 @@ def line(event) -> str:
 class TestEmission:
     @pytest.mark.parametrize("name,seed", list(PINNED_EMISSION))
     def test_emitted_files_match_the_recorded_digests(self, tmp_path, name, seed):
-        run_scenario(load_scenario(SCENARIO_DIR / f"{name}.yaml"), seed=seed, out_dir=tmp_path)
+        run_scenario(replace(load_scenario(SCENARIO_DIR / f"{name}.yaml"), seed=seed),
+                     out_dir=tmp_path)
         digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
                    for p in tmp_path.iterdir() if p.name != "timings.json"}
         assert digests == PINNED_EMISSION[(name, seed)]
@@ -305,7 +325,7 @@ class TestEmission:
     def test_tick_rows_of_a_run_are_written_without_json(self, tmp_path, name, seed):
         spec = load_scenario(SCENARIO_DIR / f"{name}.yaml")
         with mock.patch.object(TraceEvent, "to_record", side_effect=AssertionError):
-            run_scenario(spec, seed=seed, out_dir=tmp_path)
+            run_scenario(replace(spec, seed=seed), out_dir=tmp_path)
         trace = tmp_path / "trace.jsonl"
         assert hashlib.sha256(trace.read_bytes()).hexdigest() == \
             PINNED_EMISSION[(name, seed)]["trace.jsonl"]
@@ -400,8 +420,9 @@ class TestEmission:
     def test_tick_rows_go_to_the_file_or_to_records(self, tmp_path, spec):
         """Tick rows go to trace.jsonl, each line as json.dumps writes it; the
         records of a run hold only its step rows, with or without out_dir."""
-        _, steps = run_scenario(spec, seed=0, out_dir=tmp_path)
-        _, untraced = run_scenario(spec, seed=0)
+        spec = replace(spec, seed=0)
+        _, steps = run_scenario(spec, out_dir=tmp_path)
+        _, untraced = run_scenario(spec)
         lines = (tmp_path / "trace.jsonl").read_text().splitlines(keepends=True)
         rows = read_trace(tmp_path)
         assert lines == list(map(dumps_line, rows))  # also the sign of zero, 1 against 1.0
@@ -412,7 +433,7 @@ class TestEmission:
         spec = golden_spec("grid8x8")  # 64 nodes, 300 steps
         runs = ({}, {"out_dir": tmp_path})
         for kwargs in runs:  # first-call allocations happen outside the measured runs
-            run_scenario(replace(spec, horizon=3), **kwargs)
+            run_scenario(with_horizon(spec, 3), **kwargs)
         peaks = []
         for kwargs in runs:
             tracemalloc.start()
@@ -425,12 +446,12 @@ class TestEmission:
         assert traced <= 2 * untraced
 
     def test_failed_run_leaves_out_dir_as_it_was(self, tmp_path):
-        spec = make_channel_spec(4, {(0, 1), (1, 2), (2, 3)}, horizon=50)
-        run_scenario(spec, seed=9, out_dir=tmp_path)
+        spec = make_channel_spec(4, {(0, 1), (1, 2), (2, 3)}, horizon=50, seed=9)
+        run_scenario(spec, out_dir=tmp_path)
         before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
         with mock.patch.object(Agent, "observe", side_effect=RuntimeError("stop")):
             with pytest.raises(RuntimeError, match="stop"):
-                run_scenario(spec, seed=3, out_dir=tmp_path)
+                run_scenario(replace(spec, seed=3), out_dir=tmp_path)
         assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
     def test_untraced_run_with_out_dir_is_refused_before_writing(self, tmp_path):
@@ -455,11 +476,11 @@ class TestEmission:
             run_scenario(tiny_spec(horizon=3), out_dir=occupied)
 
     def test_emitted_files_are_byte_identical_across_runs(self, tmp_path):
-        spec = make_channel_spec(4, {(0, 1), (1, 2), (2, 3)}, horizon=50)
+        spec = make_channel_spec(4, {(0, 1), (1, 2), (2, 3)}, horizon=50, seed=9)
         out_a = tmp_path / "a"
         out_b = tmp_path / "b"
-        run_scenario(spec, seed=9, out_dir=out_a)
-        run_scenario(spec, seed=9, out_dir=out_b)
+        run_scenario(spec, out_dir=out_a)
+        run_scenario(spec, out_dir=out_b)
         for name in ("trace.jsonl", "metrics.csv", "report.txt"):
             assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
         dumps_a = sorted(p.name for p in out_a.glob("qtable_node_*.txt"))
@@ -472,7 +493,7 @@ class TestEmission:
         # lowload_windows has 10 agents, ring6_channels 6, in one out_dir
         for name in ("lowload_windows", "ring6_channels"):
             spec = load_scenario(SCENARIO_DIR / f"{name}.yaml")
-            run_scenario(replace(spec, horizon=5), out_dir=tmp_path)
+            run_scenario(with_horizon(spec, 5), out_dir=tmp_path)
         assert sorted(p.name for p in tmp_path.glob("qtable_node_*.txt")) == [
             f"qtable_node_{node}.txt" for node in range(6)]
 
@@ -507,8 +528,8 @@ class TestScenarioLoading:
 
     def test_loaded_scenario_runs(self):
         spec = load_scenario(SCENARIO_DIR / "ring6_channels.yaml")
-        spec.horizon = 30  # keep the unit test quick
-        report, _ = run_scenario(spec, seed=4)
+        spec = replace(with_horizon(spec, 30), seed=4)  # keep the unit test quick
+        report, _ = run_scenario(spec)
         assert report.steps == 30
 
     def test_missing_keys_are_reported(self):
@@ -560,6 +581,10 @@ class TestScenarioLoading:
          "agents.kb.eviction: expected 'lru', got 'lowest-coefficient'"),
         (lambda d: d.update(agents={"kb": {"capacity": 0}}), "capacity must be >= 1"),
         (lambda d: d.update(horizon="abc"), "'abc'"),
+        (lambda d: d.update(horizon=-1), "env: horizon must be >= 0"),
+        (lambda d: d.update(horizon=-1) or d["env"]["users"][0].update(
+            demand={"mode": "periodic", "period": 10, "segments": [[0, 1.0], [3, 2.0]]}),
+         "env: horizon must be >= 0"),
         (lambda d: d["env"]["users"][0].update(
             demand={"mode": "periodic", "period": 0, "segments": [[0, 1.0]]}), "period 0"),
         (lambda d: d["env"]["users"][0].update(
@@ -640,7 +665,7 @@ class TestScenarioLoading:
     ], ids=["user-node", "negative-demand", "nan-demand", "negative-step",
             "controlled-epsilon", "greedy-epsilon", "kb-eviction", "kb-eviction-removed",
             "kb-capacity",
-            "horizon-not-int", "period-zero", "period-negative", "initial-channel-palette",
+            "horizon-not-int", "negative-horizon", "negative-horizon-periodic", "period-zero", "period-negative", "initial-channel-palette",
             "initial-channel-node", "duplicate-node", "negative-node-id", "duplicate-agent-node",
             "negative-seed", "tx-power",
             "bandwidth-unit", "controlled-window", "controlled-max-switches",
@@ -663,6 +688,7 @@ class TestScenarioLoading:
         with pytest.raises(SpecValidation) as err:
             scenario_from_dict(spec_dict)
         assert problem in str(err.value)
+        assert len(err.value.problems) == problem.count("; ") + 1, err.value.problems
 
     @pytest.mark.parametrize("channels,problem", [
         (2**62, f"env.channels: {2**62} channels, above the 65536 a palette may hold"),
@@ -729,8 +755,8 @@ class TestScenarioLoading:
         unmoved = scenario_from_dict(yaml.safe_load(text))
         moved = scenario_from_dict(translate(yaml.safe_load(text), dx, dy))
         for seed in range(3):
-            report, steps = run_scenario(moved, seed=seed)
-            expected, expected_steps = run_scenario(unmoved, seed=seed)
+            report, steps = run_scenario(replace(moved, seed=seed))
+            expected, expected_steps = run_scenario(replace(unmoved, seed=seed))
             assert (report.rows(), steps) == (expected.rows(), expected_steps)
 
     @pytest.mark.parametrize("node", [-1, 2**32, 2**40])
@@ -751,7 +777,7 @@ class TestScenarioLoading:
             assert err.value.problems == ["env.nodes[0].id: expected int >= 0, got -1",
                                           "env.nodes[3].id: expected int >= 0, got -2"]
         else:
-            run_scenario(replace(scenario_from_dict(data), horizon=3))
+            run_scenario(with_horizon(scenario_from_dict(data), 3))
 
     @pytest.mark.parametrize("name", ["ring6_channels", "follow_demand_location"])
     def test_negative_coordinates_load_where_nothing_bins_them(self, name):
@@ -761,7 +787,7 @@ class TestScenarioLoading:
                 data["env"]["nodes"] if name == "ring6_channels" else []):
             row["x"], row["y"] = row["x"] - 10, -2**53
         spec = scenario_from_dict(data)
-        run_scenario(replace(spec, horizon=3))
+        run_scenario(with_horizon(spec, 3))
 
     def test_infinite_serving_threshold_loads(self):
         data = yaml.safe_load((SCENARIO_DIR / "lowload_windows.yaml").read_text())
@@ -869,7 +895,7 @@ def _small_scenarios() -> list[dict]:
 def _run_snapshot() -> dict:
     """Node 0's knowledge base after 10 steps of lowload_windows (two cases), as a snapshot."""
     spec = load_scenario(SCENARIO_DIR / "lowload_windows.yaml")
-    _, _, agents = run_keeping_agents(replace(spec, horizon=10))
+    _, _, agents = run_keeping_agents(with_horizon(spec, 10))
     return agents[0].kb.snapshot()
 
 
@@ -1072,8 +1098,8 @@ class TestLocationScenario:
     @pytest.mark.parametrize("name", ["follow_demand_location", "relay_tiles_2x2"])
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_relays_reach_the_one_step_late_reactive_oracle(self, name, seed):
-        spec = golden_spec(name)
-        report, _ = run_scenario(spec, seed=seed)
+        spec = replace(golden_spec(name), seed=seed)
+        report, _ = run_scenario(spec)
         assert report.satisfaction_ratio >= reactive_location_oracle(spec, seed)
 
     def test_reactive_oracle_keeps_its_recorded_value(self):
@@ -1082,7 +1108,7 @@ class TestLocationScenario:
         assert reactive_location_oracle(spec, 0) == pytest.approx(0.9675307175081532, rel=1e-12)
 
     def test_relay_learns_to_follow_demand(self, tmp_path):
-        report, _ = run_scenario(make_location_spec(), seed=1, out_dir=tmp_path)
+        report, _ = run_scenario(make_location_spec(seed=1), out_dir=tmp_path)
         assert report.satisfaction_ratio > 0.9
         # second cycle reuses first-cycle knowledge
         derived = report_from_trace(read_trace(tmp_path))
