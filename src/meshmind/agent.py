@@ -13,18 +13,21 @@ The agent keeps its own books and writes nothing to the population. A
 tick returns its trace event, which holds its action, or None; it builds
 no other object but its percept, a tuple of unit-range floats: the step,
 the serving load and the controlled gate's verdict pass as plain values,
-and its config holds what no tick changes. A channel agent picks an
-action index from one read of its value table's row; its palette names
-the channel. A switch it emits is marked on its trace event, as a
-disruption when its users demand more than DISRUPTION_THRESHOLD. After
-the step, `observe` scores the action from the same batched pass: it
-revises the case, penalises a disruption and updates the value table.
+and its config holds what no tick changes. An agent holds no generator: a
+triggered tick takes one uniform u of the run's stream, used or not, from
+which a channel agent picks an action index (`select_action`) that its
+palette names, and a location agent, while u < epsilon, the one-step cell
+of u's bucket. A switch is marked on its trace event, as a disruption when
+its users demand more than DISRUPTION_THRESHOLD. After the step, `observe`
+scores the action from the same batched pass: it revises the case,
+penalises a disruption and updates the value table.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,7 +37,7 @@ from .env import (Action, Environment, EnvState, MoveTo, SetChannel, ThroughputR
 from .kb import Case, KnowledgeBase
 # encode_state is the scalar form of Population.states; perfbench times it here.
 # q_update is not called here; perfbench still times it at this name.
-from .learning import QParams, QTable, encode_state, learning_coefficient, q_update
+from .learning import QParams, QTable, bucket, encode_state, learning_coefficient, q_update
 from .optimize import (DISRUPTION_THRESHOLD, Controlled, EpsilonGreedy, location_search,
                        one_step_cells, select_action)
 # normalize is the scalar form of Population.sense; perfbench times it here.
@@ -177,13 +180,12 @@ _OUTCOME_TEXT = {outcome: outcome.value for outcome in Outcome}
 class Agent:
     """Controller for a single node; step it with tick() then observe()."""
 
-    def __init__(self, node: int, config: AgentConfig, run_seed: int = 0):
+    def __init__(self, node: int, config: AgentConfig):
         self.node = node
         self.config = config
         self.kb = KnowledgeBase(capacity=config.kb_capacity)
         self.table = QTable(config.feature_spec.state_count, len(
             _DIRECTIONS if config.kind == LOCATION_KIND else config.channels))
-        self.rng = np.random.default_rng([run_seed, 1, node])
         # (event, state index, action index, case) of the action awaiting feedback
         self._pending: tuple[TraceEvent, int, int, Case | None] | None = None
         self._switch_times: list[int] = []  # switches inside a controlled policy's window
@@ -200,16 +202,17 @@ class Agent:
     # -- the control cycle ---------------------------------------------------
 
     def tick(self, env: Environment, state: EnvState, population: "Population",
-             i: int) -> TraceEvent | None:
-        """Run one control step on row `i` of the population's pass: a triggered tick returns
-        its trace event, which holds its action, an idle one None. The caller marks it acted."""
+             i: int, draws: Iterator[float]) -> TraceEvent | None:
+        """Run one control step on row `i` of the population's pass: a triggered tick takes
+        the next uniform of `draws` and returns its trace event, which holds its action; an
+        idle one draws nothing and returns None. The caller marks it acted."""
         if not population.fired[i]:
             return None
-        t = state.t
+        t, u = state.t, next(draws)
         percept = population.percept(i)
         demanded = population.demanded[i]
         state_index = int(population.states[i])  # ValueError on NaN, as in encode_state
-        action, outcome, case = self._reason(env, state, percept, demanded, state_index)
+        action, outcome, case = self._reason(env, state, percept, demanded, state_index, u)
         event = TraceEvent(t, self.node, percept, _OUTCOME_TEXT[outcome], action)
         if type(action) is SetChannel:
             action_index = self.config.channel_index[action.channel]
@@ -226,7 +229,7 @@ class Agent:
         return event
 
     def _reason(self, env: Environment, state: EnvState, percept: tuple[float, ...],
-                demanded: float, state_index: int):
+                demanded: float, state_index: int, u: float):
         t = state.t
         hit = self.kb.retrieve(percept, t)
         if hit is None:
@@ -243,7 +246,7 @@ class Agent:
             if hold is not None and case.action.channel != hold:
                 return self._switch_to(hold), outcome, None
             return case.action, outcome, case
-        action = self._optimize(env, state, state_index, hold)
+        action = self._optimize(env, state, state_index, hold, u)
         if outcome is Outcome.RECOMPUTE:
             self.kb.revise(case, action=action)
             return action, outcome, case
@@ -255,17 +258,17 @@ class Agent:
         return action, outcome, None  # REJECT: act without writing to the KB
 
     def _optimize(self, env: Environment, state: EnvState, state_index: int,
-                  hold: int | None) -> Action:
+                  hold: int | None, u: float) -> Action:
         policy = self.config.policy
         if self.config.kind == LOCATION_KIND:
             # The one-step throughput climb is the exploitation arm here; a
             # fresh value table has nothing to exploit for one-shot triggers.
-            if policy.epsilon and self.rng.random() < policy.epsilon:
+            if u < policy.epsilon:
                 cells = one_step_cells(env.topology, self.node, state.position_of[self.node])
-                return MoveTo(self.node, cells[int(self.rng.integers(len(cells)))])
+                return MoveTo(self.node, cells[bucket(u / policy.epsilon, len(cells))])
             return location_search(env, state, self.node)
         held = None if hold is None else self.config.channel_index[hold]
-        a = select_action(self.table, state_index, policy, self.rng, held)
+        a = select_action(self.table, state_index, policy, u, held)
         return self._switch_to(self.config.channels[a])
 
     def _switch_to(self, channel: int) -> SetChannel:

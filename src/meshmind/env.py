@@ -156,7 +156,9 @@ class DemandProfile:
     random_levels: tuple[float, ...] = ()
     period: int = 0  # 0: the steps do not repeat
 
-    def __post_init__(self):
+    def __post_init__(self):  # + 0.0: a -0.0 level is the 0.0 it equals, so equal profiles match
+        object.__setattr__(self, "steps", tuple((t, v + 0.0) for t, v in self.steps))
+        object.__setattr__(self, "random_levels", tuple(v + 0.0 for v in self.random_levels))
         for level in (*(v for _, v in self.steps), *self.random_levels):
             if not 0.0 <= level < math.inf:
                 raise ValueError(f"demand level {level} must be finite and >= 0")

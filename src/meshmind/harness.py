@@ -64,7 +64,7 @@ class IoFailure(Exception):
 @dataclass
 class ScenarioSpec:
     """A run: its env config, which holds the horizon, its agents' parameters
-    and its one seed, which seeds the environment and every agent."""
+    and its one seed, which seeds the environment and the run's one stream."""
 
     kind: str
     env_config: EnvConfig
@@ -414,7 +414,7 @@ def scenario_from_dict(data) -> ScenarioSpec:
         ids = Counter(row["id"] for row in nodes)
         problems.append((("env", "nodes"),
                          f"duplicate node id {min(i for i in ids if ids[i] > 1)}"))
-    if min(positions, default=0) < 0:  # an agent seeds its generator from its node id
+    if min(positions, default=0) < 0:
         problems += [(("env", "nodes", i, "id"), f"expected int >= 0, got {row['id']}")
                      for i, row in enumerate(nodes) if row["id"] < 0]
     topology = _built(
@@ -481,7 +481,8 @@ def build_agents(spec: ScenarioSpec, env: Environment, state: EnvState,
                  seed: int) -> list[Agent]:
     """One agent per controllable node, with per-scenario feature specs; demand
     features span 0 to the environment's `demand_peak` (1 when it is 0). Agents
-    with equal features, and so equal percept layouts, share one config."""
+    with equal features, and so equal percept layouts, share one config. `state`
+    and `seed` are unused; they stay for perfbench's positional call."""
     params = spec.agent_params
     topology = spec.env_config.topology
     nodes = sorted(params.nodes if params.nodes is not None else topology.nodes)
@@ -500,7 +501,7 @@ def build_agents(spec: ScenarioSpec, env: Environment, state: EnvState,
         if features not in configs:
             configs[features] = AgentConfig(kind=spec.kind, feature_spec=FeatureSpec(features),
                                             channels=topology.channels, **vars(params))
-        agents.append(Agent(node, configs[features], run_seed=seed))
+        agents.append(Agent(node, configs[features]))
     return agents
 
 
@@ -537,19 +538,21 @@ def run_scenario(spec: ScenarioSpec, out_dir=None, collect_trace: bool | None = 
     Returns (RunReport, steps): one step row per step (conflicts, demand and
     throughput totals, and the counts of actions, triggered ticks, reuses,
     switches and disruptions), from which `report_from_trace` aggregates the
-    report. A step tells the population once which agents acted. When a
+    report. A step tells the population once which agents acted. The agents
+    draw from one stream, `default_rng([spec.seed, 1])`: a step draws
+    `random(k)` once for its k triggered ticks, one uniform each in node
+    order, used or not, so a run draws `triggered_ticks` uniforms. When a
     sense, the first one too, leaves the population settled, the run is at a
     fixed point up to `Environment.next_change`, at most the step after the
     horizon: each step before it would fire no agent and get the same report
     back. So each such step's row is the last report's with its own t and no
     actions, and the run moves to the step before the change without
-    ticking, stepping or sensing. A run
-    traces exactly when it has an out_dir: each step row then follows one
-    tick line per agent in node order, the population's idle head or the
-    agent's `TraceEvent.head` ended by t, all in one write to trace.jsonl
-    per step, counted in wall_time_s. A run that raises leaves out_dir's
-    files as they were. collect_trace, if given, must equal
-    `out_dir is not None`.
+    ticking, stepping, sensing or drawing. A run traces exactly when it has
+    an out_dir: each step row then follows one tick line per agent in node
+    order, the population's idle head or the agent's `TraceEvent.head` ended
+    by t, all in one write to trace.jsonl per step, counted in wall_time_s. A
+    run that raises leaves out_dir's files as they were. collect_trace, if
+    given, must equal `out_dir is not None`.
     """
     if collect_trace is not None and collect_trace != (out_dir is not None):
         raise ValueError(f"collect_trace={collect_trace} disagrees with out_dir={out_dir}")
@@ -558,6 +561,7 @@ def run_scenario(spec: ScenarioSpec, out_dir=None, collect_trace: bool | None = 
     state = env.reset()
     report = env.report_for(state)
     agents = build_agents(spec, env, state, spec.seed)
+    rng = np.random.default_rng([spec.seed, 1])
     population = Population(agents, env)
     population.sense(report)
 
@@ -576,8 +580,9 @@ def run_scenario(spec: ScenarioSpec, out_dir=None, collect_trace: bool | None = 
                 state = replace(state, t=end)
                 continue
             events, acting = [], []
+            draws = iter(rng.random(population.fired.count(True)).tolist())
             for i, ag in enumerate(agents):
-                event = ag.tick(env, state, population, i)
+                event = ag.tick(env, state, population, i, draws)
                 if event is not None:  # a triggered tick, which always acts
                     events.append(event)
                     acting.append(i)
@@ -746,7 +751,7 @@ def q_learning_on_mdp(mdp: MdpSpec, params: QParams,
     table = QTable(mdp.state_count, mdp.action_count)
     state = 0
     for _ in range(iterations):
-        action = select_action(table, state, policy, rng)
+        action = select_action(table, state, policy, rng.random())
         next_state = int(rng.choice(mdp.state_count, p=mdp.transitions[state, action]))
         table.update(params, state, action, float(mdp.rewards[state, action]), next_state)
         state = next_state

@@ -155,9 +155,13 @@ def encode_state(percept: tuple[float, ...], spec: FeatureSpec) -> int:
                               f"spec expects {len(spec.features)}")
     index = 0
     for value, bins in zip(percept, spec.bins):
-        b = min(int(value * bins), bins - 1)
-        index = index * bins + b
+        index = index * bins + bucket(value, bins)
     return index
+
+
+def bucket(value: float, bins: int) -> int:
+    """The bin of `value` in [0, 1] among `bins` equal ones; 1.0 lands in the last."""
+    return min(int(value * bins), bins - 1)
 
 
 def format_q_table(table: QTable) -> str:

@@ -1,9 +1,10 @@
 """Action search: exploitation, exploration policies, and domain heuristics.
 
-Selection picks an action index, drawing from a caller-supplied RNG so
-traces replay exactly. The coloring heuristic and the exhaustive channel
-search act as each other's sanity check; the location hill-climb scores
-one-step moves through the environment's own throughput model.
+Selection picks an action index from one caller-supplied uniform, its only
+randomness, so traces replay exactly: each action's explore bucket is
+epsilon/n wide. The coloring heuristic and the exhaustive channel search
+act as each other's sanity check; the location hill-climb scores one-step
+moves through the environment's own throughput model.
 """
 
 from __future__ import annotations
@@ -12,10 +13,8 @@ import itertools
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .env import Cell, Environment, EnvState, MeshTopology, MoveTo
-from .learning import IndexOutOfRange, QTable
+from .learning import IndexOutOfRange, QTable, bucket
 
 # A channel switch counts as a service disruption when the node's users
 # demand more than this many Mbps at the moment of the switch. It doubles
@@ -77,25 +76,26 @@ class Controlled(EpsilonGreedy):
 
 
 def select_action(table: QTable, state: int, policy: EpsilonGreedy,
-                  rng: np.random.Generator, hold: int | None = None) -> int:
-    """Pick an action index epsilon-greedily, reading the state's row once.
+                  u: float, hold: int | None = None) -> int:
+    """Pick an action index epsilon-greedily from the uniform `u`, reading the state's row once.
 
     With `hold`, the action index a controlled gate holds (IndexOutOfRange
-    outside the row), only that action is kept. Then the pick is uniform with
-    probability epsilon, else the highest-valued explored one, or uniform if none is.
+    outside the row), only that action is kept. Then the pick is `bucket(u / epsilon)`
+    while u < epsilon, else the first highest-valued explored one, or if none is,
+    `bucket((u - epsilon) / (1 - epsilon))`.
     """
     row = table.row(state)
     if hold is not None and not 0 <= hold < len(row):
         raise IndexOutOfRange(f"hold {hold} outside {len(row)} actions")
     actions = range(len(row)) if hold is None else (hold,)
-    best = None  # unless exploring, the first highest-valued explored action
-    if rng.random() >= policy.epsilon:
-        for a in actions:
-            if row[a] is not None and (best is None or row[a] > row[best]):
-                best = a
-    if best is None:
-        best = actions[int(rng.integers(len(actions)))]
-    return best
+    epsilon = policy.epsilon
+    if u < epsilon:
+        return actions[bucket(u / epsilon, len(actions))]
+    best = None  # the first highest-valued explored action
+    for a in actions:
+        if row[a] is not None and (best is None or row[a] > row[best]):
+            best = a
+    return actions[bucket((u - epsilon) / (1 - epsilon), len(actions))] if best is None else best
 
 
 # -- channel assignment heuristics -------------------------------------------

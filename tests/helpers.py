@@ -33,6 +33,18 @@ READING = st.sampled_from([0.0, -0.0, 0.5, 2.5, 5.0, math.nan]) | st.floats(
     allow_nan=False, allow_infinity=False)
 
 
+# An exploration rate, the ends included, and a uniform of a run's stream.
+EPSILON = st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0)
+UNIFORM = st.floats(0.0, 1.0, exclude_max=True)
+# Where in its [0, 1) bucket a uniform lies, away from the bucket's ends.
+INSIDE = st.floats(0.001, 0.999)
+
+
+def edge_uniforms(epsilon: float) -> list[float]:
+    """0.0, the largest uniform below `epsilon` (if any), and the largest below 1."""
+    return [0.0, *([math.nextafter(epsilon, 0.0)] if epsilon else []), math.nextafter(1.0, 0.0)]
+
+
 def draw_readings(data, history: list):
     """A copy of readings drawn from `history`, a repeat or a revert, with up to
     four values replaced by a READING; it is appended to `history`."""

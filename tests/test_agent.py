@@ -17,11 +17,12 @@ from meshmind.env import MoveTo, satisfied
 from meshmind.kb import Case, KnowledgeBase
 from meshmind.harness import build_agents, run_scenario
 from meshmind.learning import encode_state
-from meshmind.optimize import Controlled, EpsilonGreedy
+from meshmind.optimize import Controlled, EpsilonGreedy, location_search, one_step_cells
 from meshmind.reasoning import MissingFeature, normalize
 
-from helpers import (draw_readings, grid_positions, make_channel_spec, make_location_spec,
-                     make_lowload_window_spec, read_trace, readings_report)
+from helpers import (EPSILON, INSIDE, UNIFORM, draw_readings, edge_uniforms, grid_positions,
+                     make_channel_spec, make_location_spec, make_lowload_window_spec,
+                     read_trace, readings_report)
 
 
 def channel_env(channels=(1, 2)):
@@ -37,7 +38,7 @@ def channel_env(channels=(1, 2)):
     return Environment(cfg)
 
 
-def channel_agent(node=0, seed=0, epsilon=0.2, channels=(1, 2)):
+def channel_agent(node=0, epsilon=0.2, channels=(1, 2)):
     config = AgentConfig(
         kind="channel-assignment", channels=channels,
         feature_spec=FeatureSpec(features=(("conflicts", 0.0, 1.0, 2),
@@ -45,7 +46,7 @@ def channel_agent(node=0, seed=0, epsilon=0.2, channels=(1, 2)):
                                            ("achieved", 0.0, 5.0, 2))),
         qparams=QParams(alpha=0.4, gamma=0.3),
         policy=EpsilonGreedy(epsilon))
-    return Agent(node, config, run_seed=seed)
+    return Agent(node, config)
 
 
 def two_relay_spec(horizon=60):
@@ -64,24 +65,28 @@ def two_relay_spec(horizon=60):
 def drive(env, agents, steps, force=None, start=None, penalty=0.0):
     """Minimal copy of the harness loop: tick, mark the agents that acted,
     batch-apply, sense, feed back (charging `penalty` for a disruptive switch).
+    As in a run, the triggered ticks of a step take one uniform each, in agent
+    order, from one `random(k)` of the stream `default_rng([0, 1])`.
 
-    Returns ((state, report, population), events), with one event per agent
-    per step: an idle tick, for which `tick` returns None, is recorded as an
-    idle TraceEvent. Pass that first value as `start` to continue the run
-    with the same detector state.
+    Returns ((state, report, population, stream), events), with one event per
+    agent per step: an idle tick, for which `tick` returns None, is recorded as
+    an idle TraceEvent. Pass that first value as `start` to continue the run
+    with the same detector state and stream.
     """
     if start is None:
         state = env.reset()
         report = env.report_for(state)
         population = Population(agents, env)
         population.sense(report)
+        stream = np.random.default_rng([0, 1])
     else:
-        state, report, population = start
+        state, report, population, stream = start
     events = []
     for t in range(steps):
         batch, acting = [], []
+        draws = iter(stream.random(population.fired.count(True)).tolist())
         for i, ag in enumerate(agents):
-            event = ag.tick(env, state, population, i)
+            event = ag.tick(env, state, population, i, draws)
             events.append(event or TraceEvent(t=state.t, node=ag.node, outcome="idle",
                                               percept=population.percept(i)))
             if event is not None:
@@ -94,7 +99,7 @@ def drive(env, agents, steps, force=None, start=None, penalty=0.0):
         population.sense(report)
         for i in acting:
             agents[i].observe(population, i, penalty)
-    return (state, report, population), events
+    return (state, report, population, stream), events
 
 
 def optimizer_runs(events):
@@ -268,7 +273,7 @@ class TestPopulation:
         run, checked = None, set()
         for _ in range(spec.horizon):
             run, _ = drive(env, agents, 1, start=run)
-            state, _, population = run
+            state, _, population, _ = run
             for i, ag in enumerate(agents):
                 expected = encode_state(population.percept(i), ag.config.feature_spec)
                 assert population.states[i] == expected
@@ -437,7 +442,7 @@ class TestPopulation:
         report = starved_report(env)
         population.sense(report)
         population.sense(report)
-        assert agent.tick(env, env.reset(), population, 0) is not None
+        assert agent.tick(env, env.reset(), population, 0, iter([0.5])) is not None
         population.acted([0])
         readings = report.readings.copy()
         readings[env.reading_index(0, "conflicts")] = np.nan
@@ -450,7 +455,7 @@ class TestPopulation:
         population.sense(nan_report)
         assert population.fired == [True]
         with pytest.raises(ValueError, match="NaN"):
-            agent.tick(env, env.reset(), population, 0)
+            agent.tick(env, env.reset(), population, 0, iter([0.5]))
 
     def test_unknown_feature_is_missing(self):
         env = channel_env()
@@ -508,10 +513,10 @@ class TestTick:
 
     def test_successful_case_is_reused_without_optimizer(self):
         env = channel_env()
-        agent = channel_agent(node=0, seed=3)
+        agent = channel_agent(node=0)
         # give the agent time to find the conflict-free channel and settle
         settled, _ = drive(env, [agent], 30)
-        state, report, _ = settled
+        state, report, *_ = settled
         assert satisfied(env.node_achieved(report, 0), env.node_demand(state, 0))
         assert agent.kb.cases[0].coefficient == 1.0
 
@@ -521,7 +526,7 @@ class TestTick:
             return [SetChannel(0, 1)] if t == 0 and state.channel_of[0] != 1 else []
 
         # continue from the settled state with a forced perturbation
-        (state, report, _), events = drive(env, [agent], 6, force=knock, start=settled)
+        (state, report, *_), events = drive(env, [agent], 6, force=knock, start=settled)
         outcomes = [ev.outcome for ev in events]
         assert "reuse" in outcomes
         reuse_event = events[outcomes.index("reuse")]
@@ -541,7 +546,7 @@ class TestTick:
         agent.kb.retain(Case(percept=population.percept(0), action=SetChannel(0, 2),
                              coefficient=1.0))
         population.sense(report)  # second starved sample fires the detector
-        event = agent.tick(env, state, population, 0)
+        event = agent.tick(env, state, population, 0, iter([0.5]))
         assert event.outcome == "reuse"
         # the node serves 5.0 Mbps, above the 1.0 threshold: the switch waits
         assert event.action == SetChannel(0, 1 if gated else 2)
@@ -556,10 +561,36 @@ class TestTick:
         assert detected == [False, True, False, True, False, True]
 
 
+class TestLocationExplore:
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(EPSILON, UNIFORM, st.integers(0, 5), INSIDE)
+    def test_a_location_agent_explores_one_step_from_its_uniform(self, epsilon, u, a, inside):
+        """A uniform below epsilon moves to the one-step cell whose epsilon/n wide bucket
+        holds it; any other moves where `location_search` does."""
+        spec = two_relay_spec()
+        spec = replace(spec, agent_params=replace(spec.agent_params,
+                                                  policy=EpsilonGreedy(epsilon)))
+        env = Environment(spec.env_config)
+        state = env.reset()
+        agent = build_agents(spec, env, state, spec.seed)[0]
+        cells = one_step_cells(env.topology, 0, state.position_of[0])
+        assert len(cells) == 6
+        for x in (*edge_uniforms(epsilon), u):
+            move = agent._optimize(env, state, 0, None, x)
+            assert move.cell in cells
+            if x >= epsilon:
+                assert move == location_search(env, state, 0)
+        explore = epsilon * (a + inside) / len(cells)
+        if explore < epsilon and epsilon >= 1e-9:
+            assert agent._optimize(env, state, 0, None, explore) == MoveTo(0, cells[a])
+            top = math.nextafter(epsilon, 0.0)  # the largest uniform that explores
+            assert agent._optimize(env, state, 0, None, top) == MoveTo(0, cells[-1])
+
+
 class TestObserve:
     def test_full_supply_revises_coefficient_to_one(self):
         env = channel_env()
-        agent = channel_agent(node=0, seed=3)
+        agent = channel_agent(node=0)
         drive(env, [agent], 30)
         assert agent.kb.cases[0].coefficient == 1.0
 
@@ -573,7 +604,7 @@ class TestObserve:
                     coefficient=0.5)
         agent.kb.retain(case)
         population.sense(report)  # second starved sample fires the detector
-        event = agent.tick(env, env.reset(), population, 0)
+        event = agent.tick(env, env.reset(), population, 0, iter([0.5]))
         assert event.outcome == "recompute" and event.action is not None
         population.sense(report)  # the action left the node starved
         agent.observe(population, 0, 0.0)
@@ -586,10 +617,10 @@ class TestObserve:
         state = env.reset()
         report = env.report_for(state)
         population.sense(report)
-        agent.tick(env, state, population, 0)  # first sample
+        agent.tick(env, state, population, 0, iter(()))  # first sample
         state, report = env.apply_and_step(state, [])
         population.sense(report)
-        event = agent.tick(env, state, population, 0)
+        event = agent.tick(env, state, population, 0, iter([0.5]))
         assert event is not None
         before = agent.table.values.copy()
         before_explored = agent.table.explored.copy()
@@ -603,7 +634,7 @@ class TestObserve:
         first_disruption = []
         for penalty in (0.0, 2.0):
             env = channel_env()
-            agent = channel_agent(node=0, seed=3)
+            agent = channel_agent(node=0)
             _, events = drive(env, [agent], 30, penalty=penalty)
             first_disruption.append(next(ev for ev in events if ev.disruption))
         plain, penalised = first_disruption

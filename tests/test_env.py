@@ -215,6 +215,16 @@ class TestCapacity:
 
 
 class TestDemandEvolution:
+    @pytest.mark.parametrize("profile", [
+        DemandProfile(steps=((0, -0.0), (3, 2.0)), random_levels=(-0.0, 1.0)),
+        DemandProfile.constant(-0.0), DemandProfile.piecewise([(0, -0.0), (5, 1.0)]),
+        DemandProfile.periodic(4, [(0, 1.0), (2, -0.0)]), DemandProfile.random_epochs(3, [-0.0]),
+    ], ids=["direct", "constant", "piecewise", "periodic", "random"])
+    def test_a_minus_zero_level_is_stored_as_zero(self, profile):
+        levels = [*(v for _, v in profile.steps), *profile.random_levels]
+        assert 0.0 in levels
+        assert all(type(v) is float and math.copysign(1.0, v) == 1.0 for v in levels)
+
     def test_single_epoch_constant(self):
         env = single_node_env(demand=7.0, horizon=50)
         state = env.reset()

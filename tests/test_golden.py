@@ -70,23 +70,23 @@ def decision_digest(records, report) -> str:
 # (scenario, seed) -> (digest, satisfaction_ratio, mean_achieved_mbps)
 GOLDEN = {
     ('ring6_channels', 0): (
-        'd3ac0b6d79e9aec529d85fa6a40f5267ed3e45c1b5c35ec28a8b3f7f07ba1db5',
-        0.9925062668070215, 29.775188004210644),
+        '36d9bed65c4d11944611c2633168770f920e8c94cd5c28733be1c54ac9f12eb7',
+        0.9858383987954711, 29.575151963864133),
     ('ring6_channels', 1): (
-        '4e3a2e2ccb3de1197bee858eea1059e7931ddff899c8bc3bb60aa436b2a88d12',
-        0.9920818688979619, 29.762456066938856),
+        '9228537e6c35e08da72a07c3b815bdc0084f37ad9e923b1d8c16a1ba537942d1',
+        0.9861556455217245, 29.584669365651735),
     ('ring6_channels', 2): (
-        '445485d23ff5cb557de50d22ca61d39adbc4bc65b4ddcfa62b98a40862132c7a',
-        0.9943664035931506, 29.83099210779452),
+        '281c7bf3a9e49a7d255b4e9218ddf2bfc9bcde461fcfea3c527e8fbb0f8fdb82',
+        0.9965069876139517, 29.895209628418552),
     ('lowload_windows', 0): (
-        'c09893b4c0178a201c50767c25609b99dfa41ccc84d2a35b360d678bb4b001be',
-        0.9467041158610016, 10.476858882195083),
+        'bef54254010e24210264e52e313c380c9a9aff08b9410eb7a7626378c103b3ba',
+        0.8591483935618897, 9.50790888875158),
     ('lowload_windows', 1): (
-        'ae5d00d98b8812e316c1196ab841a5d469b3e98687bca3ec3526327230d58b91',
-        0.7249582798917297, 8.02287163080181),
+        '56afd6c366b849cf0926448e5395625ca39c10902458a957de8a50dfed1665b5',
+        0.830145188301293, 9.186940083867642),
     ('lowload_windows', 2): (
-        'dcfe60584d75077cb9d3a1c1b22d85412b4e2d75d66f281dd9db5178211c0c5a',
-        0.943615334036358, 10.442676363335694),
+        'b6301ce30e43758f86225e2f92bbf89bdb4dfaa1d6eb4e2b8ef7cef0cbc80a7b',
+        0.8419694111981552, 9.317794817259584),
     ('follow_demand_location', 0): (
         '8faea5ccbfdbcc1cd5d75b50d5b2b8a3a0a890ea97185a9d079fbb0acfceabe7',
         0.9790393502925985, 3.0350219859070515),
@@ -97,14 +97,14 @@ GOLDEN = {
         '8faea5ccbfdbcc1cd5d75b50d5b2b8a3a0a890ea97185a9d079fbb0acfceabe7',
         0.9790393502925985, 3.0350219859070515),
     ('grid8x8', 0): (
-        '224b60f6744ef062d250647eb98535297e0f129168cd0e69a6560467def26b5f',
-        0.8580718201803951, 274.5829824577264),
+        'eed699308d327643ace8fce10b8d7ce0f5b7b238610d4a8e264c91dc5c0b96da',
+        0.932073657287038, 298.2635703318521),
     ('grid8x8', 1): (
-        'c0eed70f8c44e68b43abf5a211772e77b00e208fb53c06981552a5967397f1be',
-        0.9110945205951548, 291.55024659044955),
+        '08f4668d47826c5ec21a9eceddc6db9a1b5186e0a3ff73780ff7a8342cc0124c',
+        0.8755777851282952, 280.18489124105446),
     ('grid8x8', 2): (
-        '8300c32219f550fa7657a12aea30a8394a793e47bd5a64675fb80a82b1ac8405',
-        0.8567717206405517, 274.16695060497653),
+        '458526c75dd115c51886ced24ce0e279432e9fcd506d6cef18ed4ae860665452',
+        0.9291820489726133, 297.33825567123625),
     ('location_helper', 0): (
         '8faea5ccbfdbcc1cd5d75b50d5b2b8a3a0a890ea97185a9d079fbb0acfceabe7',
         0.9790393502925985, 3.0350219859070515),
@@ -115,23 +115,23 @@ GOLDEN = {
         '8faea5ccbfdbcc1cd5d75b50d5b2b8a3a0a890ea97185a9d079fbb0acfceabe7',
         0.9790393502925985, 3.0350219859070515),
     ('relay_tiles_2x2', 0): (
-        'd8fae0f5f90ffd2ff900ce8b109eb7df8346f40a51d51f2fccf704db408c4936',
-        0.9790393502925994, 12.14008794362822),
+        '648f80124e0755d55a9dfe9f0242eaee857501e1bf3d93c9ed07b0a61cde4d52',
+        0.9772848821073359, 12.118332538130954),
     ('relay_tiles_2x2', 1): (
-        'b87fce5b5a361c8d97ba11b69917ed7060d4e6499a422e42ad00e9cedc1c3fbf',
-        0.9787773421712568, 12.136839042923572),
+        '45d9b466121837232bcd2f87dcd16d81776df20ae4ed7e3402037a8ba65c9a55',
+        0.9782931202606387, 12.13083469123191),
     ('relay_tiles_2x2', 2): (
-        'd8fae0f5f90ffd2ff900ce8b109eb7df8346f40a51d51f2fccf704db408c4936',
-        0.9790393502925994, 12.14008794362822),
+        'bee25c398b0b37ec13d1668d4c1aaec5136267db4e1b6443629667ed53bdfc13',
+        0.9782533259285718, 12.13034124151428),
     ('lowload_budget_kb2', 0): (
-        'b6b7609bd3612115705026db650a6992c329e78da5a91bde15a55190b99ae955',
-        0.8048281698463815, 8.906765079633288),
+        '3017b1a2756bf783ce234ca243c50f45f8049048e20751708c6a783fbd1c70f0',
+        0.8133609471913097, 9.001194482250494),
     ('lowload_budget_kb2', 1): (
-        'a9d7ca6f875b1a7c5569503290cf4d4d3847abba8ef1441dad62928fa66f0fb8',
-        0.783173159609064, 8.66711629967364),
+        '4de600cfe36fb10935406ea2f4d3cb8862927fc68084568d3a0b2aed6b4cca71',
+        0.6825971173407166, 7.554074765237263),
     ('lowload_budget_kb2', 2): (
-        'c38e80912bdf0072ee7908f82eef9692d1c75d3dcf4ac9eba984d705e8e6ff51',
-        0.8674723620926826, 9.600027473825689),
+        '93cb017c4171363cadedd85fa9acd2dea575e2a830b2374c4b9e1c14a0769799',
+        0.9202413117565291, 10.184003850105588),
 }
 
 

@@ -35,6 +35,7 @@ from helpers import (draw_readings, make_channel_spec, make_location_spec,
 from test_golden import make_spec as golden_spec
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
+SHIPPED = ("follow_demand_location", "lowload_windows", "ring6_channels")  # the run scenarios
 
 
 def _perfbench_workloads():
@@ -50,16 +51,22 @@ WORKLOADS = _perfbench_workloads()
 
 
 def run_keeping_agents(spec, **kwargs):
-    """`run_scenario(spec, **kwargs)`'s report and step rows, and the agents it built."""
-    agents = []
+    """`run_scenario(spec, **kwargs)`'s report and step rows, the agents it built, and
+    each generator it made, by its seed words."""
+    agents, streams, default_rng = [], {}, np.random.default_rng
 
     def build(*args):
         agents.extend(build_agents(*args))
         return agents
 
-    with mock.patch.object(harness, "build_agents", build):
+    def make(seed):
+        streams[tuple(seed)] = stream = default_rng(seed)
+        return stream
+
+    with mock.patch.object(harness, "build_agents", build), \
+            mock.patch.object(np.random, "default_rng", make):
         report, steps = run_scenario(spec, **kwargs)
-    return report, steps, agents
+    return report, steps, agents, streams
 
 
 def tiny_spec(horizon=10, seed=0):
@@ -206,10 +213,18 @@ def stepping_every_step():
     return mock.patch.object(Environment, "next_change", lambda self, t: t + 1)
 
 
+def drawn(seed: int, uniforms: int) -> dict:
+    """The state of the run stream of `seed` after it has drawn `uniforms` uniforms."""
+    stream = np.random.default_rng([seed, 1])
+    stream.random(uniforms)
+    return stream.bit_generator.state
+
+
 def run_outcome(spec, traced: bool):
     """A run's outcome: its report without wall time, its step rows, the files it emits
-    but timings.json, and each agent's value table, knowledge base and generator state;
-    and the number of steps it took with `Environment.apply_and_step`."""
+    but timings.json, each agent's value table and knowledge base, and the state of the
+    run's stream, which has drawn one uniform per triggered tick; and the number of steps
+    it took with `Environment.apply_and_step`."""
     real, calls = Environment.apply_and_step, []
 
     def counted(self, *args):
@@ -218,20 +233,22 @@ def run_outcome(spec, traced: bool):
 
     with tempfile.TemporaryDirectory() as out, \
             mock.patch.object(Environment, "apply_and_step", counted):
-        report, steps, agents = run_keeping_agents(spec, out_dir=out if traced else None)
+        report, steps, agents, streams = run_keeping_agents(
+            spec, out_dir=out if traced else None)
         files = {path.name: path.read_bytes() for path in sorted(Path(out).iterdir())
                  if path.name != "timings.json"}
+    stream = streams[spec.seed, 1].bit_generator.state
+    assert stream == drawn(spec.seed, report.triggered_ticks)
     return (replace(report, wall_time_s=0.0), steps, files,
-            [(format_q_table(ag.table), ag.kb.snapshot(), ag.rng.bit_generator.state)
-             for ag in agents]), len(calls)
+            [(format_q_table(ag.table), ag.kb.snapshot()) for ag in agents], stream), len(calls)
 
 
 class TestFixedPoints:
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(fixed_point_specs(), st.booleans())
     def test_skipping_fixed_points_changes_nothing(self, spec, traced):
-        """A run that skips to the next demand change at each fixed point ends as
-        one that steps every step: step rows, report, trace bytes, tables and KBs."""
+        """A run that skips to the next demand change at each fixed point ends as one that
+        steps every step: step rows, report, trace bytes, tables, KBs and run stream."""
         skipping, _ = run_outcome(spec, traced)
         with stepping_every_step():
             every, stepped = run_outcome(spec, traced)
@@ -240,34 +257,53 @@ class TestFixedPoints:
 
     @pytest.mark.parametrize("spec,stepped", [
         (load_scenario(SCENARIO_DIR / "follow_demand_location.yaml"), 12),
-        (scenario_from_dict(WORKLOADS.mobile_relays(0, cols=2, rows=2, horizon=30)), 5),
+        (scenario_from_dict(WORKLOADS.mobile_relays(0, cols=2, rows=2, horizon=30)), 13),
     ], ids=["follow_demand_location", "mobile_relays_2x2"])
     def test_a_settled_run_steps_only_to_change_its_demand_or_act(self, spec, stepped):
         """follow_demand_location steps 12 of its 80 steps and a 2x2 mobile_relays
-        instance 5 of 30, with the same outcome as stepping all of them."""
+        instance 13 of 30, with the same outcome as stepping all of them."""
         skipping, steps = run_outcome(spec, traced=True)
         assert steps == stepped < spec.horizon == len(skipping[1])
         with stepping_every_step():
             assert run_outcome(spec, traced=True) == (skipping, spec.horizon)
 
 
-# sha256 of every file but timings.json that a run writes, recorded before
-# trace.jsonl was written from each TraceEvent; (scenario, seed) -> file -> digest.
+class TestRunStream:
+    @pytest.mark.parametrize("spec", [
+        *(load_scenario(SCENARIO_DIR / f"{name}.yaml") for name in SHIPPED),
+        scenario_from_dict(WORKLOADS.grid_steady(1, side=4, horizon=40)),
+        scenario_from_dict(WORKLOADS.grid_churn_traced(1, side=3, horizon=40)),
+        scenario_from_dict(WORKLOADS.mobile_relays(1, cols=2, rows=2, horizon=40)),
+    ], ids=[*SHIPPED, "grid_steady_4x4", "grid_churn_traced_3x3", "mobile_relays_2x2"])
+    def test_a_run_draws_one_uniform_per_triggered_tick(self, spec):
+        """Skipping fixed points or stepping every step, a run leaves its stream as
+        `default_rng([seed, 1])` after `random(triggered_ticks)`: a skipped step draws nothing."""
+        skipping, _ = run_outcome(spec, traced=False)
+        with stepping_every_step():
+            every, _ = run_outcome(spec, traced=False)
+        report = skipping[0]
+        assert report.triggered_ticks > 0
+        assert every[-1] == skipping[-1] == drawn(spec.seed, report.triggered_ticks)
+
+
+# sha256 of every file but timings.json that a run writes; (scenario, seed) -> file ->
+# digest. follow_demand_location's were recorded before trace.jsonl was written from
+# each TraceEvent, lowload_windows' when the agents came to share one random stream.
 PINNED_EMISSION = {
     ("lowload_windows", 0): {
-        "metrics.csv": "e321eb50baf1875940079e4b5e6508f7294b3ed9697fa4fea92c07308d0d4ae4",
-        "qtable_node_0.txt": "c7bcf712b7b7c85ddca4a4d2cf1e7ee944676e2354ad8516aa22474cdea8de34",
-        "qtable_node_1.txt": "3e4a3ace588c3fa962b40aca21fbb635fb9aeaf0da55008859ee6c1bbd3c4693",
-        "qtable_node_2.txt": "b701c9c108fe817cb1225add5991906fca715d44f1634811a0269cac1f1fb770",
-        "qtable_node_3.txt": "f808d754c07565067399ea47a04d08e1801f3359d8ec7e2c791b74a578e7ecd4",
-        "qtable_node_4.txt": "c69f5127b56411cd00d33565721451d8ac6d4c55d20836274fb9dbc7c881d2c1",
-        "qtable_node_5.txt": "f57bfed557621c1a80563fbb7a44ef9f5eff92ce1d040ae84397f451f71479be",
-        "qtable_node_6.txt": "9f25627bc535a36683b907f195383e1a5c4cb4c68a6f635de37a0a4d77fac6af",
-        "qtable_node_7.txt": "e59fc1ce0b14f88ac63ce242a9f469c6d9902411ce41a00e205b917f72b65e9f",
-        "qtable_node_8.txt": "821486f55d2f6f488da4d51ca6eb329cec0ac1f79f909acf6a87208b372cd2f4",
-        "qtable_node_9.txt": "ea0449dae703d3b688010c7aee7a145cf1cedb42f29bd1ede64d0e2c6b4e3a35",
-        "report.txt": "dc45d9b4a3095d5ca7e878a5810b5642dc5dda9ec9a08be70d767313201936e6",
-        "trace.jsonl": "7f9cd8f88d0e066b6066a8b9689834414e87f850c69c994dbc673f3a955a709c",
+        "metrics.csv": "2aec7b488839c6a699441d6d47cee6c2dac789076de2b4a579f2adb8769efdd1",
+        "qtable_node_0.txt": "885c9d7c7ba8cf5617904393c5485974b651f122e9e6def60b5603ddcf4261cb",
+        "qtable_node_1.txt": "1abebb7eea0fa88cb8f12c6398dc32adfca6f131cf3b8b4801463bd88d9cd949",
+        "qtable_node_2.txt": "6f6d31565825a61272d75e3986f7f5786f57885d1fd0574c2a9267c88bf6ad3a",
+        "qtable_node_3.txt": "dd01bde7b7e1b3e765dd428a844232e657a3c0cf9e5056063743bf12f48f1411",
+        "qtable_node_4.txt": "947252745a31434705b2ac88abee4bab07d9329175330b6ab0e212c76fe991a6",
+        "qtable_node_5.txt": "880b3e8963f7fdcb46ec3b36f56035c50ea0cf658e172a79347ec0df997d87e8",
+        "qtable_node_6.txt": "d84adaac438ab4655ac13927ef3254edc71339464cb79e1a3467cf137affca87",
+        "qtable_node_7.txt": "b1a3cda65f62bd4fa4b665629c8585c828fec56acd1c0769ec2618b77421f5e6",
+        "qtable_node_8.txt": "fc4db23d882f2116bfddfcfc807c35ddd1fbb3c098fe32f74cef3f4aa0261cc8",
+        "qtable_node_9.txt": "73eb6165b9971aae77c6292fe8efc587ae62b3eae7ff2d26783a1e747aae5afb",
+        "report.txt": "faa6f549182d9c85a97ef0bcbe65b1ff3fa2100e29d00a568e95c281eb9b7e60",
+        "trace.jsonl": "98ef90e1086337a3f19e6c412ada82ab195667a203a45f25cb07d65fb00b30f7",
     },
     ("follow_demand_location", 1): {
         "metrics.csv": "e60c4222207d9317c009cf6c2543b1907882d03ace187e1c1fae073a39815ba5",
@@ -388,7 +424,9 @@ class TestEmission:
         assert line(event) == dumps_line(event.to_record())
         assert "NaN" in line(event) or "Infinity" in line(event)
 
-    def test_traced_percepts_keep_the_sign_of_zero(self, tmp_path):
+    def test_a_loaded_minus_zero_level_is_traced_as_zero(self, tmp_path):
+        """A level -0.0 loads as 0.0, so the traced percepts, bit for bit those of the
+        batched pass, hold no -0.0; `Population.lines` tests the text of a -0.0 percept."""
         data = yaml.safe_load((SCENARIO_DIR / "follow_demand_location.yaml").read_text())
         data["horizon"] = 2
         data["env"]["users"][0]["demand"] = [[0, -0.0], [5, 1.0]]
@@ -409,8 +447,9 @@ class TestEmission:
         lines = (tmp_path / "trace.jsonl").read_text().splitlines()
         ticks = [r for r in read_trace(tmp_path) if r["kind"] == "tick"]
         assert [list(map(float.hex, r["percept"])) for r in ticks] == expected
-        assert "-0x0.0p+0" in expected[0]
-        assert '"percept": [0.6666666666666666, 0.0, -0.0, 0.0]' in lines[0]
+        assert [math.copysign(1.0, v) for _, v in spec.env_config.users[0].demand.steps] == [1, 1]
+        assert "-0x0.0p+0" not in expected[0]
+        assert '"percept": [0.6666666666666666, 0.0, 0.0, 0.0]' in lines[0]
 
     @pytest.mark.parametrize("spec", [
         make_channel_spec(4, {(0, 1), (1, 2), (2, 3), (0, 3)}, horizon=120),
@@ -761,8 +800,8 @@ class TestScenarioLoading:
 
     @pytest.mark.parametrize("node", [-1, 2**32, 2**40])
     def test_a_node_id_seeds_its_agent_so_only_a_negative_one_is_rejected(self, node):
-        """Each agent's generator is seeded with its node id, which numpy takes
-        at any size but not below 0; each such id is one problem at its path."""
+        """A node id loads at any size but not below 0, a rule kept from when each
+        agent seeded its generator with its node id; each negative id is one problem."""
         data = yaml.safe_load((SCENARIO_DIR / "ring6_channels.yaml").read_text())
         rename = {0: node, 3: -2 if node < 0 else 3}
         for row in data["env"]["nodes"]:
@@ -895,7 +934,7 @@ def _small_scenarios() -> list[dict]:
 def _run_snapshot() -> dict:
     """Node 0's knowledge base after 10 steps of lowload_windows (two cases), as a snapshot."""
     spec = load_scenario(SCENARIO_DIR / "lowload_windows.yaml")
-    _, _, agents = run_keeping_agents(with_horizon(spec, 10))
+    _, _, agents, _ = run_keeping_agents(with_horizon(spec, 10))
     return agents[0].kb.snapshot()
 
 

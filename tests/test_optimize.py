@@ -12,7 +12,9 @@ from meshmind import (Controlled, DemandProfile, EnvConfig, Environment,
 from meshmind.learning import IndexOutOfRange
 from meshmind.optimize import NoAllowedCell, TooLarge, one_step_cells
 
-from helpers import reference_served
+from hypothesis import given, settings, strategies as st
+
+from helpers import EPSILON, INSIDE, UNIFORM, edge_uniforms, reference_served
 
 
 def topology(n, edges, channels=3):
@@ -26,18 +28,18 @@ class TestSelectAction:
         table = QTable(1, 3).set(0, 0, 1.0).set(0, 1, 9.0).set(0, 2, 4.0)
         rng = np.random.default_rng(0)
         for _ in range(200):
-            assert select_action(table, 0, EpsilonGreedy(0.0), rng) == 1
+            assert select_action(table, 0, EpsilonGreedy(0.0), rng.random()) == 1
 
     def test_full_epsilon_covers_all_candidates(self):
         table = QTable(1, 3).set(0, 1, 9.0)
         rng = np.random.default_rng(1)
-        seen = {select_action(table, 0, EpsilonGreedy(1.0), rng) for _ in range(300)}
+        seen = {select_action(table, 0, EpsilonGreedy(1.0), rng.random()) for _ in range(300)}
         assert seen == {0, 1, 2}
 
     def test_greedy_fallback_without_explored_entries_is_uniform(self):
         table = QTable(1, 3)
         rng = np.random.default_rng(3)
-        seen = {select_action(table, 0, EpsilonGreedy(0.0), rng) for _ in range(200)}
+        seen = {select_action(table, 0, EpsilonGreedy(0.0), rng.random()) for _ in range(200)}
         assert seen == {0, 1, 2}
 
     @pytest.mark.parametrize("hold", [-1, 3, 7])
@@ -45,7 +47,48 @@ class TestSelectAction:
     def test_hold_outside_the_row_raises(self, hold, epsilon):
         table = QTable(1, 3).set(0, 0, 9.0)
         with pytest.raises(IndexOutOfRange):
-            select_action(table, 0, EpsilonGreedy(epsilon), np.random.default_rng(0), hold)
+            select_action(table, 0, EpsilonGreedy(epsilon), 0.5, hold)
+
+
+class TestOneUniform:
+    """`select_action` picks from one uniform u: below epsilon, the action whose
+    epsilon/n wide bucket holds u; above it, the greedy pick, or with none
+    explored, the action whose (1 - epsilon)/n wide bucket holds u - epsilon."""
+
+    @settings(derandomize=True, max_examples=300)
+    @given(st.lists(st.none() | st.floats(-10, 10), min_size=1, max_size=9), EPSILON,
+           UNIFORM, st.data())
+    def test_the_pick_is_an_action_and_a_hold_is_kept(self, values, epsilon, u, data):
+        table = QTable(1, len(values))
+        for a, value in enumerate(values):
+            if value is not None:
+                table.set(0, a, value)
+        hold = data.draw(st.integers(0, len(values) - 1))
+        for x in (*edge_uniforms(epsilon), u):
+            assert 0 <= select_action(table, 0, EpsilonGreedy(epsilon), x) < len(values)
+            assert select_action(table, 0, EpsilonGreedy(epsilon), x, hold) == hold
+
+    @settings(derandomize=True, max_examples=300)
+    @given(st.integers(1, 9), st.sampled_from([0.0, 1.0]) | st.floats(1e-9, 1.0), INSIDE,
+           st.data())
+    def test_each_bucket_is_a_share_of_the_uniform_range(self, n, epsilon, inside, data):
+        a = data.draw(st.integers(0, n - 1))
+        explore = epsilon * (a + inside) / n
+        fallback = epsilon + (1 - epsilon) * (a + inside) / n
+        best = QTable(1, n).set(0, n - 1 - a, 1.0)  # explored: the greedy pick, n - 1 - a
+        if explore < epsilon:
+            assert select_action(QTable(1, n), 0, EpsilonGreedy(epsilon), explore) == a
+            assert select_action(best, 0, EpsilonGreedy(epsilon), explore) == a
+        if epsilon <= fallback < 1:
+            assert select_action(QTable(1, n), 0, EpsilonGreedy(epsilon), fallback) == a
+            assert select_action(best, 0, EpsilonGreedy(epsilon), fallback) == n - 1 - a
+        # the largest uniform of either range falls in its last bucket
+        if epsilon:
+            top = math.nextafter(epsilon, 0.0)
+            assert select_action(QTable(1, n), 0, EpsilonGreedy(epsilon), top) == n - 1
+        if epsilon <= 0.999:
+            top = math.nextafter(1.0, 0.0)
+            assert select_action(QTable(1, n), 0, EpsilonGreedy(epsilon), top) == n - 1
 
 
 class TestControlledPolicy:
@@ -55,7 +98,7 @@ class TestControlledPolicy:
         """The action index picked for a node on action 0 whose best-valued action is 2."""
         hold = 0 if policy.blocks(serving_load, recent_switches) else None
         table = QTable(1, 3).set(0, 2, 9.0)
-        return select_action(table, 0, policy, rng, hold=hold)
+        return select_action(table, 0, policy, rng.random(), hold=hold)
 
     def test_no_switch_while_serving_above_threshold(self):
         policy = Controlled(epsilon=0.5, serving_threshold=1.0)
