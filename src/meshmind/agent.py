@@ -41,7 +41,8 @@ from .learning import QParams, QTable, bucket, encode_state, learning_coefficien
 from .optimize import (DISRUPTION_THRESHOLD, Controlled, EpsilonGreedy, location_search,
                        one_step_cells, select_action)
 # normalize is the scalar form of Population.sense; perfbench times it here.
-from .reasoning import FeatureSpec, MissingFeature, Outcome, classify, normalize
+from .reasoning import (RECOMPUTE, RETAIN_NEW, REUSE, FeatureSpec, MissingFeature, classify,
+                        normalize)
 
 CHANNEL_KIND = "channel-assignment"
 LOCATION_KIND = "location-optimization"
@@ -174,7 +175,6 @@ _json = _JsonNumbers()
 # table regardless of the node's current cell.
 _DIRECTIONS = [(dx, dy) for dy in (-1, 0, 1) for dx in (-1, 0, 1)]
 _DIRECTION_INDEX = {direction: a for a, direction in enumerate(_DIRECTIONS)}
-_OUTCOME_TEXT = {outcome: outcome.value for outcome in Outcome}
 
 
 class Agent:
@@ -213,7 +213,7 @@ class Agent:
         demanded = population.demanded[i]
         state_index = int(population.states[i])  # ValueError on NaN, as in encode_state
         action, outcome, case = self._reason(env, state, percept, demanded, state_index, u)
-        event = TraceEvent(t, self.node, percept, _OUTCOME_TEXT[outcome], action)
+        event = TraceEvent(t, self.node, percept, outcome._value_, action)
         if type(action) is SetChannel:
             action_index = self.config.channel_index[action.channel]
             if action.channel != state.channel_of[self.node]:
@@ -230,30 +230,28 @@ class Agent:
 
     def _reason(self, env: Environment, state: EnvState, percept: tuple[float, ...],
                 demanded: float, state_index: int, u: float):
-        t = state.t
-        hit = self.kb.retrieve(percept, t)
+        t, config, kb = state.t, self.config, self.kb
+        hit = kb.retrieve(percept, t)
         if hit is None:
             score, coefficient, case = 0.0, 0.0, None
         else:
             case, score = hit
             coefficient = case.coefficient
-        outcome = classify(score, coefficient,
-                           self.config.similarity_threshold,
-                           self.config.coefficient_threshold,
-                           self.kb.is_full())
-        hold = None if self.config.gate is None else self._held_channel(state, t, demanded)
-        if outcome is Outcome.REUSE:
+        outcome = classify(score, coefficient, config.similarity_threshold,
+                           config.coefficient_threshold, kb.is_full())
+        hold = None if config.gate is None else self._held_channel(state, t, demanded)
+        if outcome is REUSE:
             if hold is not None and case.action.channel != hold:
                 return self._switch_to(hold), outcome, None
             return case.action, outcome, case
         action = self._optimize(env, state, state_index, hold, u)
-        if outcome is Outcome.RECOMPUTE:
-            self.kb.revise(case, action=action)
+        if outcome is RECOMPUTE:
+            kb.revise(case, action=action)
             return action, outcome, case
-        if outcome is Outcome.RETAIN_NEW:
+        if outcome is RETAIN_NEW:
             new_case = Case(percept=percept, action=action, coefficient=0.0,
                             last_used=t, created=t)
-            self.kb.retain(new_case)
+            kb.retain(new_case)
             return action, outcome, new_case
         return action, outcome, None  # REJECT: act without writing to the KB
 

@@ -54,7 +54,8 @@ class QTable:
     where the action is unexplored. `set` and `update` write one entry in
     place, creating the row on a state's first write. `row` hands out a
     state's values for reading, and `values` and `explored` build dense
-    read-only arrays of the whole table on demand.
+    read-only arrays of the whole table on demand. `entry`, `row` and `update`
+    range-check their indices in one inline test and call `_check` only to raise.
     """
 
     __slots__ = ("state_count", "action_count", "_rows")
@@ -68,20 +69,25 @@ class QTable:
 
     def entry(self, state: int, action: int) -> float | None:
         """Value at (state, action), or None while unexplored."""
-        self._check(state, action)
+        if not (0 <= state < self.state_count and 0 <= action < self.action_count):
+            self._check(state, action)
         row = self._rows.get(state)
         return None if row is None else row[action]
 
     def row(self, state: int) -> list[float | None] | tuple[None, ...]:
         """A state's values by action index, None where unexplored; an update may change it."""
-        self._check(state, 0)
+        if not 0 <= state < self.state_count:
+            self._check(state, 0)
         row = self._rows.get(state)
         return (None,) * self.action_count if row is None else row
 
     def set(self, state: int, action: int, value: float) -> "QTable":
         """Write one entry (marking it explored); returns this table."""
         self._check(state, action)
-        self._row_for(state)[action] = float(value)
+        row = self._rows.get(state)
+        if row is None:
+            row = self._rows[state] = [None] * self.action_count
+        row[action] = float(value)
         return self
 
     def update(self, params: QParams, state: int, action: int, reward: float,
@@ -90,15 +96,21 @@ class QTable:
 
         An unexplored target entry initializes at 0 before the update. The max
         over the next state's row covers explored entries only, falling back to
-        0 when the whole row is unexplored.
+        0 when the whole row is unexplored; it is `max()`'s pick, NaN and -0.0 too.
         """
-        self._check(state, action)
-        self._check(next_state, 0)
-        next_row = self._rows.get(next_state, ())
-        if None in next_row:
-            next_row = [v for v in next_row if v is not None]
-        best_next = max(next_row) if next_row else 0.0
-        row = self._row_for(state)
+        if not (0 <= state < self.state_count and 0 <= action < self.action_count
+                and 0 <= next_state < self.state_count):
+            self._check(state, action)
+            self._check(next_state, 0)
+        rows = self._rows
+        best_next = None
+        for v in rows.get(next_state, ()):
+            if v is not None and (best_next is None or v > best_next):
+                best_next = v
+        best_next = 0.0 if best_next is None else best_next
+        row = rows.get(state)
+        if row is None:
+            row = rows[state] = [None] * self.action_count
         current = 0.0 if row[action] is None else row[action]
         row[action] = value = current + params.alpha * (reward + params.gamma * best_next - current)
         return value
@@ -121,12 +133,6 @@ class QTable:
         dense.flags.writeable = False
         return dense
 
-    def _row_for(self, state: int) -> list[float | None]:
-        row = self._rows.get(state)
-        if row is None:
-            row = self._rows[state] = [None] * self.action_count
-        return row
-
     def _check(self, state: int, action: int):
         if not (0 <= state < self.state_count and 0 <= action < self.action_count):
             raise IndexOutOfRange(f"({state},{action}) outside "
@@ -145,7 +151,8 @@ def learning_coefficient(achieved: float, demanded: float) -> float:
         raise NegativeInput(f"achieved={achieved} demanded={demanded}")
     if demanded == 0:
         return 1.0
-    return min(achieved / demanded, 1.0)
+    ratio = achieved / demanded
+    return 1.0 if 1.0 < ratio else ratio  # min(ratio, 1.0) without the call: NaN stays NaN
 
 
 def encode_state(percept: tuple[float, ...], spec: FeatureSpec) -> int:

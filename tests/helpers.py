@@ -1,7 +1,9 @@
-"""Scenario builders and the graph test set shared across test modules."""
+"""Scenario builders, the graph test set and perfbench's module loader, shared across
+test modules."""
 
 from __future__ import annotations
 
+import importlib.util
 import json
 import math
 from dataclasses import replace
@@ -14,6 +16,15 @@ from meshmind.env import ThroughputReport
 from meshmind.harness import AgentParams, ScenarioSpec
 from meshmind.learning import QParams
 from meshmind.optimize import EpsilonGreedy
+
+
+def perfbench_module(name: str):
+    """perfbench's module `name`, loaded from its file beside `src/`."""
+    spec = importlib.util.spec_from_file_location(
+        name, Path(__file__).resolve().parent.parent / "perfbench" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def read_trace(out_dir) -> list[dict]:

@@ -6,6 +6,7 @@ from pathlib import Path
 from unittest import mock
 
 import pytest
+import yaml
 from hypothesis import given, settings, strategies as st
 
 from meshmind import KnowledgeBase, MoveTo, SetChannel, cli
@@ -13,9 +14,12 @@ from meshmind.agent import Population
 from meshmind.harness import (MdpSpec, load_scenario, run_scenario, sweep,
                               value_iteration)
 from meshmind.kb import Case
-from meshmind.optimize import count_conflicts
+from meshmind.optimize import count_conflicts, greedy_coloring
+
+from helpers import perfbench_module
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
+WORKLOADS = perfbench_module("workloads")
 
 
 def key_values(text):
@@ -115,6 +119,20 @@ def test_channel_oracle_finds_a_conflict_free_assignment(capsys):
     assert printed["optimal_conflicts"] == "0"
     assignment = {int(node): ch for node, ch in json.loads(printed["assignment"]).items()}
     assert count_conflicts(load_scenario(spec_path).env_config.topology, assignment) == 0
+
+
+def test_channel_oracle_falls_back_to_greedy_above_the_enumeration_guard(tmp_path, capsys):
+    # 3 channels on 16 nodes: 43,046,721 assignments, past MAX_BRUTE_FORCE
+    spec_path = tmp_path / "grid4x4.yaml"
+    spec_path.write_text(yaml.safe_dump(WORKLOADS.grid_steady(0, side=4)))
+    assert cli.main(["oracle", "channels", str(spec_path)]) == 0
+    printed = key_values(capsys.readouterr().out)
+    assert printed.keys() == {"greedy_conflicts", "assignment"}
+    assert printed["greedy_conflicts"] == "0"
+    topology = load_scenario(spec_path).env_config.topology
+    assignment = {int(node): ch for node, ch in json.loads(printed["assignment"]).items()}
+    assert assignment == greedy_coloring(topology)
+    assert count_conflicts(topology, assignment) == 0
 
 
 def test_mdp_oracle_prints_value_iteration(capsys):

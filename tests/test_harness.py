@@ -1,7 +1,6 @@
 import contextlib
 import copy
 import hashlib
-import importlib.util
 import io
 import json
 import math
@@ -30,7 +29,7 @@ from meshmind.learning import format_q_table
 from meshmind.optimize import Controlled
 from meshmind.reasoning import Outcome
 
-from helpers import (draw_readings, make_channel_spec, make_location_spec,
+from helpers import (draw_readings, make_channel_spec, make_location_spec, perfbench_module,
                      reactive_location_oracle, read_trace, readings_report, with_horizon)
 from test_golden import make_spec as golden_spec
 
@@ -38,16 +37,7 @@ SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 SHIPPED = ("follow_demand_location", "lowload_windows", "ring6_channels")  # the run scenarios
 
 
-def _perfbench_workloads():
-    """perfbench's workload generators, loaded from their file."""
-    spec = importlib.util.spec_from_file_location(
-        "workloads", SCENARIO_DIR.parent / "perfbench" / "workloads.py")
-    workloads = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(workloads)
-    return workloads
-
-
-WORKLOADS = _perfbench_workloads()
+WORKLOADS = perfbench_module("workloads")
 
 
 def run_keeping_agents(spec, **kwargs):
@@ -284,6 +274,18 @@ class TestRunStream:
         report = skipping[0]
         assert report.triggered_ticks > 0
         assert every[-1] == skipping[-1] == drawn(spec.seed, report.triggered_ticks)
+
+
+def test_traced_outcome_counts_agree_with_the_report():
+    """perfbench's tracer finds every target and counts `classify`'s results by their
+    value: one per triggered tick, its reuses those the report counts."""
+    spec = replace(load_scenario(SCENARIO_DIR / "lowload_windows.yaml"), seed=0)
+    with perfbench_module("tracer").Tracer() as tr:
+        report, _ = harness.run_scenario(spec)  # the name the tracer wraps
+    assert tr.absent == []
+    assert report.reuse_ticks > 0
+    assert sum(tr.outcomes.values()) == report.triggered_ticks
+    assert tr.outcomes["reuse"] == report.reuse_ticks
 
 
 # sha256 of every file but timings.json that a run writes; (scenario, seed) -> file ->

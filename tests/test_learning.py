@@ -1,4 +1,5 @@
 import math
+import struct
 import tracemalloc
 
 import numpy as np
@@ -155,6 +156,83 @@ class TestAgainstDenseModel:
             assert_matches(table, ref)
 
 
+def bits(x):
+    """A float's exact bytes, so that NaN, -0.0 and subnormals compare by identity."""
+    return None if x is None else struct.pack("<d", x)
+
+
+def reference_update(rows, action_count, params, state, action, reward, next_state):
+    """`QTable.update` on a dict of rows, range checks aside, as it was written with
+    `max()` over a filtered copy of the next state's row."""
+    next_row = rows.get(next_state, ())
+    if None in next_row:
+        next_row = [v for v in next_row if v is not None]
+    best_next = max(next_row) if next_row else 0.0
+    row = rows.setdefault(state, [None] * action_count)
+    current = 0.0 if row[action] is None else row[action]
+    row[action] = value = current + params.alpha * (reward + params.gamma * best_next - current)
+    return value
+
+
+# Every float the table may meet, the special ones drawn often.
+SPECIAL = [0.0, -0.0, 1.0, -1.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324, 1e-310]
+ANY_FLOAT = st.one_of(st.sampled_from(SPECIAL), st.floats())
+
+
+class TestExactness:
+    """The table's single-pass update and its inline range tests against the code they
+    replaced: the same bits in and out, and the same error on the same bad index."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.data(), st.integers(1, 3), st.integers(1, 9),
+           st.sampled_from([0.0, 0.3, 1.0]), st.sampled_from([0.0, 0.5, 0.99]))
+    def test_update_matches_the_max_reference_bit_for_bit(self, data, states, actions,
+                                                          alpha, gamma):
+        params = QParams(alpha=alpha, gamma=gamma)
+        table, ref = QTable(states, actions), {}
+        for s in range(states):
+            stored = data.draw(st.lists(st.none() | ANY_FLOAT, min_size=actions,
+                                        max_size=actions))
+            for a, v in enumerate(stored):
+                if v is not None:
+                    table.set(s, a, v)
+                    ref.setdefault(s, [None] * actions)[a] = v
+        for _ in range(data.draw(st.integers(1, 6))):
+            s, ns = (data.draw(st.integers(0, states - 1)) for _ in range(2))
+            a = data.draw(st.integers(0, actions - 1))
+            reward = data.draw(ANY_FLOAT)
+            assert bits(table.update(params, s, a, reward, ns)) == bits(
+                reference_update(ref, actions, params, s, a, reward, ns))
+            for state in range(states):
+                assert list(map(bits, table.row(state))) == list(
+                    map(bits, ref.get(state, [None] * actions)))
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.integers(1, 4), st.integers(1, 4), st.integers(-6, 6), st.integers(-6, 6),
+           st.integers(-6, 6))
+    def test_every_index_is_checked_with_the_same_message(self, states, actions, s, a, ns):
+        table = QTable(states, actions)
+        before = format_q_table(table)
+
+        def message(*pairs):
+            for state, action in pairs:
+                if not (0 <= state < states and 0 <= action < actions):
+                    return f"({state},{action}) outside {states}x{actions}"
+
+        calls = [(message((s, a)), lambda: table.entry(s, a)),
+                 (message((s, 0)), lambda: table.row(s)),
+                 (message((s, a), (ns, 0)), lambda: table.update(QParams(), s, a, 1.0, ns)),
+                 (message((s, a)), lambda: table.set(s, a, 2.0))]
+        for expected, call in calls:  # a call that raises follows none that wrote
+            if expected is None:
+                call()
+            else:
+                with pytest.raises(IndexOutOfRange) as err:
+                    call()
+                assert str(err.value) == expected
+                assert format_q_table(table) == before  # a rejected write writes nothing
+
+
 class TestGreedy:
     """The greedy arm of `select_action`: the first highest-valued explored action."""
 
@@ -209,6 +287,15 @@ class TestLearningCoefficient:
     def test_monotone(self, a1, a2, demanded):
         lo, hi = sorted((a1, a2))
         assert learning_coefficient(lo, demanded) <= learning_coefficient(hi, demanded)
+
+    @settings(max_examples=500, derandomize=True)
+    @given(st.one_of(st.sampled_from([0.0, -0.0, math.inf, math.nan, 5e-324]),
+                     st.floats(min_value=0.0)),
+           st.one_of(st.sampled_from([-0.0, math.inf, math.nan, 5e-324, 1.0]),
+                     st.floats(min_value=0.0)))
+    def test_is_min_of_ratio_and_one_bit_for_bit(self, achieved, demanded):
+        expected = 1.0 if demanded == 0 else min(achieved / demanded, 1.0)
+        assert bits(learning_coefficient(achieved, demanded)) == bits(expected)
 
 
 def unit_features(*bins):

@@ -14,7 +14,11 @@ from meshmind.optimize import NoAllowedCell, TooLarge, one_step_cells
 
 from hypothesis import given, settings, strategies as st
 
-from helpers import EPSILON, INSIDE, UNIFORM, edge_uniforms, reference_served
+from helpers import (EPSILON, INSIDE, UNIFORM, coloring_test_graphs, edge_uniforms,
+                     reference_served)
+
+
+COLORING_GRAPHS = coloring_test_graphs()
 
 
 def topology(n, edges, channels=3):
@@ -175,6 +179,14 @@ class TestBruteForce:
         first, _ = brute_force_channels(topo)
         second, _ = brute_force_channels(topo)
         assert first == second == {0: 1, 1: 2, 2: 1}
+
+    @pytest.mark.parametrize("name", list(COLORING_GRAPHS))
+    def test_three_channels_color_every_test_graph(self, name):
+        topo = topology(*COLORING_GRAPHS[name])
+        _, best = brute_force_channels(topo)
+        assert best == 0  # each test graph is 3-colorable
+        # greedy is an upper bound, and not always tight: prism's degree order costs a conflict
+        assert count_conflicts(topo, greedy_coloring(topo)) == (1 if name == "prism" else 0)
 
     def test_enumeration_guard(self):
         topo = topology(8, set(), channels=8)  # 8^8 = 2^24 > guard
