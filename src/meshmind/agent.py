@@ -5,9 +5,10 @@ table. The agents of a run are sensed and detected together: a Population
 gathers every agent's percept from the step's flat reading vector in one
 pass and keeps the two-sample detector as two boolean arrays. The
 reasoning cycle is event driven: it runs only for an agent whose node's
-users were undersupplied in two successive samples. A triggered cycle
-retrieves the nearest stored case and either reuses its action,
-recomputes it, retains the percept as a new case, or rejects it.
+users were undersupplied in two successive samples. A triggered tick
+retrieves the nearest stored case and decides to reuse its action,
+recompute it, retain the percept as a new case, or reject it; while the
+controlled gate holds it (`_held`), it stays on its channel.
 
 The agent keeps its own books and writes nothing to the population. A
 tick returns its trace event, which holds its action, or None; it builds
@@ -15,11 +16,12 @@ no other object but its percept, a tuple of unit-range floats: the step,
 the serving load and the controlled gate's verdict pass as plain values,
 and its config holds what no tick changes. An agent holds no generator: a
 triggered tick takes one uniform u of the run's stream, used or not, from
-which a channel agent picks an action index (`select_action`) that its
-palette names, and a location agent, while u < epsilon, the one-step cell
-of u's bucket. A switch is marked on its trace event, as a disruption when
-its users demand more than DISRUPTION_THRESHOLD. After the step, `observe`
-scores the action from the same batched pass: it revises the case,
+which a channel agent the gate does not hold picks an action index
+(`select_action`) that its palette names, and a location agent, while
+u < epsilon, the one-step cell of u's bucket. A switch is marked on its
+trace event, as a disruption when its users demand more than
+DISRUPTION_THRESHOLD. After the step, `observe` scores the action from the
+same batched pass: it writes the tick's one case, revised or retained,
 penalises a disruption and updates the value table.
 """
 
@@ -41,8 +43,8 @@ from .learning import QParams, QTable, bucket, encode_state, learning_coefficien
 from .optimize import (DISRUPTION_THRESHOLD, Controlled, EpsilonGreedy, location_search,
                        one_step_cells, select_action)
 # normalize is the scalar form of Population.sense; perfbench times it here.
-from .reasoning import (RECOMPUTE, RETAIN_NEW, REUSE, FeatureSpec, MissingFeature, classify,
-                        normalize)
+from .reasoning import (RECOMPUTE, RETAIN_NEW, REUSE, FeatureSpec, MissingFeature, Outcome,
+                        classify, normalize)
 
 CHANNEL_KIND = "channel-assignment"
 LOCATION_KIND = "location-optimization"
@@ -186,8 +188,8 @@ class Agent:
         self.kb = KnowledgeBase(capacity=config.kb_capacity)
         self.table = QTable(config.feature_spec.state_count, len(
             _DIRECTIONS if config.kind == LOCATION_KIND else config.channels))
-        # (event, state index, action index, case) of the action awaiting feedback
-        self._pending: tuple[TraceEvent, int, int, Case | None] | None = None
+        # (event, state index, action index, outcome, case) of the action awaiting feedback
+        self._pending: tuple[TraceEvent, int, int, Outcome, Case | None] | None = None
         self._switch_times: list[int] = []  # switches inside a controlled policy's window
         self._set_channel: dict[int, SetChannel] = {}  # one per channel, made on first use
 
@@ -219,17 +221,16 @@ class Agent:
             if action.channel != state.channel_of[self.node]:
                 event.switched = True
                 event.disruption = demanded > DISRUPTION_THRESHOLD
-                if self.config.gate is not None and self.config.gate.window:
-                    self._switch_times.append(t)
         else:  # a MoveTo, indexed by its direction
             (x, y), (cx, cy) = action.cell, state.position_of[self.node]
             action_index = _DIRECTION_INDEX[x - cx, y - cy]
         event.q_before = self.table.entry(state_index, action_index)
-        self._pending = (event, state_index, action_index, case)
+        self._pending = (event, state_index, action_index, outcome, case)
         return event
 
     def _reason(self, env: Environment, state: EnvState, percept: tuple[float, ...],
                 demanded: float, state_index: int, u: float):
+        """(action, outcome, case to revise: a REUSE's or RECOMPUTE's, else None)."""
         t, config, kb = state.t, self.config, self.kb
         hit = kb.retrieve(percept, t)
         if hit is None:
@@ -239,24 +240,17 @@ class Agent:
             coefficient = case.coefficient
         outcome = classify(score, coefficient, config.similarity_threshold,
                            config.coefficient_threshold, kb.is_full())
-        hold = None if config.gate is None else self._held_channel(state, t, demanded)
+        held = config.gate is not None and self._held(t, demanded)
         if outcome is REUSE:
-            if hold is not None and case.action.channel != hold:
-                return self._switch_to(hold), outcome, None
+            if held and case.action.channel != state.channel_of[self.node]:
+                return self._switch_to(state.channel_of[self.node]), outcome, None
             return case.action, outcome, case
-        action = self._optimize(env, state, state_index, hold, u)
-        if outcome is RECOMPUTE:
-            kb.revise(case, action=action)
-            return action, outcome, case
-        if outcome is RETAIN_NEW:
-            new_case = Case(percept=percept, action=action, coefficient=0.0,
-                            last_used=t, created=t)
-            kb.retain(new_case)
-            return action, outcome, new_case
-        return action, outcome, None  # REJECT: act without writing to the KB
+        action = (self._switch_to(state.channel_of[self.node]) if held
+                  else self._optimize(env, state, state_index, u))
+        return action, outcome, case if outcome is RECOMPUTE else None
 
     def _optimize(self, env: Environment, state: EnvState, state_index: int,
-                  hold: int | None, u: float) -> Action:
+                  u: float) -> Action:
         policy = self.config.policy
         if self.config.kind == LOCATION_KIND:
             # The one-step throughput climb is the exploitation arm here; a
@@ -265,8 +259,7 @@ class Agent:
                 cells = one_step_cells(env.topology, self.node, state.position_of[self.node])
                 return MoveTo(self.node, cells[bucket(u / policy.epsilon, len(cells))])
             return location_search(env, state, self.node)
-        held = None if hold is None else self.config.channel_index[hold]
-        a = select_action(self.table, state_index, policy, u, held)
+        a = select_action(self.table, state_index, policy, u)
         return self._switch_to(self.config.channels[a])
 
     def _switch_to(self, channel: int) -> SetChannel:
@@ -275,34 +268,39 @@ class Agent:
             action = self._set_channel[channel] = SetChannel(self.node, channel)
         return action
 
-    def _held_channel(self, state: EnvState, t: int, demanded: float) -> int | None:
-        """The current channel while this agent's controlled gate, which it
-        must have, blocks a switch at serving load `demanded`, else None."""
+    def _held(self, t: int, demanded: float) -> bool:
+        """Whether this agent's controlled gate, which it must have, blocks a
+        switch at step `t` and serving load `demanded`."""
         gate, times = self.config.gate, self._switch_times  # times is empty unless gate.window
         while times and times[0] <= t - gate.window:
             del times[0]  # left the window for good: t only grows
-        return state.channel_of[self.node] if gate.blocks(demanded, len(times)) else None
+        return gate.blocks(demanded, len(times))
 
     # -- feedback -------------------------------------------------------------
 
     def observe(self, population: "Population", i: int,
                 disruption_penalty: float) -> None:
         """Score the pending action from row `i` of the population's pass
-        after the step: revise its case, charge `disruption_penalty` if the
+        after the step: write its case, charge `disruption_penalty` if the
         action disrupted service, and update the value table in place."""
         if self._pending is None:
             raise UnknownPendingAction(f"node {self.node} has no action awaiting feedback")
-        event, state_index, action_index, case = self._pending
+        event, state_index, action_index, outcome, case = self._pending
         self._pending = None
         achieved = population.achieved[i]
         coefficient = learning_coefficient(achieved, population.demanded[i])
-        if case is not None:
-            self.kb.revise(case, coefficient=coefficient)
+        if case is not None:  # a reused action rewrites itself
+            self.kb.revise(case, action=event.action, coefficient=coefficient)
+        elif outcome is RETAIN_NEW:
+            self.kb.retain(Case(event.percept, event.action, coefficient,
+                                last_used=event.t, created=event.t))
         reward = achieved - (disruption_penalty if event.disruption else 0.0)
         event.q_after = self.table.update(self.config.qparams, state_index, action_index,
                                           reward, int(population.states[i]))
         event.reward = reward
         event.coefficient = coefficient
+        if event.switched and (gate := self.config.gate) is not None and gate.window:
+            self._switch_times.append(event.t)
 
 
 class Population:

@@ -414,9 +414,6 @@ def scenario_from_dict(data) -> ScenarioSpec:
         ids = Counter(row["id"] for row in nodes)
         problems.append((("env", "nodes"),
                          f"duplicate node id {min(i for i in ids if ids[i] > 1)}"))
-    if min(positions, default=0) < 0:
-        problems += [(("env", "nodes", i, "id"), f"expected int >= 0, got {row['id']}")
-                     for i, row in enumerate(nodes) if row["id"] < 0]
     topology = _built(
         MeshTopology, ("env",), problems,
         positions=positions, channels=env.pop("channels"), edges=set(env.pop("edges")),

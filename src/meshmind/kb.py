@@ -3,8 +3,10 @@
 Each case pairs a percept, a tuple of unit-range floats, with the action
 taken for it and a coefficient in [0, 1] scoring how well that action
 worked. Retrieval is an exact argmax over similarity (linear scan; stores
-are small), retention at capacity evicts the least recently used case, and
-exact-duplicate percepts merge into one slot. A knowledge base only writes
+are small) that stamps the case it returns as used, retention at capacity
+evicts the least recently used case, and exact-duplicate percepts merge into
+one slot. An agent revises or retains a case once the outcome of its action
+is known, so a tick only retrieves. A knowledge base only writes
 itself, as a `meshmind-kb/2` snapshot with one row of fields per case;
 `harness.load_snapshot` reads snapshots, `meshmind-kb/1` ones too.
 """
@@ -98,7 +100,8 @@ class KnowledgeBase:
 
     def revise(self, case: Case, action=None, coefficient: float | None = None) -> "KnowledgeBase":
         """Replace a stored case's action and/or coefficient in place; not an equal copy's.
-        last_used stays: an agent revises a case only in the tick that last used it."""
+        last_used stays: an agent revises a case only in the feedback of the tick that
+        last used it."""
         for stored in self.cases:  # identity, not equality
             if stored is case:
                 break

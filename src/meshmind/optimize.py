@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 
 from .env import Cell, Environment, EnvState, MeshTopology, MoveTo
-from .learning import IndexOutOfRange, QTable, bucket
+from .learning import QTable, bucket
 
 # A channel switch counts as a service disruption when the node's users
 # demand more than this many Mbps at the moment of the switch. It doubles
@@ -47,10 +47,10 @@ class Controlled(EpsilonGreedy):
     """Epsilon-greedy selection gated by service constraints.
 
     While the node serves aggregate demand above serving_threshold (never,
-    at +inf), `blocks` holds it on its channel, for the optimizer and a
-    reused case alike, so reconfiguration waits for a low-load window.
-    max_switches per trailing `window` steps (both set, or neither) also
-    caps its channel changes.
+    at +inf), `blocks` says so, and the agent's triggered tick stays on its
+    channel without consulting the optimizer or a reused case, so
+    reconfiguration waits for a low-load window. max_switches per trailing
+    `window` steps (both set, or neither) also caps its channel changes.
     """
 
     serving_threshold: float = DISRUPTION_THRESHOLD
@@ -75,27 +75,20 @@ class Controlled(EpsilonGreedy):
                 or (self.max_switches is not None and recent_switches >= self.max_switches))
 
 
-def select_action(table: QTable, state: int, policy: EpsilonGreedy,
-                  u: float, hold: int | None = None) -> int:
-    """Pick an action index epsilon-greedily from the uniform `u`, reading the state's row once.
-
-    With `hold`, the action index a controlled gate holds (IndexOutOfRange
-    outside the row), only that action is kept. Then the pick is `bucket(u / epsilon)`
-    while u < epsilon, else the first highest-valued explored one, or if none is,
-    `bucket((u - epsilon) / (1 - epsilon))`.
+def select_action(table: QTable, state: int, policy: EpsilonGreedy, u: float) -> int:
+    """Pick an action index epsilon-greedily from the uniform `u`, reading the state's row once:
+    `bucket(u / epsilon)` while u < epsilon, else the first highest-valued explored one,
+    or if none is, `bucket((u - epsilon) / (1 - epsilon))`.
     """
     row = table.row(state)
-    if hold is not None and not 0 <= hold < len(row):
-        raise IndexOutOfRange(f"hold {hold} outside {len(row)} actions")
-    actions = range(len(row)) if hold is None else (hold,)
     epsilon = policy.epsilon
     if u < epsilon:
-        return actions[bucket(u / epsilon, len(actions))]
+        return bucket(u / epsilon, len(row))
     best = None  # the first highest-valued explored action
-    for a in actions:
-        if row[a] is not None and (best is None or row[a] > row[best]):
+    for a, value in enumerate(row):
+        if value is not None and (best is None or value > row[best]):
             best = a
-    return actions[bucket((u - epsilon) / (1 - epsilon), len(actions))] if best is None else best
+    return bucket((u - epsilon) / (1 - epsilon), len(row)) if best is None else best
 
 
 # -- channel assignment heuristics -------------------------------------------

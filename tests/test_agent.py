@@ -576,15 +576,15 @@ class TestLocationExplore:
         cells = one_step_cells(env.topology, 0, state.position_of[0])
         assert len(cells) == 6
         for x in (*edge_uniforms(epsilon), u):
-            move = agent._optimize(env, state, 0, None, x)
+            move = agent._optimize(env, state, 0, x)
             assert move.cell in cells
             if x >= epsilon:
                 assert move == location_search(env, state, 0)
         explore = epsilon * (a + inside) / len(cells)
         if explore < epsilon and epsilon >= 1e-9:
-            assert agent._optimize(env, state, 0, None, explore) == MoveTo(0, cells[a])
+            assert agent._optimize(env, state, 0, explore) == MoveTo(0, cells[a])
             top = math.nextafter(epsilon, 0.0)  # the largest uniform that explores
-            assert agent._optimize(env, state, 0, None, top) == MoveTo(0, cells[-1])
+            assert agent._optimize(env, state, 0, top) == MoveTo(0, cells[-1])
 
 
 class TestObserve:
@@ -648,14 +648,16 @@ class TestObserve:
         (make_location_spec(horizon=120, cols=2), {"retain", "reuse"}),
     ], ids=["channel", "location"])
     def test_every_revised_case_was_used_at_that_step(self, spec, outcomes):
-        """A tick or its feedback revises only a case that `retrieve`, or its
-        retention, stamped with the tick's step: `revise` leaves last_used alone."""
+        """A tick's feedback revises only a case that `retrieve` stamped with the
+        tick's step, and retains one stamped with it: `revise` leaves last_used alone."""
         env = Environment(spec.env_config)
         agents = build_agents(spec, env, env.reset(), seed=0)
         revised, seen = [], set()
         for agent in agents:
             agent.kb.revise = lambda case, kb=agent.kb, **kw: (
                 revised.append(case), KnowledgeBase.revise(kb, case, **kw))[1]
+            agent.kb.retain = lambda case, kb=agent.kb: (
+                revised.append(case), KnowledgeBase.retain(kb, case))[1]
         start = None
         for t in range(spec.horizon):
             start, events = drive(env, agents, 1, start=start)
@@ -671,6 +673,127 @@ class TestObserve:
         population.sense(starved_report(env))
         with pytest.raises(UnknownPendingAction):
             agent.observe(population, 0, 0.0)
+
+
+class TestDecideThenWrite:
+    """`tick` decides and `observe` writes. A tick leaves every stored case's percept,
+    action and coefficient, and the case list, as they were: only the retrieved case's
+    hits and last_used move. Its feedback then writes exactly one case, the retrieved
+    one revised or a new one retained, or none on REJECT and on a REUSE the gate overrides."""
+
+    @settings(derandomize=True, max_examples=24, deadline=None)
+    @given(st.sampled_from([None, 10, 30, "location"]), st.sampled_from([1, 2, 4, 256]),
+           st.sampled_from([0.8, 0.95]), st.integers(0, 11))
+    def test_a_tick_only_stamps_and_its_feedback_writes_one_case(self, window, capacity,
+                                                                 similarity, seed):
+        """On a gated channel ring, with a one-switch budget per `window` steps or
+        none (a spent budget overrides reuses), or on two location tiles."""
+        spec = (make_location_spec(horizon=80, cols=2, seed=seed) if window == "location"
+                else make_lowload_window_spec(Controlled(
+                    epsilon=0.1, serving_threshold=1.0, max_switches=window and 1,
+                    window=window), horizon=120, seed=seed))
+        spec = replace(spec, agent_params=replace(
+            spec.agent_params, kb_capacity=capacity, similarity_threshold=similarity))
+        env = Environment(spec.env_config, seed=spec.seed)
+        state = env.reset()
+        report = env.report_for(state)
+        agents = build_agents(spec, env, state, spec.seed)
+        retrieved, writes = {}, []
+        for i, agent in enumerate(agents):
+            kb = agent.kb
+            kb.retrieve = lambda percept, now, kb=kb, i=i: retrieved.setdefault(
+                i, KnowledgeBase.retrieve(kb, percept, now))
+            kb.revise = lambda case, kb=kb, **kw: (
+                writes.append(("revise", case)), KnowledgeBase.revise(kb, case, **kw))[1]
+            kb.retain = lambda case, kb=kb: (
+                writes.append(("retain", case)), KnowledgeBase.retain(kb, case))[1]
+        population = Population(agents, env)
+        population.sense(report)
+        stream = np.random.default_rng([spec.seed, 1])
+        for _ in range(spec.horizon):
+            before = [[(case, case.percept, case.action, case.coefficient, case.hits,
+                        case.last_used) for case in agent.kb.cases] for agent in agents]
+            retrieved.clear()
+            draws = iter(stream.random(population.fired.count(True)).tolist())
+            events = {i: event for i, agent in enumerate(agents)
+                      if (event := agent.tick(env, state, population, i, draws)) is not None}
+            assert not writes
+            for i, agent in enumerate(agents):
+                hit = retrieved.get(i)
+                assert len(agent.kb.cases) == len(before[i])
+                for (case, *content, hits, last_used), now in zip(before[i], agent.kb.cases):
+                    assert now is case and [now.percept, now.action, now.coefficient] == content
+                    stamped = hit is not None and hit[0] is case
+                    assert (now.hits, now.last_used) == (
+                        (hits + 1, state.t) if stamped else (hits, last_used))
+            population.acted(list(events))
+            state, report = env.apply_and_step(state, [ev.action for ev in events.values()])
+            population.sense(report)
+            for i, event in events.items():
+                agents[i].observe(population, i, 0.0)
+                hit = retrieved[i] and retrieved[i][0]
+                if event.outcome == "reject" or (
+                        event.outcome == "reuse" and event.action != hit.action):
+                    assert writes == [], event
+                    continue
+                (how, case), = writes
+                writes.clear()
+                if event.outcome == "retain":
+                    assert how == "retain" and case.percept == event.percept
+                    assert case.created == case.last_used == event.t
+                    assert any(stored is case for stored in agents[i].kb.cases)
+                else:
+                    assert how == "revise" and case is hit
+                assert (case.action, case.coefficient) == (event.action, event.coefficient)
+
+
+class TestHeldTick:
+    """Under a blocking gate a triggered tick stays on its channel whatever the
+    outcome, without drawing a pick; the case it writes holds the stay action."""
+
+    STAY, AWAY = SetChannel(0, 1), SetChannel(0, 2)
+
+    def tick(self, outcome, serving_threshold):
+        """Node 0, starved on channel 1 while it serves 5.0 Mbps, ticks with a stored
+        case that makes the tick's `outcome`; returns (agent, env, state, population, event)."""
+        env = channel_env()  # both nodes start on channel 1
+        policy = Controlled(epsilon=0.0, serving_threshold=serving_threshold)
+        agent = Agent(0, replace(channel_agent().config, policy=policy,
+                                 kb_capacity=1 if outcome == "reject" else 256))
+        population = Population([agent], env)
+        state = env.reset()
+        report = env.report_for(state)
+        population.sense(report)
+        percept = population.percept(0)
+        stored = {"reuse": Case(percept, self.AWAY, 1.0),
+                  "recompute": Case(percept, self.AWAY, 0.0),
+                  "reject": Case((0.0,) * len(percept), self.AWAY, 1.0)}.get(outcome)
+        if stored is not None:
+            agent.kb.retain(stored)
+        population.sense(report)  # second starved sample fires the detector
+        event = agent.tick(env, state, population, 0, iter([0.5]))
+        assert event.outcome == outcome
+        return agent, env, state, population, event
+
+    @pytest.mark.parametrize("outcome", ["reuse", "recompute", "retain", "reject"])
+    def test_every_outcome_stays_without_a_pick(self, monkeypatch, outcome):
+        def no_pick(*args):
+            raise AssertionError("select_action was called")
+        monkeypatch.setattr(agent_module, "select_action", no_pick)
+        if outcome != "reuse":  # ungated, the same tick picks
+            with pytest.raises(AssertionError, match="select_action"):
+                self.tick(outcome, math.inf)
+        agent, env, state, population, event = self.tick(outcome, 1.0)
+        assert (event.action, event.switched) == (self.STAY, False)
+        before = [(case.action, case.coefficient) for case in agent.kb.cases]
+        state, report = env.apply_and_step(state, [event.action])
+        population.sense(report)
+        agent.observe(population, 0, 0.0)
+        if outcome in ("recompute", "retain"):
+            (case,) = agent.kb.cases
+            assert (case.action, case.coefficient) == (self.STAY, event.coefficient)
+        else:  # an overridden reuse and a reject write nothing
+            assert [(case.action, case.coefficient) for case in agent.kb.cases] == before
 
 
 class TestControlledRun:

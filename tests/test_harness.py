@@ -634,8 +634,6 @@ class TestScenarioLoading:
          "initial channel 9 of node 0 not in palette"),
         (lambda d: d["env"].update(initial_channels={7: 1}), "initial channel of unknown node 7"),
         (lambda d: d["env"]["nodes"].append({"id": 0, "x": 1, "y": 0}), "duplicate node id 0"),
-        (lambda d: d["env"]["nodes"][0].update(id=-1) or d["env"]["users"][0].update(node=-1),
-         "env.nodes[0].id: expected int >= 0, got -1"),
         (lambda d: d.update(agents={"nodes": [0, 0]}), "agents: nodes lists node 0 more than once"),
         (lambda d: d.update(seed=-1), "seed must be >= 0"),
         (lambda d: d["env"].update(tx_power=0.0), "tx_power must be > 0"),
@@ -707,7 +705,7 @@ class TestScenarioLoading:
             "controlled-epsilon", "greedy-epsilon", "kb-eviction", "kb-eviction-removed",
             "kb-capacity",
             "horizon-not-int", "negative-horizon", "negative-horizon-periodic", "period-zero", "period-negative", "initial-channel-palette",
-            "initial-channel-node", "duplicate-node", "negative-node-id", "duplicate-agent-node",
+            "initial-channel-node", "duplicate-node", "duplicate-agent-node",
             "negative-seed", "tx-power",
             "bandwidth-unit", "controlled-window", "controlled-max-switches",
             "max-switches-without-window", "window-without-max-switches",
@@ -800,25 +798,23 @@ class TestScenarioLoading:
             expected, expected_steps = run_scenario(replace(unmoved, seed=seed))
             assert (report.rows(), steps) == (expected.rows(), expected_steps)
 
-    @pytest.mark.parametrize("node", [-1, 2**32, 2**40])
-    def test_a_node_id_seeds_its_agent_so_only_a_negative_one_is_rejected(self, node):
-        """A node id loads at any size but not below 0, a rule kept from when each
-        agent seeded its generator with its node id; each negative id is one problem."""
-        data = yaml.safe_load((SCENARIO_DIR / "ring6_channels.yaml").read_text())
-        rename = {0: node, 3: -2 if node < 0 else 3}
+    @pytest.mark.parametrize("name", ["ring6_channels", "follow_demand_location"])
+    @pytest.mark.parametrize("shift", [-5, 2**32, 2**40])
+    def test_any_node_id_loads_and_runs(self, tmp_path, name, shift):
+        """A node id only names its node: with every id shifted below 0 or far above
+        it, a scenario loads, runs as before and emits each value table under its id."""
+        data = yaml.safe_load((SCENARIO_DIR / f"{name}.yaml").read_text())
+        unshifted = scenario_from_dict(copy.deepcopy(data))
         for row in data["env"]["nodes"]:
-            row["id"] = rename.get(row["id"], row["id"])
+            row["id"] += shift
         for row in data["env"]["users"]:
-            row["node"] = rename.get(row["node"], row["node"])
-        data["env"]["edges"] = [[rename.get(a, a), rename.get(b, b)]
-                                for a, b in data["env"]["edges"]]
-        if node < 0:
-            with pytest.raises(SpecValidation) as err:
-                scenario_from_dict(data)
-            assert err.value.problems == ["env.nodes[0].id: expected int >= 0, got -1",
-                                          "env.nodes[3].id: expected int >= 0, got -2"]
-        else:
-            run_scenario(with_horizon(scenario_from_dict(data), 3))
+            row["node"] += shift
+        data["env"]["edges"] = [[a + shift, b + shift] for a, b in data["env"]["edges"]]
+        report, _ = run_scenario(with_horizon(scenario_from_dict(data), 30), out_dir=tmp_path)
+        expected, _ = run_scenario(with_horizon(unshifted, 30))
+        assert report.rows() == expected.rows()
+        assert sorted(path.name for path in tmp_path.glob("qtable_node_*.txt")) == sorted(
+            f"qtable_node_{row['id']}.txt" for row in data["env"]["nodes"])
 
     @pytest.mark.parametrize("name", ["ring6_channels", "follow_demand_location"])
     def test_negative_coordinates_load_where_nothing_bins_them(self, name):

@@ -9,7 +9,6 @@ from meshmind import (Controlled, DemandProfile, EnvConfig, Environment,
                       EpsilonGreedy, MeshTopology, MoveTo, QTable, UserSpec,
                       brute_force_channels, count_conflicts, greedy_coloring,
                       location_search, select_action)
-from meshmind.learning import IndexOutOfRange
 from meshmind.optimize import NoAllowedCell, TooLarge, one_step_cells
 
 from hypothesis import given, settings, strategies as st
@@ -46,13 +45,6 @@ class TestSelectAction:
         seen = {select_action(table, 0, EpsilonGreedy(0.0), rng.random()) for _ in range(200)}
         assert seen == {0, 1, 2}
 
-    @pytest.mark.parametrize("hold", [-1, 3, 7])
-    @pytest.mark.parametrize("epsilon", [0.0, 1.0])
-    def test_hold_outside_the_row_raises(self, hold, epsilon):
-        table = QTable(1, 3).set(0, 0, 9.0)
-        with pytest.raises(IndexOutOfRange):
-            select_action(table, 0, EpsilonGreedy(epsilon), 0.5, hold)
-
 
 class TestOneUniform:
     """`select_action` picks from one uniform u: below epsilon, the action whose
@@ -60,17 +52,14 @@ class TestOneUniform:
     explored, the action whose (1 - epsilon)/n wide bucket holds u - epsilon."""
 
     @settings(derandomize=True, max_examples=300)
-    @given(st.lists(st.none() | st.floats(-10, 10), min_size=1, max_size=9), EPSILON,
-           UNIFORM, st.data())
-    def test_the_pick_is_an_action_and_a_hold_is_kept(self, values, epsilon, u, data):
+    @given(st.lists(st.none() | st.floats(-10, 10), min_size=1, max_size=9), EPSILON, UNIFORM)
+    def test_the_pick_is_an_action(self, values, epsilon, u):
         table = QTable(1, len(values))
         for a, value in enumerate(values):
             if value is not None:
                 table.set(0, a, value)
-        hold = data.draw(st.integers(0, len(values) - 1))
         for x in (*edge_uniforms(epsilon), u):
             assert 0 <= select_action(table, 0, EpsilonGreedy(epsilon), x) < len(values)
-            assert select_action(table, 0, EpsilonGreedy(epsilon), x, hold) == hold
 
     @settings(derandomize=True, max_examples=300)
     @given(st.integers(1, 9), st.sampled_from([0.0, 1.0]) | st.floats(1e-9, 1.0), INSIDE,
@@ -96,30 +85,27 @@ class TestOneUniform:
 
 
 class TestControlledPolicy:
-    """The gate's `blocks`, and `select_action` holding the node where it blocks."""
-
-    def pick(self, policy, serving_load, recent_switches, rng):
-        """The action index picked for a node on action 0 whose best-valued action is 2."""
-        hold = 0 if policy.blocks(serving_load, recent_switches) else None
-        table = QTable(1, 3).set(0, 2, 9.0)
-        return select_action(table, 0, policy, rng.random(), hold=hold)
+    """The gate's `blocks`: above its serving threshold, or with its switch budget spent.
+    `tests/test_agent.py` checks that a blocked agent stays on its channel."""
 
     def test_no_switch_while_serving_above_threshold(self):
         policy = Controlled(epsilon=0.5, serving_threshold=1.0)
-        rng = np.random.default_rng(5)
-        for _ in range(300):
-            assert self.pick(policy, 4.0, 0, rng) == 0
+        for recent_switches in (0, 1, 10**9):
+            assert policy.blocks(4.0, recent_switches)
+            assert policy.blocks(math.nextafter(1.0, 2.0), recent_switches)
 
     def test_switches_allowed_below_threshold(self):
         policy = Controlled(epsilon=0.0, serving_threshold=1.0)
-        assert not policy.blocks(0.5, 0)
-        assert self.pick(policy, 0.5, 0, np.random.default_rng(6)) == 2
+        for serving_load in (0.0, 0.5, 1.0):  # at the threshold the node may switch
+            assert not policy.blocks(serving_load, 10**9)  # no budget: switches never count
+        assert not Controlled(serving_threshold=math.inf).blocks(math.inf, 0)
 
     def test_switch_budget_blocks_when_spent(self):
         policy = Controlled(epsilon=0.0, serving_threshold=math.inf,
                             max_switches=2, window=50)
         assert not policy.blocks(1e9, 1)  # no load gate, one switch left
-        assert self.pick(policy, 0.0, 2, np.random.default_rng(7)) == 0
+        assert policy.blocks(0.0, 2) and policy.blocks(0.0, 3)
+        assert Controlled(max_switches=0, window=1).blocks(0.0, 0)
 
 
 class TestGreedyColoring:
