@@ -23,11 +23,13 @@ all their users, and a random one once per user, in user order;
 `next_change` names the next step at which another row comes into force.
 Each ThroughputReport holds one flat `readings` vector of every node's and
 user's measurements, a user's achieved Mbps in its node's sum, so all
-agents sense with one gather, and its demand and achieved totals.
+agents sense with one gather, its node-order channels, and its totals.
 A step copies a state's channel or position dict only when an action
 changes a value in it, and hands back the same report when it copied
 neither and the demand row stayed the same, so an idle step costs no
-radio pass.
+radio pass. A rescoring step reads no dict: it rewrites the switched nodes
+in a copy of its given report's channels, and takes the arrays of the row
+it entered, built when a step first enters it; `report_for` reads the dicts.
 """
 
 from __future__ import annotations
@@ -284,10 +286,11 @@ class EnvState:
 
 @dataclass(frozen=True)
 class ThroughputReport:
-    """One state's measurements, per node and user; its totals are summed once, in user order."""
+    """A state's read-only per-node and per-user arrays and totals, summed once in user order."""
 
     conflicts: int              # co-channel interference edges
     readings: np.ndarray        # flat per-node and per-user measurements
+    channel: np.ndarray         # every node's channel, in node order
     total_demand: float         # Mbps
     total_achieved: float       # Mbps
 
@@ -355,6 +358,7 @@ class Environment:
                 self._change_points.append(point)
                 self._row_at.append(row)
         self._demand_rows = [dict(zip(self._user_index, r)) for r in rows]
+        self._row_demand = [None] * len(rows)  # each row's `_demand`, built when a step enters it
 
     # -- construction ----------------------------------------------------
 
@@ -386,13 +390,14 @@ class Environment:
         written. The new state copies `channel_of` or `position_of` only when
         an action first changes a value in it, and shares every other dict
         with `state`. The report reflects the post-action configuration at
-        t+1. Pass the report of `state` to have that same object back when no
-        dict was copied and the demand row in force is the same dict:
-        `Population.sense` relies on that to advance only its detector.
+        t+1. Pass the report of `state`, and no other, to have that same object
+        back when no dict was copied and the demand row in force is the same
+        dict: `Population.sense` relies on that to advance only its detector.
+        A new report copies its channels, rewriting only the switched nodes.
         """
         topo = self.topology
         channels, positions = state.channel_of, state.position_of
-        touched = set()
+        touched, switched = set(), []
         for action in actions:
             node = action.node
             if node not in topo.positions:
@@ -407,6 +412,7 @@ class Environment:
                     if channels is state.channel_of:
                         channels = dict(channels)
                     channels[node] = action.channel
+                    switched.append(node)
             elif isinstance(action, MoveTo):
                 if (cell := tuple(action.cell)) not in topo.allowed[node]:
                     raise InvalidAction(node, f"cell {action.cell} not allowed")
@@ -417,12 +423,19 @@ class Environment:
             else:
                 raise InvalidAction(node, f"unsupported action {type(action).__name__}")
 
-        demand = self._demand_rows[self._demand_row(state.t + 1)]
+        demand = self._demand_rows[row := self._demand_row(state.t + 1)]
         new_state = EnvState(t=state.t + 1, channel_of=channels, position_of=positions,
                              demand=demand)
         if (report is None or demand is not state.demand or channels is not state.channel_of
                 or positions is not state.position_of):
-            report = self.report_for(new_state)
+            channel = None if report is None else report.channel
+            if switched and channel is not None:
+                channel = channel.copy()
+                for node in switched:
+                    channel[self._node_index[node]] = channels[node]
+            if self._row_demand[row] is None:  # an env-built row is in user order
+                self._row_demand[row] = self._demand(list(demand.values()))
+            report = self._score(new_state, channel, *self._row_demand[row])
         return new_state, report
 
     # -- measurement -------------------------------------------------------
@@ -433,11 +446,11 @@ class Environment:
         d = np.maximum(1.0, np.sqrt(dx * dx + dy * dy))
         return self.config.tx_power * np.float_power(d, -self.config.pathloss_exponent)
 
-    def _radio(self, state: EnvState):
-        """Every node's channel, x and y, and every user's SINR and floor: tx *
-        d^-eta from its serving node over the floor, noise plus the same law
-        summed over the node's co-channel neighbours. The geometry, x, y and the
-        gains, is kept read-only for a copy of the positions last scored."""
+    def _radio(self, state: EnvState, channel: np.ndarray | None = None):
+        """Every node's channel (`channel`, else the dict's), x and y, and every
+        user's SINR and floor: tx * d^-eta from its serving node over the floor,
+        noise plus the same law summed over its co-channel neighbours. The
+        geometry, x, y and gains, is kept read-only for a copy of the last positions."""
         nodes, serving, ux, uy = self.nodes, self._serving, self._user_x, self._user_y
         if state.position_of != self._placed:  # by value: a caller may edit its dict
             xy = np.fromiter(chain.from_iterable(map(state.position_of.__getitem__, nodes)),
@@ -448,8 +461,9 @@ class Environment:
             for array in self._geometry:
                 array.flags.writeable = False
         x, y, pair_gain, signal = self._geometry
-        channel = np.fromiter(map(state.channel_of.__getitem__, nodes),
-                              dtype=np.int64, count=len(nodes))
+        if channel is None:
+            channel = np.fromiter(map(state.channel_of.__getitem__, nodes),
+                                  dtype=np.int64, count=len(nodes))
         at, other = self._pairs
         co = channel[other] == channel[serving[at]]
         floor = self.config.noise_floor + np.bincount(
@@ -463,22 +477,31 @@ class Environment:
         return float(self._radio(state)[3][self._user_index[user]])
 
     def report_for(self, state: EnvState) -> ThroughputReport:
-        channel, x, y, ratio, _ = self._radio(state)
-        levels = np.fromiter(map(state.demand.__getitem__, self._user_index),
-                             dtype=float, count=len(self._user_index))
+        """Score any state from its dicts, read by id in any key order."""
+        return self._score(state, None, *self._demand(
+            list(map(state.demand.__getitem__, self._user_index))))
+
+    def _demand(self, levels: list[float]):
+        """User-order `levels` as an array, their node-demand block (a node's users
+        added in ascending id, as node_demand does) and their user-order sum."""
+        array, by_id = np.array(levels, dtype=float), self._by_id
+        return array, np.bincount(self._serving[by_id], weights=array[by_id],
+                                  minlength=len(self.nodes)), sum(levels)
+
+    def _score(self, state: EnvState, channel, levels, node_demand, total_demand):
+        """The report of `state` with its channels (None: its dict's) and `_demand`."""
+        channel, x, y, ratio, _ = self._radio(state, channel)
         got = np.minimum(capacity(ratio, self.config.bandwidth_unit, self._sharing), levels)
-        n, by_id = len(self.nodes), self._by_id
+        n = len(self.nodes)
         same = channel[self._edge_a] == channel[self._edge_b]
         readings = np.concatenate((
             np.bincount(self._edge_a[same], minlength=n)
             + np.bincount(self._edge_b[same], minlength=n),
-            np.bincount(self._serving[by_id], weights=levels[by_id], minlength=n),
-            np.bincount(self._serving, weights=got, minlength=n),
-            x, y, levels))
-        readings.flags.writeable = False  # a reused report holds the readings it was sensed with
-        return ThroughputReport(conflicts=int(same.sum()), readings=readings,
-                                total_demand=sum(state.demand.values()),
-                                total_achieved=sum(got.tolist()))
+            node_demand, np.bincount(self._serving, weights=got, minlength=n), x, y, levels))
+        # a reused report holds the arrays it was sensed and stepped with
+        readings.flags.writeable = channel.flags.writeable = False
+        return ThroughputReport(conflicts=int(same.sum()), readings=readings, channel=channel,
+                                total_demand=total_demand, total_achieved=sum(got.tolist()))
 
     def reading_index(self, node: int, name: str) -> int:
         """Index in ThroughputReport.readings of a node's reading `name`: one

@@ -104,19 +104,25 @@ class TestApplyAndStep:
     @settings(max_examples=60, deadline=None)
     @given(st.data())
     def test_a_step_copies_and_rescores_only_what_it_changes(self, data):
-        """Random batches, current channels and cells re-asserted among them:
-        the report comes back as the same object exactly when no channel,
-        position or demand row changed; a changing step leaves the old
-        state's dicts as they were and shares those it did not change; and
-        the report totals are the exact sums, on fresh and reused reports."""
+        """Random batches, current channels and cells re-asserted among them,
+        over demand rows that change every few steps and a 3-channel palette,
+        stepped with the state's report or none, from states as the step built
+        them or with their channel dict's keys reordered: the report comes back
+        as the same object exactly when a report was given and no channel,
+        position or demand row changed; a changing step leaves the old state's
+        dicts and report as they were and shares the dicts it did not change;
+        and the stepped report's channels, readings and totals are those
+        `report_for` gives the new state, the totals being the exact sums."""
         allowed = {0: frozenset({(0, 0), (1, 0)}), 1: frozenset({(2, 0), (2, 1)})}
         users = [UserSpec(user=0, position=(0, 1), node=0,
                           demand=DemandProfile.piecewise([(0, 5.0), (4, 9.0), (6, 5.0)])),
                  UserSpec(user=1, position=(2, 2), node=1, demand=DemandProfile.constant(2.0)),
-                 UserSpec(user=2, position=(4, 0), node=2, demand=DemandProfile.constant(1.0))]
+                 UserSpec(user=2, position=(4, 0), node=2,
+                          demand=DemandProfile.random_epochs(2, (0.1, 0.2, 0.7)))]
         topo = MeshTopology(positions={0: (0, 0), 1: (2, 0), 2: (4, 0)},
-                            edges={(0, 1), (1, 2)}, channels=(1, 2), allowed=allowed)
-        env = Environment(EnvConfig(topology=topo, users=users, horizon=10))
+                            edges={(0, 1), (1, 2)}, channels=(1, 2, 3), allowed=allowed)
+        env = Environment(EnvConfig(topology=topo, users=users, horizon=10),
+                          seed=data.draw(st.integers(0, 3), label="seed"))
         state = env.reset()
         report = env.report_for(state)
         for _ in range(8):
@@ -124,22 +130,64 @@ class TestApplyAndStep:
                 *(SetChannel(node, channel) for channel in topo.channels),
                 *(MoveTo(node, cell) for cell in sorted(topo.allowed[node]))]))
                 for node in data.draw(st.lists(st.sampled_from(topo.nodes), unique=True))]
+            if data.draw(st.booleans(), label="reorder channel keys"):
+                state = replace(state, channel_of=dict(reversed(state.channel_of.items())))
+            given = report if data.draw(st.booleans(), label="give the report") else None
             before = [dict(d) for d in (state.channel_of, state.position_of, state.demand)]
-            nxt, stepped = env.apply_and_step(state, batch, report)
+            old = report.channel.tobytes(), report.readings.tobytes()
+            nxt, stepped = env.apply_and_step(state, batch, given)
             assert [state.channel_of, state.position_of, state.demand] == before
+            assert (report.channel.tobytes(), report.readings.tobytes()) == old
             same = [new == old for new, old in zip(
                 (nxt.channel_of, nxt.position_of, nxt.demand), before)]
             assert [new is old for new, old in zip(
                 (nxt.channel_of, nxt.position_of, nxt.demand),
                 (state.channel_of, state.position_of, state.demand))] == same
-            assert (stepped is report) == all(same)
+            assert (stepped is report) == (given is not None and all(same))
             fresh = env.report_for(nxt)
+            assert stepped.channel.tobytes() == fresh.channel.tobytes()
+            assert stepped.channel.tolist() == [nxt.channel_of[node] for node in env.nodes]
             assert stepped.readings.tobytes() == fresh.readings.tobytes()
+            assert not (stepped.channel.flags.writeable or stepped.readings.flags.writeable)
+            assert (stepped.conflicts, stepped.total_demand, stepped.total_achieved) == (
+                fresh.conflicts, fresh.total_demand, fresh.total_achieved)
             for r in (stepped, fresh):  # one user per node: node sums are user values
                 assert r.total_demand == sum(nxt.demand.values())
                 assert r.total_achieved == sum(
                     r.readings[env.reading_index(node, "achieved")].item() for node in topo.nodes)
             state, report = nxt, stepped
+
+    def test_report_for_reads_channels_by_node_id(self):
+        """A channel dict whose keys are not in node order is read by id, not
+        in its values' order."""
+        users = [UserSpec(user=i, position=(i, 0), demand=DemandProfile.constant(1.0), node=i)
+                 for i in range(3)]
+        env = make_env({0: (0, 0), 1: (1, 0), 2: (2, 0)}, {(0, 1), (1, 2)}, users,
+                       initial={0: 1, 1: 1, 2: 2})
+        state = env.reset()
+        shuffled = replace(state, channel_of={2: 2, 0: 1, 1: 1})
+        for report in (env.report_for(state), env.report_for(shuffled)):
+            assert report.channel.tolist() == [1, 1, 2]
+            assert report.conflicts == 1
+            assert [report.readings[env.reading_index(n, "conflicts")] for n in range(3)] == [
+                1, 1, 0]
+        assert env.report_for(shuffled).readings.tobytes() == env.report_for(
+            state).readings.tobytes()
+
+    def test_report_for_sums_total_demand_in_user_order(self):
+        """The demand total is summed in user order whatever the order of the
+        demand dict's keys: 0.1 + 0.2 + 0.3 and 0.3 + 0.2 + 0.1 differ."""
+        users = [UserSpec(user=i, position=(i, 0), demand=DemandProfile.constant(level), node=i)
+                 for i, level in enumerate((0.1, 0.2, 0.3))]
+        env = make_env({0: (0, 0), 1: (1, 0), 2: (2, 0)}, {(0, 1), (1, 2)}, users)
+        state = env.reset()
+        reordered = replace(state, demand=dict(reversed(state.demand.items())))
+        assert 0.1 + 0.2 + 0.3 != 0.3 + 0.2 + 0.1
+        for report in (env.report_for(state), env.report_for(reordered),
+                       env.apply_and_step(state, [SetChannel(1, 2)])[1]):
+            assert report.total_demand == 0.1 + 0.2 + 0.3
+        assert env.report_for(reordered).readings.tobytes() == env.report_for(
+            state).readings.tobytes()
 
     def test_invalid_channel_rejected_without_partial_application(self):
         users = [UserSpec(user=i, position=(i, 0),
