@@ -6,9 +6,10 @@ gathers every agent's percept from the step's flat reading vector in one
 pass and keeps the two-sample detector as two boolean arrays. The
 reasoning cycle is event driven: it runs only for an agent whose node's
 users were undersupplied in two successive samples. A triggered tick
-retrieves the nearest stored case and decides to reuse its action,
-recompute it, retain the percept as a new case, or reject it; while the
-controlled gate holds it (`_held`), it stays on its channel.
+retrieves the nearest stored case and decides, in its own frame, to reuse
+its action, recompute it, retain the percept as a new case, or reject it;
+while the controlled gate holds it (`_held`), it stays on its channel. It
+keeps the action, the outcome and the case `observe` is to revise pending.
 
 The agent keeps its own books and writes nothing to the population. A
 tick returns its trace event, which holds its action, or None; it builds
@@ -207,31 +208,19 @@ class Agent:
              i: int, draws: Iterator[float]) -> TraceEvent | None:
         """Run one control step on row `i` of the population's pass: a triggered tick takes
         the next uniform of `draws` and returns its trace event, which holds its action; an
-        idle one draws nothing and returns None. The caller marks it acted."""
+        idle one draws nothing and returns None. The caller marks it acted.
+
+        The tick retrieves, classifies and picks its action: a REUSE takes its case's
+        action, unless the gate holds the node and the case would switch it, and every
+        other outcome the optimiser's, or the stay action while held. It keeps pending
+        the action, the outcome and the case `observe` revises: a REUSE's whose action
+        it took, or a RECOMPUTE's; None for the rest."""
         if not population.fired[i]:
             return None
-        t, u = state.t, next(draws)
+        t, u, config, kb = state.t, next(draws), self.config, self.kb
         percept = population.percept(i)
         demanded = population.demanded[i]
         state_index = int(population.states[i])  # ValueError on NaN, as in encode_state
-        action, outcome, case = self._reason(env, state, percept, demanded, state_index, u)
-        event = TraceEvent(t, self.node, percept, outcome._value_, action)
-        if type(action) is SetChannel:
-            action_index = self.config.channel_index[action.channel]
-            if action.channel != state.channel_of[self.node]:
-                event.switched = True
-                event.disruption = demanded > DISRUPTION_THRESHOLD
-        else:  # a MoveTo, indexed by its direction
-            (x, y), (cx, cy) = action.cell, state.position_of[self.node]
-            action_index = _DIRECTION_INDEX[x - cx, y - cy]
-        event.q_before = self.table.entry(state_index, action_index)
-        self._pending = (event, state_index, action_index, outcome, case)
-        return event
-
-    def _reason(self, env: Environment, state: EnvState, percept: tuple[float, ...],
-                demanded: float, state_index: int, u: float):
-        """(action, outcome, case to revise: a REUSE's or RECOMPUTE's, else None)."""
-        t, config, kb = state.t, self.config, self.kb
         hit = kb.retrieve(percept, t)
         if hit is None:
             score, coefficient, case = 0.0, 0.0, None
@@ -242,12 +231,26 @@ class Agent:
                            config.coefficient_threshold, kb.is_full())
         held = config.gate is not None and self._held(t, demanded)
         if outcome is REUSE:
-            if held and case.action.channel != state.channel_of[self.node]:
-                return self._switch_to(state.channel_of[self.node]), outcome, None
-            return case.action, outcome, case
-        action = (self._switch_to(state.channel_of[self.node]) if held
-                  else self._optimize(env, state, state_index, u))
-        return action, outcome, case if outcome is RECOMPUTE else None
+            action = case.action
+            if held and action.channel != state.channel_of[self.node]:
+                action, case = self._switch_to(state.channel_of[self.node]), None
+        else:
+            action = (self._switch_to(state.channel_of[self.node]) if held
+                      else self._optimize(env, state, state_index, u))
+            if outcome is not RECOMPUTE:
+                case = None
+        event = TraceEvent(t, self.node, percept, outcome._value_, action)
+        if type(action) is SetChannel:
+            action_index = config.channel_index[action.channel]
+            if action.channel != state.channel_of[self.node]:
+                event.switched = True
+                event.disruption = demanded > DISRUPTION_THRESHOLD
+        else:  # a MoveTo, indexed by its direction
+            (x, y), (cx, cy) = action.cell, state.position_of[self.node]
+            action_index = _DIRECTION_INDEX[x - cx, y - cy]
+        event.q_before = self.table.entry(state_index, action_index)
+        self._pending = (event, state_index, action_index, outcome, case)
+        return event
 
     def _optimize(self, env: Environment, state: EnvState, state_index: int,
                   u: float) -> Action:

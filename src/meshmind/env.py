@@ -10,12 +10,14 @@ runs can be replayed bit for bit.
 
 The radio model is one array pass over the mesh as it stands, using
 per-user and per-node vectors fixed at construction (serving node, share
-count, position, and one (user, neighbour) pair per interference term);
-reports, `link_quality` and `predict_node_throughput` all take their SINR
-from it; its geometry, every node's x and y and every pair's and link's
-gain, is computed once per placement. No node neighbours itself, so a
-node's cell never moves its users' floor of noise plus interference, and
-one pass scores the node at any number of cells. Demand is piecewise
+count, position, and one (user, neighbour) pair per interference term,
+grouped by user); reports and `link_quality` take their SINR from it, and
+`predict_node_throughput` adds up only its node's users' floors, each over
+that user's own pairs in the pass's order, so it reads the same floats. The
+geometry, every node's x and y and every pair's and link's gain, is
+computed once per placement. No node neighbours itself, so a node's cell
+never moves its users' floor of noise plus interference, and one pass
+scores the node at any number of cells. Demand is piecewise
 constant, possibly periodic, and is resolved only at its change points up
 to the config's horizon, the run's one step count, into one dict per
 distinct level vector; equal deterministic profiles are resolved once for
@@ -27,9 +29,15 @@ agents sense with one gather, its node-order channels, and its totals.
 A step copies a state's channel or position dict only when an action
 changes a value in it, and hands back the same report when it copied
 neither and the demand row stayed the same, so an idle step costs no
-radio pass. A rescoring step reads no dict: it rewrites the switched nodes
-in a copy of its given report's channels, and takes the arrays of the row
-it entered, built when a step first enters it; `report_for` reads the dicts.
+radio pass. Given the report of the state it steps, a rescoring step
+recomputes only what its changes reach: a switch reruns the radio and the
+conflicts on a copy of the report's channels with the switched nodes
+rewritten; a move without a switch reruns the radio and keeps the
+conflicts; a new demand row alone keeps the channels, capacities, x, y and
+conflicts, and recomputes the served throughput, the achieved block, the
+readings and the totals. It reads no dict, taking the arrays of the row it
+entered, built when a step first enters it; `report_for` reads the dicts
+and scores on the full path.
 """
 
 from __future__ import annotations
@@ -286,11 +294,15 @@ class EnvState:
 
 @dataclass(frozen=True)
 class ThroughputReport:
-    """A state's read-only per-node and per-user arrays and totals, summed once in user order."""
+    """A state's read-only per-node and per-user arrays and totals, summed once in user order.
+
+    A step given this report lends the next one its conflicts when no channel
+    switched, and also its channels, capacities, x and y when no node moved."""
 
     conflicts: int              # co-channel interference edges
     readings: np.ndarray        # flat per-node and per-user measurements
     channel: np.ndarray         # every node's channel, in node order
+    capacity: np.ndarray        # every user's share of its link, Mbps, in user order
     total_demand: float         # Mbps
     total_achieved: float       # Mbps
 
@@ -335,10 +347,12 @@ class Environment:
             [u.position for u in config.users], dtype=float).reshape(-1, 2).T
         self._pairs = np.array([(k, index[n]) for k, nid in enumerate(serving)
                                 for n in topo.neighbors(nid)], dtype=np.intp).reshape(-1, 2).T
+        # pairs are grouped by user: user k's are pairs[:, starts[k]:starts[k + 1]]
+        self._pair_starts = np.searchsorted(self._pairs[0], range(len(serving) + 1)).tolist()
         edges = sorted(topo.edges)
         self._edge_a = np.array([index[a] for a, _ in edges], dtype=np.intp)
         self._edge_b = np.array([index[b] for _, b in edges], dtype=np.intp)
-        self._placed = None  # the positions of the geometry `_radio` keeps
+        self._placed = None  # the positions of the geometry `_geometry` keeps
 
         # Demand rows: the level vector at every change point, deduplicated.
         rng = np.random.default_rng([seed, 0])
@@ -393,7 +407,12 @@ class Environment:
         t+1. Pass the report of `state`, and no other, to have that same object
         back when no dict was copied and the demand row in force is the same
         dict: `Population.sense` relies on that to advance only its detector.
-        A new report copies its channels, rewriting only the switched nodes.
+        A new report recomputes from that report only what the step changed: a
+        switch copies its channels, rewriting only the switched nodes, and
+        reruns the radio and the conflicts; a move reruns the radio and keeps
+        the conflicts; a new demand row alone shares its channels and
+        capacities and keeps its conflicts, x and y, recomputing the served
+        throughput, readings and totals. Without it, the step scores in full.
         """
         topo = self.topology
         channels, positions = state.channel_of, state.position_of
@@ -426,17 +445,25 @@ class Environment:
         demand = self._demand_rows[row := self._demand_row(state.t + 1)]
         new_state = EnvState(t=state.t + 1, channel_of=channels, position_of=positions,
                              demand=demand)
-        if (report is None or demand is not state.demand or channels is not state.channel_of
-                or positions is not state.position_of):
-            channel = None if report is None else report.channel
-            if switched and channel is not None:
+        if (report is not None and demand is state.demand and not switched
+                and positions is state.position_of):
+            return new_state, report
+        if self._row_demand[row] is None:  # an env-built row is in user order
+            self._row_demand[row] = self._demand(list(demand.values()))
+        channel = conflicts = radio = None
+        if report is not None:
+            channel, n = report.channel, len(self.nodes)
+            if switched:
                 channel = channel.copy()
                 for node in switched:
                     channel[self._node_index[node]] = channels[node]
-            if self._row_demand[row] is None:  # an env-built row is in user order
-                self._row_demand[row] = self._demand(list(demand.values()))
-            report = self._score(new_state, channel, *self._row_demand[row])
-        return new_state, report
+            else:  # no switch: the conflicts stand
+                conflicts = report.conflicts, report.readings[:n]
+                if positions is state.position_of:  # nor a move: the radio stands
+                    radio = (channel, report.readings[3 * n:4 * n],
+                             report.readings[4 * n:5 * n], report.capacity)
+        return new_state, self._score(new_state, channel, self._row_demand[row],
+                                      conflicts, radio)
 
     # -- measurement -------------------------------------------------------
 
@@ -446,29 +473,33 @@ class Environment:
         d = np.maximum(1.0, np.sqrt(dx * dx + dy * dy))
         return self.config.tx_power * np.float_power(d, -self.config.pathloss_exponent)
 
-    def _radio(self, state: EnvState, channel: np.ndarray | None = None):
-        """Every node's channel (`channel`, else the dict's), x and y, and every
-        user's SINR and floor: tx * d^-eta from its serving node over the floor,
-        noise plus the same law summed over its co-channel neighbours. The
-        geometry, x, y and gains, is kept read-only for a copy of the last positions."""
-        nodes, serving, ux, uy = self.nodes, self._serving, self._user_x, self._user_y
+    def _geometry(self, state: EnvState):
+        """Every node's x and y, every pair's gain and every user's signal, tx *
+        d^-eta from its serving node, kept read-only for a copy of the last positions."""
         if state.position_of != self._placed:  # by value: a caller may edit its dict
+            nodes, serving, ux, uy = self.nodes, self._serving, self._user_x, self._user_y
             xy = np.fromiter(chain.from_iterable(map(state.position_of.__getitem__, nodes)),
                              dtype=float, count=2 * len(nodes))
             x, y, (at, other) = xy[0::2], xy[1::2], self._pairs
-            self._placed, self._geometry = dict(state.position_of), (x, y, self._gain(
+            self._placed, self._gains = dict(state.position_of), (x, y, self._gain(
                 x[other] - ux[at], y[other] - uy[at]), self._gain(x[serving] - ux, y[serving] - uy))
-            for array in self._geometry:
+            for array in self._gains:
                 array.flags.writeable = False
-        x, y, pair_gain, signal = self._geometry
+        return self._gains
+
+    def _radio(self, state: EnvState, channel: np.ndarray | None = None):
+        """Every node's channel (`channel`, else the dict's), x and y, and every
+        user's SINR: its signal over its floor, noise plus the same law summed
+        over its co-channel neighbours in pair order."""
+        x, y, pair_gain, signal = self._geometry(state)
         if channel is None:
-            channel = np.fromiter(map(state.channel_of.__getitem__, nodes),
-                                  dtype=np.int64, count=len(nodes))
-        at, other = self._pairs
+            channel = np.fromiter(map(state.channel_of.__getitem__, self.nodes),
+                                  dtype=np.int64, count=len(self.nodes))
+        (at, other), serving = self._pairs, self._serving
         co = channel[other] == channel[serving[at]]
         floor = self.config.noise_floor + np.bincount(
             at[co], weights=pair_gain[co], minlength=len(serving))
-        return channel, x, y, signal / floor, floor
+        return channel, x, y, signal / floor
 
     def link_quality(self, state: EnvState, user: int) -> float:
         """Signal-to-interference ratio for one user, dimensionless (see `_radio`)."""
@@ -477,8 +508,8 @@ class Environment:
         return float(self._radio(state)[3][self._user_index[user]])
 
     def report_for(self, state: EnvState) -> ThroughputReport:
-        """Score any state from its dicts, read by id in any key order."""
-        return self._score(state, None, *self._demand(
+        """Score any state from its dicts, read by id in any key order, on the full path."""
+        return self._score(state, None, self._demand(
             list(map(state.demand.__getitem__, self._user_index))))
 
     def _demand(self, levels: list[float]):
@@ -488,20 +519,28 @@ class Environment:
         return array, np.bincount(self._serving[by_id], weights=array[by_id],
                                   minlength=len(self.nodes)), sum(levels)
 
-    def _score(self, state: EnvState, channel, levels, node_demand, total_demand):
-        """The report of `state` with its channels (None: its dict's) and `_demand`."""
-        channel, x, y, ratio, _ = self._radio(state, channel)
-        got = np.minimum(capacity(ratio, self.config.bandwidth_unit, self._sharing), levels)
+    def _score(self, state: EnvState, channel, demand, conflicts=None, radio=None):
+        """The report of `state` with its channels (None: its dict's) and a row's
+        `_demand`. `conflicts`, (count, per-node block), and `radio`, (channels, x,
+        y, capacities), are the state's when given, and computed when not."""
+        if radio is None:
+            channel, x, y, ratio = self._radio(state, channel)
+            radio = channel, x, y, capacity(ratio, self.config.bandwidth_unit, self._sharing)
+        channel, x, y, user_capacity = radio
         n = len(self.nodes)
-        same = channel[self._edge_a] == channel[self._edge_b]
+        if conflicts is None:
+            same = channel[self._edge_a] == channel[self._edge_b]
+            conflicts = int(same.sum()), (np.bincount(self._edge_a[same], minlength=n)
+                                          + np.bincount(self._edge_b[same], minlength=n))
+        (count, block), (levels, node_demand, total_demand) = conflicts, demand
+        got = np.minimum(user_capacity, levels)
         readings = np.concatenate((
-            np.bincount(self._edge_a[same], minlength=n)
-            + np.bincount(self._edge_b[same], minlength=n),
-            node_demand, np.bincount(self._serving, weights=got, minlength=n), x, y, levels))
+            block, node_demand, np.bincount(self._serving, weights=got, minlength=n), x, y, levels))
         # a reused report holds the arrays it was sensed and stepped with
-        readings.flags.writeable = channel.flags.writeable = False
-        return ThroughputReport(conflicts=int(same.sum()), readings=readings, channel=channel,
-                                total_demand=total_demand, total_achieved=sum(got.tolist()))
+        readings.flags.writeable = channel.flags.writeable = user_capacity.flags.writeable = False
+        return ThroughputReport(conflicts=count, readings=readings, channel=channel,
+                                capacity=user_capacity, total_demand=total_demand,
+                                total_achieved=sum(got.tolist()))
 
     def reading_index(self, node: int, name: str) -> int:
         """Index in ThroughputReport.readings of a node's reading `name`: one
@@ -516,10 +555,20 @@ class Environment:
 
     def predict_node_throughput(self, state: EnvState, node: int, cells) -> list[float]:
         """Summed achieved throughput of the node's users were it at each of
-        `cells`, from one `_radio` pass: only their received signal moves."""
-        members = self._members[node]
+        `cells`: only their received signal moves. Each user's floor is `_radio`'s,
+        noise plus its co-channel pairs' gains added in pair order as `np.bincount`
+        adds them, but summed over that user's pairs alone, not the whole mesh."""
+        members, channel_of = self._members[node], state.channel_of
         users = [self._user_index[u] for u in members]
-        floor, ux, uy = self._radio(state)[4][users], self._user_x[users], self._user_y[users]
+        pair_gain, starts = self._geometry(state)[2], self._pair_starts
+        neighbours, own, floor = self.topology.neighbors(node), channel_of[node], []
+        for k in users:  # user k's pairs are its node's neighbours, in order
+            interference = 0.0
+            for other, gain in zip(neighbours, pair_gain[starts[k]:starts[k + 1]].tolist()):
+                if channel_of[other] == own:
+                    interference += gain
+            floor.append(self.config.noise_floor + interference)
+        ux, uy = self._user_x[users], self._user_y[users]
         sharing, demand = self._sharing[users], [state.demand[u] for u in members]
         xy = np.array(cells, dtype=float).reshape(-1, 2)
         cx, cy = xy[:, :1], xy[:, 1:]

@@ -35,7 +35,7 @@ def read_trace(out_dir) -> list[dict]:
 
 def readings_report(readings) -> ThroughputReport:
     """A report holding only `readings`, all that `Population.sense` reads."""
-    return ThroughputReport(conflicts=0, readings=readings, channel=None,
+    return ThroughputReport(conflicts=0, readings=readings, channel=None, capacity=None,
                             total_demand=0.0, total_achieved=0.0)
 
 

@@ -111,8 +111,9 @@ class TestApplyAndStep:
         as the same object exactly when a report was given and no channel,
         position or demand row changed; a changing step leaves the old state's
         dicts and report as they were and shares the dicts it did not change;
-        and the stepped report's channels, readings and totals are those
-        `report_for` gives the new state, the totals being the exact sums."""
+        a given report lends a demand-only step its channel and capacity arrays;
+        and the stepped report's channels, capacities, readings and totals are
+        those `report_for` gives the new state, the totals being the exact sums."""
         allowed = {0: frozenset({(0, 0), (1, 0)}), 1: frozenset({(2, 0), (2, 1)})}
         users = [UserSpec(user=0, position=(0, 1), node=0,
                           demand=DemandProfile.piecewise([(0, 5.0), (4, 9.0), (6, 5.0)])),
@@ -134,21 +135,27 @@ class TestApplyAndStep:
                 state = replace(state, channel_of=dict(reversed(state.channel_of.items())))
             given = report if data.draw(st.booleans(), label="give the report") else None
             before = [dict(d) for d in (state.channel_of, state.position_of, state.demand)]
-            old = report.channel.tobytes(), report.readings.tobytes()
+            old = report.channel.tobytes(), report.capacity.tobytes(), report.readings.tobytes()
             nxt, stepped = env.apply_and_step(state, batch, given)
             assert [state.channel_of, state.position_of, state.demand] == before
-            assert (report.channel.tobytes(), report.readings.tobytes()) == old
+            assert (report.channel.tobytes(), report.capacity.tobytes(),
+                    report.readings.tobytes()) == old
             same = [new == old for new, old in zip(
                 (nxt.channel_of, nxt.position_of, nxt.demand), before)]
             assert [new is old for new, old in zip(
                 (nxt.channel_of, nxt.position_of, nxt.demand),
                 (state.channel_of, state.position_of, state.demand))] == same
             assert (stepped is report) == (given is not None and all(same))
+            if given is not None and same[0] and same[1]:  # no switch, no move
+                assert stepped.channel is report.channel
+                assert stepped.capacity is report.capacity
             fresh = env.report_for(nxt)
             assert stepped.channel.tobytes() == fresh.channel.tobytes()
             assert stepped.channel.tolist() == [nxt.channel_of[node] for node in env.nodes]
+            assert stepped.capacity.tobytes() == fresh.capacity.tobytes()
             assert stepped.readings.tobytes() == fresh.readings.tobytes()
-            assert not (stepped.channel.flags.writeable or stepped.readings.flags.writeable)
+            assert not (stepped.channel.flags.writeable or stepped.capacity.flags.writeable
+                        or stepped.readings.flags.writeable)
             assert (stepped.conflicts, stepped.total_demand, stepped.total_achieved) == (
                 fresh.conflicts, fresh.total_demand, fresh.total_achieved)
             for r in (stepped, fresh):  # one user per node: node sums are user values
@@ -504,6 +511,68 @@ def test_report_matches_the_scalar_radio_model(data):
             assert env.predict_node_throughput(state, node, spots) == pytest.approx(
                 [reference_served(env, state, node, cell) for cell in spots],
                 rel=1e-12, abs=0.0)
+
+
+def whole_mesh_prediction(env, state, node, cells) -> list[float]:
+    """`predict_node_throughput` from one pass over every user of the mesh: all
+    floors from one `np.bincount` over every (user, neighbour) pair, users in
+    config order and each user's neighbours in topology order; then the node's
+    users, in ascending id, scored at each cell and summed in that order."""
+    cfg, channel_of = env.config, state.channel_of
+    serving = cfg.serving_nodes()
+
+    def gain(dx, dy):
+        d = np.maximum(1.0, np.sqrt(dx * dx + dy * dy))
+        return cfg.tx_power * np.float_power(d, -cfg.pathloss_exponent)
+
+    pairs = [(k, other) for k, at in enumerate(serving) for other in env.topology.neighbors(at)]
+    at = np.array([k for k, _ in pairs], dtype=np.intp)
+    ux, uy = np.array([u.position for u in cfg.users], dtype=float).T
+    ox, oy = np.array([state.position_of[o] for _, o in pairs], dtype=float).reshape(-1, 2).T
+    co = np.array([channel_of[o] == channel_of[serving[k]] for k, o in pairs], dtype=bool)
+    floor = cfg.noise_floor + np.bincount(at[co], weights=gain(ox - ux[at], oy - uy[at])[co],
+                                          minlength=len(cfg.users))
+    members = sorted((u.user, k) for k, u in enumerate(cfg.users) if serving[k] == node)
+    users = [k for _, k in members]
+    demand = [state.demand[uid] for uid, _ in members]
+    xy = np.array(cells, dtype=float).reshape(-1, 2)
+    ratio = gain(xy[:, :1] - ux[users], xy[:, 1:] - uy[users]) / floor[users]
+    served = np.minimum(cfg.bandwidth_unit * np.log2(1.0 + ratio) / len(users), demand)
+    return [sum(row, 0.0) for row in served.tolist()]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.data())
+def test_prediction_equals_the_whole_mesh_pass_bit_for_bit(data):
+    """On dense location meshes with 2-3 channels, several users per node and
+    relays moved by a step, each node's prediction is exactly the whole-mesh
+    pass's: each user's floor adds its co-channel pairs in the same order."""
+    n = data.draw(st.integers(3, 7), label="nodes")
+    cells = st.tuples(st.integers(0, 6), st.integers(0, 6))
+    positions = {i: data.draw(cells) for i in range(n)}
+    pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+    edges = set(data.draw(st.lists(st.sampled_from(pairs), min_size=len(pairs) // 2,
+                                   unique=True), label="edges"))
+    channels = tuple(range(1, data.draw(st.integers(2, 3), label="channels") + 1))
+    users = [UserSpec(user=u, position=data.draw(cells), node=data.draw(st.integers(0, n - 1)),
+                      demand=DemandProfile.constant(data.draw(st.floats(0.0, 12.0))))
+             for u in data.draw(st.permutations(range(data.draw(st.integers(n, 3 * n)))))]
+    allowed = {i: frozenset(data.draw(st.lists(cells, min_size=1, max_size=3))) for i in range(n)}
+    topo = MeshTopology(positions=positions, edges=edges, channels=channels, allowed=allowed)
+    env = Environment(EnvConfig(
+        topology=topo, users=users, tx_power=data.draw(st.floats(0.5, 3.0)),
+        pathloss_exponent=data.draw(st.sampled_from([0.5, 1.0, 2.0, 2.7])),
+        noise_floor=data.draw(st.floats(1e-4, 1e-1)), bandwidth_unit=0.7,
+        initial_channels={i: data.draw(st.sampled_from(channels)) for i in range(n)}))
+    start = env.reset()
+    moves = [MoveTo(i, data.draw(st.sampled_from(sorted(topo.allowed[i]))))
+             for i in data.draw(st.lists(st.integers(0, n - 1), unique=True), label="movers")]
+    moved, _ = env.apply_and_step(start, moves, env.report_for(start))
+    spots = data.draw(st.lists(cells, min_size=1, max_size=4), label="cells")
+    for state in (moved, start):  # the kept geometry follows the state asked about
+        for node in range(n):
+            assert env.predict_node_throughput(state, node, spots) == \
+                whole_mesh_prediction(env, state, node, spots)
 
 
 def test_a_caller_editing_its_positions_dict_is_scored_as_edited():
