@@ -7,37 +7,6 @@ interference-graph edge and a channel. A node changes its channel through
 a SetChannel action and its cell through a MoveTo action. Everything is
 deterministic given the config and the seed the Environment takes, so
 runs can be replayed bit for bit.
-
-The radio model is one array pass over the mesh as it stands, using
-per-user and per-node vectors fixed at construction (serving node, share
-count, position, and one (user, neighbour) pair per interference term,
-grouped by user); reports and `link_quality` take their SINR from it, and
-`predict_node_throughput` adds up only its node's users' floors, each over
-that user's own pairs in the pass's order, so it reads the same floats. The
-geometry, every node's x and y and every pair's and link's gain, is
-computed once per placement. No node neighbours itself, so a node's cell
-never moves its users' floor of noise plus interference, and one pass
-scores the node at any number of cells. Demand is piecewise
-constant, possibly periodic, and is resolved only at its change points up
-to the config's horizon, the run's one step count, into one dict per
-distinct level vector; equal deterministic profiles are resolved once for
-all their users, and a random one once per user, in user order;
-`next_change` names the next step at which another row comes into force.
-Each ThroughputReport holds one flat `readings` vector of every node's and
-user's measurements, a user's achieved Mbps in its node's sum, so all
-agents sense with one gather, its node-order channels, and its totals.
-A step copies a state's channel or position dict only when an action
-changes a value in it, and hands back the same report when it copied
-neither and the demand row stayed the same, so an idle step costs no
-radio pass. Given the report of the state it steps, a rescoring step
-recomputes only what its changes reach: a switch reruns the radio and the
-conflicts on a copy of the report's channels with the switched nodes
-rewritten; a move without a switch reruns the radio and keeps the
-conflicts; a new demand row alone keeps the channels, capacities, x, y and
-conflicts, and recomputes the served throughput, the achieved block, the
-readings and the totals. It reads no dict, taking the arrays of the row it
-entered, built when a step first enters it; `report_for` reads the dicts
-and scores on the full path.
 """
 
 from __future__ import annotations
@@ -125,11 +94,10 @@ class MeshTopology:
                 raise ValueError(f"edge ({a},{b}) references unknown node")
             norm.add((min(a, b), max(a, b)))
         self.edges = norm
-        full_allowed = {}
-        for nid, pos in self.positions.items():
-            cells = frozenset(self.allowed.get(nid, ())) | {pos}
-            full_allowed[nid] = cells
-        self.allowed = full_allowed
+        if unknown := self.allowed.keys() - self.positions.keys():
+            raise ValueError(f"allowed cells of unknown node {min(unknown)}")
+        self.allowed = {nid: frozenset(self.allowed.get(nid, ())) | {pos}
+                        for nid, pos in self.positions.items()}
         self._neighbors: dict[int, tuple[int, ...]] = {n: () for n in self.positions}
         for a, b in self.edges:
             self._neighbors[a] = self._neighbors[a] + (b,)
@@ -326,6 +294,9 @@ class Environment:
     Users attach to their configured node, else the nearest, for good. Per-user
     arrays are in config order, per-node ones in `nodes` order. `seed` seeds the
     random demand draws; `demand_peak` is the highest level any profile takes.
+    Demand is resolved once, at its change points up to the horizon, into one
+    dict per distinct level vector: equal deterministic profiles once for all
+    their users, and a random one once per user, in user order.
     """
 
     def __init__(self, config: EnvConfig, seed: int = 0):
@@ -555,7 +526,8 @@ class Environment:
 
     def predict_node_throughput(self, state: EnvState, node: int, cells) -> list[float]:
         """Summed achieved throughput of the node's users were it at each of
-        `cells`: only their received signal moves. Each user's floor is `_radio`'s,
+        `cells`: only their received signal moves, since no node neighbours itself,
+        so one pass scores every cell. Each user's floor is `_radio`'s,
         noise plus its co-channel pairs' gains added in pair order as `np.bincount`
         adds them, but summed over that user's pairs alone, not the whole mesh."""
         members, channel_of = self._members[node], state.channel_of

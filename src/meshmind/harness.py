@@ -26,7 +26,6 @@ import time
 from collections import Counter
 from contextlib import contextmanager, nullcontext, suppress
 from dataclasses import dataclass, fields, replace
-from itertools import compress, count
 from pathlib import Path
 
 import numpy as np
@@ -505,10 +504,10 @@ def build_agents(spec: ScenarioSpec, env: Environment, state: EnvState,
 # -- run loop ----------------------------------------------------------------
 
 
-def _tick_lines(heads: list[str], texts: list[str], fired, t: int, events, end: str) -> str:
-    """Step t's tick lines, its idle `heads` with each triggered one's in a copy, then `end`."""
+def _tick_lines(heads: list[str], texts: list[str], acting, t: int, events, end: str) -> str:
+    """Step t's tick lines: its idle `heads`, the `acting` agents' `events` in a copy, `end`."""
     lines = [*heads, end]
-    for i, event in zip(compress(count(), fired), events):
+    for i, event in zip(acting, events):
         lines[i] = event.head(texts[i])
     return f"{t}}}\n".join(lines)
 
@@ -569,7 +568,7 @@ def run_scenario(spec: ScenarioSpec, out_dir=None, collect_trace: bool | None = 
                 # A fixed point: every step up to the demand change repeats an idle one.
                 rows = [_step_row(t, report, ()) for t in range(state.t + 1, end + 1)]
                 if trace is not None:
-                    lines = (*population.lines(), population.fired)
+                    lines = (*population.lines(), ())
                     for row in rows:
                         trace.write(_tick_lines(*lines, row["t"] - 1, (),
                                                 json.dumps(row, sort_keys=True) + "\n"))
@@ -586,7 +585,7 @@ def run_scenario(spec: ScenarioSpec, out_dir=None, collect_trace: bool | None = 
             if acting:
                 population.acted(acting)
             if trace is not None:  # this step's lines, which sense leaves as they are
-                step = (*population.lines(), population.fired, state.t)
+                step = (*population.lines(), acting, state.t)
 
             state, report = env.apply_and_step(state, [ev.action for ev in events], report)
             population.sense(report)  # serves this feedback and the next step

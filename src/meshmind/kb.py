@@ -2,7 +2,8 @@
 
 Each case pairs a percept, a tuple of unit-range floats, with the action
 taken for it and a coefficient in [0, 1] scoring how well that action
-worked. Retrieval is an exact argmax over similarity (linear scan; stores
+worked. A store's cases share one percept width, checked when a case is
+retained. Retrieval is an exact argmax over similarity (linear scan; stores
 are small) that stamps the case it returns as used, retention at capacity
 evicts the least recently used case, and exact-duplicate percepts merge into
 one slot. An agent revises or retains a case once the outcome of its action
@@ -22,10 +23,6 @@ from .env import action_to_dict
 from .reasoning import DimensionMismatch, similarity
 
 SNAPSHOT_SCHEMA = "meshmind-kb/2"
-
-
-class UnknownCase(Exception):
-    pass
 
 
 class InvalidCoefficient(ValueError):
@@ -64,22 +61,24 @@ class KnowledgeBase:
         return len(self.cases) >= self.capacity
 
     def retrieve(self, query: tuple[float, ...], now: int):
-        """Best-matching case and its similarity, or None when empty.
+        """Best-matching case and its similarity, or None when the store is empty or
+        the query scores NaN.
 
         Ties break toward the most recently used case, then insertion order.
         Bumps the hit count of the returned case and sets its last_used to `now`.
         Each score is `similarity(case.percept, query)`, bit for bit.
         """
-        best: Case | None = None
-        best_score = -1.0
+        cases = self.cases
+        if not cases:
+            return None
         width, root = len(query), math.sqrt(len(query))
-        for case in self.cases:
-            if len(case.percept) != width:
-                raise DimensionMismatch(f"{len(case.percept)} vs {width}")
+        if len(cases[0].percept) != width:  # every stored case has the first one's width
+            raise DimensionMismatch(f"{len(cases[0].percept)} vs {width}")
+        best, best_score = None, -math.inf
+        for case in cases:
             score = 1.0 - math.dist(case.percept, query) / root
-            if score > best_score or (score == best_score
-                                      and best is not None
-                                      and case.last_used > best.last_used):
+            if score > best_score or (score == best_score and (
+                    best is None or case.last_used > best.last_used)):
                 best, best_score = case, score
         if best is None:
             return None
@@ -88,7 +87,10 @@ class KnowledgeBase:
         return best, best_score
 
     def retain(self, case: Case) -> "KnowledgeBase":
-        """Insert a case, replacing an exact-percept duplicate or evicting."""
+        """Insert a case of the stored cases' width, replacing an exact-percept
+        duplicate or evicting; a case of another width raises before any write."""
+        if self.cases and len(case.percept) != len(self.cases[0].percept):
+            raise DimensionMismatch(f"{len(self.cases[0].percept)} vs {len(case.percept)}")
         for i, existing in enumerate(self.cases):
             if existing.percept == case.percept:
                 self.cases[i] = case
@@ -99,14 +101,9 @@ class KnowledgeBase:
         return self
 
     def revise(self, case: Case, action=None, coefficient: float | None = None) -> "KnowledgeBase":
-        """Replace a stored case's action and/or coefficient in place; not an equal copy's.
-        last_used stays: an agent revises a case only in the feedback of the tick that
-        last used it."""
-        for stored in self.cases:  # identity, not equality
-            if stored is case:
-                break
-        else:
-            raise UnknownCase("case is not stored in this knowledge base")
+        """Replace the action and/or coefficient of `case`, which must be stored here.
+        An agent revises only the case its own tick retrieved, from its private store,
+        with nothing evicted in between. last_used stays: that tick last used it."""
         if coefficient is not None:
             if not 0.0 <= coefficient <= 1.0:
                 raise InvalidCoefficient(f"coefficient {coefficient} outside [0,1]")

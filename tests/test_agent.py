@@ -744,6 +744,7 @@ class TestDecideThenWrite:
                     assert any(stored is case for stored in agents[i].kb.cases)
                 else:
                     assert how == "revise" and case is hit
+                    assert any(stored is case for stored in agents[i].kb.cases)
                 assert (case.action, case.coefficient) == (event.action, event.coefficient)
 
 

@@ -473,6 +473,11 @@ class TestTopologyValidation:
                             allowed={0: frozenset({(1, 1)})})
         assert (5, 5) in topo.allowed[0]
 
+    def test_allowed_cells_of_an_unknown_node_are_rejected(self):
+        with pytest.raises(ValueError, match="allowed cells of unknown node 5"):
+            MeshTopology(positions={0: (0, 0)}, edges=set(), channels=(1,),
+                         allowed={5: frozenset({(1, 1)})})
+
 
 @settings(max_examples=60, deadline=None)
 @given(st.data())

@@ -405,7 +405,8 @@ class TestEmission:
                         for i, (ag, fire) in enumerate(zip(agents, fired))]
             heads, texts = population.lines()
             population.sense(readings_report(readings))
-            lines = harness._tick_lines(heads, texts, fired, t, events, "")
+            acting = [i for i, fire in enumerate(fired) if fire]
+            lines = harness._tick_lines(heads, texts, acting, t, events, "")
             assert lines == "".join(map(line, expected))
             assert lines == "".join(dumps_line(event.to_record()) for event in expected)
 

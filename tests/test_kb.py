@@ -1,12 +1,11 @@
 import math
 import random
-from dataclasses import replace
 
 import pytest
 
 from meshmind import Case, KnowledgeBase, SetChannel, similarity
 from meshmind.harness import SpecValidation, knowledge_base_from_snapshot, load_snapshot
-from meshmind.kb import InvalidCoefficient, UnknownCase
+from meshmind.kb import InvalidCoefficient
 from meshmind.reasoning import DimensionMismatch
 
 
@@ -63,6 +62,35 @@ class TestRetrieve:
         with pytest.raises(DimensionMismatch, match="2 vs 3"):
             kb.retrieve((0.5, 0.5, 0.5), now=1)
 
+    def test_a_far_query_gets_the_nearest_case(self):
+        kb = KnowledgeBase(capacity=4)
+        near, far = case((1.0, 1.0)), case((0.0, 0.0))
+        kb.retain(far).retain(near)
+        query = (5.0, 5.0)
+        hit, score = kb.retrieve(query, now=1)
+        assert hit is near and score == similarity(near.percept, query) == -3.0
+
+    def test_a_nan_query_gets_no_case(self):
+        kb = KnowledgeBase(capacity=4)
+        stored = case((0.5, 0.5))
+        kb.retain(stored)
+        assert kb.retrieve((math.nan, 0.5), now=1) is None
+        assert (stored.hits, stored.last_used) == (0, 0)
+
+    def test_an_infinite_query_ties_every_case_and_takes_the_most_recently_used(self):
+        kb = KnowledgeBase(capacity=4)
+        stale, fresh = case((0.0, 0.4), last_used=1), case((0.0, 0.6), last_used=8)
+        kb.retain(stale).retain(fresh)
+        hit, score = kb.retrieve((math.inf, 0.5), now=9)
+        assert hit is fresh and score == -math.inf
+
+    def test_a_case_with_an_infinite_value_loses_to_a_finite_one(self):
+        kb = KnowledgeBase(capacity=4)
+        finite = case((0.5, 0.5))
+        kb.retain(case((math.inf, 0.5))).retain(finite)
+        hit, _ = kb.retrieve((0.5, 0.5), now=1)
+        assert hit is finite
+
 
 class TestRetain:
     def test_insert_into_empty(self):
@@ -86,6 +114,17 @@ class TestRetain:
         kb.retain(case((0.5, 0.5), action=SetChannel(0, 3)))
         assert len(kb) == 1
         assert kb.cases[0].action == SetChannel(0, 3)
+
+    @pytest.mark.parametrize("capacity", [1, 4])
+    def test_a_case_of_another_width_is_refused_before_any_write(self, capacity):
+        kb = KnowledgeBase(capacity=capacity)
+        stored = case((0.5, 0.5))
+        kb.retain(stored)
+        with pytest.raises(DimensionMismatch, match="2 vs 3"):
+            kb.retain(case((0.5, 0.5, 0.5)))
+        with pytest.raises(DimensionMismatch, match="2 vs 1"):
+            kb.retain(case((0.5,)))
+        assert kb.cases == [stored] and kb.cases[0] is stored
 
 
 class TestRevise:
@@ -111,21 +150,6 @@ class TestRevise:
         kb.revise(stored, action=SetChannel(0, 2))
         hit, _ = kb.retrieve((0.5, 0.5), now=0)
         assert hit.action == SetChannel(0, 2)
-
-    def test_unknown_case(self):
-        kb = KnowledgeBase(capacity=4)
-        with pytest.raises(UnknownCase):
-            kb.revise(case((0.5,)), coefficient=0.4)
-
-    def test_equal_copy_of_a_stored_case_is_unknown(self):
-        kb = KnowledgeBase(capacity=4)
-        stored = case((0.5,), coefficient=0.2)
-        kb.retain(stored)
-        copy = replace(stored)
-        assert copy == stored and copy is not stored
-        with pytest.raises(UnknownCase):
-            kb.revise(copy, coefficient=0.9)
-        assert stored.coefficient == 0.2 and len(kb) == 1 and kb.cases[0] is stored
 
     def test_invalid_coefficient(self):
         kb = KnowledgeBase(capacity=4)
