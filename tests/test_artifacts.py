@@ -18,8 +18,9 @@ import numpy as np
 import pytest
 
 from meshmind import harness, load_scenario
+from meshmind.agent import TraceEvent
 
-from helpers import perfbench_module
+from helpers import perfbench_module, read_trace
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -118,3 +119,11 @@ def matrix() -> list[tuple[str, int, bool]]:
 def test_every_deterministic_artifact_matches_its_digest(tmp_path, name, seed, traced):
     digest = artifact_digest(spec_of(name, seed), tmp_path if traced else None)
     assert digest == PINNED_ARTIFACTS[name, seed, traced]
+
+
+@pytest.mark.parametrize("name,seed", [("lowload_windows", 0), ("follow_demand_location", 1)])
+def test_tick_rows_of_a_run_are_written_without_json(tmp_path, name, seed):
+    with mock.patch.object(TraceEvent, "to_record", side_effect=AssertionError):
+        digest = artifact_digest(spec_of(name, seed), tmp_path)
+    assert digest == PINNED_ARTIFACTS[name, seed, True]
+    assert {r["outcome"] for r in read_trace(tmp_path) if r["kind"] == "tick"} > {"idle"}
